@@ -492,9 +492,9 @@ let time_pipeline_kernel (name, mk) =
        same (fastest) run instead of mixing best-of with averages *)
     Pluto.Farkas.reset_cache ();
     Linalg.Counters.reset ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Linalg.Clock.now () in
     ignore (Pluto.Scheduler.run cfg prog);
-    let dt = Unix.gettimeofday () -. t0 in
+    let dt = Linalg.Clock.now () -. t0 in
     let stages = Linalg.Counters.stage_times () in
     (* stage timers are exclusive (self-time), so their sum is bounded
        by the wall time of the run that produced them; a violation
@@ -746,9 +746,9 @@ let analyze_overhead () =
         let report = ref None in
         for _ = 1 to reps do
           Linalg.Counters.reset ();
-          let t0 = Unix.gettimeofday () in
+          let t0 = Linalg.Clock.now () in
           let rep = certify () in
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Linalg.Clock.now () -. t0 in
           if dt < !best then begin
             best := dt;
             best_counters := Linalg.Counters.all_counters ();
@@ -795,9 +795,9 @@ let budget_overhead () =
         let best = ref infinity in
         for _ = 1 to reps do
           Pluto.Farkas.reset_cache ();
-          let t0 = Unix.gettimeofday () in
+          let t0 = Linalg.Clock.now () in
           ignore (Pluto.Scheduler.run ?budget cfg prog);
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Linalg.Clock.now () -. t0 in
           if dt < !best then best := dt
         done;
         !best *. 1e3
@@ -837,9 +837,9 @@ let trace_overhead () =
         for _ = 1 to reps do
           Pluto.Farkas.reset_cache ();
           if traced then Obs.Trace.enable ();
-          let t0 = Unix.gettimeofday () in
+          let t0 = Linalg.Clock.now () in
           ignore (Pluto.Scheduler.run cfg prog);
-          let dt = Unix.gettimeofday () -. t0 in
+          let dt = Linalg.Clock.now () -. t0 in
           Obs.Trace.disable ();
           if dt < !best then best := dt
         done;
@@ -964,9 +964,9 @@ let serve_run_mix t population ~skew ~count =
       | `Hot -> pick_hot n
     in
     let line = serve_request_line ~id:i pop.(idx) in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Linalg.Clock.now () in
     let resp = Serve.Server.handle_line t line in
-    let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+    let us = (Linalg.Clock.now () -. t0) *. 1e6 in
     match resp with
     | None -> failwith "serve bench: daemon returned nothing for a request"
     | Some r -> (
@@ -1324,9 +1324,9 @@ let telemetry_overhead () =
   let time t =
     let best = ref infinity in
     for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
+      let t0 = Linalg.Clock.now () in
       Array.iter (fun line -> ignore (Serve.Server.handle_line t line)) reqs;
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Linalg.Clock.now () -. t0 in
       if dt < !best then best := dt
     done;
     !best *. 1e6 /. float_of_int (Array.length reqs)
@@ -2047,12 +2047,12 @@ type scale_cell = {
 let time_scale_engine cfg prog deps kind =
   Pluto.Farkas.reset_cache ();
   Linalg.Counters.reset ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Linalg.Clock.now () in
   let res =
     Pluto.Scheduler.run_with_deps ~engine:(Pluto.Engine.Fixed kind) cfg prog
       deps
   in
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Linalg.Clock.now () -. t0 in
   let all = Linalg.Counters.all_counters () in
   {
     swall_ms = dt *. 1e3;

@@ -1,5 +1,5 @@
-(* Two-phase dense simplex over exact rationals, with an incremental
-   re-solve layer.
+(* Two-phase exact simplex over rationals in dictionary form, with an
+   incremental re-solve layer.
 
    Conversion to standard form (min c.y, A y = rhs, y >= 0, rhs >= 0):
      - every free variable x_i becomes x_i^+ - x_i^- (skipped in
@@ -11,14 +11,21 @@
        phase 1 small;
      - phase 1 minimizes the sum of artificials.
 
+   Storage: a row holds only the nonbasic columns (basic columns are
+   implicit unit vectors), so a tableau is m x (ncols - m + 1) rather
+   than m x (ncols + 1). Column indices stay global and every choice
+   scans them in index order, so the pivot sequence is the one a dense
+   tableau would take.
+
    Pivoting: Dantzig's largest-coefficient rule by default — far fewer
    pivots in practice — with a degeneracy detector that switches
    permanently to Bland's least-index rule once the objective stalls,
    which restores the termination guarantee. The ratio test compares
    rhs_i/a_i ratios by cross-multiplication instead of exact division
-   (no gcd normalization per candidate row), and pivot updates skip
-   zero entries of the pivot row. Everything is exact, so no tolerance
-   anywhere.
+   (no gcd normalization per candidate row). A pivot lists the nonzero
+   slots of its scaled row once; the row elimination and the objective
+   update touch only those, through the fused native [Q.sub_mul].
+   Everything is exact, so no tolerance anywhere.
 
    Incremental layer: an optimal solve can return a [warm] snapshot of
    its final tableau. [reoptimize] re-solves after (a) adding
@@ -27,7 +34,9 @@
    feasibility — and/or (b) swapping the objective — the basis is
    primal-feasible, so the new reduced costs are priced out and primal
    phase 2 resumes. Both skip phase 1 entirely; a cold two-phase solve
-   is the fallback on basis incompatibility or a dual cycling guard. *)
+   is the fallback on basis incompatibility or a dual cycling guard.
+   Added rows enter with their slacks basic, so the nonbasic columns
+   carry over and the copy is only the snapshot's own rows. *)
 
 open Linalg
 open Poly
@@ -64,9 +73,18 @@ let charge budget =
   | None -> ()
   | Some b -> if not (Linalg.Budget.spend_pivot b) then raise Out_of_budget
 
+(* Dictionary form: a row keeps the coefficients of the nonbasic
+   columns only, in slots, plus its rhs in the last slot; every basic
+   column is the unit vector of its row and is left implicit. Slot [k]
+   holds column [nonbasic.(k)], and [slot.(j)] is column [j]'s slot, or
+   -1 while [j] is basic. Column indices stay global, so every choice
+   below scans columns in index order, as over a full tableau. *)
 type tableau = {
-  a : Q.t array array; (* m rows, each of length ncols + 1 (rhs last) *)
-  basis : int array; (* basic variable of each row *)
+  a : Q.t array array; (* m rows, each of length nnb + 1 (rhs last) *)
+  basis : int array; (* basic column of each row *)
+  nonbasic : int array; (* the nnb = ncols - m nonbasic columns, by slot *)
+  slot : int array; (* length ncols *)
+  nz : int array; (* scratch: the pivot row's nonzero slots *)
   ncols : int; (* structural + slack + artificial columns, excluding rhs *)
   nstruct : int; (* structural (split) + slack columns *)
 }
@@ -76,7 +94,7 @@ type tableau = {
    cold solve on fallback. *)
 type warm = {
   w_t : tableau;
-  w_obj_row : Q.t array; (* reduced costs, length ncols + 1 *)
+  w_obj_row : Q.t array; (* reduced costs by slot, rhs last *)
   w_allowed : bool array; (* length ncols: may the column enter phase 2 *)
   w_nonneg : bool;
   w_n : int; (* original variable count *)
@@ -85,58 +103,87 @@ type warm = {
   w_rule : pivot_rule;
 }
 
-let rhs_col t = t.ncols
+let rhs_slot t = Array.length t.nonbasic
 
-let pivots_internal = Linalg.Counters.lp_pivots
+(* Counters count the arithmetic of the full tableau, unit columns
+   included: a pivot also scales the entering coefficient to 1
+   (p * 1/p) and eliminates it to 0 (f - f*1) in every other row and in
+   the objective. On native operands those operations touch no counter;
+   off the native path (a Big or min_int operand, or chaos) they promote
+   and demote, so they are replayed there, and the counts that serve
+   payloads embed do not depend on the storage form. *)
+let native q = Bigint.unbox q.Q.num <> min_int && Bigint.unbox q.Q.den <> min_int
+let replay_zeroing f = if not (native f) then ignore (Q.sub f (Q.mul f Q.one))
 
-(* Pivot on (row, col): make column [col] the basis column of [row].
-   Counter-free so the warm path can charge its pivots to
-   [Counters.dual_pivots] instead. *)
-let pivot_raw t row col =
+(* Pivot on (row, slot k): the column in slot [k] enters the basis and
+   the row's basic column leaves into slot [k]. The leaving column is
+   the unit vector of [row] — 1 there, 0 elsewhere — and then takes the
+   same updates as every other slot. Returns the number of nonzero slots
+   of the scaled pivot row, listed in [t.nz]; the elimination here and
+   each caller's objective update iterate only those. Counter-free so
+   the warm path can charge its pivots to [Counters.dual_pivots]. *)
+let pivot_raw t row k =
   let arow = t.a.(row) in
-  let p = arow.(col) in
+  let p = arow.(k) in
   assert (not (Q.is_zero p));
-  if not (Q.equal p Q.one) then begin
-    let inv = Q.inv p in
-    for j = 0 to t.ncols do
-      if not (Q.is_zero arow.(j)) then arow.(j) <- Q.mul arow.(j) inv
-    done
-  end;
+  arow.(k) <- Q.one;
+  let cnt = ref 0 in
+  let scale = not (Q.equal p Q.one) in
+  let inv = if scale then Q.inv p else Q.one in
+  if scale && not (native p) then ignore (Q.mul p inv);
+  for j = 0 to Array.length arow - 1 do
+    if not (Q.is_zero arow.(j)) then begin
+      if scale then arow.(j) <- Q.mul arow.(j) inv;
+      t.nz.(!cnt) <- j;
+      incr cnt
+    end
+  done;
+  let cnt = !cnt in
   for i = 0 to Array.length t.a - 1 do
     if i <> row then begin
-      let f = t.a.(i).(col) in
+      let irow = t.a.(i) in
+      let f = irow.(k) in
       if not (Q.is_zero f) then begin
-        let irow = t.a.(i) in
-        for j = 0 to t.ncols do
-          (* the pivot row is sparse: skip zero columns *)
-          if not (Q.is_zero arow.(j)) then
-            irow.(j) <- Q.sub irow.(j) (Q.mul f arow.(j))
+        replay_zeroing f;
+        irow.(k) <- Q.zero;
+        for q = 0 to cnt - 1 do
+          let j = t.nz.(q) in
+          irow.(j) <- Q.sub_mul irow.(j) f arow.(j)
         done
       end
     end
   done;
-  t.basis.(row) <- col
+  let entering = t.nonbasic.(k) and leaving = t.basis.(row) in
+  t.basis.(row) <- entering;
+  t.slot.(entering) <- -1;
+  t.nonbasic.(k) <- leaving;
+  t.slot.(leaving) <- k;
+  cnt
 
-let pivot t row col =
-  incr pivots_internal;
-  pivot_raw t row col
-
-(* Subtract [f * a.(row)] from the objective row (prices the entering
-   column out of the reduced costs). *)
-let price_out t obj row =
-  let f = obj.(t.basis.(row)) in
+(* Price the last pivot, on (row, slot k) with [cnt] nonzeros, into the
+   objective row: the entering column's reduced cost [f] leaves slot [k]
+   to the leaving column's, which is 0 while basic. *)
+let price_pivot t obj row k cnt f =
   if not (Q.is_zero f) then begin
+    replay_zeroing f;
+    obj.(k) <- Q.zero;
     let arow = t.a.(row) in
-    for j = 0 to t.ncols do
-      if not (Q.is_zero arow.(j)) then obj.(j) <- Q.sub obj.(j) (Q.mul f arow.(j))
+    for q = 0 to cnt - 1 do
+      let j = t.nz.(q) in
+      obj.(j) <- Q.sub_mul obj.(j) f arow.(j)
     done
   end
 
-(* One simplex phase: minimize obj (a row of reduced costs, length
-   ncols + 1 with the objective value negated in the rhs slot).
-   [allowed col] filters columns that may enter. Mutates [t], [obj]. *)
+let pivot t row k =
+  incr Linalg.Counters.lp_pivots;
+  pivot_raw t row k
+
+(* One simplex phase: minimize obj (reduced costs by slot, with the
+   objective value negated in the rhs slot). [allowed col] filters
+   columns that may enter. Mutates [t], [obj]. *)
 let run_phase ~rule ~budget t obj allowed =
   let m = Array.length t.a in
+  let rhs = rhs_slot t in
   let continue_ = ref true in
   let status = ref `Optimal in
   (* Dantzig's rule (most negative reduced cost) is much faster in
@@ -145,24 +192,27 @@ let run_phase ~rule ~budget t obj allowed =
      the termination guarantee. *)
   let use_bland = ref (rule = Bland) in
   let stall = ref 0 in
-  let last_value = ref obj.(Array.length obj - 1) in
+  let last_value = ref obj.(rhs) in
   while !continue_ do
     if not !use_bland then begin
-      if Q.equal obj.(Array.length obj - 1) !last_value then begin
+      if Q.equal obj.(rhs) !last_value then begin
         incr stall;
         if !stall > 40 + m then use_bland := true
       end
       else begin
         stall := 0;
-        last_value := obj.(Array.length obj - 1)
+        last_value := obj.(rhs)
       end
     end;
+    (* entering: basic columns have reduced cost 0, so only slots compete;
+       ties go to the least column index *)
     let entering = ref (-1) in
     if !use_bland then (
       try
         for j = 0 to t.ncols - 1 do
-          if allowed j && Q.sign obj.(j) < 0 then begin
-            entering := j;
+          let k = t.slot.(j) in
+          if k >= 0 && allowed j && Q.sign obj.(k) < 0 then begin
+            entering := k;
             raise Exit
           end
         done
@@ -170,15 +220,17 @@ let run_phase ~rule ~budget t obj allowed =
     else begin
       let best = ref Q.zero in
       for j = 0 to t.ncols - 1 do
-        if allowed j && Q.sign obj.(j) < 0 && Q.compare obj.(j) !best < 0 then begin
-          best := obj.(j);
-          entering := j
+        let k = t.slot.(j) in
+        if k >= 0 && allowed j && Q.sign obj.(k) < 0 && Q.compare obj.(k) !best < 0
+        then begin
+          best := obj.(k);
+          entering := k
         end
       done
     end;
     if !entering < 0 then continue_ := false
     else begin
-      let col = !entering in
+      let k = !entering in
       (* leaving: min ratio rhs/a over rows with a > 0; ties by least
          basis index (Bland). Ratios are compared by cross
          multiplication — rhs_i/a_i < rhs_b/a_b iff rhs_i*a_b <
@@ -187,20 +239,20 @@ let run_phase ~rule ~budget t obj allowed =
       let best = ref (-1) in
       let best_rhs = ref Q.zero and best_coeff = ref Q.one in
       for i = 0 to m - 1 do
-        let aij = t.a.(i).(col) in
-        if Q.sign aij > 0 then begin
-          let rhs = t.a.(i).(rhs_col t) in
+        let aik = t.a.(i).(k) in
+        if Q.sign aik > 0 then begin
+          let r = t.a.(i).(rhs) in
           if !best < 0 then begin
             best := i;
-            best_rhs := rhs;
-            best_coeff := aij
+            best_rhs := r;
+            best_coeff := aik
           end
           else begin
-            let c = Q.compare (Q.mul rhs !best_coeff) (Q.mul !best_rhs aij) in
+            let c = Q.compare (Q.mul r !best_coeff) (Q.mul !best_rhs aik) in
             if c < 0 || (c = 0 && t.basis.(i) < t.basis.(!best)) then begin
               best := i;
-              best_rhs := rhs;
-              best_coeff := aij
+              best_rhs := r;
+              best_coeff := aik
             end
           end
         end
@@ -211,16 +263,10 @@ let run_phase ~rule ~budget t obj allowed =
       end
       else begin
         let row = !best in
-        let f = obj.(col) in
+        let f = obj.(k) in
         charge budget;
-        pivot t row col;
-        if not (Q.is_zero f) then begin
-          let arow = t.a.(row) in
-          for j = 0 to t.ncols do
-            if not (Q.is_zero arow.(j)) then
-              obj.(j) <- Q.sub obj.(j) (Q.mul f arow.(j))
-          done
-        end
+        let cnt = pivot t row k in
+        price_pivot t obj row k cnt f
       end
     end
   done;
@@ -230,32 +276,42 @@ exception Found_infeasible
 
 (* Read the optimal point and value out of a final tableau. *)
 let extract ~nonneg ~n t obj_row obj_aff =
-  let y = Array.make (t.ncols + 1) Q.zero in
+  let rhs = rhs_slot t in
+  let y = Array.make t.ncols Q.zero in
   for i = 0 to Array.length t.a - 1 do
-    y.(t.basis.(i)) <- t.a.(i).(t.ncols)
+    y.(t.basis.(i)) <- t.a.(i).(rhs)
   done;
   let x =
     if nonneg then Array.init n (fun v -> y.(v))
     else Array.init n (fun v -> Q.sub y.(2 * v) y.((2 * v) + 1))
   in
-  let value = Q.add (Q.neg obj_row.(t.ncols)) obj_aff.(n) in
+  let value = Q.add (Q.neg obj_row.(rhs)) obj_aff.(n) in
   Optimal (value, x)
 
 (* Build the phase-2 reduced-cost row for [obj_aff] against the current
    basis of [t]: map the affine objective onto the structural columns,
-   then price out every basic column. *)
+   then price out every basic column, row by row. *)
 let priced_obj_row ~nonneg ~n t obj_aff =
-  let obj = Array.make (t.ncols + 1) Q.zero in
+  let cost = Array.make t.ncols Q.zero in
   for v = 0 to n - 1 do
-    if nonneg then obj.(v) <- obj_aff.(v)
+    if nonneg then cost.(v) <- obj_aff.(v)
     else begin
-      obj.(2 * v) <- obj_aff.(v);
-      obj.((2 * v) + 1) <- Q.neg obj_aff.(v)
+      cost.(2 * v) <- obj_aff.(v);
+      cost.((2 * v) + 1) <- Q.neg obj_aff.(v)
     end
   done;
-  for i = 0 to Array.length t.a - 1 do
-    price_out t obj i
-  done;
+  let obj = Array.make (rhs_slot t + 1) Q.zero in
+  Array.iteri (fun k col -> obj.(k) <- cost.(col)) t.nonbasic;
+  Array.iteri
+    (fun i arow ->
+      let f = cost.(t.basis.(i)) in
+      if not (Q.is_zero f) then begin
+        replay_zeroing f;
+        Array.iteri
+          (fun j aij -> if not (Q.is_zero aij) then obj.(j) <- Q.sub_mul obj.(j) f aij)
+          arow
+      end)
+    t.a;
   obj
 
 let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
@@ -274,87 +330,94 @@ let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
   let n_art = List.length (List.filter needs_artificial cons) in
   let nstruct = n_split + n_slack in
   let ncols = nstruct + n_art in
-  let a = Array.init m (fun _ -> Array.make (ncols + 1) Q.zero) in
+  (* every row starts with its artificial or its slack basic, so the
+     nonbasic columns are the split structurals and the slacks of rows
+     that needed an artificial *)
+  let nnb = ncols - m in
+  let nonbasic = Array.make nnb 0 and slot = Array.make ncols (-1) in
+  let next = ref 0 in
+  let make_nonbasic col =
+    nonbasic.(!next) <- col;
+    slot.(col) <- !next;
+    incr next
+  in
+  for col = 0 to n_split - 1 do
+    make_nonbasic col
+  done;
   let basis = Array.make m (-1) in
   let slack_idx = ref 0 and art_idx = ref 0 in
-  List.iteri
-    (fun i c ->
-      let row = a.(i) in
-      let k = Constr.const c in
-      (* encode a.x + k >= 0 (or = 0) as a.x (- s) = -k *)
-      for v = 0 to n - 1 do
-        let cv = Constr.coeff c v in
-        if nonneg then row.(v) <- cv
-        else begin
-          row.(2 * v) <- cv;
-          row.((2 * v) + 1) <- Q.neg cv
-        end
-      done;
-      let slack_col =
-        match Constr.kind c with
-        | Constr.Ge ->
-          let col = n_split + !slack_idx in
-          incr slack_idx;
-          row.(col) <- Q.minus_one;
-          Some col
-        | Constr.Eq -> None
-      in
-      row.(ncols) <- Q.neg k;
-      if Q.sign row.(ncols) < 0 then
-        for j = 0 to ncols do
-          row.(j) <- Q.neg row.(j)
-        done;
-      if needs_artificial c then begin
-        let col = nstruct + !art_idx in
-        incr art_idx;
-        row.(col) <- Q.one;
-        basis.(i) <- col
-      end
-      else begin
-        (* rhs >= 0; orient the row so the slack has coefficient +1 and
-           make it basic (for k = 0 the rhs is 0 either way) *)
-        match slack_col with
-        | Some col ->
-          if Q.sign row.(col) < 0 then
-            for j = 0 to ncols do
-              row.(j) <- Q.neg row.(j)
-            done;
-          assert (Q.equal row.(col) Q.one && Q.sign row.(ncols) >= 0);
-          basis.(i) <- col
-        | None -> assert false
-      end)
-    cons;
-  let t = { a; basis; ncols; nstruct } in
+  let a =
+    Array.of_list
+      (List.mapi
+         (fun i c ->
+           let row = Array.make (nnb + 1) Q.zero in
+           let k = Constr.const c in
+           (* encode a.x + k >= 0 (or = 0) as a.x (- s) = -k *)
+           for v = 0 to n - 1 do
+             let cv = Constr.coeff c v in
+             if nonneg then row.(v) <- cv
+             else begin
+               row.(2 * v) <- cv;
+               row.((2 * v) + 1) <- Q.neg cv
+             end
+           done;
+           let art = needs_artificial c in
+           (match Constr.kind c with
+           | Constr.Ge ->
+             let col = n_split + !slack_idx in
+             incr slack_idx;
+             if art then begin
+               make_nonbasic col;
+               row.(slot.(col)) <- Q.minus_one
+             end
+             else basis.(i) <- col
+           | Constr.Eq -> ());
+           if art then begin
+             basis.(i) <- nstruct + !art_idx;
+             incr art_idx
+           end;
+           (* orient the row so rhs >= 0. A basic slack (k >= 0) starts
+              at -1 and must end at +1: one negation, which k > 0 needs
+              for its rhs anyway and k = 0 leaves at rhs 0 *)
+           row.(nnb) <- Q.neg k;
+           if (not art) || Q.sign row.(nnb) < 0 then
+             Array.iteri (fun j x -> row.(j) <- Q.neg x) row;
+           row)
+         cons)
+  in
+  let t = { a; basis; nonbasic; slot; nz = Array.make (nnb + 1) 0; ncols; nstruct } in
   let is_artificial col = col >= t.nstruct in
   (* phase 1: minimize the sum of artificials *)
   if n_art > 0 then begin
-    let obj1 = Array.make (ncols + 1) Q.zero in
-    for j = t.nstruct to ncols - 1 do
-      obj1.(j) <- Q.one
-    done;
+    let obj1 = Array.make (nnb + 1) Q.zero in
     for i = 0 to m - 1 do
-      if is_artificial t.basis.(i) then
-        for j = 0 to ncols do
-          obj1.(j) <- Q.sub obj1.(j) t.a.(i).(j)
+      if is_artificial t.basis.(i) then begin
+        (* the artificial's own cost, 1 - 1 *)
+        replay_zeroing Q.one;
+        let row = t.a.(i) in
+        for j = 0 to nnb do
+          obj1.(j) <- Q.sub obj1.(j) row.(j)
         done
+      end
     done;
     (match run_phase ~rule ~budget t obj1 (fun _ -> true) with
     | `Unbounded -> assert false (* bounded below by 0 *)
     | `Optimal -> ());
-    if Q.sign obj1.(ncols) <> 0 then raise Found_infeasible;
+    if Q.sign obj1.(nnb) <> 0 then raise Found_infeasible;
     (* drive remaining artificials out of the basis where possible *)
     for i = 0 to m - 1 do
       if is_artificial t.basis.(i) then begin
         let found = ref (-1) in
         (try
            for j = 0 to t.nstruct - 1 do
-             if not (Q.is_zero t.a.(i).(j)) then begin
-               found := j;
+             let k = t.slot.(j) in
+             if k >= 0 && not (Q.is_zero t.a.(i).(k)) then begin
+               found := k;
                raise Exit
              end
            done
          with Exit -> ());
-        if !found >= 0 then pivot t i !found
+        if !found >= 0 then ignore (pivot t i !found)
         (* else: redundant row; the artificial stays basic at value 0 *)
       end
     done
@@ -393,6 +456,7 @@ let solve_cold ~rule ~nonneg ~budget p obj_aff =
    cross multiplication). Bounded by [cap] pivots as a cycling guard. *)
 let dual_simplex ~budget t obj allowed cap =
   let m = Array.length t.a in
+  let rhs = rhs_slot t in
   let iters = ref 0 in
   let status = ref `Optimal in
   let continue_ = ref true in
@@ -405,35 +469,37 @@ let dual_simplex ~budget t obj allowed cap =
       let r = ref (-1) in
       let worst = ref Q.zero in
       for i = 0 to m - 1 do
-        let rhs = t.a.(i).(t.ncols) in
-        if Q.sign rhs < 0 then begin
-          let c = if !r < 0 then -1 else Q.compare rhs !worst in
+        let ri = t.a.(i).(rhs) in
+        if Q.sign ri < 0 then begin
+          let c = if !r < 0 then -1 else Q.compare ri !worst in
           if c < 0 || (c = 0 && t.basis.(i) < t.basis.(!r)) then begin
             r := i;
-            worst := rhs
+            worst := ri
           end
         end
       done;
       if !r < 0 then continue_ := false (* primal feasible: optimal *)
       else begin
         let row = t.a.(!r) in
+        (* entering: ties go to the least column index *)
         let e = ref (-1) in
         let e_obj = ref Q.zero and e_coeff = ref Q.one in
         for j = 0 to t.ncols - 1 do
-          if allowed.(j) && Q.sign row.(j) < 0 then begin
-            let oj = obj.(j) and cj = Q.neg row.(j) in
+          let k = t.slot.(j) in
+          if k >= 0 && allowed.(j) && Q.sign row.(k) < 0 then begin
+            let ok = obj.(k) and ck = Q.neg row.(k) in
             if !e < 0 then begin
-              e := j;
-              e_obj := oj;
-              e_coeff := cj
+              e := k;
+              e_obj := ok;
+              e_coeff := ck
             end
             else begin
-              (* oj/cj < e_obj/e_coeff iff oj*e_coeff < e_obj*cj *)
-              let c = Q.compare (Q.mul oj !e_coeff) (Q.mul !e_obj cj) in
+              (* ok/ck < e_obj/e_coeff iff ok*e_coeff < e_obj*ck *)
+              let c = Q.compare (Q.mul ok !e_coeff) (Q.mul !e_obj ck) in
               if c < 0 then begin
-                e := j;
-                e_obj := oj;
-                e_coeff := cj
+                e := k;
+                e_obj := ok;
+                e_coeff := ck
               end
             end
           end
@@ -449,14 +515,8 @@ let dual_simplex ~budget t obj allowed cap =
           incr Counters.dual_pivots;
           incr iters;
           let f = obj.(!e) in
-          pivot_raw t !r !e;
-          if not (Q.is_zero f) then begin
-            let arow = t.a.(!r) in
-            for j = 0 to t.ncols do
-              if not (Q.is_zero arow.(j)) then
-                obj.(j) <- Q.sub obj.(j) (Q.mul f arow.(j))
-            done
-          end
+          let cnt = pivot_raw t !r !e in
+          price_pivot t obj !r !e cnt f
         end
       end
     end
@@ -504,19 +564,17 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
     let m = Array.length old.a in
     let extra = List.length rows_to_add in
     let ncols = old.ncols + extra in
-    (* widen a row: columns 0..old.ncols-1 keep their place, the new
-       slack columns are zero, the rhs moves to the end *)
-    let grow row =
-      let r = Array.make (ncols + 1) Q.zero in
-      Array.blit row 0 r 0 old.ncols;
-      r.(ncols) <- row.(old.ncols);
-      r
-    in
+    let nnb = Array.length old.nonbasic in
+    (* the added rows' slacks enter basic, so the nonbasic columns and
+       their slots carry over; the rows are copied because the snapshot
+       may seed other re-solves *)
+    let slot = Array.make ncols (-1) in
+    Array.blit old.slot 0 slot 0 old.ncols;
     let a = Array.make (m + extra) [||] in
     for i = 0 to m - 1 do
-      a.(i) <- grow old.a.(i)
+      a.(i) <- Array.copy old.a.(i)
     done;
-    let obj_row = grow w.w_obj_row in
+    let obj_row = Array.copy w.w_obj_row in
     let basis = Array.make (m + extra) (-1) in
     Array.blit old.basis 0 basis 0 m;
     let allowed = Array.make ncols false in
@@ -528,35 +586,40 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
        slack basic, then substitute the current basis out of the row so
        the tableau stays in canonical form; a negative resulting rhs is
        exactly what dual simplex repairs *)
+    let n_split = if w.w_nonneg then n else 2 * n in
     List.iteri
       (fun idx cv ->
-        let r = Array.make (ncols + 1) Q.zero in
+        (* the row's coefficient on each structural column *)
+        let coeff = Array.make n_split Q.zero in
         for v = 0 to n - 1 do
           let av = cv.(v) in
           if not (Q.is_zero av) then
-            if w.w_nonneg then r.(v) <- Q.neg av
+            if w.w_nonneg then coeff.(v) <- Q.neg av
             else begin
-              r.(2 * v) <- Q.neg av;
-              r.((2 * v) + 1) <- av
+              coeff.(2 * v) <- Q.neg av;
+              coeff.((2 * v) + 1) <- av
             end
         done;
-        let scol = old.ncols + idx in
-        r.(scol) <- Q.one;
-        r.(ncols) <- cv.(n);
+        let coeff_of col = if col < n_split then coeff.(col) else Q.zero in
+        let r = Array.make (nnb + 1) Q.zero in
+        Array.iteri (fun k col -> r.(k) <- coeff_of col) old.nonbasic;
+        r.(nnb) <- cv.(n);
         for i = 0 to m - 1 do
-          let f = r.(basis.(i)) in
+          let f = coeff_of basis.(i) in
           if not (Q.is_zero f) then begin
-            let arow = a.(i) in
-            for j = 0 to ncols do
-              if not (Q.is_zero arow.(j)) then
-                r.(j) <- Q.sub r.(j) (Q.mul f arow.(j))
-            done
+            replay_zeroing f;
+            Array.iteri
+              (fun j aij -> if not (Q.is_zero aij) then r.(j) <- Q.sub_mul r.(j) f aij)
+              a.(i)
           end
         done;
         a.(m + idx) <- r;
-        basis.(m + idx) <- scol)
+        basis.(m + idx) <- old.ncols + idx)
       rows_to_add;
-    let t = { a; basis; ncols; nstruct = ncols } in
+    let t =
+      { a; basis; nonbasic = Array.copy old.nonbasic; slot;
+        nz = Array.make (nnb + 1) 0; ncols; nstruct = ncols }
+    in
     let cap = 200 + (10 * (m + extra)) in
     match dual_simplex ~budget t obj_row allowed cap with
     | `Fallback -> cold ()
@@ -603,12 +666,8 @@ let warm_poly w = w.w_poly
 
 (* --- public entry points ------------------------------------------------ *)
 
-let solves = Linalg.Counters.lp_solves
-let solve_count () = !solves
-let pivot_count () = !pivots_internal
-
 let minimize_warm ?(rule = Dantzig) ?(nonneg = false) ?budget p obj_aff =
-  incr solves;
+  incr Counters.lp_solves;
   if !Chaos.exhaust then (Exhausted, None)
   else
     try solve_cold ~rule ~nonneg ~budget p obj_aff

@@ -1,5 +1,5 @@
-(** Exact rational linear programming (two-phase dense simplex,
-    arbitrary-precision arithmetic).
+(** Exact rational linear programming (two-phase simplex over a
+    dictionary-form tableau, arbitrary-precision arithmetic).
 
     Variables are unrestricted in sign; non-negativity must appear as
     explicit constraints in the polyhedron when wanted. The default
@@ -113,14 +113,6 @@ val feasible_point :
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
   Linalg.Vec.t option
-
-(** Number of LP solves since process start (alias of
-    {!Linalg.Counters.lp_solves}). *)
-val solve_count : unit -> int
-
-(** Number of simplex pivots since process start (alias of
-    {!Linalg.Counters.lp_pivots}). *)
-val pivot_count : unit -> int
 
 (** {1 Fault injection}
 

@@ -521,6 +521,12 @@ let force_big x =
   | Small _ -> Big (to_big x)
   | Big _ -> x
 
+(* --- native access for fused kernels ----------------------------------- *)
+
+let unbox = function
+  | Small n when not !chaos_big_path -> n
+  | Small _ | Big _ -> Stdlib.min_int
+
 (* --- operators & printing ------------------------------------------- *)
 
 let ( + ) = add

@@ -125,6 +125,14 @@ val force_big : t -> t
     only the computation path (and {!Counters.promotions}) changes. *)
 val chaos_big_path : bool ref
 
+(** [unbox x] is [x] as a native int when every Small/Small fast path
+    would take it, and [min_int] otherwise: when [x] is [Big], when
+    {!chaos_big_path} is set, and for [min_int] itself, whose negation
+    already promotes. Fused kernels such as {!Q.sub_mul} read their
+    operands through it and fall back to the generic operations on
+    [min_int]. Allocation-free. *)
+val unbox : t -> int
+
 (** {1 Infix operators and printing} *)
 
 val ( + ) : t -> t -> t

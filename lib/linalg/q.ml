@@ -105,6 +105,88 @@ let mul a b =
     { num = Bigint.mul n1 n2; den = Bigint.mul d1 d2 }
   end
 
+(* --- fused a - f*b on native ints -------------------------------------
+
+   [sub_mul a f b] is [sub a (mul f b)], the update of every simplex
+   elimination. On native operands it walks exactly the intermediates of
+   those two calls — the cross-reduced product, then the Knuth 4.5.1
+   difference — with overflow-checked native arithmetic, and allocates
+   only the result. It finishes natively only when no intermediate leaves
+   the native range, which is exactly when the generic calls would
+   neither promote nor demote, so values and Counters agree with them.
+   A Big operand, [min_int], chaos or an overflow takes the generic
+   path. [min_int] doubles as the helpers' "left the native range" mark:
+   its negation already promotes, so giving it up loses nothing. *)
+
+let off = Stdlib.min_int
+
+(* |x|, |y| < 2^31: the product cannot overflow (Bigint's fast case) *)
+let fits31 x = -0x8000_0000 < x && x < 0x8000_0000
+
+let nat_mul x y =
+  if x = off || y = off then off
+  else if fits31 x && fits31 y then x * y
+  else if x = 0 || y = 0 then 0
+  else begin
+    let p = x * y in
+    if p / y = x then p else off
+  end
+
+let nat_add x y =
+  if x = off || y = off then off
+  else begin
+    let s = x + y in
+    if (x lxor s) land (y lxor s) < 0 then off else s
+  end
+
+let rec nat_gcd a b = if b = 0 then a else nat_gcd b (a mod b)
+let gcd_abs x y = nat_gcd (Stdlib.abs x) (Stdlib.abs y)
+
+(* never a value: the native path's "fall back" answer *)
+let off_q = { num = Bigint.zero; den = Bigint.zero }
+
+let of_nat n d =
+  if n = off || d = off then off_q
+  else { num = Bigint.of_int n; den = (if d = 1 then Bigint.one else Bigint.of_int d) }
+
+let sub_mul_native a f b =
+  let an = Bigint.unbox a.num and ad = Bigint.unbox a.den in
+  let fn = Bigint.unbox f.num and fd = Bigint.unbox f.den in
+  let bn = Bigint.unbox b.num and bd = Bigint.unbox b.den in
+  if an = off || ad = off || fn = off || fd = off || bn = off || bd = off then off_q
+  else if fn = 0 || bn = 0 then a
+  else begin
+    (* c = f * b as [mul]: integers multiply directly, fractions
+       cross-reduce first (division by 1 is the identity) *)
+    let integral = fd = 1 && bd = 1 in
+    let g1 = if integral then 1 else gcd_abs fn bd in
+    let g2 = if integral then 1 else gcd_abs bn fd in
+    let cn = nat_mul (fn / g1) (bn / g2) and cd = nat_mul (fd / g2) (bd / g1) in
+    if cn = off || cd = off then off_q
+    else if an = 0 then of_nat (-cn) cd
+    else if ad = 1 && cd = 1 then of_nat (nat_add an (-cn)) 1
+    else begin
+      (* [add_core a (-cn) cd] *)
+      let g = nat_gcd ad cd in
+      if g = 1 then of_nat (nat_add (nat_mul an cd) (nat_mul (-cn) ad)) (nat_mul ad cd)
+      else begin
+        let d2' = cd / g in
+        let t = nat_add (nat_mul an d2') (nat_mul (-cn) (ad / g)) in
+        if t = off then off_q
+        else if t = 0 then zero
+        else begin
+          let g2 = gcd_abs t g in
+          if g2 = 1 then of_nat t (nat_mul ad d2')
+          else of_nat (t / g2) (nat_mul (ad / g2) d2')
+        end
+      end
+    end
+  end
+
+let sub_mul a f b =
+  let r = sub_mul_native a f b in
+  if r == off_q then sub a (mul f b) else r
+
 (* canonical input means no gcd is needed: just swap and fix the sign *)
 let inv q =
   let s = Bigint.sign q.num in

@@ -239,6 +239,49 @@ let diff_compare =
       && Bigint.equal x y
          = Bigint.equal (Bigint.force_big x) (Bigint.force_big y))
 
+(* [Q.sub_mul a f b] must be [Q.sub a (Q.mul f b)] to the bit and to the
+   counter: its native fast path may finish only where the generic calls
+   would neither promote nor demote. Operands are fractions over ints at
+   the boundaries (±2^31, min_int = -2^62, max_int, arbitrary), with an
+   optional negation that lifts min_int to the Big +2^62; run with the
+   Big-path chaos hook off and on. *)
+let arb_q_operand =
+  QCheck.make
+    ~print:(fun (n, d, negate) -> Printf.sprintf "%s%d / |%d|" (if negate then "-" else "") n d)
+    QCheck.Gen.(
+      triple boundary_int
+        (oneof [ return 1; boundary_int ])
+        (frequency [ (4, return false); (1, return true) ]))
+
+let q_operand (n, d, negate) =
+  let num = if negate then Bigint.neg (bi n) else bi n in
+  let den = if d = 0 then Bigint.one else Bigint.abs (bi d) in
+  Q.make num den
+
+let diff_sub_mul ~chaos =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "sub_mul = sub a (mul f b), chaos %b" chaos)
+    ~count:3000
+    (QCheck.triple arb_q_operand arb_q_operand arb_q_operand)
+    (fun (ta, tf, tb) ->
+      let a = q_operand ta and f = q_operand tf and b = q_operand tb in
+      let counts () = (!Counters.promotions, !Counters.demotions) in
+      Bigint.chaos_big_path := chaos;
+      Fun.protect
+        ~finally:(fun () -> Bigint.chaos_big_path := false)
+        (fun () ->
+          let p0, d0 = counts () in
+          let generic = Q.sub a (Q.mul f b) in
+          let p1, d1 = counts () in
+          let fused = Q.sub_mul a f b in
+          let p2, d2 = counts () in
+          Q.equal generic fused
+          && String.equal (Q.to_string generic) (Q.to_string fused)
+          && Bigint.is_small (Q.num fused) = Bigint.is_small (Q.num generic)
+          && Bigint.is_small (Q.den fused) = Bigint.is_small (Q.den generic)
+          && p1 - p0 = p2 - p1
+          && d1 - d0 = d2 - d1))
+
 (* --- Bigint properties -------------------------------------------------- *)
 
 let med_int = QCheck.int_range (-100000) 100000
@@ -497,6 +540,8 @@ let () =
       ( "bigint-differential",
         qt
           [ diff_add; diff_sub; diff_mul; diff_divmod; diff_gcd; diff_compare ] );
+      ( "q-differential",
+        qt [ diff_sub_mul ~chaos:false; diff_sub_mul ~chaos:true ] );
       ( "q",
         [ Alcotest.test_case "normalization" `Quick test_q_normalization;
           Alcotest.test_case "arithmetic" `Quick test_q_arith;

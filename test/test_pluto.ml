@@ -305,6 +305,47 @@ let test_dfs_order_schedules () =
         (List.sort compare res.scc_order))
     [ gemver (); advect () ]
 
+(* --- pivot path ------------------------------------------------------------ *)
+
+(* The simplex effort of whole-program optimizations, from a reset
+   Farkas memo and counter set as a fresh process would find them.
+   These counts follow the pivot choices of the exact simplex, and
+   serve payloads embed them, so a change to the LP kernel that moves
+   any of them changes observable output. *)
+let pivot_counters =
+  Linalg.Counters.
+    [ ("lp_solves", lp_solves); ("lp_pivots", lp_pivots);
+      ("dual_pivots", dual_pivots); ("warm_starts", warm_starts);
+      ("warm_fallbacks", warm_fallbacks); ("ilp_solves", ilp_solves);
+      ("bb_nodes", bb_nodes) ]
+
+let pivot_path model prog =
+  Linalg.Counters.reset ();
+  Farkas.reset_cache ();
+  ignore (Fusion.Model.optimize model prog);
+  List.map (fun (name, r) -> (name, !r)) pivot_counters
+
+let pivot_cases =
+  let registry name () = Kernels.Registry.build (Kernels.Registry.find name) in
+  [ ("bt wisefuse", Fusion.Model.Wisefuse, registry "bt",
+     [ 1139; 10672; 0; 139; 0; 119; 119 ]);
+    ("bt maxfuse", Fusion.Model.Maxfuse, registry "bt",
+     [ 972; 9240; 0; 92; 0; 112; 112 ]);
+    ("sp wisefuse", Fusion.Model.Wisefuse, registry "sp",
+     [ 1755; 15426; 0; 106; 0; 104; 104 ]);
+    ("sp maxfuse", Fusion.Model.Maxfuse, registry "sp",
+     [ 1636; 14517; 0; 71; 0; 97; 97 ]);
+    ("stencil40 lp-dfp", Fusion.Model.Wisefuse,
+     (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40),
+     [ 3010; 20066; 0; 153; 0; 237; 237 ]) ]
+
+let test_pivot_path (label, model, build, expected) () =
+  let got = pivot_path model (build ()) in
+  Alcotest.(check (list (pair string int)))
+    label
+    (List.combine (List.map fst pivot_counters) expected)
+    got
+
 let () =
   Alcotest.run "pluto"
     [ ( "farkas",
@@ -327,4 +368,9 @@ let () =
           Alcotest.test_case "farkas cache identity" `Quick
             test_farkas_cache_identity;
           Alcotest.test_case "dfs_order schedules" `Quick
-            test_dfs_order_schedules ] ) ]
+            test_dfs_order_schedules ] );
+      ( "pivot path",
+        List.map
+          (fun ((label, _, _, _) as case) ->
+            Alcotest.test_case label `Quick (test_pivot_path case))
+          pivot_cases ) ]

@@ -22,13 +22,14 @@ let request_line ?(size = test_size) ?(model = "wisefuse") ~id kernel =
        [ ("id", Obs.Json.Int id); ("kernel", Obs.Json.Str kernel);
          ("model", Obs.Json.Str model); ("size", Obs.Json.Int size) ])
 
-let respond t line =
-  match Serve.Server.handle_line t line with
+let parse_response = function
   | None -> Alcotest.fail "daemon returned nothing for a request"
   | Some r -> (
     match Obs.Json.parse r with
     | Ok j -> (r, j)
     | Error m -> Alcotest.failf "unparseable response %s: %s" r m)
+
+let respond t line = parse_response (Serve.Server.handle_line t line)
 
 let field j name =
   match Obs.Json.member name j with
@@ -261,16 +262,22 @@ let test_concurrent_domains () =
       ("tce", "smartfuse") ]
   in
   let per_domain = 30 in
+  (* workers only collect raw responses: Alcotest's reporter is not
+     domain-safe, so every assertion runs here after the joins *)
   let worker d () =
     List.init per_domain (fun i ->
         let kernel, model = List.nth pop ((d + i) mod List.length pop) in
-        let line = request_line ~id:((d * 1000) + i) ~model kernel in
-        let _, j = respond t line in
-        Alcotest.(check string) "ok" "ok" (str_field j "status");
-        (str_field j "key", Obs.Json.to_string (field j "result")))
+        Serve.Server.handle_line t (request_line ~id:((d * 1000) + i) ~model kernel))
   in
   let domains = List.init 4 (fun d -> Domain.spawn (worker d)) in
-  let results = List.concat_map Domain.join domains in
+  let results =
+    List.map
+      (fun response ->
+        let _, j = parse_response response in
+        Alcotest.(check string) "ok" "ok" (str_field j "status");
+        (str_field j "key", Obs.Json.to_string (field j "result")))
+      (List.concat_map Domain.join domains)
+  in
   (* every response for a given key rendered identical bytes *)
   let tbl = Hashtbl.create 8 in
   List.iter
