@@ -1685,14 +1685,13 @@ let run_soak () =
         Domain.spawn (fun () -> soak_worker t ~worker:w ~count:per_worker))
     |> List.map Domain.join
   in
-  (* snapshot the chaos tallies before reset zeroes them, and the
-     shed/recovered mirrors before the phase-4 servers (whose own
-     gauges are zero) overwrite the process-wide counters *)
-  let raises = !Serve.Chaos.injected_raises in
-  let exhausts = !Serve.Chaos.injected_exhausts in
-  let slows = !Serve.Chaos.injected_slows in
-  let shed = !Linalg.Counters.serve_shed in
-  let recovered = !Linalg.Counters.serve_recovered in
+  (* snapshot the chaos tallies before reset zeroes them; shed and
+     recovered are the soak server's own totals over every domain *)
+  let raises = Atomic.get Serve.Chaos.injected_raises in
+  let exhausts = Atomic.get Serve.Chaos.injected_exhausts in
+  let slows = Atomic.get Serve.Chaos.injected_slows in
+  let shed = Serve.Server.shed t in
+  let recovered = Serve.Server.recovered t in
   Serve.Chaos.reset ();
   let tallies = pill_tally :: tallies in
 

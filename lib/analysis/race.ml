@@ -143,7 +143,7 @@ let check ?(param_floor = 2) ?(facts = []) (prog : Scop.Program.t) deps sched
             in
             List.iter emit_racy uncovered;
             if uncovered = [] then begin
-              incr Linalg.Counters.reductions_certified;
+              Linalg.Counters.(incr reductions_certified);
               let ops =
                 List.sort_uniq compare
                   (List.concat_map

@@ -151,7 +151,7 @@ let detect (prog : Scop.Program.t) deps =
               }
             in
             facts := info :: !facts;
-            incr Linalg.Counters.reductions_detected;
+            Linalg.Counters.(incr reductions_detected);
             findings :=
               Finding.make ~stmts:[ st.id ]
                 ~context:

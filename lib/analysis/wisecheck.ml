@@ -21,11 +21,12 @@ let certify ?param_floor (prog : Scop.Program.t) deps sched ast =
       let findings = Finding.by_severity findings in
       List.iter
         (fun (f : Finding.t) ->
-          incr
-            (match f.Finding.severity with
-            | Finding.Error -> Linalg.Counters.findings_error
-            | Finding.Warning -> Linalg.Counters.findings_warning
-            | Finding.Info -> Linalg.Counters.findings_info))
+          Linalg.Counters.(
+            incr
+              (match f.Finding.severity with
+              | Finding.Error -> findings_error
+              | Finding.Warning -> findings_warning
+              | Finding.Info -> findings_info)))
         findings;
       let errors, warnings, infos = Finding.count findings in
       if Obs.Trace.on () then

@@ -10,9 +10,11 @@ type t = {
   events : Obs.Trace.event list;
 }
 
+(* A fresh Farkas memo makes the memo events (hit or miss) a function of
+   the program alone. The counters need no scope: the report reads only
+   per-level deltas, and the caller's `--stats` keeps seeing the run. *)
 let capture ?budget ?engine ?reductions ~model ~kernel prog =
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
+  Pluto.Farkas.scoped @@ fun () ->
   let outcome, events =
     Obs.Trace.with_recording (fun () ->
         Model.optimize ?budget ?engine ?reductions model prog)

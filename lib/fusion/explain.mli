@@ -16,9 +16,10 @@ type t = {
   events : Obs.Trace.event list;
 }
 
-(** Run [Model.optimize] on [prog] under a fresh trace recording.
-    Resets {!Linalg.Counters} and the Farkas cache first so the report
-    is a function of the program alone. The tracer is left disabled. *)
+(** Run [Model.optimize] on [prog] under a fresh trace recording and a
+    fresh Farkas memo ({!Pluto.Farkas.scoped}), so the report is a
+    function of the program alone. The run's work still counts in the
+    caller's {!Linalg.Counters}. The tracer is left disabled. *)
 val capture :
   ?budget:Linalg.Budget.t -> ?engine:Pluto.Engine.choice ->
   ?reductions:bool -> model:Model.t -> kernel:string -> Scop.Program.t -> t

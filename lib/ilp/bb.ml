@@ -84,7 +84,7 @@ let rec branch st p obj ~src =
   else if not (charge_node st) then ()
   else begin
     st.nodes <- st.nodes + 1;
-    incr Counters.bb_nodes;
+    Counters.(incr bb_nodes);
     let result, warm =
       match src with
       | Cold -> Lp.minimize_warm ~nonneg:st.nonneg ?budget:st.budget p obj
@@ -124,7 +124,7 @@ let rec branch st p obj ~src =
 
 let run ?(max_nodes = 20000) ?(stop_at_first = false) ?(nonneg = false)
     ?(use_warm = true) ?budget ?root_src p obj =
-  incr Counters.ilp_solves;
+  Counters.(incr ilp_solves);
   let st =
     {
       nonneg;

@@ -175,7 +175,7 @@ let price_pivot t obj row k cnt f =
   end
 
 let pivot t row k =
-  incr Linalg.Counters.lp_pivots;
+  Linalg.Counters.(incr lp_pivots);
   pivot_raw t row k
 
 (* One simplex phase: minimize obj (reduced costs by slot, with the
@@ -512,7 +512,7 @@ let dual_simplex ~budget t obj allowed cap =
         end
         else begin
           charge budget;
-          incr Counters.dual_pivots;
+          Counters.(incr dual_pivots);
           incr iters;
           let f = obj.(!e) in
           let cnt = pivot_raw t !r !e in
@@ -531,10 +531,10 @@ let dual_simplex ~budget t obj allowed cap =
    resumes from the feasible basis. Falls back to a cold solve when
    the snapshot is incompatible or the dual iteration cap trips. *)
 let reoptimize_exn ?budget w ~add ~obj:obj_aff =
-  incr Counters.lp_solves;
+  Counters.(incr lp_solves);
   let n = w.w_n in
   let cold () =
-    incr Counters.warm_fallbacks;
+    Counters.(incr warm_fallbacks);
     (* cold fallbacks are rare and worth seeing individually in a trace;
        warm successes are only counted (they would dominate the event
        stream) *)
@@ -624,7 +624,7 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
     match dual_simplex ~budget t obj_row allowed cap with
     | `Fallback -> cold ()
     | `Infeasible ->
-      incr Counters.warm_starts;
+      Counters.(incr warm_starts);
       (Infeasible, None)
     | `Optimal -> (
       let same_obj = Vec.equal obj_aff w.w_obj_aff in
@@ -638,10 +638,10 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
       in
       match status with
       | `Unbounded ->
-        incr Counters.warm_starts;
+        Counters.(incr warm_starts);
         (Unbounded, None)
       | `Optimal ->
-        incr Counters.warm_starts;
+        Counters.(incr warm_starts);
         let res = extract ~nonneg:w.w_nonneg ~n t obj_row obj_aff in
         let w' =
           {
@@ -667,7 +667,7 @@ let warm_poly w = w.w_poly
 (* --- public entry points ------------------------------------------------ *)
 
 let minimize_warm ?(rule = Dantzig) ?(nonneg = false) ?budget p obj_aff =
-  incr Counters.lp_solves;
+  Counters.(incr lp_solves);
   if !Chaos.exhaust then (Exhausted, None)
   else
     try solve_cold ~rule ~nonneg ~budget p obj_aff

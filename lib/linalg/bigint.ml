@@ -66,11 +66,11 @@ let of_big sign (mag : int array) =
   else begin
     match mag_to_int_opt mag with
     | Some v ->
-      incr Counters.demotions;
+      Counters.(incr demotions);
       Small (if sign < 0 then -v else v)
     | None ->
       if sign < 0 && is_min_int_mag mag then begin
-        incr Counters.demotions;
+        Counters.(incr demotions);
         Small Stdlib.min_int
       end
       else Big { sign; mag }
@@ -94,7 +94,7 @@ let big_of_small n : big =
 
 let to_big = function
   | Small n ->
-    incr Counters.promotions;
+    Counters.(incr promotions);
     big_of_small n
   | Big b -> b
 
@@ -314,7 +314,7 @@ let neg = function
   | Small n ->
     if n = Stdlib.min_int then begin
       (* |min_int| = 2^62 does not fit a native int: promote *)
-      incr Counters.promotions;
+      Counters.(incr promotions);
       Big { sign = 1; mag = (big_of_small n).mag }
     end
     else Small (-n)

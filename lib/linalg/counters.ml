@@ -1,94 +1,109 @@
-(* Process-wide performance counters for the exact-arithmetic pipeline.
+(* Performance counters for the exact-arithmetic pipeline, one set per
+   domain.
 
-   Everything here is deliberately cheap: the hot paths (simplex pivots,
-   bignum promotions) bump a plain int ref; the stage timers accumulate
-   wall-clock seconds into a small hashtable keyed by stage name. *)
+   Every counter and the stage accumulators live in one record held in
+   domain-local storage, the pattern Obs.Trace uses for its sinks. Only
+   the owning domain touches a record, so the hot paths (simplex pivots,
+   bignum promotions) bump a plain array slot — no atomic, no lock — and
+   solves running on different domains never see each other's counts.
+   [scoped] installs a fresh record for one callback (one solve) and
+   puts the caller's back afterwards, so a solve's counts are its own
+   without resetting anything shared.
 
-let promotions = ref 0
-let demotions = ref 0
-let lp_pivots = ref 0
-let lp_solves = ref 0
-let ilp_solves = ref 0
-let bb_nodes = ref 0
+   A counter is its slot in the record's [counts]; [names] fixes the
+   slots and the [all_counters] order (which serve payloads, and the
+   digests over them, depend on). *)
+
+let names =
+  [| "lp_solves"; "lp_pivots"; "ilp_solves"; "bb_nodes"; "warm_starts";
+     "warm_fallbacks"; "dual_pivots"; "farkas_cache_hits"; "farkas_cache_misses";
+     "findings_error"; "findings_warning"; "findings_info"; "reductions_detected";
+     "reductions_certified"; "lp_relax_solves"; "cluster_rounds"; "dfp_fallbacks";
+     "serve_requests"; "serve_cache_hits"; "serve_cache_misses";
+     "serve_cache_evictions"; "serve_shed"; "serve_recovered";
+     "serve_breaker_trips"; "serve_breaker_rejects"; "big_promotions";
+     "big_demotions" |]
+
+type counter = int
+
+(* a name missing from [names] fails at module initialization *)
+let slot name =
+  let rec go i = if names.(i) = name then i else go (i + 1) in
+  go 0
+
+let lp_solves = slot "lp_solves"
+let lp_pivots = slot "lp_pivots"
+let ilp_solves = slot "ilp_solves"
+let bb_nodes = slot "bb_nodes"
 
 (* incremental-engine counters (warm-started dual simplex + Farkas
    memoization) *)
-let warm_starts = ref 0
-let warm_fallbacks = ref 0
-let dual_pivots = ref 0
-let farkas_cache_hits = ref 0
-let farkas_cache_misses = ref 0
+let warm_starts = slot "warm_starts"
+let warm_fallbacks = slot "warm_fallbacks"
+let dual_pivots = slot "dual_pivots"
+let farkas_cache_hits = slot "farkas_cache_hits"
+let farkas_cache_misses = slot "farkas_cache_misses"
 
 (* wisecheck (lib/analysis) finding counters, bumped once per emitted
-   finding so the bench harness can report analysis verdict volumes
-   alongside the timing of the "analysis" stage *)
-let findings_error = ref 0
-let findings_warning = ref 0
-let findings_info = ref 0
+   finding *)
+let findings_error = slot "findings_error"
+let findings_warning = slot "findings_warning"
+let findings_info = slot "findings_info"
 
-(* wisereduce counters: reduction facts proven by the detector and
-   Parallel_reduction loops certified "race-free up to reduction
-   reassociation" by wisecheck *)
-let reductions_detected = ref 0
-let reductions_certified = ref 0
+(* wisereduce counters *)
+let reductions_detected = slot "reductions_detected"
+let reductions_certified = slot "reductions_certified"
 
-(* lp-dfp engine counters (per-level LP relaxation + clustering instead
-   of branch-and-bound): pure-LP lexmin stages, cluster recovery rounds,
-   and levels the clustering could not certify (handed back to the ILP
-   engine) *)
-let lp_relax_solves = ref 0
-let cluster_rounds = ref 0
-let dfp_fallbacks = ref 0
+(* lp-dfp engine counters *)
+let lp_relax_solves = slot "lp_relax_solves"
+let cluster_rounds = slot "cluster_rounds"
+let dfp_fallbacks = slot "dfp_fallbacks"
 
-(* wiseserve (lib/serve) counters: requests handled by the daemon and
-   the hit/miss/eviction traffic of its content-addressed cross-request
-   cache. The cache keeps its own authoritative tallies under its lock
-   and re-syncs these refs (plain [:=]) after every request, so they
-   survive the per-solve [reset] the daemon performs for deterministic
-   per-request solver counters. *)
-let serve_requests = ref 0
-let serve_cache_hits = ref 0
-let serve_cache_misses = ref 0
-let serve_cache_evictions = ref 0
+(* wiseserve mirrors of tallies the server and its cache own; re-synced
+   (plain [set]) into the calling domain's record after every request *)
+let serve_requests = slot "serve_requests"
+let serve_cache_hits = slot "serve_cache_hits"
+let serve_cache_misses = slot "serve_cache_misses"
+let serve_cache_evictions = slot "serve_cache_evictions"
+let serve_shed = slot "serve_shed"
+let serve_recovered = slot "serve_recovered"
+let serve_breaker_trips = slot "serve_breaker_trips"
+let serve_breaker_rejects = slot "serve_breaker_rejects"
 
-(* wiseharden counters: requests shed by admission control, requests
-   whose escaped exception was firewalled (solver state scrubbed), and
-   circuit-breaker traffic (trips = times a fingerprint's breaker
-   opened; rejects = requests turned away while one was open). Synced
-   from the server's authoritative atomics like the cache tallies. *)
-let serve_shed = ref 0
-let serve_recovered = ref 0
-let serve_breaker_trips = ref 0
-let serve_breaker_rejects = ref 0
+let promotions = slot "big_promotions"
+let demotions = slot "big_demotions"
+
+type t = {
+  counts : int array;
+  stages : (string, float) Hashtbl.t;
+  mutable stage_order : string list;
+  (* child-time accumulators of the currently active (nested) timers,
+     innermost first *)
+  mutable active : float ref list;
+}
+
+let fresh () =
+  { counts = Array.make (Array.length names) 0; stages = Hashtbl.create 8;
+    stage_order = []; active = [] }
+
+let key : t Domain.DLS.key = Domain.DLS.new_key fresh
+let cur () = Domain.DLS.get key
+
+let incr c =
+  let r = cur () in
+  r.counts.(c) <- r.counts.(c) + 1
+
+let get c = (cur ()).counts.(c)
+let set c v = (cur ()).counts.(c) <- v
 
 let all_counters () =
-  [ ("lp_solves", !lp_solves);
-    ("lp_pivots", !lp_pivots);
-    ("ilp_solves", !ilp_solves);
-    ("bb_nodes", !bb_nodes);
-    ("warm_starts", !warm_starts);
-    ("warm_fallbacks", !warm_fallbacks);
-    ("dual_pivots", !dual_pivots);
-    ("farkas_cache_hits", !farkas_cache_hits);
-    ("farkas_cache_misses", !farkas_cache_misses);
-    ("findings_error", !findings_error);
-    ("findings_warning", !findings_warning);
-    ("findings_info", !findings_info);
-    ("reductions_detected", !reductions_detected);
-    ("reductions_certified", !reductions_certified);
-    ("lp_relax_solves", !lp_relax_solves);
-    ("cluster_rounds", !cluster_rounds);
-    ("dfp_fallbacks", !dfp_fallbacks);
-    ("serve_requests", !serve_requests);
-    ("serve_cache_hits", !serve_cache_hits);
-    ("serve_cache_misses", !serve_cache_misses);
-    ("serve_cache_evictions", !serve_cache_evictions);
-    ("serve_shed", !serve_shed);
-    ("serve_recovered", !serve_recovered);
-    ("serve_breaker_trips", !serve_breaker_trips);
-    ("serve_breaker_rejects", !serve_breaker_rejects);
-    ("big_promotions", !promotions);
-    ("big_demotions", !demotions) ]
+  let r = cur () in
+  List.init (Array.length names) (fun i -> (names.(i), r.counts.(i)))
+
+let scoped f =
+  let outer = cur () in
+  Domain.DLS.set key (fresh ());
+  Fun.protect ~finally:(fun () -> Domain.DLS.set key outer) f
 
 (* --- stage wall-clock timers ----------------------------------------- *)
 
@@ -97,19 +112,12 @@ let all_counters () =
    accumulators are disjoint and sum to at most the outermost wall
    time. *)
 
-let stages : (string, float) Hashtbl.t = Hashtbl.create 8
-let stage_order : string list ref = ref []
-
-(* child-time accumulators of the currently active (nested) timers,
-   innermost first *)
-let active : float ref list ref = ref []
-
-let add_stage name dt =
-  match Hashtbl.find_opt stages name with
-  | Some acc -> Hashtbl.replace stages name (acc +. dt)
+let add_stage r name dt =
+  match Hashtbl.find_opt r.stages name with
+  | Some acc -> Hashtbl.replace r.stages name (acc +. dt)
   | None ->
-    stage_order := name :: !stage_order;
-    Hashtbl.add stages name dt
+    r.stage_order <- name :: r.stage_order;
+    Hashtbl.add r.stages name dt
 
 (* Stage observer: a hook the serving daemon installs to feed each
    completed stage's exclusive duration into its latency histograms
@@ -126,57 +134,34 @@ let time name f =
      trace can re-derive these accumulators: the span tree's exclusive
      self-times reconcile with [stage_times] *)
   if Obs.Trace.on () then Obs.Trace.begin_span ~cat:"stage" name;
+  let r = cur () in
   let t0 = Clock.now () in
   let children = ref 0.0 in
-  active := children :: !active;
+  r.active <- children :: r.active;
   Fun.protect
     ~finally:(fun () ->
       let dt = Clock.now () -. t0 in
-      (match !active with
+      (match r.active with
       | c :: rest when c == children ->
-        active := rest;
+        r.active <- rest;
         (* charge the whole span to the parent, keep only self time *)
         (match rest with parent :: _ -> parent := !parent +. dt | [] -> ())
       | _ -> () (* unbalanced via an exotic exception path; be lenient *));
       let self = dt -. !children in
-      add_stage name self;
+      add_stage r name self;
       (Atomic.get stage_observer) name self;
       Obs.Trace.end_span name)
     f
 
 let stage_times () =
-  List.rev_map (fun n -> (n, Hashtbl.find stages n)) !stage_order
+  let r = cur () in
+  List.rev_map (fun n -> (n, Hashtbl.find r.stages n)) r.stage_order
 
 let reset () =
-  promotions := 0;
-  demotions := 0;
-  lp_pivots := 0;
-  lp_solves := 0;
-  ilp_solves := 0;
-  bb_nodes := 0;
-  warm_starts := 0;
-  warm_fallbacks := 0;
-  dual_pivots := 0;
-  farkas_cache_hits := 0;
-  farkas_cache_misses := 0;
-  findings_error := 0;
-  findings_warning := 0;
-  findings_info := 0;
-  reductions_detected := 0;
-  reductions_certified := 0;
-  lp_relax_solves := 0;
-  cluster_rounds := 0;
-  dfp_fallbacks := 0;
-  serve_requests := 0;
-  serve_cache_hits := 0;
-  serve_cache_misses := 0;
-  serve_cache_evictions := 0;
-  serve_shed := 0;
-  serve_recovered := 0;
-  serve_breaker_trips := 0;
-  serve_breaker_rejects := 0;
-  Hashtbl.reset stages;
-  stage_order := []
+  let r = cur () in
+  Array.fill r.counts 0 (Array.length r.counts) 0;
+  Hashtbl.reset r.stages;
+  r.stage_order <- []
 
 let pp fmt () =
   Format.fprintf fmt "@[<v>";

@@ -1,56 +1,71 @@
-(** Process-wide performance counters for the exact-arithmetic pipeline.
+(** Per-domain performance counters for the exact-arithmetic pipeline.
 
-    The refs are bumped directly on the hot paths (a single [incr]); the
-    stage timers accumulate wall-clock time per named pipeline stage.
-    The bench harness and the CLI read these to report where the
-    optimization time goes, and the CI benchmark job serializes them
-    into [BENCH_pipeline.json]. *)
+    Each domain owns one record of counters and stage timers in
+    domain-local storage: the hot paths bump a plain slot of the
+    calling domain's record ({!incr}), and {!reset}, {!get},
+    {!all_counters}, {!stage_times}, {!time} and {!pp} all act on that
+    record only. A single-domain program (the CLI, the bench harness)
+    therefore sees one set of counters; solves running on different
+    domains never mix their counts. {!scoped} gives one callback a
+    fresh record of its own — the serving daemon runs every cold solve
+    that way. The bench harness and the CLI read these to report where
+    the optimization time goes, and the CI benchmark job serializes
+    them into [BENCH_pipeline.json]. *)
+
+(** A named counter: one slot of a domain's record. *)
+type counter
+
+(** Add one to the calling domain's [counter]. *)
+val incr : counter -> unit
+
+val get : counter -> int
+val set : counter -> int -> unit
 
 (** Count of {!Bigint} results that did not fit the immediate [Small]
     representation and had to allocate a [Big] magnitude. *)
-val promotions : int ref
+val promotions : counter
 
 (** Count of [Big] results that folded back into [Small]. *)
-val demotions : int ref
+val demotions : counter
 
-val lp_pivots : int ref
-val lp_solves : int ref
+val lp_pivots : counter
+val lp_solves : counter
 
 (** Branch-and-bound entries (one per ILP problem). *)
-val ilp_solves : int ref
+val ilp_solves : counter
 
 (** Branch-and-bound tree nodes (one LP relaxation each). *)
-val bb_nodes : int ref
+val bb_nodes : counter
 
 (** {2 Incremental-engine counters} *)
 
 (** LP re-solves that started from a saved basis (dual-simplex
     constraint additions and primal objective swaps) and completed
     without falling back to a cold solve. *)
-val warm_starts : int ref
+val warm_starts : counter
 
 (** Warm re-solves that had to fall back to a cold two-phase solve
     (basis incompatibility or a dual-simplex iteration cap). *)
-val warm_fallbacks : int ref
+val warm_fallbacks : counter
 
 (** Dual-simplex pivots performed by warm re-solves. The total simplex
     effort of a run is [lp_pivots + dual_pivots]. *)
-val dual_pivots : int ref
+val dual_pivots : counter
 
 (** Farkas-system memoization: structurally identical dependence
     polyhedra share one multiplier elimination ({!Pluto.Farkas}). *)
-val farkas_cache_hits : int ref
+val farkas_cache_hits : counter
 
-val farkas_cache_misses : int ref
+val farkas_cache_misses : counter
 
 (** {2 Static-analysis (wisecheck) counters}
 
     One bump per finding emitted by [Analysis.Wisecheck.certify],
     keyed by severity. *)
 
-val findings_error : int ref
-val findings_warning : int ref
-val findings_info : int ref
+val findings_error : counter
+val findings_warning : counter
+val findings_info : counter
 
 (** {2 Reduction (wisereduce) counters}
 
@@ -58,8 +73,8 @@ val findings_info : int ref
     ([Analysis.Reduction.detect]) and [Parallel_reduction] loops
     certified "race-free up to reduction reassociation" by wisecheck. *)
 
-val reductions_detected : int ref
-val reductions_certified : int ref
+val reductions_detected : counter
+val reductions_certified : counter
 
 (** {2 LP-dfp engine counters}
 
@@ -70,44 +85,43 @@ val reductions_certified : int ref
 
 (** Pure-LP lexicographic stages solved by the lp-dfp engine (one per
     objective vector per hyperplane level; no branching). *)
-val lp_relax_solves : int ref
+val lp_relax_solves : counter
 
 (** Cluster recovery rounds: one per dependence-connected statement
     cluster whose rational solution was scaled to an integral
     hyperplane. *)
-val cluster_rounds : int ref
+val cluster_rounds : counter
 
 (** Levels the clustering could not certify (rational optimum
     unscalable or scaled row not provably legal) and that were handed
     back to the ILP engine. *)
-val dfp_fallbacks : int ref
+val dfp_fallbacks : counter
 
 (** {2 Serving (wiseserve) counters}
 
     Requests handled by the scheduling daemon and the traffic of its
-    content-addressed cross-request cache. The cache keeps its own
-    authoritative tallies under its lock and re-syncs these refs after
-    every request (the daemon resets the solver counters per cold solve
-    to keep per-request counter deltas deterministic). *)
+    content-addressed cross-request cache. These only mirror tallies the
+    server and its cache own: every request re-syncs them into the
+    calling domain's record, so another domain's copy may lag. Read the
+    server's own accessors for totals. *)
 
-val serve_requests : int ref
-val serve_cache_hits : int ref
-val serve_cache_misses : int ref
-val serve_cache_evictions : int ref
+val serve_requests : counter
+val serve_cache_hits : counter
+val serve_cache_misses : counter
+val serve_cache_evictions : counter
 
 (** Requests shed by admission control (typed ["overloaded"]). *)
-val serve_shed : int ref
+val serve_shed : counter
 
-(** Requests whose escaped exception was caught by the serve firewall
-    (the global solver state was scrubbed before the lock released). *)
-val serve_recovered : int ref
+(** Requests whose escaped exception was caught by the serve firewall. *)
+val serve_recovered : counter
 
 (** Circuit-breaker trips (a fingerprint's failure run crossed the
     threshold and opened) and rejects (requests answered ["breaker"]
     while open). *)
-val serve_breaker_trips : int ref
+val serve_breaker_trips : counter
 
-val serve_breaker_rejects : int ref
+val serve_breaker_rejects : counter
 
 (** [time stage f] runs [f ()] and adds its wall-clock duration to the
     accumulator for [stage] (even if [f] raises). Timers are
@@ -132,7 +146,13 @@ val stage_times : unit -> (string * float) list
 (** All counters as (name, value) pairs, including zeros. *)
 val all_counters : unit -> (string * int) list
 
-(** Reset every counter and timer to zero. *)
+(** Reset every counter and timer of the calling domain to zero. *)
 val reset : unit -> unit
+
+(** [scoped f] runs [f ()] with a fresh, zeroed record installed for
+    the calling domain and restores the caller's record when [f]
+    returns or raises. Everything [f] counts or times is dropped unless
+    [f] reads it itself (with {!all_counters} or {!stage_times}). *)
+val scoped : (unit -> 'a) -> 'a
 
 val pp : Format.formatter -> unit -> unit

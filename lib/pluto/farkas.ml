@@ -99,10 +99,19 @@ let space_for ~form ~nloc poly =
    identical polyhedra — uniform stencil accesses over the same domain
    differ only in which array they touch — so the (expensive)
    multiplier elimination is keyed on {!Polyhedron.structural_key} and
-   run once per equivalence class. *)
+   run once per equivalence class. The memo is domain-local, like
+   Linalg.Counters: solves on different domains share no table, and
+   [scoped] gives one solve a table of its own. *)
 
-let cache : (string, Polyhedron.t) Hashtbl.t = Hashtbl.create 64
-let reset_cache () = Hashtbl.reset cache
+let memo_table : (string, Polyhedron.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let reset_cache () = Hashtbl.reset (Domain.DLS.get memo_table)
+
+let scoped f =
+  let outer = Domain.DLS.get memo_table in
+  Domain.DLS.set memo_table (Hashtbl.create 64);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set memo_table outer) f
 
 let cache_event ~tag ~d1 ~d2 ~np ~hit =
   if Obs.Trace.on () then
@@ -121,13 +130,14 @@ let memo ~tag ~d1 ~d2 ~np poly compute =
     Printf.sprintf "%s:%d:%d:%d:%s" tag d1 d2 np
       (Polyhedron.structural_key poly)
   in
+  let cache = Domain.DLS.get memo_table in
   match Hashtbl.find_opt cache key with
   | Some r ->
-    incr Counters.farkas_cache_hits;
+    Counters.(incr farkas_cache_hits);
     cache_event ~tag ~d1 ~d2 ~np ~hit:true;
     r
   | None ->
-    incr Counters.farkas_cache_misses;
+    Counters.(incr farkas_cache_misses);
     cache_event ~tag ~d1 ~d2 ~np ~hit:false;
     let r = compute () in
     Hashtbl.add cache key r;

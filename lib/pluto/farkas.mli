@@ -62,7 +62,12 @@ val bounding_space :
 val space_for :
   form:(int -> (int * int) list) -> nloc:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
 
-(** Drop all memoized Farkas systems (process-wide cache). Benchmarks
-    call this between repetitions so each measured run pays its own
-    eliminations. *)
+(** Drop all memoized Farkas systems of the calling domain (the memo is
+    domain-local). Benchmarks call this between repetitions so each
+    measured run pays its own eliminations. *)
 val reset_cache : unit -> unit
+
+(** [scoped f] runs [f ()] with a fresh, empty memo for the calling
+    domain and restores the caller's memo when [f] returns or raises;
+    the systems [f] memoized are dropped. *)
+val scoped : (unit -> 'a) -> 'a

@@ -592,7 +592,7 @@ let lp_lexmin st p objs =
   let rec go p from last = function
     | [] -> last
     | obj :: rest -> (
-      incr Counters.lp_relax_solves;
+      Counters.(incr lp_relax_solves);
       let result, warm =
         match from with
         | Some (w, cs) -> Ilp.Lp.reoptimize ?budget:st.budget w ~add:cs ~obj
@@ -719,7 +719,7 @@ let cluster_event st ~members ~scale ~ok =
         ]
 
 let solve_level_dfp st p objs =
-  let p0 = !Counters.lp_pivots and dp0 = !Counters.dual_pivots in
+  let p0 = Counters.(get lp_pivots) and dp0 = Counters.(get dual_pivots) in
   let relax = lp_lexmin st p objs in
   if Obs.Trace.on () then
     Obs.Trace.instant ~cat:"sched" "lp.relax"
@@ -730,8 +730,8 @@ let solve_level_dfp st p objs =
           ( "outcome",
             Obs.Json.Str (match relax with Some _ -> "vertex" | None -> "infeasible")
           );
-          ("pivots", Obs.Json.Int (!Counters.lp_pivots - p0));
-          ("dual-pivots", Obs.Json.Int (!Counters.dual_pivots - dp0));
+          ("pivots", Obs.Json.Int (Counters.(get lp_pivots) - p0));
+          ("dual-pivots", Obs.Json.Int (Counters.(get dual_pivots) - dp0));
         ];
   match relax with
   | None ->
@@ -744,7 +744,7 @@ let solve_level_dfp st p objs =
     let scaled =
       List.for_all
         (fun members ->
-          incr Counters.cluster_rounds;
+          Counters.(incr cluster_rounds);
           let scale = scale_cluster st xq xi members in
           cluster_event st ~members ~scale ~ok:(scale <> None);
           scale <> None)
@@ -754,7 +754,7 @@ let solve_level_dfp st p objs =
     else begin
       (* clustering could not certify this level: hand it to the exact
          engine *)
-      incr Counters.dfp_fallbacks;
+      Counters.(incr dfp_fallbacks);
       solve_level_ilp st p objs
     end
 
@@ -785,9 +785,9 @@ let solve_level st =
           ("ranks", Obs.Json.Str (ranks_string st));
           ("active-deps", Obs.Json.Int active);
         ];
-    let p0 = !Counters.lp_pivots and dp0 = !Counters.dual_pivots in
-    let n0 = !Counters.bb_nodes in
-    let w0 = !Counters.warm_starts and f0 = !Counters.warm_fallbacks in
+    let p0 = Counters.(get lp_pivots) and dp0 = Counters.(get dual_pivots) in
+    let n0 = Counters.(get bb_nodes) in
+    let w0 = Counters.(get warm_starts) and f0 = Counters.(get warm_fallbacks) in
     Fun.protect
       ~finally:(fun () -> Obs.Trace.end_span "sched.level")
       (fun () ->
@@ -803,11 +803,11 @@ let solve_level st =
                     (match res with
                     | Some _ -> "hyperplane"
                     | None -> "infeasible") );
-                ("pivots", Obs.Json.Int (!Counters.lp_pivots - p0));
-                ("dual-pivots", Obs.Json.Int (!Counters.dual_pivots - dp0));
-                ("bb-nodes", Obs.Json.Int (!Counters.bb_nodes - n0));
-                ("warm-solves", Obs.Json.Int (!Counters.warm_starts - w0));
-                ("cold-fallbacks", Obs.Json.Int (!Counters.warm_fallbacks - f0));
+                ("pivots", Obs.Json.Int (Counters.(get lp_pivots) - p0));
+                ("dual-pivots", Obs.Json.Int (Counters.(get dual_pivots) - dp0));
+                ("bb-nodes", Obs.Json.Int (Counters.(get bb_nodes) - n0));
+                ("warm-solves", Obs.Json.Int (Counters.(get warm_starts) - w0));
+                ("cold-fallbacks", Obs.Json.Int (Counters.(get warm_fallbacks) - f0));
               ];
         res)
   end

@@ -6,13 +6,13 @@
    typed diagnostic) is deterministic in its content, so retrying the
    same fingerprint is pure waste: after [threshold] consecutive
    failures the breaker opens and further requests for that fingerprint
-   are answered with a typed ["breaker"] error — without touching the
-   solver lock — until [ttl_s] elapses. After the TTL the breaker goes
+   are answered with a typed ["breaker"] error — without claiming the
+   key or starting a solve — until [ttl_s] elapses. After the TTL the breaker goes
    half-open: one probe solve is allowed through, a success closes the
    breaker, another failure re-opens it immediately.
 
    All state sits under one mutex; operations are O(1) hashtable work,
-   off the solver lock's critical path. *)
+   never held across a solve. *)
 
 type entry = {
   mutable failures : int;  (* consecutive failures for this key *)

@@ -55,9 +55,10 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* Quiet lookup: no hit/miss accounting. The server uses this for the
-   double-checked lookup under its solver lock, where a second find for
-   the same request must not double-count. *)
+(* Quiet lookup: no hit/miss accounting. The server counts each
+   request's outcome itself, and re-probes with this after claiming a
+   key for solving, where a second find for the same request must not
+   double-count. *)
 let find_quiet t key =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
@@ -112,14 +113,12 @@ let stats t =
         capacity = t.capacity;
       })
 
-(* Mirror the authoritative tallies into the process-wide counters so
-   `--stats` and the bench records see serving traffic alongside the
-   solver counters. Plain [:=]: the daemon resets solver counters per
-   cold solve, and re-syncing after every request keeps these correct
-   regardless. *)
+(* Mirror the authoritative tallies into the calling domain's counters
+   so `--stats` and the bench records see serving traffic alongside the
+   solver counters. Plain [set], re-synced after every request. *)
 let sync_counters t ~requests =
   let s = stats t in
-  Linalg.Counters.serve_requests := requests;
-  Linalg.Counters.serve_cache_hits := s.hits;
-  Linalg.Counters.serve_cache_misses := s.misses;
-  Linalg.Counters.serve_cache_evictions := s.evictions
+  Linalg.Counters.(set serve_requests requests);
+  Linalg.Counters.(set serve_cache_hits s.hits);
+  Linalg.Counters.(set serve_cache_misses s.misses);
+  Linalg.Counters.(set serve_cache_evictions s.evictions)

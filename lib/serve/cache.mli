@@ -7,7 +7,8 @@
 
     Every operation is safe to call from concurrent domains (one lock
     per cache). Hit/miss/eviction tallies are authoritative here and
-    mirrored into [Linalg.Counters] by {!sync_counters}. *)
+    mirrored into the calling domain's [Linalg.Counters] by
+    {!sync_counters}. *)
 
 type entry = {
   payload : Obs.Json.t;  (** the cached ["result"] object *)
@@ -34,8 +35,9 @@ val create : capacity:int -> t
 (** Counting lookup: bumps the hit or miss tally. *)
 val find : t -> string -> entry option
 
-(** Lookup without hit/miss accounting — for the server's double-checked
-    re-probe under its solver lock (the request was already counted). *)
+(** Lookup without hit/miss accounting — for the server, which counts
+    each request's outcome itself and re-probes after claiming a key
+    for solving. *)
 val find_quiet : t -> string -> entry option
 
 (** Count a hit/miss that {!find_quiet} deliberately didn't. *)

@@ -2,14 +2,16 @@
    only — production never arms the hook, leaving a single ref read on
    the cold-solve path).
 
-   [solve_fault] is consulted exactly once per cold solve, *under the
-   solver lock*, so even when many domains race each planned fault is
-   consumed by exactly one solve. Faults model the three ways a request
-   can hurt the daemon:
+   [solve_fault] is consulted exactly once per cold solve. Solves of
+   different keys run concurrently on several domains, so the hook must
+   be safe to call from any of them: [arm_queue] takes its own mutex,
+   and each planned fault is consumed by exactly one solve. Faults
+   model the three ways a request can hurt the daemon:
 
-   - [Raise]:   an exception escapes mid-solve after shared state has
-                already been mutated — the exception-firewall +
-                poisoned-state-recovery path must scrub it;
+   - [Raise]:   an exception escapes mid-solve after solver state has
+                already been mutated — the exception firewall must
+                answer typed, and the faulted solve's counters and
+                Farkas memo must die with its scope;
    - [Exhaust]: the request's budget is starved (the server swaps in a
                 one-pivot allowance), so every solver rung trips and
                 the ladder degrades to the unbudgeted identity rung —
@@ -17,8 +19,9 @@
                 [Ilp.Lp.Chaos.exhaust]: that sabotages the identity
                 rung's own legality check too, which is corruption,
                 not exhaustion;
-   - [Slow ms]: the solve holds the solver lock [ms] longer than it
-                should — the head-of-line-blocking / deadline path. *)
+   - [Slow ms]: the solve takes [ms] longer than it should — the
+                deadline path. It delays only its own key: requests for
+                the same key wait for it, other keys solve beside it. *)
 
 type fault =
   | Raise
@@ -29,14 +32,15 @@ exception Injected of string
 
 let solve_fault : (unit -> fault option) ref = ref (fun () -> None)
 
-(* consumption tallies, for soak-survival accounting *)
-let injected_raises = ref 0
-let injected_exhausts = ref 0
-let injected_slows = ref 0
+(* consumption tallies, for soak-survival accounting; bumped by
+   whichever domain's solve consumed the fault *)
+let injected_raises = Atomic.make 0
+let injected_exhausts = Atomic.make 0
+let injected_slows = Atomic.make 0
 
 (* A sentinel poison for the [Raise] fault: bump a solver counter to a
-   recognizable value before raising, so a firewall that fails to reset
-   the counters is caught by the byte-identity and clean-state tests
+   recognizable value before raising, so a faulted solve whose counters
+   outlive it is caught by the byte-identity and clean-state tests
    rather than slipping through as "merely" a leaked exception. *)
 let poison_marker = 999_983
 
@@ -48,15 +52,15 @@ let starved_budget () = Linalg.Budget.make ~pivots:1 ()
 let apply fault run =
   match fault with
   | Raise ->
-    incr injected_raises;
-    Linalg.Counters.lp_solves := !Linalg.Counters.lp_solves + poison_marker;
+    Atomic.incr injected_raises;
+    Linalg.Counters.(set lp_solves (get lp_solves + poison_marker));
     raise (Injected "injected solver fault")
   | Exhaust ->
     (* the budget swap happened in the server before [run] was built *)
-    incr injected_exhausts;
+    Atomic.incr injected_exhausts;
     run ()
   | Slow ms ->
-    incr injected_slows;
+    Atomic.incr injected_slows;
     Unix.sleepf (float_of_int ms /. 1e3);
     run ()
 
@@ -75,6 +79,6 @@ let arm_queue faults =
 
 let reset () =
   solve_fault := (fun () -> None);
-  injected_raises := 0;
-  injected_exhausts := 0;
-  injected_slows := 0
+  Atomic.set injected_raises 0;
+  Atomic.set injected_exhausts 0;
+  Atomic.set injected_slows 0

@@ -9,35 +9,38 @@
    content.
 
    Concurrency model (OCaml 5 domains): any number of workers serve
-   hits and protocol ops concurrently — the cache has its own lock and
-   the hit path touches no other shared state. Cold solves serialize
-   under one solver lock, because the exact-arithmetic pipeline keeps
-   process-wide state (the Farkas memo table, the pipeline counters,
-   the trace sink); holding the lock also makes the per-request counter
-   deltas exact — the response's "serve" section proves a hit performed
-   zero LP pivots and zero B&B nodes, and a miss reports precisely its
-   own solver work. Concurrent requests for the SAME key coalesce: the
-   second requester blocks on the solver lock, re-probes the cache, and
-   leaves with the first one's entry (a hit, never a duplicate solve).
+   requests concurrently. Hits and protocol ops touch only the cache
+   (which has its own lock) and atomics. A cold solve runs on the
+   domain that received the request, inside a counter record and a
+   Farkas memo of its own (Linalg.Counters.scoped and
+   Pluto.Farkas.scoped; both are domain-local, like the trace sink), so
+   solves of different keys run in parallel and each payload's
+   counters — and the response's "serve" solver deltas — are exactly
+   that solve's work: a hit provably performed zero LP pivots and zero
+   B&B nodes, and a miss reports precisely its own. Requests for the
+   SAME key coalesce: the first claims the key in the in-flight table,
+   later ones wait for it to land, re-probe the cache, and leave with
+   the first one's entry (a hit, never a duplicate solve). When the
+   first solve stored nothing (degraded or failed), the next waiter
+   solves the key itself.
 
    Hardening (wiseharden): every request solves under a fresh deadline
    budget (client "deadline_ms", server default/cap), so a pathological
-   SCoP degrades down the resilience ladder instead of holding the
-   solver lock indefinitely; degraded results are served ("uncached")
-   but never stored, keeping the cache byte-pure. Any exception that
-   escapes the solve path is firewalled at the request boundary: the
-   global solver state is scrubbed back to the known-clean baseline
-   (counter reset + Farkas memo reset — the same baseline every cold
-   solve starts from) before the solver lock is released, and the
-   client gets a typed "internal" error. Repeated failures for one
-   fingerprint trip a TTL'd circuit breaker (Breaker). Admission
-   control sheds schedule requests with a typed "overloaded" error once
-   the pending-work gauge passes config.max_pending; protocol ops
-   (ping/stats/health/shutdown) are always served. Input lines longer
-   than config.max_line_bytes are answered with a typed "oversized"
-   error without buffering them. SIGTERM/SIGINT drain the socket
-   server: in-flight requests finish, new work is rejected, the socket
-   is unlinked, and the process exits 0. *)
+   SCoP degrades down the resilience ladder instead of holding its key
+   indefinitely; degraded results are served ("uncached") but never
+   stored, keeping the cache byte-pure. Any exception that escapes the
+   solve path is firewalled at the request boundary: the faulted
+   solve's counters and Farkas memo are dropped with its scopes, its
+   key is released, and the client gets a typed "internal" error.
+   Repeated failures for one fingerprint trip a TTL'd circuit breaker
+   (Breaker). Admission control sheds schedule requests with a typed
+   "overloaded" error once the pending-work gauge passes
+   config.max_pending; protocol ops (ping/stats/health/shutdown) are
+   always served. Input lines longer than config.max_line_bytes are
+   answered with a typed "oversized" error without buffering them.
+   SIGTERM/SIGINT drain the socket server: in-flight requests finish,
+   new work is rejected, the socket is unlinked, and the process exits
+   0. *)
 
 type config = {
   domains : int;
@@ -74,7 +77,9 @@ type t = {
   config : config;
   cache : Cache.t;
   breaker : Breaker.t;
-  solver : Mutex.t;  (* serializes cold solves and the global solver state *)
+  solving : (string, unit) Hashtbl.t;  (* keys with a cold solve in flight *)
+  flight : Mutex.t;  (* guards [solving] *)
+  landed : Condition.t;  (* a key left [solving] *)
   out : Mutex.t;  (* serializes response emission in pool modes *)
   stop : bool Atomic.t;
   requests : int Atomic.t;
@@ -125,7 +130,9 @@ let create ?(config = default_config) () =
     config;
     cache;
     breaker;
-    solver = Mutex.create ();
+    solving = Hashtbl.create 16;
+    flight = Mutex.create ();
+    landed = Condition.create ();
     out = Mutex.create ();
     stop = Atomic.make false;
     requests = Atomic.make 0;
@@ -143,6 +150,8 @@ let create ?(config = default_config) () =
 let cache t = t.cache
 let breaker t = t.breaker
 let telemetry t = t.telemetry
+let shed t = Atomic.get t.shed
+let recovered t = Atomic.get t.recovered
 let stopping t = Atomic.get t.stop
 let backlog t = Atomic.get t.inflight + Atomic.get t.queued
 
@@ -213,19 +222,19 @@ let explain_lines ex =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun l -> Obs.Json.Str l)
 
-(* One cold solve. Must be called with [t.solver] held: it resets the
-   process-wide counters and the Farkas memo so the payload (explain
-   chain and counters included) is a pure function of the request
-   content — which is what makes cached responses byte-identical to
-   fresh solves. The chaos hook is consulted here, under the lock, so a
-   planned fault is consumed by exactly one solve. Returns the payload,
-   the dependence-set fingerprint, and whether the resilience ladder
-   degraded (degraded payloads must not be cached: a deadline or an
-   injected fault is request-local state, and caching its result would
-   poison every later request for the same content). *)
+(* One cold solve, inside a fresh counter record and Farkas memo, so the
+   payload (explain chain and counters included) is a pure function of
+   the request content — which is what makes cached responses
+   byte-identical to fresh solves — whatever else runs on other
+   domains. The chaos hook is consulted once per solve. Returns the
+   payload, the dependence-set fingerprint, whether the resilience
+   ladder degraded (degraded payloads must not be cached: a deadline or
+   an injected fault is request-local state, and caching its result
+   would poison every later request for the same content), and the
+   solve's counter snapshot. *)
 let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
+  Linalg.Counters.scoped @@ fun () ->
+  Pluto.Farkas.scoped @@ fun () ->
   let fault = !Chaos.solve_fault () in
   let budget =
     (* An Exhaust fault starves the budget instead of sabotaging the LP
@@ -260,6 +269,7 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
     | Some res -> Pluto.Engine.kind_name res.Pluto.Scheduler.engine
     | None -> "none"
   in
+  let counters = Linalg.Counters.all_counters () in
   let payload =
     Obs.Json.Obj
       [ ("kernel", Obs.Json.Str kernel);
@@ -275,20 +285,33 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
         ("wisecheck", wisecheck_json aprog report);
         ("explain", Obs.Json.List (explain_lines ex));
         ( "counters",
-          Obs.Json.Obj
-            (List.map
-               (fun (n, v) -> (n, Obs.Json.Int v))
-               (Linalg.Counters.all_counters ())) ) ]
+          Obs.Json.Obj (List.map (fun (n, v) -> (n, Obs.Json.Int v)) counters) ) ]
   in
-  (payload, Fingerprint.deps_key deps, degraded)
+  (payload, Fingerprint.deps_key deps, degraded, counters)
 
 (* --- request handling ---------------------------------------------------- *)
 
-let solver_deltas () =
-  let all = Linalg.Counters.all_counters () in
+let solver_deltas counters =
   List.map
-    (fun n -> (n, Option.value (List.assoc_opt n all) ~default:0))
+    (fun n -> (n, Option.value (List.assoc_opt n counters) ~default:0))
     Protocol.solver_counter_names
+
+(* Per-key coalescing: wait until no other request is solving [key],
+   then claim it. The claimant re-probes the cache before solving, so a
+   waiter whose key landed in the cache leaves with a coalesced hit. *)
+let claim t key =
+  Mutex.lock t.flight;
+  while Hashtbl.mem t.solving key do
+    Condition.wait t.landed t.flight
+  done;
+  Hashtbl.replace t.solving key ();
+  Mutex.unlock t.flight
+
+let release t key =
+  Mutex.lock t.flight;
+  Hashtbl.remove t.solving key;
+  Condition.broadcast t.landed;
+  Mutex.unlock t.flight
 
 (* The deadline a request actually solves under: the client's ask,
    capped — or the server default when the client sent none. *)
@@ -316,15 +339,12 @@ let note_failure t key =
     Obs.Trace.instant ~cat:"serve" "serve.breaker"
       ~args:[ ("key", Obs.Json.Str key); ("state", Obs.Json.Str "open") ]
 
-(* Poisoned-state recovery: an exception escaped the solve path, so the
-   process-wide solver state is suspect (half-bumped counters, a
-   partially filled Farkas memo). Scrub everything back to the baseline
-   every cold solve starts from, while the solver lock is still held —
-   the next solve provably sees clean state. The trace sink needs no
-   repair here: [Obs.Trace.capture] restores it on exceptions. *)
+(* Recovery from an exception that escaped the solve path. The solve's
+   half-bumped counters and partially filled Farkas memo need no repair:
+   they lived in its scopes, which dropped them on the way out, and the
+   trace sink was restored by [Obs.Trace.capture]. What remains is
+   accounting. *)
 let recover t ~key exn =
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
   Atomic.incr t.recovered;
   if Obs.Trace.on () then
     Obs.Trace.instant ~cat:"serve" "serve.recovered"
@@ -391,12 +411,12 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                         failures (retry in %.1fs)"
                        remaining)
               | Breaker.Closed ->
-                Mutex.lock t.solver;
+                claim t key;
                 Fun.protect
-                  ~finally:(fun () -> Mutex.unlock t.solver)
+                  ~finally:(fun () -> release t key)
                   (fun () ->
                     (* double-checked: someone may have solved this key
-                       while we waited for the lock *)
+                       while we waited for it, or since our first probe *)
                     match Cache.find_quiet t.cache key with
                     | Some e ->
                       Cache.count_hit t.cache;
@@ -411,16 +431,17 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                       match
                         Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
                             let t0 = Linalg.Clock.now () in
-                            let payload, deps_fp, degraded =
+                            let payload, deps_fp, degraded, counters =
                               solve ?budget ~kernel ~model ~size:n ~engine
                                 ~reductions prog
                             in
                             ( payload,
                               deps_fp,
                               degraded,
+                              counters,
                               Linalg.Clock.elapsed_ms ~since:t0 ))
                       with
-                      | payload, deps_fp, degraded, solve_ms ->
+                      | payload, deps_fp, degraded, counters, solve_ms ->
                         Breaker.record_success t.breaker key;
                         let engine_used =
                           Option.value
@@ -443,7 +464,7 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                           end
                         in
                         Cache.count_miss t.cache;
-                        let solver = solver_deltas () in
+                        let solver = solver_deltas counters in
                         let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
                         Protocol.schedule_response ~id ~key ~cache_state
                           ~serve:
@@ -452,9 +473,7 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                           ~result:payload
                       | exception Pluto.Diagnostics.Error d ->
                         (* typed failure: deterministic for this content,
-                           so it feeds the breaker; the diagnostics path
-                           raises before mutating anything a reset-at-
-                           solve-start would not fix *)
+                           so it feeds the breaker *)
                         note_failure t key;
                         Protocol.error_response ~id
                           ~code:
@@ -463,9 +482,9 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                             ^ ":" ^ d.Pluto.Diagnostics.code)
                           ~message:d.Pluto.Diagnostics.message
                       | exception e ->
-                        (* the exception firewall: scrub global solver
-                           state before the lock is released, then
-                           answer typed instead of dying *)
+                        (* the exception firewall: answer typed
+                           instead of dying; the key is released on the
+                           way out *)
                         recover t ~key e;
                         Protocol.error_response ~id ~code:"internal"
                           ~message:(Printexc.to_string e))))))))
@@ -503,13 +522,13 @@ let oversized_error t ~id =
     ~message:
       (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes)
 
-(* mirror the hardening tallies into the process-wide counters next to
-   the cache's sync *)
+(* mirror the hardening tallies into the calling domain's counters next
+   to the cache's sync *)
 let sync_hardening t =
-  Linalg.Counters.serve_shed := Atomic.get t.shed;
-  Linalg.Counters.serve_recovered := Atomic.get t.recovered;
-  Linalg.Counters.serve_breaker_trips := Breaker.trips t.breaker;
-  Linalg.Counters.serve_breaker_rejects := Breaker.rejects t.breaker
+  Linalg.Counters.(set serve_shed (Atomic.get t.shed));
+  Linalg.Counters.(set serve_recovered (Atomic.get t.recovered));
+  Linalg.Counters.(set serve_breaker_trips (Breaker.trips t.breaker));
+  Linalg.Counters.(set serve_breaker_rejects (Breaker.rejects t.breaker))
 
 (* --- per-request observability ------------------------------------------- *)
 
@@ -633,9 +652,7 @@ let handle_line t line =
               | _ -> (
                 try handle_request t req
                 with e ->
-                  (* last-resort firewall for non-solve surprises (the
-                     solve path recovered state already if it raised
-                     past its own handler) *)
+                  (* last-resort firewall for non-solve surprises *)
                   Protocol.error_response ~id:req.Protocol.id ~code:"internal"
                     ~message:(Printexc.to_string e)))
           in

@@ -6,21 +6,25 @@
     trace capture + wisecheck) and stores the payload for every later
     request with the same content.
 
-    Concurrency: cache hits and protocol ops are served concurrently by
-    any number of OCaml 5 domains; cold solves serialize under one
-    solver lock (the exact-arithmetic pipeline keeps process-wide
-    state), which also makes the per-request counter deltas in each
-    response exact — hits provably perform zero LP pivots and zero B&B
-    nodes. Concurrent misses for the same key coalesce into one solve.
+    Concurrency: requests are served concurrently by any number of
+    OCaml 5 domains. A cold solve runs on the domain that received it,
+    with its own counter record and Farkas memo
+    ({!Linalg.Counters.scoped}, {!Pluto.Farkas.scoped}), so solves of
+    different keys run in parallel and the per-request counter deltas
+    in each response are exact — hits provably perform zero LP pivots
+    and zero B&B nodes. Concurrent misses for the same key coalesce
+    into one solve: later requests wait for the first and leave with
+    its cache entry, or solve the key themselves if the first stored
+    nothing.
 
     Hardening: every request solves under a fresh deadline budget
     (client ["deadline_ms"], server default/cap) and degrades down the
-    resilience ladder instead of monopolizing the solver; degraded
+    resilience ladder instead of holding its key indefinitely; degraded
     results are served (["uncached"]) but never stored. Exceptions
-    escaping a solve are firewalled — the global solver state is
-    scrubbed before the solver lock is released and the client gets a
-    typed ["internal"] error; repeated failures per fingerprint trip a
-    TTL'd circuit breaker ({!Breaker}). Admission control sheds
+    escaping a solve are firewalled — the solve's counters and memo
+    are dropped with its scopes, its key is released, and the client
+    gets a typed ["internal"] error; repeated failures per fingerprint
+    trip a TTL'd circuit breaker ({!Breaker}). Admission control sheds
     schedule requests (["overloaded"]) past [config.max_pending];
     oversized lines answer ["oversized"] without being buffered;
     SIGTERM/SIGINT drain and exit 0.
@@ -79,6 +83,12 @@ val cache : t -> Cache.t
 val breaker : t -> Breaker.t
 val telemetry : t -> Telemetry.t
 
+(** Schedule requests shed by admission control so far. *)
+val shed : t -> int
+
+(** Exceptions caught by the solve firewall so far. *)
+val recovered : t -> int
+
 (** Flush and close the access log (idempotent; no-op without one).
     Every serving loop calls it on exit; tests driving {!handle_line}
     directly call it before reading the log file. *)
@@ -94,9 +104,8 @@ val backlog : t -> int
 (** [handle_line t line] handles one request line and returns the
     response line (no trailing newline), or [None] for blank input.
     Never raises — internal failures become ["internal"] error
-    envelopes (with the solver state scrubbed first). Safe to call from
-    concurrent domains; this is also the entry point the tests and the
-    bench harness drive directly. *)
+    envelopes. Safe to call from concurrent domains; this is also the
+    entry point the tests and the bench harness drive directly. *)
 val handle_line : t -> string -> string option
 
 (** Bounded line framing: one newline-terminated line of at most [max]

@@ -15,10 +15,10 @@
    — an invariant the soak bench asserts against its own request
    ledger, hostile traffic included.
 
-   Unlike [Linalg.Counters] (reset per cold solve for deterministic
-   per-request deltas, scrubbed by fault recovery), these instruments
-   are never reset: scrape totals are monotone across recoveries,
-   which the soak bench also asserts. *)
+   Unlike [Linalg.Counters] (a fresh record per cold solve for
+   deterministic per-request deltas, dropped with a faulted solve),
+   these instruments are never reset: scrape totals are monotone across
+   recoveries, which the soak bench also asserts. *)
 
 module M = Obs.Metrics
 

@@ -9,9 +9,9 @@
     wire by construction:
     [requests_total == sum outcomes + sum ops].
 
-    Unlike [Linalg.Counters] (reset per cold solve, scrubbed by fault
-    recovery), these instruments are never reset: totals are monotone
-    across recoveries. *)
+    Unlike [Linalg.Counters] (a fresh record per cold solve, dropped
+    with a faulted solve), these instruments are never reset: totals
+    are monotone across recoveries. *)
 
 type t
 

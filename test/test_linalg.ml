@@ -265,7 +265,7 @@ let diff_sub_mul ~chaos =
     (QCheck.triple arb_q_operand arb_q_operand arb_q_operand)
     (fun (ta, tf, tb) ->
       let a = q_operand ta and f = q_operand tf and b = q_operand tb in
-      let counts () = (!Counters.promotions, !Counters.demotions) in
+      let counts () = (Counters.(get promotions), Counters.(get demotions)) in
       Bigint.chaos_big_path := chaos;
       Fun.protect
         ~finally:(fun () -> Bigint.chaos_big_path := false)
@@ -515,6 +515,44 @@ let prop_rref_idempotent =
       let r2, _ = Mat.rref r1 in
       Mat.equal r1 r2)
 
+(* --- Counters -------------------------------------------------------------- *)
+
+(* [Counters.scoped] runs its callback on a fresh record and hands the
+   caller's record back on return and on exception *)
+let test_counters_scoped () =
+  Counters.reset ();
+  Counters.(incr lp_solves);
+  Counters.time "outer" ignore;
+  let snapshot () =
+    (Counters.all_counters (), List.map fst (Counters.stage_times ()))
+  in
+  let outer = snapshot () in
+  let check_outer what =
+    Alcotest.(check bool) (what ^ ": outer record restored") true
+      (snapshot () = outer)
+  in
+  let inner =
+    Counters.scoped (fun () ->
+        Alcotest.(check int) "a scope starts at zero" 0 Counters.(get lp_solves);
+        Counters.(incr lp_pivots);
+        Counters.time "inner" ignore;
+        snapshot ())
+  in
+  Alcotest.(check int) "the scope counted its own work" 1
+    (List.assoc "lp_pivots" (fst inner));
+  Alcotest.(check (list string)) "the scope timed its own stages" [ "inner" ]
+    (snd inner);
+  check_outer "return";
+  (match
+     Counters.scoped (fun () ->
+         Counters.(set lp_solves 999_983);
+         Counters.time "faulted" (fun () -> failwith "fault"))
+   with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the scope swallowed the exception");
+  check_outer "exception";
+  Counters.reset ()
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "linalg"
@@ -561,4 +599,5 @@ let () =
       ( "mat-props",
         qt
           [ prop_inverse_correct; prop_nullspace_in_kernel; prop_rank_nullity;
-            prop_rref_idempotent; prop_solve_solves ] ) ]
+            prop_rref_idempotent; prop_solve_solves ] );
+      ("counters", [ Alcotest.test_case "scoped restores" `Quick test_counters_scoped ]) ]

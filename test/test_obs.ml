@@ -236,6 +236,38 @@ let test_self_times_reconcile () =
         Alcotest.failf "stage %s: counters %.6fs vs spans %.6fs" name t t')
     stages
 
+(* --- per-domain counters ------------------------------------------------- *)
+
+(* one optimize from reset counters and memo: its counters and stages *)
+let counted_run prog =
+  ignore (run_pipeline prog);
+  (Linalg.Counters.all_counters (), List.map fst (Linalg.Counters.stage_times ()))
+
+let test_counters_per_domain () =
+  (* two domains optimize different kernels at once; each domain's
+     counters and stages are those of a sequential run of its kernel *)
+  let progs = [ ("swim", swim); ("advect", advect) ] in
+  let sequential = List.map (fun (_, p) -> counted_run (p ())) progs in
+  let ready = Atomic.make 0 in
+  let concurrent =
+    List.map
+      (fun (_, p) ->
+        Domain.spawn (fun () ->
+            let prog = p () in
+            Atomic.incr ready;
+            while Atomic.get ready < List.length progs do
+              Domain.cpu_relax ()
+            done;
+            counted_run prog))
+      progs
+    |> List.map Domain.join
+  in
+  List.iter2
+    (fun ((name, _), (c_seq, s_seq)) (c_par, s_par) ->
+      Alcotest.(check (list (pair string int))) (name ^ ": counters") c_seq c_par;
+      Alcotest.(check (list string)) (name ^ ": stages") s_seq s_par)
+    (List.combine progs sequential) concurrent
+
 let () =
   Alcotest.run "obs"
     [
@@ -258,5 +290,7 @@ let () =
             test_null_sink_no_effect;
           Alcotest.test_case "self-times reconcile" `Quick
             test_self_times_reconcile;
+          Alcotest.test_case "counters per domain" `Quick
+            test_counters_per_domain;
         ] );
     ]

@@ -272,10 +272,10 @@ let test_farkas_cache_identity () =
   in
   Farkas.reset_cache ();
   let cold = spaces () in
-  let hits0 = !Linalg.Counters.farkas_cache_hits in
+  let hits0 = Linalg.Counters.(get farkas_cache_hits) in
   let cached = spaces () in
   Alcotest.(check bool) "second pass hits the cache" true
-    (!Linalg.Counters.farkas_cache_hits > hits0);
+    (Linalg.Counters.(get farkas_cache_hits) > hits0);
   Farkas.reset_cache ();
   let fresh = spaces () in
   List.iter2
@@ -285,7 +285,21 @@ let test_farkas_cache_identity () =
   List.iter2
     (fun a b ->
       Alcotest.(check bool) "recomputed = cold" true (Poly.Polyhedron.equal a b))
-    cold fresh
+    cold fresh;
+  (* a scope starts from an empty memo and hands the caller's back, on
+     return and on exception *)
+  let misses f =
+    let m0 = Linalg.Counters.(get farkas_cache_misses) in
+    ignore (f ());
+    Linalg.Counters.(get farkas_cache_misses) - m0
+  in
+  Alcotest.(check bool) "a scope starts empty" true
+    (misses (fun () -> Farkas.scoped spaces) > 0);
+  Farkas.scoped ignore;
+  (match Farkas.scoped (fun () -> failwith "fault") with
+  | exception Failure _ -> ()
+  | () -> Alcotest.fail "the scope swallowed the exception");
+  Alcotest.(check int) "the caller's memo is back" 0 (misses spaces)
 
 (* dfs_order must produce a permutation of the SCC ids that still
    yields a legal schedule *)
@@ -323,7 +337,7 @@ let pivot_path model prog =
   Linalg.Counters.reset ();
   Farkas.reset_cache ();
   ignore (Fusion.Model.optimize model prog);
-  List.map (fun (name, r) -> (name, !r)) pivot_counters
+  List.map (fun (name, c) -> (name, Linalg.Counters.get c)) pivot_counters
 
 let pivot_cases =
   let registry name () = Kernels.Registry.build (Kernels.Registry.find name) in

@@ -246,11 +246,11 @@ let test_cache_counting_and_sync () =
   Alcotest.(check int) "hits" 2 s.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Cache.misses;
   Cache.sync_counters c ~requests:3;
-  Alcotest.(check int) "counter hits" 2 !Linalg.Counters.serve_cache_hits;
-  Alcotest.(check int) "counter misses" 1 !Linalg.Counters.serve_cache_misses;
-  Alcotest.(check int) "counter requests" 3 !Linalg.Counters.serve_requests;
+  Alcotest.(check int) "counter hits" 2 Linalg.Counters.(get serve_cache_hits);
+  Alcotest.(check int) "counter misses" 1 Linalg.Counters.(get serve_cache_misses);
+  Alcotest.(check int) "counter requests" 3 Linalg.Counters.(get serve_requests);
   Linalg.Counters.reset ();
-  Alcotest.(check int) "reset clears" 0 !Linalg.Counters.serve_cache_hits
+  Alcotest.(check int) "reset clears" 0 Linalg.Counters.(get serve_cache_hits)
 
 (* --- concurrent serving under 4 domains ----------------------------------- *)
 
@@ -392,9 +392,9 @@ let error_code j = str_field (field j "error") "code"
 
 let with_chaos f = Fun.protect ~finally:Serve.Chaos.reset f
 
-(* (a) a raising request leaves the solver lock released and the
-   counters/Farkas memo scrubbed; (b) the next cold solve is
-   byte-identical to an unfaulted run *)
+(* (a) a raising request releases its key and leaves no trace of its
+   counters in the caller's; (b) the next cold solve is byte-identical
+   to an unfaulted run *)
 let test_firewall_recovery () =
   with_chaos (fun () ->
       (* unfaulted reference: a fresh server, same config *)
@@ -410,7 +410,8 @@ let test_firewall_recovery () =
         (str_field faulted "status");
       Alcotest.(check string) "typed internal error" "internal"
         (error_code faulted);
-      Alcotest.(check int) "one injected raise" 1 !Serve.Chaos.injected_raises;
+      Alcotest.(check int) "one injected raise" 1
+        (Atomic.get Serve.Chaos.injected_raises);
       (* the poison the fault planted in the counters must be gone *)
       List.iter
         (fun (n, v) ->
@@ -420,10 +421,10 @@ let test_firewall_recovery () =
           then Alcotest.failf "counter %s = %d after recovery" n v)
         (Linalg.Counters.all_counters ());
       Alcotest.(check int) "firewall counted the recovery" 1
-        !Linalg.Counters.serve_recovered;
-      (* solver lock released + clean state: the next cold solve (same
-         key, no fault armed) succeeds and is byte-identical to the
-         unfaulted reference *)
+        Linalg.Counters.(get serve_recovered);
+      (* key released + clean state: the next cold solve (same key, no
+         fault armed) succeeds and is byte-identical to the unfaulted
+         reference *)
       let _, cold = respond t (sched_line ~id:3 "gemver") in
       Alcotest.(check string) "next solve is a clean miss" "miss"
         (str_field cold "cache");
@@ -463,7 +464,7 @@ let test_breaker_opens_and_closes () =
       Alcotest.(check int) "reject counted" 1
         (Serve.Breaker.rejects (Serve.Server.breaker t));
       Alcotest.(check bool) "trips synced to counters" true
-        (!Linalg.Counters.serve_breaker_trips >= 1);
+        (Linalg.Counters.(get serve_breaker_trips) >= 1);
       (* a different fingerprint is unaffected *)
       let _, other = respond t (sched_line ~id:4 "tce") in
       Alcotest.(check string) "other keys still served" "ok"
@@ -527,7 +528,7 @@ let test_exhaustion_degrades () =
         (str_field (field j "result") "rung");
       Alcotest.(check string) "uncached" "uncached" (str_field j "cache");
       Alcotest.(check int) "one injected exhaust" 1
-        !Serve.Chaos.injected_exhausts)
+        (Atomic.get Serve.Chaos.injected_exhausts))
 
 let test_oversized_line () =
   let t = Serve.Server.create () in
@@ -575,7 +576,7 @@ let test_admission_shedding () =
   let t = Serve.Server.create ~config () in
   let _, shed = respond t (sched_line ~id:1 "gemver") in
   Alcotest.(check string) "typed overloaded" "overloaded" (error_code shed);
-  Alcotest.(check int) "shed counted" 1 !Linalg.Counters.serve_shed;
+  Alcotest.(check int) "shed counted" 1 Linalg.Counters.(get serve_shed);
   (* protocol ops are never shed *)
   let _, ping = respond t {|{"id": 2, "op": "ping"}|} in
   Alcotest.(check string) "ping served under overload" "ok"
@@ -819,8 +820,8 @@ let test_access_log () =
       Alcotest.(check int) "restart appends" 5 !n)
 
 let test_metrics_monotone_across_recovery () =
-  (* fault recovery scrubs Linalg.Counters (per-request deltas), but
-     the cumulative telemetry must keep counting through it *)
+  (* a faulted solve's Linalg.Counters (per-request deltas) die with
+     it, but the cumulative telemetry must keep counting through it *)
   with_chaos (fun () ->
       let t = Serve.Server.create () in
       let tel = Serve.Server.telemetry t in
@@ -831,7 +832,7 @@ let test_metrics_monotone_across_recovery () =
       let _, faulted = respond t (sched_line ~id:2 "tce") in
       Alcotest.(check string) "typed internal error" "internal"
         (error_code faulted);
-      (* the scrub zeroed the per-request counters — the telemetry
+      (* the faulted solve's counters were dropped — the telemetry
          kept going *)
       Alcotest.(check int) "requests grew through recovery" 2
         (Serve.Telemetry.requests_total tel);
@@ -842,6 +843,160 @@ let test_metrics_monotone_across_recovery () =
         (Serve.Telemetry.requests_total tel);
       Alcotest.(check int) "cold solves accumulate" 2
         (Serve.Telemetry.outcome_total tel "cold"))
+
+(* --- cold solves in parallel ------------------------------------------------ *)
+
+(* [together n f] runs [f d] for d = 0 .. n-1 on [n] domains released at
+   once and returns the results in order. Workers only compute:
+   Alcotest's reporter is not domain-safe. A request that never returns
+   fails the test instead of hanging it. *)
+let together n f =
+  let ready = Atomic.make 0 and finished = Atomic.make 0 in
+  let domains =
+    List.init n (fun d ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < n do
+              Domain.cpu_relax ()
+            done;
+            Fun.protect ~finally:(fun () -> Atomic.incr finished) (fun () -> f d)))
+  in
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get finished < n && Unix.gettimeofday () -. t0 < 60.0 do
+    Unix.sleepf 0.005
+  done;
+  if Atomic.get finished < n then Alcotest.fail "a request never returned";
+  List.map Domain.join domains
+
+(* [await cond] polls until [cond ()] holds, for at most 10 s *)
+let await cond =
+  let t0 = Unix.gettimeofday () in
+  while (not (cond ())) && Unix.gettimeofday () -. t0 < 10.0 do
+    Unix.sleepf 0.001
+  done
+
+(* the result bytes of [kernel]/[model] from a fresh single-domain server *)
+let reference_result ?(model = "wisefuse") kernel =
+  let t = Serve.Server.create () in
+  let _, cold = respond t (request_line ~id:1 ~model kernel) in
+  Obs.Json.to_string (field cold "result")
+
+let test_parallel_cold_solves () =
+  (* four different keys solved at once on one server: every payload,
+     its counters (serve_* mirrors included) too, is byte-identical to
+     a lone solve's *)
+  let pairs =
+    [ ("gemver", "wisefuse"); ("tce", "smartfuse"); ("advect", "maxfuse");
+      ("swim", "nofuse") ]
+  in
+  let reference = List.map (fun (k, model) -> reference_result ~model k) pairs in
+  let t =
+    Serve.Server.create ~config:{ Serve.Server.default_config with domains = 4 } ()
+  in
+  let responses =
+    together 4 (fun d ->
+        let kernel, model = List.nth pairs d in
+        Serve.Server.handle_line t (request_line ~id:d ~model kernel))
+  in
+  List.iteri
+    (fun d response ->
+      let kernel, model = List.nth pairs d in
+      let _, j = parse_response response in
+      Alcotest.(check string) (kernel ^ "/" ^ model ^ " is a miss") "miss"
+        (str_field j "cache");
+      Alcotest.(check string)
+        (kernel ^ "/" ^ model ^ " byte-identical to a lone solve")
+        (List.nth reference d)
+        (Obs.Json.to_string (field j "result")))
+    responses
+
+let test_fault_stays_on_its_domain () =
+  (* a Raise fault fires on one domain while another domain is solving
+     a different key; the other solve's payload is untouched *)
+  with_chaos (fun () ->
+      let reference = reference_result "swim" in
+      let t =
+        Serve.Server.create
+          ~config:{ Serve.Server.default_config with domains = 2 } ()
+      in
+      let faulty = Domain.DLS.new_key (fun () -> false) in
+      let solving = Atomic.make false and faulted = Atomic.make false in
+      (Serve.Chaos.solve_fault :=
+         fun () ->
+           if Domain.DLS.get faulty then begin
+             (* raise only once the other solve has begun *)
+             await (fun () -> Atomic.get solving);
+             Atomic.set faulted true;
+             Some Serve.Chaos.Raise
+           end
+           else begin
+             Atomic.set solving true;
+             await (fun () -> Atomic.get faulted);
+             None
+           end);
+      let responses =
+        together 2 (fun d ->
+            if d = 0 then begin
+              Domain.DLS.set faulty true;
+              Serve.Server.handle_line t (sched_line ~id:d "gemver")
+            end
+            else Serve.Server.handle_line t (sched_line ~id:d "swim"))
+      in
+      match List.map parse_response responses with
+      | [ (_, faulted_resp); (_, healthy) ] ->
+        Alcotest.(check string) "the faulted request is typed internal"
+          "internal" (error_code faulted_resp);
+        Alcotest.(check string) "the other request solved" "miss"
+          (str_field healthy "cache");
+        Alcotest.(check string) "and is byte-identical to a lone solve"
+          reference
+          (Obs.Json.to_string (field healthy "result"));
+        Alcotest.(check int) "one recovery" 1 (Serve.Server.recovered t)
+      | _ -> assert false)
+
+let test_waiters_after_degraded_solve () =
+  (* three requests for one key; the first solve is starved. Its
+     answer is degraded and uncached, exactly one later solve stores
+     the key, and the third request is a hit *)
+  with_chaos (fun () ->
+      let t =
+        Serve.Server.create
+          ~config:{ Serve.Server.default_config with domains = 3 } ()
+      in
+      let first = Atomic.make true in
+      (Serve.Chaos.solve_fault :=
+         fun () ->
+           if Atomic.exchange first false then begin
+             (* hold the first solve until all three requests are in
+                flight, so the other two wait on its key *)
+             await (fun () -> Serve.Server.backlog t >= 3);
+             Unix.sleepf 0.02;
+             Some Serve.Chaos.Exhaust
+           end
+           else None);
+      let responses =
+        together 3 (fun d -> Serve.Server.handle_line t (sched_line ~id:d "tce"))
+      in
+      let answers = List.map (fun r -> snd (parse_response r)) responses in
+      List.iter
+        (fun j -> Alcotest.(check string) "every answer ok" "ok" (str_field j "status"))
+        answers;
+      let count state =
+        List.length (List.filter (fun j -> str_field j "cache" = state) answers)
+      in
+      Alcotest.(check int) "one degraded answer, uncached" 1 (count "uncached");
+      Alcotest.(check int) "exactly one solve stored the key" 1 (count "miss");
+      Alcotest.(check int) "the last request hit" 1 (count "hit");
+      List.iter
+        (fun j ->
+          if str_field j "cache" = "uncached" then
+            Alcotest.(check string) "the starved solve degraded" "identity"
+              (str_field (field j "result") "rung"))
+        answers;
+      Alcotest.(check int) "one injected exhaust" 1
+        (Atomic.get Serve.Chaos.injected_exhausts);
+      Alcotest.(check int) "two solves in all" 2
+        (Cache.stats (Serve.Server.cache t)).Cache.misses)
 
 let () =
   Alcotest.run "serve"
@@ -866,6 +1021,8 @@ let () =
             test_warm_cold_identical;
           Alcotest.test_case "concurrent domains" `Quick
             test_concurrent_domains;
+          Alcotest.test_case "parallel cold solves" `Quick
+            test_parallel_cold_solves;
           Alcotest.test_case "engine selection" `Quick test_engine_requests;
           Alcotest.test_case "protocol envelopes" `Quick
             test_protocol_envelopes;
@@ -873,6 +1030,10 @@ let () =
       ( "hardening",
         [
           Alcotest.test_case "firewall recovery" `Quick test_firewall_recovery;
+          Alcotest.test_case "fault stays on its domain" `Quick
+            test_fault_stays_on_its_domain;
+          Alcotest.test_case "waiters after a degraded solve" `Quick
+            test_waiters_after_degraded_solve;
           Alcotest.test_case "breaker opens and closes" `Quick
             test_breaker_opens_and_closes;
           Alcotest.test_case "deadline degrades, uncached" `Quick
