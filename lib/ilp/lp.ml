@@ -112,7 +112,7 @@ let rhs_slot t = Array.length t.nonbasic
    off the native path (a Big or min_int operand, or chaos) they promote
    and demote, so they are replayed there, and the counts that serve
    payloads embed do not depend on the storage form. *)
-let native q = Bigint.unbox q.Q.num <> min_int && Bigint.unbox q.Q.den <> min_int
+let native q = Bigint.unbox (Q.num q) <> min_int && Bigint.unbox (Q.den q) <> min_int
 let replay_zeroing f = if not (native f) then ignore (Q.sub f (Q.mul f Q.one))
 
 (* Pivot on (row, slot k): the column in slot [k] enters the basis and

@@ -1,16 +1,17 @@
-(* Arbitrary-precision signed integers with an immediate fast path.
+(* Arbitrary-precision signed integers, immediate when they fit.
 
-   Values that fit a native OCaml int (63 bits) are carried unboxed as
-   [Small of int]; everything else falls back to [Big], a sign +
-   magnitude bignum in base 2^30 (little-endian int array, no zero
-   digit at the top, division by Knuth's Algorithm D, TAOCP 4.3.1).
+   A value that fits a native OCaml int (63 bits) is that int: an
+   immediate, with nothing allocated. Any other value is a pointer to a
+   [big], a sign + magnitude bignum in base 2^30 (little-endian int
+   array, no zero digit at the top, division by Knuth's Algorithm D,
+   TAOCP 4.3.1). This is Zarith's layout without GMP underneath.
 
-   Canonicality invariant: a [Big] never represents a value that fits a
-   native int. Every operation that could shrink a value re-checks and
-   demotes, so [Small]/[Small] fast paths (native +, *, /, gcd with an
-   overflow check) cover the overwhelming share of polyhedral-pipeline
-   arithmetic, and structural forms of [compare]/[equal]/[hash] stay
-   cheap and correct.
+   Native operands take overflow-checked native +, -, *, / and gcd;
+   an overflow promotes both operands to [big] and finishes there, and
+   every result that fits a native int demotes back. Those boundary
+   crossings are what {!Counters.promotions}/{!Counters.demotions}
+   count, and they cover a vanishing share of polyhedral-pipeline
+   arithmetic.
 
    All digit-level products fit a native int: 2^30 * 2^30 = 2^60 < 2^62. *)
 
@@ -22,21 +23,35 @@ type big = { sign : int; mag : int array }
 (* invariants: sign = 0 iff mag = [||]; otherwise sign is 1 or -1 and the
    highest digit of mag is non-zero; every digit is in [0, base). *)
 
-type t = Small of int | Big of big
+(* A [t] is an immediate native int or a pointer to a [big]; these five
+   helpers are the only code that tells the two apart. Invariant: a
+   [big] never holds a value that fits a native int (every constructor
+   below demotes, [force_big] aside), so each value has exactly one
+   representation, and structural equality and [Hashtbl.hash] agree
+   with [equal]. Immediates are equal exactly when they are physically
+   equal, which [is_zero], [is_one] and [mul] use. *)
+type t
 
-let zero = Small 0
-let one = Small 1
-let two = Small 2
-let minus_one = Small (-1)
+let is_small (x : t) = Obj.is_int (Obj.repr x)
+let of_int (n : int) : t = Obj.magic n
+let small (x : t) : int = Obj.magic x (* only when [is_small x] *)
+let boxed (b : big) : t = Obj.magic b
+let big (x : t) : big = Obj.magic x (* only when [not (is_small x)] *)
+
+let zero = of_int 0
+let one = of_int 1
+let two = of_int 2
+let minus_one = of_int (-1)
+
+let is_zero x = x == zero
+let is_one x = x == one
 
 (* Chaos hook (fault injection for the test suite): when set, the
-   Small/Small fast paths of add/sub/mul/divmod/gcd are disabled and
-   every operation runs the Big (promotion) route. Results are still
+   native fast paths of add/sub/mul/divmod/gcd are disabled and every
+   operation runs the [big] (promotion) route. Results are still
    canonical — [of_big] demotes them — so values, comparisons and
    hashes are unchanged; only the computation path differs. *)
 let chaos_big_path = ref false
-
-let of_int n = Small n
 
 let mag_norm (m : int array) : int array =
   let n = ref (Array.length m) in
@@ -54,31 +69,31 @@ let mag_to_int_opt (m : int array) =
   | _ -> None
 
 (* magnitude of min_int (2^62) — the one value whose magnitude does not
-   fit a non-negative native int yet whose negation is a Small *)
+   fit a non-negative native int yet whose negation is native *)
 let is_min_int_mag (m : int array) =
   Array.length m = 3 && m.(2) = 4 && m.(1) = 0 && m.(0) = 0
 
-(* canonicalizing constructor: normalize the magnitude and demote to
-   [Small] whenever the value fits a native int *)
+(* canonicalizing constructor: normalize the magnitude and demote to an
+   immediate whenever the value fits a native int *)
 let of_big sign (mag : int array) =
   let mag = mag_norm mag in
-  if Array.length mag = 0 then Small 0
+  if Array.length mag = 0 then zero
   else begin
     match mag_to_int_opt mag with
     | Some v ->
       Counters.(incr demotions);
-      Small (if sign < 0 then -v else v)
+      of_int (if sign < 0 then -v else v)
     | None ->
       if sign < 0 && is_min_int_mag mag then begin
         Counters.(incr demotions);
-        Small Stdlib.min_int
+        of_int Stdlib.min_int
       end
-      else Big { sign; mag }
+      else boxed { sign; mag }
   end
 
-(* promote a native int to the big representation (records a promotion:
-   callers reach this only when a fast path overflowed or an operand was
-   already Big) *)
+(* a native int as a [big] magnitude (callers record the promotion:
+   they reach this only when a fast path overflowed or an operand was
+   already big) *)
 let big_of_small n : big =
   if n = 0 then { sign = 0; mag = [||] }
   else begin
@@ -92,18 +107,14 @@ let big_of_small n : big =
     { sign; mag = Array.of_list (digits n []) }
   end
 
-let to_big = function
-  | Small n ->
+let to_big x =
+  if is_small x then begin
     Counters.(incr promotions);
-    big_of_small n
-  | Big b -> b
+    big_of_small (small x)
+  end
+  else big x
 
-let sign = function
-  | Small n -> Stdlib.compare n 0
-  | Big b -> b.sign
-
-let is_zero = function Small 0 -> true | _ -> false
-let is_one = function Small 1 -> true | _ -> false
+let sign x = if is_small x then Stdlib.compare (small x) 0 else (big x).sign
 
 let mag_cmp a b =
   let la = Array.length a and lb = Array.length b in
@@ -116,26 +127,25 @@ let mag_cmp a b =
     go (la - 1)
   end
 
-(* canonicality makes the mixed cases trivial: a Big is always outside
+(* canonicality makes the mixed cases trivial: a big is always outside
    the native range, so its sign decides *)
 let compare x y =
-  match (x, y) with
-  | Small a, Small b -> Stdlib.compare a b
-  | Big a, Big b ->
+  match (is_small x, is_small y) with
+  | true, true -> Stdlib.compare (small x) (small y)
+  | false, false ->
+    let a = big x and b = big y in
     if a.sign <> b.sign then Stdlib.compare a.sign b.sign
     else a.sign * mag_cmp a.mag b.mag
-  | Small _, Big b -> -b.sign
-  | Big a, Small _ -> a.sign
+  | true, false -> -(big y).sign
+  | false, true -> (big x).sign
 
 let equal x y =
-  match (x, y) with
-  | Small a, Small b -> a = b
-  | Big a, Big b -> a.sign = b.sign && mag_cmp a.mag b.mag = 0
-  | Small _, Big _ | Big _, Small _ -> false
-
-let hash = function
-  | Small n -> n
-  | Big b -> Array.fold_left (fun h d -> (h * 131) + d) b.sign b.mag
+  match (is_small x, is_small y) with
+  | true, true -> x == y
+  | false, false ->
+    let a = big x and b = big y in
+    a.sign = b.sign && mag_cmp a.mag b.mag = 0
+  | true, false | false, true -> false
 
 (* --- magnitude arithmetic ------------------------------------------- *)
 
@@ -310,15 +320,20 @@ let mag_divmod a b =
 
 (* --- signed operations ---------------------------------------------- *)
 
-let neg = function
-  | Small n ->
+let neg x =
+  if is_small x then begin
+    let n = small x in
     if n = Stdlib.min_int then begin
       (* |min_int| = 2^62 does not fit a native int: promote *)
       Counters.(incr promotions);
-      Big { sign = 1; mag = (big_of_small n).mag }
+      boxed { sign = 1; mag = (big_of_small n).mag }
     end
-    else Small (-n)
-  | Big b -> of_big (-b.sign) b.mag (* -2^62 demotes back to min_int *)
+    else of_int (-n)
+  end
+  else begin
+    let b = big x in
+    of_big (-b.sign) b.mag (* -2^62 demotes back to min_int *)
+  end
 
 let abs x = if sign x < 0 then neg x else x
 
@@ -329,30 +344,32 @@ let big_add (x : big) (y : big) =
   else if x.sign = y.sign then of_big x.sign (mag_add x.mag y.mag)
   else begin
     let c = mag_cmp x.mag y.mag in
-    if c = 0 then Small 0
+    if c = 0 then zero
     else if c > 0 then of_big x.sign (mag_sub x.mag y.mag)
     else of_big y.sign (mag_sub y.mag x.mag)
   end
 
 let add x y =
-  match (x, y) with
-  | Small 0, _ -> y
-  | _, Small 0 -> x
-  | Small a, Small b when not !chaos_big_path ->
+  if is_zero x then y
+  else if is_zero y then x
+  else if is_small x && is_small y && not !chaos_big_path then begin
+    let a = small x and b = small y in
     let s = a + b in
     (* two's-complement overflow: operands agree in sign, sum does not *)
     if (a lxor s) land (b lxor s) < 0 then big_add (to_big x) (to_big y)
-    else Small s
-  | _ -> big_add (to_big x) (to_big y)
+    else of_int s
+  end
+  else big_add (to_big x) (to_big y)
 
 let sub x y =
-  match (x, y) with
-  | Small a, Small b when not !chaos_big_path ->
+  if is_small x && is_small y && not !chaos_big_path then begin
+    let a = small x and b = small y in
     let s = a - b in
     (* overflow: operands differ in sign and the result left a's sign *)
     if (a lxor b) land (a lxor s) < 0 then big_add (to_big x) (to_big (neg y))
-    else Small s
-  | _ -> add x (neg y)
+    else of_int s
+  end
+  else add x (neg y)
 
 let succ x = add x one
 let pred x = sub x one
@@ -361,42 +378,44 @@ let pred x = sub x one
 let small_mul_fits a = -0x8000_0000 < a && a < 0x8000_0000
 
 let big_mul (x : big) (y : big) =
-  if x.sign = 0 || y.sign = 0 then Small 0
+  if x.sign = 0 || y.sign = 0 then zero
   else of_big (x.sign * y.sign) (mag_mul x.mag y.mag)
 
 let mul x y =
-  match (x, y) with
-  | Small 0, _ | _, Small 0 -> Small 0
-  | Small 1, _ -> y
-  | _, Small 1 -> x
-  | Small (-1), _ -> neg y
-  | _, Small (-1) -> neg x
-  | Small a, Small b when not !chaos_big_path ->
-    if small_mul_fits a && small_mul_fits b then Small (a * b)
+  if is_zero x || is_zero y then zero
+  else if is_one x then y
+  else if is_one y then x
+  else if x == minus_one then neg y
+  else if y == minus_one then neg x
+  else if is_small x && is_small y && not !chaos_big_path then begin
+    let a = small x and b = small y in
+    if small_mul_fits a && small_mul_fits b then of_int (a * b)
     else begin
       (* checked multiply: with |b| >= 2 the division below cannot trap
          and detects wrap-around exactly *)
       let p = a * b in
-      if p / b = a then Small p else big_mul (to_big x) (to_big y)
+      if p / b = a then of_int p else big_mul (to_big x) (to_big y)
     end
-  | _ -> big_mul (to_big x) (to_big y)
+  end
+  else big_mul (to_big x) (to_big y)
 
 let big_divmod (a : big) (b : big) =
   if b.sign = 0 then raise Division_by_zero
-  else if a.sign = 0 then (Small 0, Small 0)
+  else if a.sign = 0 then (zero, zero)
   else begin
     let qm, rm = mag_divmod a.mag b.mag in
     (of_big (a.sign * b.sign) qm, of_big a.sign rm)
   end
 
 let divmod a b =
-  match (a, b) with
-  | _, Small 0 -> raise Division_by_zero
-  | Small x, Small y when not !chaos_big_path ->
-    if y = -1 then (neg a, Small 0) (* min_int / -1 would trap *)
-    else (Small (x / y), Small (x mod y))
-  | Big _, Small y when y = -1 -> (neg a, Small 0)
-  | _ -> big_divmod (to_big a) (to_big b)
+  if is_zero b then raise Division_by_zero
+  else if is_small a && is_small b && not !chaos_big_path then begin
+    let x = small a and y = small b in
+    if y = -1 then (neg a, zero) (* min_int / -1 would trap *)
+    else (of_int (x / y), of_int (x mod y))
+  end
+  else if b == minus_one && not (is_small a) then (neg a, zero)
+  else big_divmod (to_big a) (to_big b)
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
@@ -421,7 +440,7 @@ let rec big_gcd (a : big) (b : big) =
     match mag_to_int_opt b.mag with
     | Some bv ->
       (match mag_to_int_opt r with
-      | Some rv -> Small (gcd_int bv rv)
+      | Some rv -> of_int (gcd_int bv rv)
       | None -> assert false (* |r| < |b| fits a native int *))
     | None ->
       big_gcd { sign = 1; mag = b.mag }
@@ -429,18 +448,17 @@ let rec big_gcd (a : big) (b : big) =
   end
 
 let gcd a b =
-  match (a, b) with
-  | Small x, Small y when not !chaos_big_path ->
+  if is_small a && is_small b && not !chaos_big_path then begin
+    let x = small a and y = small b in
     if x = Stdlib.min_int || y = Stdlib.min_int then
       big_gcd (to_big (abs a)) (to_big (abs b))
-    else Small (gcd_int (Stdlib.abs x) (Stdlib.abs y))
-  | _ -> big_gcd (to_big (abs a)) (to_big (abs b))
+    else of_int (gcd_int (Stdlib.abs x) (Stdlib.abs y))
+  end
+  else big_gcd (to_big (abs a)) (to_big (abs b))
 
 let lcm a b =
-  if is_zero a || is_zero b then Small 0
+  if is_zero a || is_zero b then zero
   else abs (div (mul a b) (gcd a b))
-
-let mul_int x n = mul x (Small n)
 
 let pow x n =
   if Stdlib.(n < 0) then invalid_arg "Bigint.pow: negative exponent";
@@ -450,33 +468,20 @@ let pow x n =
   in
   go one x n
 
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
-
 (* --- conversions ----------------------------------------------------- *)
 
-(* canonicality: a Big never fits a native int *)
-let fits_int = function Small _ -> true | Big _ -> false
+(* canonicality: a big never fits a native int *)
+let fits_int = is_small
 
-let to_int_opt = function Small n -> Some n | Big _ -> None
+let to_int_opt x = if is_small x then Some (small x) else None
 
-let to_int = function
-  | Small n -> n
-  | Big _ -> failwith "Bigint.to_int: does not fit"
+let to_int x =
+  if is_small x then small x else failwith "Bigint.to_int: does not fit"
 
-let to_float = function
-  | Small n -> float_of_int n
-  | Big b ->
-    let m =
-      Array.fold_right
-        (fun d acc -> (acc *. 1073741824.0) +. float_of_int d)
-        b.mag 0.0
-    in
-    float_of_int b.sign *. m
-
-let to_string = function
-  | Small n -> string_of_int n
-  | Big b ->
+let to_string x =
+  if is_small x then string_of_int (small x)
+  else begin
+    let b = big x in
     let buf = Buffer.create 16 in
     let rec chunks m acc =
       if Array.length m = 0 then acc
@@ -492,6 +497,7 @@ let to_string = function
       Buffer.add_string buf (string_of_int first);
       List.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%09d" c)) rest;
       Buffer.contents buf)
+  end
 
 let of_string s =
   let n = String.length s in
@@ -504,28 +510,21 @@ let of_string s =
   in
   if start >= n then invalid_arg "Bigint.of_string: no digits";
   let acc = ref zero in
-  let ten = Small 10 in
+  let ten = of_int 10 in
   for i = start to n - 1 do
     let c = s.[i] in
     if Stdlib.(c < '0' || c > '9') then invalid_arg "Bigint.of_string: bad digit";
-    acc := add (mul !acc ten) (Small (Char.code c - Char.code '0'))
+    acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0'))
   done;
   if sign = -1 then neg !acc else !acc
 
 (* --- representation introspection (tests and diagnostics) ------------ *)
 
-let is_small = function Small _ -> true | Big _ -> false
-
-let force_big x =
-  match x with
-  | Small _ -> Big (to_big x)
-  | Big _ -> x
+let force_big x = if is_small x then boxed (to_big x) else x
 
 (* --- native access for fused kernels ----------------------------------- *)
 
-let unbox = function
-  | Small n when not !chaos_big_path -> n
-  | Small _ | Big _ -> Stdlib.min_int
+let unbox x = if is_small x && not !chaos_big_path then small x else Stdlib.min_int
 
 (* --- operators & printing ------------------------------------------- *)
 

@@ -4,13 +4,17 @@
     polyhedral substrate (Fourier-Motzkin elimination and exact simplex
     pivoting produce coefficients that overflow native integers).
 
-    The representation is two-variant: values that fit a native OCaml
-    [int] are carried unboxed ([Small]), with overflow-checked add, sub
-    and mul that promote lazily to the [Big] fallback — sign +
-    magnitude, where the magnitude is a little-endian array of
-    base-2{^30} digits with no leading zeros. A [Big] never holds a
-    value that fits a native [int] (operations demote on the way out),
-    so almost all pipeline arithmetic runs on unboxed integers. *)
+    A value that fits a native OCaml [int] is that int, an immediate
+    that allocates nothing; any other value is a pointer to a sign +
+    magnitude record, the magnitude a little-endian array of
+    base-2{^30} digits with no leading zeros (Zarith's layout). Add,
+    sub, mul, division and gcd run natively with an overflow check and
+    promote to the record only on overflow; a record never holds a
+    value that fits a native [int] (operations demote on the way out).
+    So every value has exactly one representation, structural equality
+    and [Hashtbl.hash] agree with {!equal}, and almost all pipeline
+    arithmetic allocates nothing. Polymorphic [compare] does {e not}
+    order them numerically: use {!compare}. *)
 
 type t
 
@@ -39,9 +43,6 @@ val of_string : string -> t
 
 val to_string : t -> string
 
-(** [to_float x] is a best-effort float approximation. *)
-val to_float : t -> float
-
 (** {1 Queries} *)
 
 (** [sign x] is [-1], [0] or [1]. *)
@@ -51,7 +52,6 @@ val is_zero : t -> bool
 val is_one : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** [fits_int x] is [true] iff [to_int x] would succeed. *)
 val fits_int : t -> bool
@@ -93,44 +93,40 @@ val gcd : t -> t -> t
 (** [lcm a b] is the non-negative least common multiple. *)
 val lcm : t -> t -> t
 
-val mul_int : t -> int -> t
-
 (** [pow x n] for [n >= 0]. @raise Invalid_argument if [n < 0]. *)
 val pow : t -> int -> t
-
-val min : t -> t -> t
-val max : t -> t -> t
 
 (** {1 Representation introspection}
 
     For tests and diagnostics. {!Counters.promotions} and
-    {!Counters.demotions} track how often values cross the
-    [Small]/[Big] boundary. *)
+    {!Counters.demotions} track how often values cross the boundary
+    between the immediate and the boxed representation. *)
 
-(** [is_small x] is [true] iff [x] is carried in the immediate
-    (native-int) representation. Canonically equal to [fits_int]. *)
+(** [is_small x] is [true] iff [x] is carried as an immediate native
+    int. Canonically equal to [fits_int]. *)
 val is_small : t -> bool
 
-(** [force_big x] is [x] re-encoded in the [Big] (boxed) representation
-    even when it fits a native int. The result is {e non-canonical}:
+(** [force_big x] is [x] re-encoded in the boxed representation even
+    when it fits a native int. The result is {e non-canonical}:
     arithmetic on it is exact and re-canonicalizes, but order
-    comparisons between a non-canonical value and a [Small] are
+    comparisons between a non-canonical value and an immediate are
     unspecified. Only for differential testing of the two code paths. *)
 val force_big : t -> t
 
-(** Chaos hook (fault injection, test suite only): when set, the
-    Small/Small fast paths of [add]/[sub]/[mul]/[divmod]/[gcd] are
-    disabled and every operation runs the Big (promotion) route.
-    Values stay canonical — results demote — so outputs are identical;
-    only the computation path (and {!Counters.promotions}) changes. *)
+(** Chaos hook (fault injection, test suite only): when set, the native
+    fast paths of [add]/[sub]/[mul]/[divmod]/[gcd] (and the native
+    kernel of {!Q.sub_mul}) are disabled and every operation runs the
+    boxed (promotion) route. Values stay canonical — results demote —
+    so outputs are identical; only the computation path (and
+    {!Counters.promotions}) changes. *)
 val chaos_big_path : bool ref
 
-(** [unbox x] is [x] as a native int when every Small/Small fast path
-    would take it, and [min_int] otherwise: when [x] is [Big], when
+(** [unbox x] is [x] as a native int when every native fast path would
+    take it, and [min_int] otherwise: when [x] is boxed, when
     {!chaos_big_path} is set, and for [min_int] itself, whose negation
     already promotes. Fused kernels such as {!Q.sub_mul} read their
     operands through it and fall back to the generic operations on
-    [min_int]. Allocation-free. *)
+    [min_int]. *)
 val unbox : t -> int
 
 (** {1 Infix operators and printing} *)

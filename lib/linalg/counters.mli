@@ -10,7 +10,12 @@
     fresh record of its own — the serving daemon runs every cold solve
     that way. The bench harness and the CLI read these to report where
     the optimization time goes, and the CI benchmark job serializes
-    them into [BENCH_pipeline.json]. *)
+    them into [BENCH_pipeline.json].
+
+    The exact-arithmetic counters ({!promotions}, {!demotions}) move
+    only where a {!Bigint} crosses between its immediate native-int
+    form and its boxed bignum form; the allocation-free native paths of
+    {!Bigint} and {!Q} touch no counter. *)
 
 (** A named counter: one slot of a domain's record. *)
 type counter
@@ -21,11 +26,14 @@ val incr : counter -> unit
 val get : counter -> int
 val set : counter -> int -> unit
 
-(** Count of {!Bigint} results that did not fit the immediate [Small]
-    representation and had to allocate a [Big] magnitude. *)
+(** Count of native {!Bigint} operands that an operation had to
+    promote to the boxed sign + magnitude form: a native result
+    overflowed, the other operand was already boxed, or
+    {!Bigint.chaos_big_path} is set. *)
 val promotions : counter
 
-(** Count of [Big] results that folded back into [Small]. *)
+(** Count of boxed results that fit a native int and folded back into
+    an immediate. *)
 val demotions : counter
 
 val lp_pivots : counter

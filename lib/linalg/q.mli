@@ -1,14 +1,21 @@
 (** Exact rational numbers over {!Bigint}.
 
     Values are kept in canonical form: the denominator is positive and
-    coprime with the numerator; zero is [0/1]. *)
+    coprime with the numerator; zero is [0/1].
 
-type t = private { num : Bigint.t; den : Bigint.t }
+    An integer whose numerator fits a native [int] is carried as that
+    int, an immediate that allocates nothing; any other value is one
+    record of two {!Bigint}s. Every value has exactly one
+    representation, so structural equality and [Hashtbl.hash] agree
+    with {!equal}. Polymorphic [compare] does {e not} order rationals
+    numerically (it puts every immediate before every record): order
+    them with {!compare} only. *)
+
+type t
 
 val zero : t
 val one : t
 val minus_one : t
-val two : t
 
 (** [make num den] normalizes the fraction [num/den].
     @raise Division_by_zero if [den] is zero. *)
@@ -31,6 +38,8 @@ val sign : t -> int
 val is_zero : t -> bool
 val is_integer : t -> bool
 val equal : t -> t -> bool
+
+(** The numeric order; the only order on rationals (see above). *)
 val compare : t -> t -> int
 
 (** {1 Arithmetic} *)
@@ -55,9 +64,6 @@ val div : t -> t -> t
 (** Multiplicative inverse. @raise Division_by_zero on zero. *)
 val inv : t -> t
 
-val min : t -> t -> t
-val max : t -> t -> t
-
 (** Greatest integer [<= q]. *)
 val floor : t -> Bigint.t
 
@@ -68,7 +74,6 @@ val ceil : t -> Bigint.t
     @raise Failure otherwise. *)
 val to_bigint : t -> Bigint.t
 
-val to_float : t -> float
 val to_string : t -> string
 
 (** {1 Infix operators and printing} *)

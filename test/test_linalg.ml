@@ -282,6 +282,204 @@ let diff_sub_mul ~chaos =
           && p1 - p0 = p2 - p1
           && d1 - d0 = d2 - d1))
 
+(* The arithmetic transcript: every public Bigint and Q operation over a
+   seeded set of boundary operands, one line per call holding the
+   result and the promotions/demotions the call caused, with the
+   Big-path chaos hook off and on. Its MD5 was recorded before Bigint
+   and Q moved to the immediate layout, so a port that changes any
+   value, representation or counter delta fails here, whichever path
+   the change took. The operands come from a fixed splitmix64 stream,
+   so the transcript does not depend on the compiler's [Random]. *)
+let transcript_stream seed =
+  let s = ref (Int64.of_int seed) in
+  fun () ->
+    s := Int64.add !s 0x9E3779B97F4A7C15L;
+    let z = !s in
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    Int64.to_int (Int64.logxor z (Int64.shift_right_logical z 31))
+
+let transcript_ints next =
+  [ 0; 1; -1; 2; -2; 3; 6; -10; (1 lsl 30) - 1; 1 lsl 30; -(1 lsl 30);
+    (1 lsl 31) - 1; 1 lsl 31; -(1 lsl 31); 1 lsl 60; max_int; max_int - 1;
+    min_int; min_int + 1 ]
+  @ List.init 4 (fun _ -> next () asr 40)
+  @ List.init 4 (fun _ -> next ())
+
+let transcript_bigints next ints =
+  let p62 = Bigint.neg (bi min_int) in
+  List.map bi ints
+  @ [ p62; Bigint.succ p62; Bigint.pred (bi min_int);
+      Bigint.mul p62 (bi 3); Bigint.neg (Bigint.mul p62 p62);
+      Bigint.mul (bi (next ())) (bi (next ())) ]
+
+let transcript_rationals next zs =
+  let pick () = List.nth zs (next () land max_int mod List.length zs) in
+  List.map Q.of_bigint zs
+  @ List.filter_map
+      (fun _ ->
+        let d = pick () in
+        if Bigint.is_zero d then None else Some (Q.make (pick ()) d))
+      (List.init 24 Fun.id)
+
+let arithmetic_transcript () =
+  let next = transcript_stream 15 in
+  let ints = transcript_ints next in
+  let zs = transcript_bigints next ints in
+  let qs = transcript_rationals next zs in
+  let small_ints = List.filteri (fun i _ -> i < 12) ints in
+  let triples =
+    let qa = Array.of_list qs in
+    let pick () = qa.(next () land max_int mod Array.length qa) in
+    List.init 4000 (fun _ ->
+        let x = pick () in
+        let f = pick () in
+        (x, f, pick ()))
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let z x = Bigint.to_string x ^ if Bigint.is_small x then "" else "#" in
+  let r x =
+    Printf.sprintf "%s:%s%s" (Q.to_string x)
+      (if Bigint.is_small (Q.num x) then "" else "#")
+      (if Bigint.is_small (Q.den x) then "" else "#")
+  in
+  let b = string_of_bool and i = string_of_int in
+  let line op args show f =
+    let counts () = (Counters.(get promotions), Counters.(get demotions)) in
+    let p0, d0 = counts () in
+    let res = try show (f ()) with e -> "raise " ^ Printexc.to_string e in
+    let p1, d1 = counts () in
+    Printf.bprintf buf "%s %s = %s +%d/%d\n" op (String.concat " " args) res
+      (p1 - p0) (d1 - d0)
+  in
+  let run () =
+    List.iter
+      (fun n ->
+        let a = [ i n ] in
+        line "of_int" a z (fun () -> Bigint.of_int n);
+        line "Q.of_int" a r (fun () -> Q.of_int n);
+        List.iter
+          (fun d ->
+            line "Q.of_ints" [ i n; i d ] r (fun () -> Q.of_ints n d))
+          small_ints)
+      ints;
+    List.iter
+      (fun (name, c) -> line name [] z (fun () -> c))
+      Bigint.[ ("zero", zero); ("one", one); ("minus_one", minus_one); ("two", two) ];
+    List.iter
+      (fun (name, c) -> line name [] r (fun () -> c))
+      Q.[ ("Q.zero", zero); ("Q.one", one); ("Q.minus_one", minus_one) ];
+    List.iter
+      (fun x ->
+        let a = [ z x ] in
+        line "to_int" a i (fun () -> Bigint.to_int x);
+        line "to_int_opt" a
+          (function None -> "none" | Some n -> i n)
+          (fun () -> Bigint.to_int_opt x);
+        line "to_string" a Fun.id (fun () -> Bigint.to_string x);
+        line "of_string" a z (fun () -> Bigint.of_string (Bigint.to_string x));
+        line "pp" a Fun.id (fun () -> Format.asprintf "%a" Bigint.pp x);
+        line "sign" a i (fun () -> Bigint.sign x);
+        line "is_zero" a b (fun () -> Bigint.is_zero x);
+        line "is_one" a b (fun () -> Bigint.is_one x);
+        line "fits_int" a b (fun () -> Bigint.fits_int x);
+        line "is_small" a b (fun () -> Bigint.is_small x);
+        line "unbox" a i (fun () -> Bigint.unbox x);
+        line "force_big" a
+          (fun y -> Bigint.to_string y ^ " " ^ b (Bigint.is_small y))
+          (fun () -> Bigint.force_big x);
+        line "neg" a z (fun () -> Bigint.neg x);
+        line "~-" a z (fun () -> Bigint.(~-) x);
+        line "abs" a z (fun () -> Bigint.abs x);
+        line "succ" a z (fun () -> Bigint.succ x);
+        line "pred" a z (fun () -> Bigint.pred x);
+        List.iter
+          (fun k -> line "pow" [ z x; i k ] z (fun () -> Bigint.pow x k))
+          [ -1; 0; 1; 2; 3 ];
+        line "Q.of_bigint" a r (fun () -> Q.of_bigint x);
+        List.iter
+          (fun y ->
+            let a = [ z x; z y ] in
+            line "add" a z (fun () -> Bigint.add x y);
+            line "sub" a z (fun () -> Bigint.sub x y);
+            line "mul" a z (fun () -> Bigint.mul x y);
+            line "divmod" a
+              (fun (q, m) -> z q ^ " " ^ z m)
+              (fun () -> Bigint.divmod x y);
+            line "div" a z (fun () -> Bigint.div x y);
+            line "rem" a z (fun () -> Bigint.rem x y);
+            line "fdiv" a z (fun () -> Bigint.fdiv x y);
+            line "cdiv" a z (fun () -> Bigint.cdiv x y);
+            line "gcd" a z (fun () -> Bigint.gcd x y);
+            line "lcm" a z (fun () -> Bigint.lcm x y);
+            line "equal" a b (fun () -> Bigint.equal x y);
+            line "compare" a i (fun () -> Bigint.compare x y);
+            line "+" a z (fun () -> Bigint.(x + y));
+            line "-" a z (fun () -> Bigint.(x - y));
+            line "*" a z (fun () -> Bigint.(x * y));
+            line "/" a z (fun () -> Bigint.(x / y));
+            line "=" a b (fun () -> Bigint.(x = y));
+            line "<" a b (fun () -> Bigint.(x < y));
+            line "<=" a b (fun () -> Bigint.(x <= y));
+            line ">" a b (fun () -> Bigint.(x > y));
+            line ">=" a b (fun () -> Bigint.(x >= y));
+            line "Q.make" a r (fun () -> Q.make x y))
+          zs)
+      zs;
+    List.iter
+      (fun x ->
+        let a = [ r x ] in
+        line "Q.num" a z (fun () -> Q.num x);
+        line "Q.den" a z (fun () -> Q.den x);
+        line "Q.sign" a i (fun () -> Q.sign x);
+        line "Q.is_zero" a b (fun () -> Q.is_zero x);
+        line "Q.is_integer" a b (fun () -> Q.is_integer x);
+        line "Q.neg" a r (fun () -> Q.neg x);
+        line "Q.~-" a r (fun () -> Q.(~-) x);
+        line "Q.abs" a r (fun () -> Q.abs x);
+        line "Q.inv" a r (fun () -> Q.inv x);
+        line "Q.floor" a z (fun () -> Q.floor x);
+        line "Q.ceil" a z (fun () -> Q.ceil x);
+        line "Q.to_bigint" a z (fun () -> Q.to_bigint x);
+        line "Q.to_string" a Fun.id (fun () -> Q.to_string x);
+        line "Q.pp" a Fun.id (fun () -> Format.asprintf "%a" Q.pp x);
+        List.iter
+          (fun y ->
+            let a = [ r x; r y ] in
+            line "Q.add" a r (fun () -> Q.add x y);
+            line "Q.sub" a r (fun () -> Q.sub x y);
+            line "Q.mul" a r (fun () -> Q.mul x y);
+            line "Q.div" a r (fun () -> Q.div x y);
+            line "Q.equal" a b (fun () -> Q.equal x y);
+            line "Q.compare" a i (fun () -> Q.compare x y);
+            line "Q.+" a r (fun () -> Q.(x + y));
+            line "Q.-" a r (fun () -> Q.(x - y));
+            line "Q.*" a r (fun () -> Q.(x * y));
+            line "Q./" a r (fun () -> Q.(x / y));
+            line "Q.=" a b (fun () -> Q.(x = y));
+            line "Q.<" a b (fun () -> Q.(x < y));
+            line "Q.<=" a b (fun () -> Q.(x <= y));
+            line "Q.>" a b (fun () -> Q.(x > y));
+            line "Q.>=" a b (fun () -> Q.(x >= y)))
+          qs)
+      qs;
+    List.iter
+      (fun (x, f, y) ->
+        line "Q.sub_mul" [ r x; r f; r y ] r (fun () -> Q.sub_mul x f y))
+      triples
+  in
+  List.iter
+    (fun chaos ->
+      Printf.bprintf buf "chaos %b\n" chaos;
+      Bigint.chaos_big_path := chaos;
+      Fun.protect ~finally:(fun () -> Bigint.chaos_big_path := false) run)
+    [ false; true ];
+  Buffer.contents buf
+
+let test_arithmetic_transcript () =
+  Alcotest.(check string) "transcript MD5" "39062f640171e7d70865268f697b8f01"
+    (Digest.to_hex (Digest.string (arithmetic_transcript ())))
+
 (* --- Bigint properties -------------------------------------------------- *)
 
 let med_int = QCheck.int_range (-100000) 100000
@@ -387,6 +585,104 @@ let prop_q_floor_le =
     (fun a ->
       let f = Q.of_bigint (Q.floor a) in
       Q.(f <= a) && Q.(a < add f one))
+
+(* --- representation invariants -------------------------------------------
+
+   One rational has one representation: a Bigint is immediate exactly
+   when it fits a native int, and a Q is immediate exactly when it is an
+   integer with a native-range numerator. Then structural equality and
+   [Hashtbl.hash] agree with [equal], however a value was reached. Each
+   boundary value below is reached by several routes (direct, through
+   a sum, a difference, a product, a quotient, a double negation, a
+   fused update), with the Big-path chaos hook off and on. *)
+
+let rep_values =
+  let z = Bigint.of_string in
+  let p31 = "2147483648" and p62 = "4611686018427387904" in
+  List.map
+    (fun (n, d) -> (z n, z d))
+    ([ "0"; "1"; "-1"; "2"; "-2"; p31; "-" ^ p31; "2147483647"; p62; "-" ^ p62;
+       string_of_int max_int; string_of_int min_int; string_of_int (min_int + 1);
+       "4611686018427387905"; "-4611686018427387905"; "1267650600228229401496703205376" ]
+     |> List.map (fun n -> (n, "1")))
+  @ List.map
+      (fun (n, d) -> (z n, z d))
+      [ ("1", "2"); ("-1", "2"); ("2", "3"); (string_of_int max_int, "2");
+        ("1", string_of_int max_int); (string_of_int min_int, "3"); (p62, "3");
+        ("1", p62); ("-7", p31); ("1267650600228229401496703205376", "3") ]
+
+(* offsets the routes add and take away again: native, at the native
+   edge, and Big *)
+let rep_offsets =
+  List.map Bigint.of_string [ "3"; "-5"; "4611686018427387903"; "-4611686018427387904"; "4611686018427387909" ]
+
+let rep_fractions = [ Q.of_ints 1 3; Q.of_ints (-5) 7; Q.of_int 4 ]
+
+let bigint_route (n, _) route k =
+  match route mod 6 with
+  | 0 -> Bigint.of_string (Bigint.to_string n)
+  | 1 -> Bigint.add (Bigint.sub n k) k
+  | 2 -> Bigint.sub (Bigint.add n k) k
+  | 3 -> if Bigint.is_zero k then n else Bigint.div (Bigint.mul n k) k
+  | 4 -> Bigint.neg (Bigint.neg n)
+  | _ -> Bigint.pred (Bigint.succ n)
+
+let q_route (n, d) route k f =
+  let v = Q.make n d in
+  match route mod 9 with
+  | 0 -> v
+  | 1 -> Q.make (Bigint.mul n k) (Bigint.mul d k)
+  | 2 -> Q.sub (Q.add v f) f
+  | 3 -> Q.add (Q.sub v f) f
+  | 4 -> Q.div (Q.mul v f) f
+  | 5 -> Q.neg (Q.neg v)
+  | 6 -> Q.sub_mul (Q.add v (Q.mul f f)) f f
+  | 7 -> Q.add (Q.sub v (Q.of_bigint k)) (Q.of_bigint k)
+  | _ -> if Bigint.is_one d then Q.of_bigint n else Q.inv (Q.inv v)
+
+let arb_rep =
+  let open QCheck.Gen in
+  let value = int_bound (List.length rep_values - 1) in
+  let side = triple (int_bound 8) (int_bound (List.length rep_offsets - 1))
+      (int_bound (List.length rep_fractions - 1)) in
+  QCheck.make
+    ~print:(fun (i, j, _, _) -> Printf.sprintf "values %d, %d" i j)
+    (value >>= fun i ->
+     quad (return i) (frequency [ (1, value); (1, return i) ]) side side)
+
+let bigint_invariants x =
+  Bigint.is_small x = Bigint.fits_int x
+  && Bigint.is_small x = (int_of_string_opt (Bigint.to_string x) <> None)
+
+let q_invariants x =
+  Obj.is_int (Obj.repr x)
+  = (Q.is_integer x && Bigint.fits_int (Q.num x))
+  && bigint_invariants (Q.num x)
+  && bigint_invariants (Q.den x)
+
+let rep_invariants ~chaos =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "one representation per value, chaos %b" chaos)
+    ~count:3000 arb_rep
+    (fun (i, j, (r1, k1, f1), (r2, k2, f2)) ->
+      Bigint.chaos_big_path := chaos;
+      Fun.protect
+        ~finally:(fun () -> Bigint.chaos_big_path := false)
+        (fun () ->
+          let vi = List.nth rep_values i and vj = List.nth rep_values j in
+          let k1 = List.nth rep_offsets k1 and k2 = List.nth rep_offsets k2 in
+          let f1 = List.nth rep_fractions f1 and f2 = List.nth rep_fractions f2 in
+          let x = q_route vi r1 k1 f1 and y = q_route vj r2 k2 f2 in
+          let a = bigint_route vi r1 k1 and b = bigint_route vj r2 k2 in
+          let same_q = Q.equal x y and same_z = Bigint.equal a b in
+          q_invariants x && q_invariants y
+          && bigint_invariants a && bigint_invariants b
+          && (x = y) = same_q
+          && (a = b) = same_z
+          && same_q = String.equal (Q.to_string x) (Q.to_string y)
+          && same_z = String.equal (Bigint.to_string a) (Bigint.to_string b)
+          && ((not same_q) || Hashtbl.hash x = Hashtbl.hash y)
+          && ((not same_z) || Hashtbl.hash a = Hashtbl.hash b)))
 
 (* --- Vec tests ----------------------------------------------------------- *)
 
@@ -579,12 +875,15 @@ let () =
         qt
           [ diff_add; diff_sub; diff_mul; diff_divmod; diff_gcd; diff_compare ] );
       ( "q-differential",
-        qt [ diff_sub_mul ~chaos:false; diff_sub_mul ~chaos:true ] );
+        Alcotest.test_case "arithmetic transcript" `Quick
+          test_arithmetic_transcript
+        :: qt [ diff_sub_mul ~chaos:false; diff_sub_mul ~chaos:true ] );
       ( "q",
         [ Alcotest.test_case "normalization" `Quick test_q_normalization;
           Alcotest.test_case "arithmetic" `Quick test_q_arith;
           Alcotest.test_case "floor/ceil" `Quick test_q_floor_ceil ] );
       ("q-props", qt [ prop_q_field; prop_q_compare_antisym; prop_q_floor_le ]);
+      ("representation", qt [ rep_invariants ~chaos:false; rep_invariants ~chaos:true ]);
       ( "vec",
         [ Alcotest.test_case "dot" `Quick test_vec_dot;
           Alcotest.test_case "normalize_int" `Quick test_vec_normalize;

@@ -331,7 +331,8 @@ let pivot_counters =
     [ ("lp_solves", lp_solves); ("lp_pivots", lp_pivots);
       ("dual_pivots", dual_pivots); ("warm_starts", warm_starts);
       ("warm_fallbacks", warm_fallbacks); ("ilp_solves", ilp_solves);
-      ("bb_nodes", bb_nodes) ]
+      ("bb_nodes", bb_nodes); ("big_promotions", promotions);
+      ("big_demotions", demotions) ]
 
 let pivot_path model prog =
   Linalg.Counters.reset ();
@@ -342,16 +343,16 @@ let pivot_path model prog =
 let pivot_cases =
   let registry name () = Kernels.Registry.build (Kernels.Registry.find name) in
   [ ("bt wisefuse", Fusion.Model.Wisefuse, registry "bt",
-     [ 1139; 10672; 0; 139; 0; 119; 119 ]);
+     [ 1139; 10672; 0; 139; 0; 119; 119; 0; 0 ]);
     ("bt maxfuse", Fusion.Model.Maxfuse, registry "bt",
-     [ 972; 9240; 0; 92; 0; 112; 112 ]);
+     [ 972; 9240; 0; 92; 0; 112; 112; 0; 0 ]);
     ("sp wisefuse", Fusion.Model.Wisefuse, registry "sp",
-     [ 1755; 15426; 0; 106; 0; 104; 104 ]);
+     [ 1755; 15426; 0; 106; 0; 104; 104; 0; 0 ]);
     ("sp maxfuse", Fusion.Model.Maxfuse, registry "sp",
-     [ 1636; 14517; 0; 71; 0; 97; 97 ]);
+     [ 1636; 14517; 0; 71; 0; 97; 97; 0; 0 ]);
     ("stencil40 lp-dfp", Fusion.Model.Wisefuse,
      (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40),
-     [ 3010; 20066; 0; 153; 0; 237; 237 ]) ]
+     [ 3010; 20066; 0; 153; 0; 237; 237; 1775; 0 ]) ]
 
 let test_pivot_path (label, model, build, expected) () =
   let got = pivot_path model (build ()) in
