@@ -229,29 +229,24 @@ let lexmin ?max_nodes ?nonneg ?budget p objs =
   go p None [] objs
 
 let remove_redundant p =
-  let dim = Polyhedron.dim p in
-  let eqs, ineqs =
-    List.partition
-      (fun c -> Constr.kind c = Constr.Eq)
-      (Polyhedron.constraints p)
-  in
-  (* test each inequality against everything else kept so far *)
-  let rec filter kept = function
-    | [] -> kept
-    | c :: rest ->
-      let others = eqs @ kept @ rest in
-      let q = Polyhedron.make dim others in
-      let obj =
-        let v = Vec.copy (Constr.coeffs c) in
-        v
-      in
-      let redundant =
-        match Lp.minimize q obj with
-        | Lp.Optimal (v, _) -> Q.sign v >= 0
-        | Lp.Infeasible -> true (* empty set: anything is implied *)
-        | Lp.Unbounded -> false
-        | Lp.Exhausted -> false (* unknown: conservatively keep the row *)
-      in
-      if redundant then filter kept rest else filter (c :: kept) rest
-  in
-  Polyhedron.make dim (eqs @ filter [] ineqs)
+  let rows = Array.of_list (Polyhedron.constraints p) in
+  (* each inequality is tested against the rows still standing, taken
+     from the stored list in order: everything but itself and the rows
+     dropped before it *)
+  let live = Array.make (Array.length rows) true in
+  let standing () = Polyhedron.filter (fun i _ -> live.(i)) p in
+  Array.iteri
+    (fun i c ->
+      if Constr.kind c = Constr.Ge then begin
+        live.(i) <- false;
+        let redundant =
+          match Lp.minimize (standing ()) (Constr.coeffs c) with
+          | Lp.Optimal (v, _) -> Q.sign v >= 0
+          | Lp.Infeasible -> true (* empty set: anything is implied *)
+          | Lp.Unbounded -> false
+          | Lp.Exhausted -> false (* unknown: conservatively keep the row *)
+        in
+        live.(i) <- not redundant
+      end)
+    rows;
+  standing ()

@@ -662,8 +662,6 @@ let reoptimize ?budget w ~add ~obj =
     try reoptimize_exn ?budget w ~add ~obj
     with Out_of_budget -> (Exhausted, None)
 
-let warm_poly w = w.w_poly
-
 (* --- public entry points ------------------------------------------------ *)
 
 let minimize_warm ?(rule = Dantzig) ?(nonneg = false) ?budget p obj_aff =

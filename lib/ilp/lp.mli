@@ -101,10 +101,6 @@ val reoptimize :
   obj:Linalg.Vec.t ->
   result * warm option
 
-(** The polyhedron a snapshot solves (with all constraints added so
-    far); for differential testing against cold solves. *)
-val warm_poly : warm -> Poly.Polyhedron.t
-
 (** [feasible_point p] returns a rational point of [p] if one exists
     (phase-1 only). [None] on budget exhaustion. *)
 val feasible_point :

@@ -589,7 +589,10 @@ let dep_range st (d : Dep.t) src_row dst_row =
    final cold integer search). Returns the last stage's vertex. *)
 let lp_lexmin st p objs =
   let dim = Poly.Polyhedron.dim p in
-  let rec go p from last = function
+  (* only the first stage reads [p]: every later one re-solves the
+     previous stage's snapshot with its fixing row added (an optimal
+     solve always snapshots) *)
+  let rec go from last = function
     | [] -> last
     | obj :: rest -> (
       Counters.(incr lp_relax_solves);
@@ -598,19 +601,16 @@ let lp_lexmin st p objs =
         | Some (w, cs) -> Ilp.Lp.reoptimize ?budget:st.budget w ~add:cs ~obj
         | None -> Ilp.Lp.minimize_warm ~nonneg:true ?budget:st.budget p obj
       in
-      match result with
-      | Ilp.Lp.Optimal (v, x) ->
+      match (result, warm) with
+      | Ilp.Lp.Optimal (v, x), Some w ->
         (* fix this objective: obj . x + c = v *)
         let fix = Vec.copy obj in
         fix.(dim) <- Q.sub fix.(dim) v;
         let fixc = Poly.Constr.make Poly.Constr.Eq fix in
-        go
-          (Poly.Polyhedron.add p fixc)
-          (Option.map (fun w -> (w, [ fixc ])) warm)
-          (Some x) rest
-      | Ilp.Lp.Infeasible | Ilp.Lp.Unbounded | Ilp.Lp.Exhausted -> None)
+        go (Some (w, [ fixc ])) (Some x) rest
+      | Ilp.Lp.(Optimal _ | Infeasible | Unbounded | Exhausted), _ -> None)
   in
-  go p None None objs
+  go None None objs
 
 (* Dependence-connected statement clusters: union-find over the
    endpoints of the still-active true dependences, members in

@@ -1,67 +1,70 @@
 open Linalg
 
+(* The stored order (see the interface): [cons] is sorted by
+   [Constr.compare], holds no duplicate, of parallel inequalities only
+   the tightest, and no trivially true or false row. Every operation
+   below but [make] and [rename] keeps it rather than sorting again. *)
 type t = {
   dim : int;
-  cons : Constr.t list; (* normalized, deduplicated, no trivially-true *)
-  known_empty : bool; (* a trivially-false constraint was added *)
+  cons : Constr.t list;
+  known_empty : bool; (* a trivially-false constraint was seen *)
 }
 
 let dim p = p.dim
-let constraints p = if p.known_empty then [ Constr.ge [ -1 ] |> Constr.rename ~dim_to:p.dim (fun _ -> 0) ] else p.cons
+let false_row dim = Constr.rename ~dim_to:dim (fun _ -> 0) (Constr.ge [ -1 ])
+let constraints p = if p.known_empty then [ false_row p.dim ] else p.cons
 
-(* Keep, for two inequalities with identical variable parts, only the
-   tighter one (smaller constant); drop duplicates and trivial truths. *)
-let dedup cons =
-  let cmp_varpart a b =
-    (* compare kind + all coefficients except the constant *)
-    let ka = Constr.kind a and kb = Constr.kind b in
-    if ka <> kb then compare ka kb
-    else begin
-      let ca = Constr.coeffs a and cb = Constr.coeffs b in
-      let n = Vec.dim ca - 1 in
-      let rec go i =
-        if i >= n then 0
-        else begin
-          match Q.compare ca.(i) cb.(i) with 0 -> go (i + 1) | c -> c
-        end
-      in
-      go 0
-    end
+(* [Constr.compare] without the constant: kind, then the variable
+   coefficients in column order. Rows equal here are parallel. *)
+let cmp_varpart a b =
+  match compare (Constr.kind a) (Constr.kind b) with
+  | 0 ->
+    let ca = Constr.coeffs a and cb = Constr.coeffs b in
+    let n = Vec.dim ca - 1 in
+    let rec go i =
+      if i >= n then 0
+      else match Q.compare ca.(i) cb.(i) with 0 -> go (i + 1) | c -> c
+    in
+    go 0
+  | c -> c
+
+(* Merge two lists in stored order. Parallel rows sort next to each
+   other, and each list holds at most one inequality per direction, so
+   the heads are the only place two parallel rows meet: of two
+   inequalities the smaller constant stays; of two equalities an exact
+   copy goes, but contradictory ones both stay so that emptiness checks
+   see them. *)
+let[@tail_mod_cons] rec merge xs ys =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' -> (
+    match cmp_varpart x y with
+    | c when c < 0 -> x :: merge xs' ys
+    | c when c > 0 -> y :: merge xs ys'
+    | _ -> (
+      match Q.compare (Constr.const x) (Constr.const y) with
+      | 0 -> x :: merge xs' ys'
+      | c when Constr.kind x = Constr.Ge ->
+        (if c < 0 then x else y) :: merge xs' ys'
+      | c when c < 0 -> x :: merge xs' ys
+      | _ -> y :: merge xs ys'))
+
+(* Stored order for non-trivial rows in any order: a bottom-up merge
+   sort over [merge], so one rule decides every duplicate. *)
+let sort_rows cons =
+  let rec pairs = function
+    | a :: b :: rest -> merge a b :: pairs rest
+    | l -> l
   in
-  let sorted =
-    List.sort
-      (fun a b ->
-        match cmp_varpart a b with
-        | 0 -> Q.compare (Constr.const a) (Constr.const b)
-        | c -> c)
-      cons
-  in
-  (* after sorting, the first of each variable-part group of
-     inequalities is the tightest (smallest constant); equalities with
-     equal var part but different constants are contradictory - keep
-     both so the emptiness check notices *)
-  let rec keep = function
+  let rec sort = function
     | [] -> []
-    | a :: rest ->
-      let rest =
-        if Constr.kind a = Constr.Ge then
-          drop_same_group a rest
-        else
-          drop_exact_dups a rest
-      in
-      a :: keep rest
-  and drop_same_group a = function
-    | b :: rest when Constr.kind b = Constr.Ge && cmp_varpart a b = 0 ->
-      drop_same_group a rest
-    | rest -> rest
-  and drop_exact_dups a = function
-    | b :: rest when Constr.equal a b -> drop_exact_dups a rest
-    | rest -> rest
+    | [ l ] -> l
+    | ls -> sort (pairs ls)
   in
-  keep sorted
+  sort (List.map (fun c -> [ c ]) cons)
 
 let classify cons =
-  (* split into (empty?, useful constraints) *)
+  (* split into (empty?, useful constraints in stored order) *)
   let useful = ref [] in
   let falsity = ref false in
   List.iter
@@ -71,7 +74,7 @@ let classify cons =
       | Some false -> falsity := true
       | None -> useful := c :: !useful)
     cons;
-  (!falsity, dedup !useful)
+  (!falsity, sort_rows !useful)
 
 let make dim cons =
   List.iter
@@ -89,7 +92,7 @@ let add p c =
   match Constr.is_trivial c with
   | Some true -> p
   | Some false -> { p with known_empty = true }
-  | None -> { p with cons = dedup (c :: p.cons) }
+  | None -> { p with cons = merge [ c ] p.cons }
 
 let add_list p cs = List.fold_left add p cs
 
@@ -97,9 +100,13 @@ let intersect a b =
   if a.dim <> b.dim then invalid_arg "Polyhedron.intersect: dimension mismatch";
   {
     dim = a.dim;
-    cons = dedup (a.cons @ b.cons);
+    cons = merge a.cons b.cons;
     known_empty = a.known_empty || b.known_empty;
   }
+
+let filter f p =
+  if p.known_empty then if f 0 (false_row p.dim) then empty p.dim else universe p.dim
+  else { p with cons = List.filteri f p.cons }
 
 let contains p x =
   (not p.known_empty) && List.for_all (fun c -> Constr.holds c x) p.cons
@@ -108,10 +115,11 @@ let contains_int p x = contains p (Array.map Q.of_int x)
 
 (* --- Fourier-Motzkin ------------------------------------------------- *)
 
-(* Eliminate variable [k] from a constraint list over [n] variables.
-   The variable keeps its slot (coefficient forced to zero); callers
-   compact the space afterwards. *)
-let fm_step ~integer n cons k =
+(* Eliminate variable [k] from a constraint list: the rows the step
+   creates, in no particular order, and the rows without [k], which keep
+   their order. The variable keeps its slot (coefficient forced to
+   zero); [eliminate] compacts the space afterwards. *)
+let fm_step ~integer cons k =
   let coeff c = Constr.coeff c k in
   let with_k, without_k = List.partition (fun c -> not (Q.is_zero (coeff c))) cons in
   (* gcd-tighten the inequalities about to be combined - only sound when
@@ -133,7 +141,7 @@ let fm_step ~integer n cons k =
           end)
         with_k
     in
-    (reduced @ without_k, n)
+    (reduced, without_k)
   | None ->
     (* all occurrences are inequalities: combine pos/neg pairs *)
     let pos, neg = List.partition (fun c -> Q.sign (coeff c) > 0) with_k in
@@ -154,7 +162,7 @@ let fm_step ~integer n cons k =
             neg)
         pos
     in
-    (combos @ without_k, n)
+    (combos, without_k)
 
 let eliminate ?(integer = true) p vars =
   let vars = List.sort_uniq compare vars in
@@ -162,40 +170,30 @@ let eliminate ?(integer = true) p vars =
     (fun v ->
       if v < 0 || v >= p.dim then invalid_arg "Polyhedron.eliminate: bad index")
     vars;
-  if p.known_empty then empty (p.dim - List.length vars)
-  else begin
-    let cons = ref p.cons in
-    let empty_found = ref false in
-    List.iter
-      (fun k ->
-        if not !empty_found then begin
-          let next, _ = fm_step ~integer p.dim !cons k in
-          let falsity, cleaned = classify next in
-          if falsity then empty_found := true else cons := cleaned
-        end)
-      vars;
-    if !empty_found then empty (p.dim - List.length vars)
-    else begin
-      (* compact the variable space *)
-      let keep = List.filter (fun i -> not (List.mem i vars)) (List.init p.dim Fun.id) in
-      let new_dim = List.length keep in
-      let index_of = Hashtbl.create 16 in
-      List.iteri (fun new_i old_i -> Hashtbl.add index_of old_i new_i) keep;
-      let remap c =
-        Constr.rename ~dim_to:new_dim
-          (fun old_i ->
-            match Hashtbl.find_opt index_of old_i with
-            | Some i -> i
-            | None -> assert false (* eliminated vars have zero coeffs *))
-          c
-      in
-      make new_dim (List.map remap !cons)
-    end
-  end
-
-let project_onto_first ?integer p k =
-  if k < 0 || k > p.dim then invalid_arg "Polyhedron.project_onto_first";
-  eliminate ?integer p (List.init (p.dim - k) (fun i -> k + i))
+  let new_dim = p.dim - List.length vars in
+  (* a step leaves the rows without its variable in stored order, so
+     only the rows it creates are classified and sorted, then merged *)
+  let rec steps cons = function
+    | [] -> Some cons
+    | k :: rest ->
+      let fresh, untouched = fm_step ~integer cons k in
+      let falsity, fresh = classify fresh in
+      if falsity then None else steps (merge fresh untouched) rest
+  in
+  match if p.known_empty then None else steps p.cons vars with
+  | None -> empty new_dim
+  | Some cons ->
+    (* every eliminated column is zero in every row, so dropping it
+       changes neither a row's normal form nor the order *)
+    let kept =
+      Array.of_list
+        (List.filter (fun i -> not (List.mem i vars)) (List.init (p.dim + 1) Fun.id))
+    in
+    let compact c =
+      let v = Constr.coeffs c in
+      Constr.unsafe_make (Constr.kind c) (Array.map (fun i -> v.(i)) kept)
+    in
+    { dim = new_dim; cons = List.map compact cons; known_empty = false }
 
 let is_empty p =
   if p.known_empty then true
@@ -204,22 +202,10 @@ let is_empty p =
     q.known_empty
   end
 
-let insert_dims p ~at ~count =
-  if at < 0 || at > p.dim then invalid_arg "Polyhedron.insert_dims";
-  let new_dim = p.dim + count in
-  let f i = if i < at then i else i + count in
-  {
-    dim = new_dim;
-    cons = List.map (Constr.rename ~dim_to:new_dim f) p.cons;
-    known_empty = p.known_empty;
-  }
-
 let rename p ~dim_to f =
-  {
-    dim = dim_to;
-    cons = dedup (List.map (Constr.rename ~dim_to f) p.cons);
-    known_empty = p.known_empty;
-  }
+  (* merged columns can cancel a row into a trivial one *)
+  let falsity, cons = classify (List.map (Constr.rename ~dim_to f) p.cons) in
+  { dim = dim_to; cons; known_empty = p.known_empty || falsity }
 
 let integer_points ~lo ~hi p =
   if Array.length lo <> p.dim || Array.length hi <> p.dim then
@@ -268,14 +254,12 @@ let structural_key p =
     (fun c ->
       Buffer.add_char buf ';';
       Buffer.add_string buf (Constr.structural_key c))
-    (List.sort Constr.compare p.cons);
+    p.cons;
   Buffer.contents buf
 
 let equal a b =
   a.dim = b.dim && a.known_empty = b.known_empty
-  && List.equal Constr.equal
-       (List.sort Constr.compare a.cons)
-       (List.sort Constr.compare b.cons)
+  && List.equal Constr.equal a.cons b.cons
 
 let pp ?names fmt p =
   if p.known_empty then Format.pp_print_string fmt "{ false }"

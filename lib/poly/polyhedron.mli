@@ -6,7 +6,19 @@
     arithmetic is exact. Integer tightening (gcd normalization of
     inequalities) is applied during projection, so {!is_empty} is sound
     for integer sets: [true] guarantees no integer point. Exact integer
-    emptiness (branch-and-bound) lives in the [ilp] library. *)
+    emptiness (branch-and-bound) lives in the [ilp] library.
+
+    {b Stored order.} A polyhedron keeps its rows in one order, and
+    every operation but {!make} and {!rename} keeps that order instead
+    of re-deriving it: sorted by {!Constr.compare}, without duplicates,
+    with only the tightest (smallest constant) of parallel inequalities,
+    and without trivially true or false rows (a trivially false one sets
+    the known-empty marker instead). Contradictory equalities with one normal vector
+    both stay, so emptiness checks see them. {!constraints} returns the
+    rows in this order. The LPs over a polyhedron pivot through its rows
+    in this order, so pivot sequences depend on it, and so do the solver
+    counters that serve payloads embed: a change to the order changes
+    observable output. *)
 
 type t
 
@@ -22,14 +34,24 @@ val empty : int -> t
 
 val dim : t -> int
 
-(** Constraints, normalized and deduplicated. *)
+(** The rows in stored order; a known-empty polyhedron returns the one
+    row [-1 >= 0]. *)
 val constraints : t -> Constr.t list
 
+(** [add] and [add_list] merge the new rows into the stored list.
+    @raise Invalid_argument on dimension mismatch. *)
 val add : t -> Constr.t -> t
+
 val add_list : t -> Constr.t list -> t
 
-(** @raise Invalid_argument on dimension mismatch. *)
+(** Merges the two stored lists.
+    @raise Invalid_argument on dimension mismatch. *)
 val intersect : t -> t -> t
+
+(** [filter f p] keeps the [i]-th row [c] of [constraints p] when
+    [f i c]: it is [make (dim p) (List.filteri f (constraints p))],
+    taken as a subsequence of the stored list, with nothing re-sorted. *)
+val filter : (int -> Constr.t -> bool) -> t -> t
 
 (** [contains p x] for a rational point [x]. *)
 val contains : t -> Linalg.Vec.t -> bool
@@ -47,9 +69,6 @@ val contains_int : t -> int array -> bool
     property) and is exact over the rationals. *)
 val eliminate : ?integer:bool -> t -> int list -> t
 
-(** [project_onto_first p k] keeps variables [0 .. k-1]. *)
-val project_onto_first : ?integer:bool -> t -> int -> t
-
 (** Rational (FM-based) emptiness with integer tightening.
     [true] implies the set has no integer point (indeed no rational
     point except via tightening, which only removes non-integer ones).
@@ -57,11 +76,10 @@ val project_onto_first : ?integer:bool -> t -> int -> t
     but not guaranteed. *)
 val is_empty : t -> bool
 
-(** [insert_dims p ~at ~count] adds [count] fresh unconstrained
-    variables at index [at]; existing variables at [>= at] shift up. *)
-val insert_dims : t -> at:int -> count:int -> t
-
-(** [rename p ~dim_to f] applies {!Constr.rename} to all constraints. *)
+(** [rename p ~dim_to f] applies {!Constr.rename} to all constraints
+    and classifies the result as {!make} does: a row whose merged
+    columns cancel is dropped when trivially true and marks the result
+    empty when trivially false. *)
 val rename : t -> dim_to:int -> (int -> int) -> t
 
 (** Enumerate all integer points of [p] within the box

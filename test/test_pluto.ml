@@ -352,7 +352,13 @@ let pivot_cases =
      [ 1636; 14517; 0; 71; 0; 97; 97; 0; 0 ]);
     ("stencil40 lp-dfp", Fusion.Model.Wisefuse,
      (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40),
-     [ 3010; 20066; 0; 153; 0; 237; 237; 1775; 0 ]) ]
+     [ 3010; 20066; 0; 153; 0; 237; 237; 1775; 0 ]);
+    ("chain40 lp-dfp", Fusion.Model.Wisefuse,
+     (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Chain ~stmts:40),
+     [ 518; 2738; 0; 83; 0; 39; 39; 0; 0 ]);
+    ("blocked40 lp-dfp", Fusion.Model.Wisefuse,
+     (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Blocked ~stmts:40),
+     [ 918; 9068; 0; 127; 0; 39; 39; 0; 0 ]) ]
 
 let test_pivot_path (label, model, build, expected) () =
   let got = pivot_path model (build ()) in
@@ -360,6 +366,46 @@ let test_pivot_path (label, model, build, expected) () =
     label
     (List.combine (List.map fst pivot_counters) expected)
     got
+
+(* --- row order ------------------------------------------------------------ *)
+
+(* The LPs over a Farkas space pivot through its rows in stored order,
+   so that order is observable: an MD5 over the rows of every legality
+   and bounding space a kernel's true dependences produce, in the order
+   [Polyhedron.constraints] returns them (not [structural_key], which
+   would hide an order change). *)
+let farkas_order_digest prog =
+  Farkas.reset_cache ();
+  let buf = Buffer.create 4096 in
+  let row_dump space =
+    List.iter
+      (fun c ->
+        Buffer.add_string buf (Poly.Constr.structural_key c);
+        Buffer.add_char buf ';')
+      (Poly.Polyhedron.constraints space);
+    Buffer.add_char buf '\n'
+  in
+  List.iter
+    (fun (d : Dep.t) ->
+      if Dep.is_true d then begin
+        let d1 = Statement.depth prog.Program.stmts.(d.src)
+        and d2 = Statement.depth prog.Program.stmts.(d.dst) in
+        let np = Program.nparams prog in
+        row_dump (Farkas.legality_space ~d1 ~d2 ~np d.poly);
+        row_dump (Farkas.bounding_space ~d1 ~d2 ~np d.poly)
+      end)
+    (Dep.analyze prog);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let order_pins =
+  [ ("bt", "9ec0550db462b2b01388dff8a6d0172d");
+    ("sp", "8bcd07904ab3644d5ddff70c820fa685");
+    ("swim", "1101e82b153e717a56179bfb969ae94f");
+    ("gemsfdtd", "3c3f0541613d15a2d514043530c0181a") ]
+
+let test_order_pin (name, expected) () =
+  let prog = Kernels.Registry.build (Kernels.Registry.find name) in
+  Alcotest.(check string) name expected (farkas_order_digest prog)
 
 let () =
   Alcotest.run "pluto"
@@ -388,4 +434,9 @@ let () =
         List.map
           (fun ((label, _, _, _) as case) ->
             Alcotest.test_case label `Quick (test_pivot_path case))
-          pivot_cases ) ]
+          pivot_cases );
+      ( "farkas row order",
+        List.map
+          (fun ((name, _) as pin) ->
+            Alcotest.test_case name `Quick (test_order_pin pin))
+          order_pins ) ]

@@ -123,15 +123,6 @@ let test_poly_integer_points () =
       Alcotest.(check bool) "all inside" true (Polyhedron.contains_int triangle p))
     pts
 
-let test_poly_insert_dims () =
-  let p = Polyhedron.insert_dims triangle ~at:1 ~count:2 in
-  Alcotest.(check int) "dim" 4 (Polyhedron.dim p);
-  (* old y is now var 3; new vars 1, 2 unconstrained *)
-  Alcotest.(check bool) "inside" true
-    (Polyhedron.contains_int p [| 3; 100; -100; 2 |]);
-  Alcotest.(check bool) "outside" false
-    (Polyhedron.contains_int p [| 2; 0; 0; 3 |])
-
 let test_poly_bounds () =
   let lower, upper, rest = Polyhedron.lower_upper_bounds triangle 0 in
   (* x appears with +1 in (x - y >= 0) -> lower for x;
@@ -229,6 +220,325 @@ let test_structural_key_golden () =
   Alcotest.(check string) "2-d box" "2;g -1 0 4;g 0 -1 4;g 0 1 0;g 1 0 0"
     (Polyhedron.structural_key box)
 
+(* [rename] classifies its output as [make] does: merged columns that
+   cancel leave a trivial row, which must not stay in the system. *)
+let test_rename_classifies () =
+  (* x0 - x1 - 1 >= 0 with both columns on one is -1 >= 0 *)
+  let rows = [ Constr.ge [ 1; -1; -1 ]; Constr.ge [ 0; 1; 0 ] ] in
+  let collapse p = Polyhedron.rename p ~dim_to:1 (fun _ -> 0) in
+  let r = collapse (Polyhedron.make 2 rows) in
+  Alcotest.(check string) "falsity marks the result empty" "1!empty;g 1 0"
+    (Polyhedron.structural_key r);
+  Alcotest.(check bool) "as make over the renamed rows" true
+    (Polyhedron.equal r
+       (Polyhedron.make 1
+          (List.map (Constr.rename ~dim_to:1 (fun _ -> 0)) rows)));
+  (* x0 - x1 >= 0 with both columns on one is 0 >= 0, trivially true *)
+  let r = collapse (Polyhedron.make 2 [ Constr.ge [ 1; -1; 0 ]; Constr.ge [ 0; 1; -1 ] ]) in
+  Alcotest.(check string) "trivially true rows are dropped" "1;g 1 -1"
+    (Polyhedron.structural_key r)
+
+(* --- differential: merge-based operations against sort-based ones ------- *)
+
+(* The sort-based implementation the merge-based one replaced, kept as
+   the reference: every operation rebuilt the stored list with a full
+   sort. Its [rename] also classifies, as [make] does (see
+   [test_rename_classifies]). *)
+module Ref = struct
+  type t = { dim : int; cons : Constr.t list; known_empty : bool }
+
+  let false_row dim = Constr.make Constr.Ge (Vec.of_ints (Array.init (dim + 1) (fun i -> if i = dim then -1 else 0)))
+  let constraints p = if p.known_empty then [ false_row p.dim ] else p.cons
+
+  let dedup cons =
+    let cmp_varpart a b =
+      let ka = Constr.kind a and kb = Constr.kind b in
+      if ka <> kb then compare ka kb
+      else begin
+        let ca = Constr.coeffs a and cb = Constr.coeffs b in
+        let n = Vec.dim ca - 1 in
+        let rec go i =
+          if i >= n then 0
+          else match Q.compare ca.(i) cb.(i) with 0 -> go (i + 1) | c -> c
+        in
+        go 0
+      end
+    in
+    let sorted =
+      List.sort
+        (fun a b ->
+          match cmp_varpart a b with
+          | 0 -> Q.compare (Constr.const a) (Constr.const b)
+          | c -> c)
+        cons
+    in
+    let rec keep = function
+      | [] -> []
+      | a :: rest ->
+        let rest =
+          if Constr.kind a = Constr.Ge then drop_same_group a rest
+          else drop_exact_dups a rest
+        in
+        a :: keep rest
+    and drop_same_group a = function
+      | b :: rest when Constr.kind b = Constr.Ge && cmp_varpart a b = 0 ->
+        drop_same_group a rest
+      | rest -> rest
+    and drop_exact_dups a = function
+      | b :: rest when Constr.equal a b -> drop_exact_dups a rest
+      | rest -> rest
+    in
+    keep sorted
+
+  let classify cons =
+    let useful = ref [] and falsity = ref false in
+    List.iter
+      (fun c ->
+        match Constr.is_trivial c with
+        | Some true -> ()
+        | Some false -> falsity := true
+        | None -> useful := c :: !useful)
+      cons;
+    (!falsity, dedup !useful)
+
+  let make dim cons =
+    let falsity, cons = classify cons in
+    { dim; cons; known_empty = falsity }
+
+  let empty dim = { dim; cons = []; known_empty = true }
+
+  let add p c =
+    match Constr.is_trivial c with
+    | Some true -> p
+    | Some false -> { p with known_empty = true }
+    | None -> { p with cons = dedup (c :: p.cons) }
+
+  let add_list p cs = List.fold_left add p cs
+
+  let intersect a b =
+    { dim = a.dim; cons = dedup (a.cons @ b.cons);
+      known_empty = a.known_empty || b.known_empty }
+
+  (* [Constr.rename], copied so that the reference shares no code with
+     the operations it checks *)
+  let rename_row ~dim_to f c =
+    let v = Vec.zero (dim_to + 1) in
+    for i = 0 to Constr.dim c - 1 do
+      let a = Constr.coeff c i in
+      if not (Q.is_zero a) then v.(f i) <- Q.add v.(f i) a
+    done;
+    v.(dim_to) <- Constr.const c;
+    Constr.make (Constr.kind c) v
+
+  let fm_step ~integer cons k =
+    let coeff c = Constr.coeff c k in
+    let with_k, without_k = List.partition (fun c -> not (Q.is_zero (coeff c))) cons in
+    let with_k = if integer then List.map Constr.tighten_int with_k else with_k in
+    match List.find_opt (fun c -> Constr.kind c = Constr.Eq) with_k with
+    | Some e ->
+      let a = coeff e in
+      List.filter_map
+        (fun c ->
+          if c == e then None
+          else begin
+            let f = Q.neg (Q.div (coeff c) a) in
+            let v = Vec.add (Constr.coeffs c) (Vec.scale f (Constr.coeffs e)) in
+            Some (Constr.make (Constr.kind c) v)
+          end)
+        with_k
+      @ without_k
+    | None ->
+      let pos, neg = List.partition (fun c -> Q.sign (coeff c) > 0) with_k in
+      List.concat_map
+        (fun p ->
+          List.map
+            (fun m ->
+              let v =
+                Vec.add
+                  (Vec.scale (Q.abs (coeff m)) (Constr.coeffs p))
+                  (Vec.scale (coeff p) (Constr.coeffs m))
+              in
+              let c = Constr.make Constr.Ge v in
+              if integer then Constr.tighten_int c else c)
+            neg)
+        pos
+      @ without_k
+
+  let eliminate ~integer p vars =
+    let vars = List.sort_uniq compare vars in
+    let new_dim = p.dim - List.length vars in
+    if p.known_empty then empty new_dim
+    else begin
+      let cons = ref p.cons and empty_found = ref false in
+      List.iter
+        (fun k ->
+          if not !empty_found then begin
+            let falsity, cleaned = classify (fm_step ~integer !cons k) in
+            if falsity then empty_found := true else cons := cleaned
+          end)
+        vars;
+      if !empty_found then empty new_dim
+      else begin
+        let keep = List.filter (fun i -> not (List.mem i vars)) (List.init p.dim Fun.id) in
+        let index_of old_i =
+          let rec find j = function
+            | [] -> assert false
+            | i :: rest -> if i = old_i then j else find (j + 1) rest
+          in
+          find 0 keep
+        in
+        make new_dim (List.map (rename_row ~dim_to:new_dim index_of) !cons)
+      end
+    end
+
+  let rename p ~dim_to f =
+    let falsity, cons = classify (List.map (rename_row ~dim_to f) p.cons) in
+    { dim = dim_to; cons; known_empty = p.known_empty || falsity }
+
+  let filter f p = make p.dim (List.filteri f (constraints p))
+
+  let structural_key p =
+    String.concat ""
+      ((string_of_int p.dim ^ if p.known_empty then "!empty" else "")
+      :: List.map
+           (fun c -> ";" ^ Constr.structural_key c)
+           (List.sort Constr.compare p.cons))
+
+  let equal a b =
+    a.dim = b.dim && a.known_empty = b.known_empty
+    && List.equal Constr.equal
+         (List.sort Constr.compare a.cons)
+         (List.sort Constr.compare b.cons)
+
+  (* the stored list as it is, unsorted, in the structural_key format *)
+  let stored p =
+    String.concat ""
+      ((string_of_int p.dim ^ if p.known_empty then "!empty" else "")
+      :: List.map (fun c -> ";" ^ Constr.structural_key c) p.cons)
+end
+
+(* Systems that hit every case of the stored order: rows come in groups
+   that share a kind and a variable part, so duplicates, parallel
+   inequalities with different constants and contradictory equalities
+   are common; some groups are trivial (zero variable part), true or
+   false, so known-empty inputs occur too. *)
+let gen_group dim =
+  QCheck.Gen.(
+    let* kind = frequency [ (3, return Constr.Ge); (1, return Constr.Eq) ] in
+    let* trivial = frequency [ (6, return false); (1, return true) ] in
+    let* vars =
+      if trivial then return (List.init dim (fun _ -> 0))
+      else list_repeat dim (int_range (-2) 2)
+    in
+    let* consts = list_size (int_range 1 3) (int_range (-3) 3) in
+    return
+      (List.map (fun k -> Constr.make kind (Vec.of_int_list (vars @ [ k ]))) consts))
+
+let gen_rows dim = QCheck.Gen.(map List.concat (list_size (int_range 0 4) (gen_group dim)))
+
+type op =
+  | Add of Constr.t
+  | Add_list of Constr.t list
+  | Intersect of Constr.t list
+  | Eliminate of bool * int list
+  | Rename of int * int array
+  | Filter of bool list
+
+(* a run of operations, each drawn for the dimension the previous ones
+   leave *)
+let gen_ops =
+  QCheck.Gen.(
+    let op dim =
+      let rows = gen_rows dim in
+      frequency
+        [ (2, map (fun g -> (Add (List.hd g), dim)) (gen_group dim));
+          (2, map (fun rs -> (Add_list rs, dim)) rows);
+          (2, map (fun rs -> (Intersect rs, dim)) rows);
+          ( (if dim = 0 then 0 else 2),
+            let* integer = bool in
+            let* vars = list_size (int_range 1 2) (int_range 0 (max 0 (dim - 1))) in
+            return (Eliminate (integer, vars), dim - List.length (List.sort_uniq compare vars)) );
+          ( 3,
+            let* dim_to = int_range 1 4 in
+            let* f = array_repeat dim (int_range 0 (dim_to - 1)) in
+            return (Rename (dim_to, f), dim_to) );
+          (2, map (fun keep -> (Filter keep, dim)) (list_repeat 40 bool)) ]
+    in
+    let rec ops dim n =
+      if n = 0 then return []
+      else
+        let* o, dim' = op dim in
+        let* rest = ops dim' (n - 1) in
+        return (o :: rest)
+    in
+    let* dim = int_range 0 3 in
+    let* rows = gen_rows dim in
+    let* n = int_range 1 5 in
+    let* ops = ops dim n in
+    return (dim, rows, ops))
+
+let pp_op = function
+  | Add c -> Format.asprintf "add %a" (Constr.pp ?names:None) c
+  | Add_list cs | Intersect cs ->
+    Format.asprintf "add_list/intersect [%s]"
+      (String.concat "; " (List.map (Format.asprintf "%a" (Constr.pp ?names:None)) cs))
+  | Eliminate (integer, vars) ->
+    Printf.sprintf "eliminate ~integer:%b [%s]" integer
+      (String.concat ";" (List.map string_of_int vars))
+  | Rename (dim_to, f) ->
+    Printf.sprintf "rename ~dim_to:%d [%s]" dim_to
+      (String.concat ";" (Array.to_list (Array.map string_of_int f)))
+  | Filter keep ->
+    Printf.sprintf "filter [%s]"
+      (String.concat "" (List.map (fun b -> if b then "1" else "0") keep))
+
+let arb_ops =
+  QCheck.make
+    ~print:(fun (dim, rows, ops) ->
+      Printf.sprintf "dim %d, rows [%s], ops: %s" dim
+        (String.concat "; " (List.map (Format.asprintf "%a" (Constr.pp ?names:None)) rows))
+        (String.concat ", " (List.map pp_op ops)))
+    gen_ops
+
+(* After every operation the merge-based polyhedron holds the
+   reference's rows element for element, in order, with the same
+   known-empty marker, and its sort-free [structural_key] and [equal]
+   agree with the sorting ones. *)
+let prop_merge_matches_sort =
+  QCheck.Test.make ~name:"merge-based operations match the sort-based reference"
+    ~count:2000 arb_ops (fun (dim, rows, ops) ->
+      let same p r =
+        Polyhedron.dim p = r.Ref.dim
+        && List.equal Constr.equal (Polyhedron.constraints p) (Ref.constraints r)
+        && Polyhedron.structural_key p = Ref.stored r
+        && Polyhedron.structural_key p = Ref.structural_key r
+      in
+      let step (p, r) = function
+        | Add c -> (Polyhedron.add p c, Ref.add r c)
+        | Add_list cs -> (Polyhedron.add_list p cs, Ref.add_list r cs)
+        | Intersect cs ->
+          ( Polyhedron.intersect p (Polyhedron.make (Polyhedron.dim p) cs),
+            Ref.intersect r (Ref.make r.Ref.dim cs) )
+        | Eliminate (integer, vars) ->
+          (* keep Fourier-Motzkin small *)
+          if List.length (Polyhedron.constraints p) > 24 then (p, r)
+          else (Polyhedron.eliminate ~integer p vars, Ref.eliminate ~integer r vars)
+        | Rename (dim_to, f) ->
+          (Polyhedron.rename p ~dim_to (Array.get f), Ref.rename r ~dim_to (Array.get f))
+        | Filter keep ->
+          let f i _ = List.nth keep (i mod List.length keep) in
+          (Polyhedron.filter f p, Ref.filter f r)
+      in
+      let start = (Polyhedron.make dim rows, Ref.make dim rows) in
+      same (fst start) (snd start)
+      && snd
+           (List.fold_left
+              (fun ((p, r), ok) op ->
+                let p', r' = step (p, r) op in
+                ((p', r'), ok && same p' r'
+                          && Polyhedron.equal p p' = Ref.equal r r'))
+              (start, true) ops))
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "poly"
@@ -246,12 +556,12 @@ let () =
           Alcotest.test_case "eliminate (FM)" `Quick test_poly_eliminate;
           Alcotest.test_case "eliminate via equality" `Quick test_poly_eliminate_eq;
           Alcotest.test_case "integer points" `Quick test_poly_integer_points;
-          Alcotest.test_case "insert dims" `Quick test_poly_insert_dims;
           Alcotest.test_case "lower/upper bounds" `Quick test_poly_bounds;
           Alcotest.test_case "dedup tightest" `Quick test_poly_dedup_keeps_tightest;
+          Alcotest.test_case "rename classifies" `Quick test_rename_classifies;
           Alcotest.test_case "structural_key golden (frozen v1)" `Quick
             test_structural_key_golden ] );
       ( "poly-props",
         qt
           [ prop_projection_sound; prop_empty_implies_no_points;
-            prop_intersect_conjunction ] ) ]
+            prop_intersect_conjunction; prop_merge_matches_sort ] ) ]
