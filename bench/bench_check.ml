@@ -1,51 +1,11 @@
-(* Pure comparator behind the bench regression gate (`bench --check`).
+(* One-sided bounds behind the soak gate (`bench -- soak --check`) and
+   wisebench's `--compare` verdicts.
 
    Kept free of I/O and of the JSON parsing so the verdict logic is
-   unit-testable: given a baseline wall time and a fresh measurement,
-   classify the pair. The important guard: a baseline record with a
-   zero, negative or non-finite wall time (a corrupt or hand-edited
-   BENCH file) must not reach the division — it yields [Bad_baseline],
-   which the gate reports and skips instead of dividing by zero and
-   acting on the resulting [inf]/[nan] ratio. *)
-
-type verdict =
-  | Within of float  (* ratio; at or under the threshold *)
-  | Regression of float  (* ratio; above the threshold *)
-  | Bad_baseline  (* baseline not a positive finite number: no ratio *)
-  | Missing  (* kernel absent from the baseline record *)
-
-let usable ms = Float.is_finite ms && ms > 0.0
-
-let compare_wall ~threshold ~baseline_ms ~current_ms =
-  match baseline_ms with
-  | None -> Missing
-  | Some bw when not (usable bw) -> Bad_baseline
-  | Some _ when not (Float.is_finite current_ms) -> Bad_baseline
-  | Some bw ->
-    let ratio = current_ms /. bw in
-    if ratio > threshold then Regression ratio else Within ratio
-
-(* Only a confirmed regression fails the gate; a record we cannot form
-   a ratio against is reported but advisory. *)
-let is_failure = function
-  | Regression _ -> true
-  | Within _ | Bad_baseline | Missing -> false
-
-let describe = function
-  | Within r -> Printf.sprintf "(x%.2f)" r
-  | Regression r -> Printf.sprintf "(x%.2f)  REGRESSION" r
-  | Bad_baseline -> "baseline unusable (non-positive wall time); skipped"
-  | Missing -> "not in baseline; skipped"
-
-(* --- one-sided bounds (the serve gate) ----------------------------------- *)
-
-(* The serving gate checks machine-independent ratios of one fresh run
-   (hit rate against a floor, hit-path p99 against a ceiling derived
-   from the same run's cold solves), so the verdicts are one-sided
-   bounds rather than baseline ratios. The same non-finite guard
-   applies: a NaN measurement must read as unusable, never as "within
-   bounds" (note NaN comparisons are all false, so the explicit check
-   is load-bearing). *)
+   unit-testable: given a measured value and a floor or ceiling,
+   classify the pair. A NaN measurement must read as unusable, never
+   as "within bounds" (NaN comparisons are all false, so the explicit
+   check is load-bearing). *)
 
 type bound_verdict =
   | Met of float  (* the measured value; bound satisfied *)

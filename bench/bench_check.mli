@@ -1,30 +1,10 @@
-(** Pure comparator for the bench regression gate.
+(** One-sided bounds for the soak gate (`bench -- soak --check`) and
+    wisebench's [--compare] verdicts.
 
     Separated from the bench driver so the verdict logic (including the
-    zero/non-finite baseline guard) can be unit-tested without running
-    any benchmark. *)
+    non-finite guard) can be unit-tested without running any
+    benchmark. *)
 
-type verdict =
-  | Within of float  (** ratio; at or under the threshold *)
-  | Regression of float  (** ratio; above the threshold *)
-  | Bad_baseline
-      (** baseline wall time not a positive finite number — no ratio
-          can be formed (guards the division) *)
-  | Missing  (** kernel absent from the baseline record *)
-
-(** [compare_wall ~threshold ~baseline_ms ~current_ms] classifies one
-    kernel's fresh measurement against its baseline. *)
-val compare_wall :
-  threshold:float -> baseline_ms:float option -> current_ms:float -> verdict
-
-(** Does this verdict fail the gate? Only a confirmed regression does;
-    unusable or missing baselines are advisory. *)
-val is_failure : verdict -> bool
-
-val describe : verdict -> string
-
-(** One-sided bounds for the serving gate (`bench -- serve --check`):
-    hit-rate floors and latency ceilings over a single fresh run. *)
 type bound_verdict =
   | Met of float  (** the measured value; bound satisfied *)
   | Violation of float  (** the measured value; bound broken *)
@@ -36,7 +16,8 @@ val check_min : floor:float -> value:float -> bound_verdict
 (** [check_max ~ceiling ~value] — is [value <= ceiling]? *)
 val check_max : ceiling:float -> value:float -> bound_verdict
 
-(** Only a confirmed [Violation] fails the gate. *)
+(** Only a confirmed [Violation] fails; callers decide what
+    [Bad_value] means to them (the soak gate fails it). *)
 val bound_failure : bound_verdict -> bool
 
 val describe_bound : bound_verdict -> string

@@ -1,16 +1,16 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (Section 5) on the machine model, then times the
-   optimization pipeline itself with Bechamel (one Test.make per
-   table/figure).
+   paper's evaluation (Section 5) on the machine model, plus two A/B
+   overhead runs and the serving daemon's chaos soak. Compile and serve
+   timings live in wisebench (`bash wisebench/run.sh`), not here.
 
      dune exec bench/main.exe                      - everything
      dune exec bench/main.exe -- fig7              - a single experiment
-     dune exec bench/main.exe -- pipeline --check  - regression gate:
-       fresh pipeline timings vs the last committed non-smoke record in
-       BENCH_pipeline.json; exits non-zero on a >25% per-kernel
-       wall-time regression
+     dune exec bench/main.exe -- soak --check      - survival gate over
+       the latest record in BENCH_soak.json; exits non-zero on a
+       violated or missing bound
    Experiments: table1 table2 fig1 fig3 fig5 fig4_6 fig7 fig8 scaling
-                ablation extras tiling locality space vector bechamel *)
+                ablation extras tiling locality space vector
+                budget telemetry soak *)
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -454,327 +454,20 @@ let vector () =
     [ ("gemver", Kernels.Gemver.program ~n:48 ());
       ("advect", Kernels.Advect.program ~n:32 ()) ]
 
-(* --- end-to-end pipeline timings + BENCH_pipeline.json ------------------------ *)
+(* --- settings shared by the A/B runs and the soak ---------------------------- *)
 
-(* Smoke mode (BENCH_SMOKE=1, used by CI) runs one repetition per kernel
-   and a short Bechamel quota so the job finishes in seconds. *)
+(* Smoke mode (BENCH_SMOKE=1, used by CI) runs fewer repetitions, a
+   smaller request population and a shorter soak, so the job finishes
+   in seconds. *)
 let smoke =
   match Sys.getenv_opt "BENCH_SMOKE" with
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-(* The ILP-heavy kernels first: swim and gemsfdtd dominate the exact
-   arithmetic time (20+ statements, hundreds of LP solves each). *)
-let pipeline_kernels =
-  [ ("swim", fun () -> Kernels.Swim.program ~n:24 ());
-    ("gemsfdtd", fun () -> Kernels.Gemsfdtd.program ~n:10 ());
-    ("advect", fun () -> Kernels.Advect.program ~n:16 ());
-    ("gemver", fun () -> Kernels.Gemver.program ~n:20 ()) ]
-
-type pipeline_row = {
-  kernel : string;
-  wall_ms : float; (* best-of-reps wall time of one full scheduler run *)
-  counters : (string * int) list; (* counters of the best repetition *)
-  stages : (string * float) list; (* stage seconds of the best repetition *)
-}
-
-let time_pipeline_kernel (name, mk) =
-  let cfg = scheduler_config Wisefuse in
-  let prog = mk () in
-  Pluto.Farkas.reset_cache ();
-  ignore (Pluto.Scheduler.run cfg prog) (* warm-up *);
-  let reps = if smoke then 1 else 3 in
-  let best = ref infinity in
-  let best_counters = ref [] and best_stages = ref [] in
-  for _ = 1 to reps do
-    (* each repetition pays its own Farkas eliminations and reports its
-       own counters; wall time, counters and stages all describe the
-       same (fastest) run instead of mixing best-of with averages *)
-    Pluto.Farkas.reset_cache ();
-    Linalg.Counters.reset ();
-    let t0 = Linalg.Clock.now () in
-    ignore (Pluto.Scheduler.run cfg prog);
-    let dt = Linalg.Clock.now () -. t0 in
-    let stages = Linalg.Counters.stage_times () in
-    (* stage timers are exclusive (self-time), so their sum is bounded
-       by the wall time of the run that produced them; a violation
-       means the accounting regressed to overlapping timers *)
-    let stage_sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 stages in
-    if stage_sum > (dt *. 1.02) +. 1e-4 then
-      failwith
-        (Printf.sprintf
-           "%s: stage times sum to %.2f ms > %.2f ms wall (overlapping timers?)"
-           name (stage_sum *. 1e3) (dt *. 1e3));
-    if dt < !best then begin
-      best := dt;
-      best_counters := Linalg.Counters.all_counters ();
-      best_stages := stages
-    end
-  done;
-  {
-    kernel = name;
-    wall_ms = !best *. 1e3;
-    counters = !best_counters;
-    stages = !best_stages;
-  }
-
-let bench_json_file = "BENCH_pipeline.json"
-
-(* BENCH_TRACE=1 embeds per-stage span self/total times ("spans") into
-   each kernel record, from one extra traced run per kernel that never
-   touches the timed repetitions. *)
-let embed_spans =
-  match Sys.getenv_opt "BENCH_TRACE" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
-(* One run record as a JSON value; [spans] maps kernel name to a spans
-   object when BENCH_TRACE asked for one. *)
-let pipeline_record ?(tag = "") ?(spans = []) rows =
-  let open Obs.Json in
-  let label =
-    Option.value (Sys.getenv_opt "BENCH_LABEL") ~default:"dev" ^ tag
-  in
-  let total = List.fold_left (fun a r -> a +. r.wall_ms) 0.0 rows in
-  let kernel_obj r =
-    let fields =
-      (("wall_ms", Float (round2 r.wall_ms))
-       :: List.map (fun (n, v) -> (n, Int v)) r.counters)
-      @ List.map (fun (n, s) -> (n ^ "_ms", Float (round2 (s *. 1e3)))) r.stages
-    in
-    let fields =
-      match List.assoc_opt r.kernel spans with
-      | Some sp -> fields @ [ ("spans", sp) ]
-      | None -> fields
-    in
-    (r.kernel, Obj fields)
-  in
-  Obj
-    [ ("label", Str label); ("smoke", Bool smoke);
-      ("kernels", Obj (List.map kernel_obj rows));
-      ("total_wall_ms", Float (round2 total)) ]
-
-(* --- reading the record file back (for dedup and the gate) -------------- *)
-
-let record_label r = Option.bind (Obs.Json.member "label" r) Obs.Json.to_string_opt
-let record_smoke r = Option.bind (Obs.Json.member "smoke" r) Obs.Json.to_bool_opt
-
-(* wall_ms of one kernel inside a record *)
-let kernel_wall record kernel =
-  let open Obs.Json in
-  Option.bind (member "kernels" record) (fun ks ->
-      Option.bind (member kernel ks) (fun k ->
-          Option.bind (member "wall_ms" k) to_float_opt))
-
-let read_bench_file () =
-  if Sys.file_exists bench_json_file then begin
-    let ic = open_in_bin bench_json_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" bench_json_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (bench_json_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-(* Append the new run, replacing any earlier record with the same label
-   (so re-runs — e.g. a restarted CI job — update their record in place
-   instead of accumulating duplicates). *)
-(* Analyze records share the file but time wisecheck certification, not
-   the scheduler; the regression gate must never compare against one. *)
-let analyze_tag = "-analyze"
-
-let is_analyze_record r =
-  match record_label r with
-  | Some l ->
-    let n = String.length l and m = String.length analyze_tag in
-    n >= m && String.sub l (n - m) m = analyze_tag
-  | None -> false
-
-let write_pipeline_json ?tag ?spans rows =
-  let run = pipeline_record ?tag ?spans rows in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_bench_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "wall milliseconds per wisefuse scheduler run (best of N)" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin bench_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" bench_json_file label
-
-let pipeline_table rows =
-  Printf.printf "  %-10s %10s %9s %9s %9s %8s %8s %9s\n" "kernel" "wall ms"
-    "lp solves" "pivots" "dual piv" "warm" "fallback" "farkas h/m";
-  List.iter
-    (fun r ->
-      let c n = try List.assoc n r.counters with Not_found -> 0 in
-      Printf.printf "  %-10s %10.2f %9d %9d %9d %8d %8d %5d/%d\n%!" r.kernel
-        r.wall_ms (c "lp_solves") (c "lp_pivots") (c "dual_pivots")
-        (c "warm_starts") (c "warm_fallbacks") (c "farkas_cache_hits")
-        (c "farkas_cache_misses"))
-    rows;
-  let total = List.fold_left (fun a r -> a +. r.wall_ms) 0.0 rows in
-  Printf.printf "  %-10s %10.2f\n" "total" total
-
-(* One traced (untimed) run of a kernel; its per-stage span summary as
-   a {"<stage>": {"self_ms", "total_ms"}} object for the bench record. *)
-let trace_spans (name, mk) =
-  let cfg = scheduler_config Wisefuse in
-  let prog = mk () in
-  Pluto.Farkas.reset_cache ();
-  Linalg.Counters.reset ();
-  ignore (Obs.Trace.with_recording (fun () -> Pluto.Scheduler.run cfg prog));
-  Obs.Trace.disable ();
-  let span (stage, self, total) =
-    ( stage,
-      Obs.Json.Obj
-        [ ("self_ms", Obs.Json.Float (Obs.Json.round2 (self *. 1e3)));
-          ("total_ms", Obs.Json.Float (Obs.Json.round2 (total *. 1e3))) ] )
-  in
-  (name, Obs.Json.Obj (List.map span (Obs.Trace.summary ~cat:"stage" ())))
-
-let pipeline () =
-  section
-    "Pipeline: end-to-end wisefuse scheduling time (exact-arithmetic hot path)";
-  let rows = List.map time_pipeline_kernel pipeline_kernels in
-  pipeline_table rows;
-  let spans =
-    if embed_spans then Some (List.map trace_spans pipeline_kernels) else None
-  in
-  write_pipeline_json ?spans rows
-
-(* Regression gate (CI, non-blocking): time a fresh run and compare each
-   kernel against the last committed non-smoke record. Exits non-zero on
-   a >25% wall-time regression for any kernel. Absolute times are only
-   meaningful on the machine that produced the baseline, which is why
-   the CI step that runs this is advisory. *)
-let check_threshold = 1.25
-
-let pipeline_check () =
-  section "Pipeline check: fresh run vs last committed BENCH record";
-  let baseline =
-    List.rev (read_bench_file ())
-    |> List.find_opt (fun r ->
-           record_smoke r = Some false && not (is_analyze_record r))
-  in
-  match baseline with
-  | None ->
-    Printf.printf "  no non-smoke baseline record in %s; nothing to check\n"
-      bench_json_file
-  | Some base ->
-    let blabel = Option.value (record_label base) ~default:"?" in
-    Printf.printf "  baseline: %S\n%!" blabel;
-    let rows = List.map time_pipeline_kernel pipeline_kernels in
-    pipeline_table rows;
-    let failed = ref false in
-    List.iter
-      (fun r ->
-        let baseline_ms = kernel_wall base r.kernel in
-        let v =
-          Bench_check.compare_wall ~threshold:check_threshold ~baseline_ms
-            ~current_ms:r.wall_ms
-        in
-        (match (v, baseline_ms) with
-        | (Bench_check.Within _ | Bench_check.Regression _), Some bw ->
-          Printf.printf "  %-10s %10.2f ms vs %10.2f ms  %s\n" r.kernel
-            r.wall_ms bw (Bench_check.describe v)
-        | _ -> Printf.printf "  %-10s %s\n" r.kernel (Bench_check.describe v));
-        if Bench_check.is_failure v then failed := true)
-      rows;
-    if !failed then begin
-      Printf.printf "  FAIL: wall-time regression above x%.2f\n" check_threshold;
-      exit 1
-    end
-    else Printf.printf "  OK: all kernels within x%.2f of baseline\n" check_threshold
-
-(* --- wisecheck static-analysis overhead ---------------------------------------- *)
-
-(* Times Analysis.Wisecheck.certify (race + scan + lint certification)
-   over the final wisefuse schedule and AST of each pipeline kernel.
-   Scheduling happens once, untimed, so the measured wall time is pure
-   analysis cost; the row's counters therefore describe the certify run
-   alone (LP solves spent on conflict systems, finding tallies). Rows
-   land in BENCH_pipeline.json under the "<label>-analyze" record,
-   which the regression gate skips. Feeds the "Static analysis" entry
-   in EXPERIMENTS.md. Exits non-zero if any kernel fails to certify —
-   a certified-clean registry is part of the pipeline contract. *)
-let analyze_overhead () =
-  section "Analyze: wisecheck certification time (race + scan + lints)";
-  (* reduction-aware runs: the reduction kernels join the pipeline set
-     and the optimizer schedules with the proofs applied, so the
-     record's reductions_detected / reductions_certified counters
-     describe real certifications, not zeros *)
-  let kernels =
-    pipeline_kernels
-    @ [ ("gemmacc", fun () -> Kernels.Gemmacc.program ~n:10 ());
-        ("covariance", fun () -> Kernels.Covariance.program ~n:10 ()) ]
-  in
-  let rows =
-    List.map
-      (fun (name, mk) ->
-        let prog = mk () in
-        Pluto.Farkas.reset_cache ();
-        let o =
-          Fusion.Model.optimize ~reductions:true Fusion.Model.Wisefuse prog
-        in
-        let r =
-          match o.Fusion.Model.scheduler with
-          | Some r -> r
-          | None -> failwith "wisefuse model returned no scheduler result"
-        in
-        let certify () =
-          Analysis.Wisecheck.certify r.Pluto.Scheduler.prog
-            r.Pluto.Scheduler.all_deps r.Pluto.Scheduler.sched
-            o.Fusion.Model.ast
-        in
-        ignore (certify ()) (* warm-up *);
-        let reps = if smoke then 1 else 3 in
-        let best = ref infinity in
-        let best_counters = ref [] and best_stages = ref [] in
-        let report = ref None in
-        for _ = 1 to reps do
-          Linalg.Counters.reset ();
-          let t0 = Linalg.Clock.now () in
-          let rep = certify () in
-          let dt = Linalg.Clock.now () -. t0 in
-          if dt < !best then begin
-            best := dt;
-            best_counters := Linalg.Counters.all_counters ();
-            best_stages := Linalg.Counters.stage_times ();
-            report := Some rep
-          end
-        done;
-        let rep = Option.get !report in
-        Printf.printf "  %-10s %8.2f ms   %d errors, %d warnings, %d info\n%!"
-          name (!best *. 1e3) rep.Analysis.Wisecheck.errors
-          rep.Analysis.Wisecheck.warnings rep.Analysis.Wisecheck.infos;
-        if not (Analysis.Wisecheck.certified rep) then begin
-          Printf.printf "  FAIL: wisecheck reported errors on %s\n" name;
-          exit 1
-        end;
-        {
-          kernel = name;
-          wall_ms = !best *. 1e3;
-          counters = !best_counters;
-          stages = !best_stages;
-        })
-      kernels
-  in
-  let total = List.fold_left (fun a r -> a +. r.wall_ms) 0.0 rows in
-  Printf.printf "  %-10s %8.2f ms\n" "total" total;
-  write_pipeline_json ~tag:analyze_tag rows
+(* (kernel, N), the ILP-heavy kernels first: swim and gemsfdtd dominate
+   the exact arithmetic time (20+ statements, hundreds of LP solves
+   each). *)
+let timed_kernels = [ ("swim", 24); ("gemsfdtd", 10); ("advect", 16); ("gemver", 20) ]
 
 (* --- budget accounting overhead ----------------------------------------------- *)
 
@@ -786,8 +479,8 @@ let budget_overhead () =
   section "Budget accounting overhead (generous budget vs none)";
   let cfg = scheduler_config Wisefuse in
   List.iter
-    (fun (name, mk) ->
-      let prog = mk () in
+    (fun (name, n) ->
+      let prog = (Kernels.Registry.find name).Kernels.Registry.program ~n () in
       Pluto.Farkas.reset_cache ();
       ignore (Pluto.Scheduler.run cfg prog) (* warm-up *);
       let reps = if smoke then 1 else 5 in
@@ -813,95 +506,15 @@ let budget_overhead () =
         "  %-10s %8.2f ms unbudgeted  %8.2f ms budgeted  (%+5.2f%%)\n%!" name
         base budgeted
         ((budgeted -. base) /. base *. 100.0))
-    pipeline_kernels
+    timed_kernels
 
-(* --- tracing overhead ---------------------------------------------------------- *)
-
-(* Times the wisefuse scheduler against the null sink and against a
-   recording tracer. The null-sink column is the instrumented hot path
-   paying only its `if Obs.Trace.on ()` guards (the ≤2% budget of the
-   observability layer); the traced column adds event construction and
-   buffering. Feeds the "Observability" entry in EXPERIMENTS.md. *)
-let trace_overhead () =
-  section "Tracing overhead (recording tracer vs null sink)";
-  let cfg = scheduler_config Wisefuse in
-  List.iter
-    (fun (name, mk) ->
-      let prog = mk () in
-      Obs.Trace.disable ();
-      Pluto.Farkas.reset_cache ();
-      ignore (Pluto.Scheduler.run cfg prog) (* warm-up *);
-      let reps = if smoke then 1 else 5 in
-      let time traced =
-        let best = ref infinity in
-        for _ = 1 to reps do
-          Pluto.Farkas.reset_cache ();
-          if traced then Obs.Trace.enable ();
-          let t0 = Linalg.Clock.now () in
-          ignore (Pluto.Scheduler.run cfg prog);
-          let dt = Linalg.Clock.now () -. t0 in
-          Obs.Trace.disable ();
-          if dt < !best then best := dt
-        done;
-        !best *. 1e3
-      in
-      let off = time false in
-      let on = time true in
-      Printf.printf
-        "  %-10s %8.2f ms untraced  %8.2f ms traced  (%+5.2f%%, %d events)\n%!"
-        name off on
-        ((on -. off) /. off *. 100.0)
-        (Obs.Trace.event_count ()))
-    pipeline_kernels
-
-(* --- serving: heavy traffic against the wiseserve daemon ---------------------- *)
-
-(* Drives Serve.Server.handle_line in-process with thousands of
-   line-delimited JSON requests under three key-popularity skews
-   (uniform, zipf, hot) and records hit rate and per-class latency
-   percentiles in BENCH_serve.json. The cold-solve population is the
-   full registry x all five fusion models at the registry model sizes
-   (smoke: the four pipeline kernels at their pipeline sizes, so the CI
-   step stays fast). Every hit response is checked to report zero
-   solver work — the cache serving schedules without touching the ILP
-   is the entire point of the daemon. *)
-
-let serve_bench_file = "BENCH_serve.json"
-
-(* xorshift64*: deterministic request sequence, no dependence on the
-   stdlib Random state *)
-let serve_rng = ref 0x9E3779B97F4A7C15L
-
-let serve_rand () =
-  let open Int64 in
-  let x = !serve_rng in
-  let x = logxor x (shift_left x 13) in
-  let x = logxor x (shift_right_logical x 7) in
-  let x = logxor x (shift_left x 17) in
-  serve_rng := x;
-  to_int (shift_right_logical x 2)
-
-let serve_rand_float () = float_of_int (serve_rand () land 0xFFFFFF) /. 16777216.0
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else sorted.(int_of_float (Float.round (p *. float_of_int (n - 1))))
+(* --- telemetry overhead: instruments on vs off over warm traffic ------------- *)
 
 (* the request population: (kernel, size option) pairs crossed with the
    five models *)
 let serve_population () =
   let kernels =
-    if smoke then
-      List.map (fun (k, _) -> (k, None)) pipeline_kernels
-      |> List.map (fun (k, _) ->
-             ( k,
-               Some
-                 (match k with
-                 | "swim" -> 24
-                 | "gemsfdtd" -> 10
-                 | "advect" -> 16
-                 | _ -> 20) ))
+    if smoke then List.map (fun (k, n) -> (k, Some n)) timed_kernels
     else
       List.map
         (fun (e : Kernels.Registry.entry) -> (e.Kernels.Registry.name, None))
@@ -920,26 +533,6 @@ let serve_request_line ~id (kernel, size, model) =
   in
   to_string (Obj fields)
 
-(* key index under each skew; [n] is the population size *)
-let pick_uniform n = serve_rand () mod n
-
-let pick_zipf weights total =
-  let x = serve_rand_float () *. total in
-  let rec go i acc =
-    if i >= Array.length weights - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if x < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
-
-let pick_hot n =
-  (* 90% of traffic on 5 hot keys, the tail uniform over everything *)
-  if serve_rand_float () < 0.9 then serve_rand () mod min 5 n
-  else serve_rand () mod n
-
-type serve_sample = { hit : bool; us : float }
-
 let serve_field resp path =
   let rec go j = function
     | [] -> Some j
@@ -947,331 +540,13 @@ let serve_field resp path =
   in
   go resp path
 
-let serve_run_mix t population ~skew ~count =
-  let pop = Array.of_list population in
-  let n = Array.length pop in
-  let weights =
-    Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) 1.1)
-  in
-  let wtotal = Array.fold_left ( +. ) 0.0 weights in
-  let samples = ref [] in
-  let bad_hits = ref 0 in
-  for i = 1 to count do
-    let idx =
-      match skew with
-      | `Uniform -> pick_uniform n
-      | `Zipf -> pick_zipf weights wtotal
-      | `Hot -> pick_hot n
-    in
-    let line = serve_request_line ~id:i pop.(idx) in
-    let t0 = Linalg.Clock.now () in
-    let resp = Serve.Server.handle_line t line in
-    let us = (Linalg.Clock.now () -. t0) *. 1e6 in
-    match resp with
-    | None -> failwith "serve bench: daemon returned nothing for a request"
-    | Some r -> (
-      match Obs.Json.parse r with
-      | Error msg -> failwith ("serve bench: unparseable response: " ^ msg)
-      | Ok j ->
-        (match
-           Option.bind (serve_field j [ "status" ]) Obs.Json.to_string_opt
-         with
-        | Some "ok" -> ()
-        | _ -> failwith ("serve bench: error response: " ^ r));
-        let hit =
-          Option.bind (serve_field j [ "cache" ]) Obs.Json.to_string_opt
-          = Some "hit"
-        in
-        (* a hit must report zero solver work: the counters are the
-           proof that cached schedules bypass the LP/B&B machinery *)
-        if hit then begin
-          let solver_work name =
-            Option.value ~default:0
-              (Option.bind (serve_field j [ "serve"; name ]) Obs.Json.to_int_opt)
-          in
-          if
-            List.exists
-              (fun c -> solver_work c <> 0)
-              [ "lp_solves"; "lp_pivots"; "dual_pivots"; "ilp_solves"; "bb_nodes" ]
-          then incr bad_hits
-        end;
-        samples := { hit; us } :: !samples)
-  done;
-  (List.rev !samples, !bad_hits)
-
-let serve_percentiles samples =
-  let a = Array.of_list (List.map (fun s -> s.us) samples) in
-  Array.sort compare a;
-  (percentile a 0.5, percentile a 0.99)
-
-let serve_class_stats samples =
-  let hits = List.filter (fun s -> s.hit) samples in
-  let cold = List.filter (fun s -> not s.hit) samples in
-  let h50, h99 = serve_percentiles hits in
-  let c50, c99 = serve_percentiles cold in
-  let o50, o99 = serve_percentiles samples in
-  (List.length hits, List.length cold, (h50, h99), (c50, c99), (o50, o99))
-
-type serve_stats = {
-  srequests : int;
-  shits : int;
-  scold : int;
-  hit_p50_us : float;
-  hit_p99_us : float;
-  cold_p50_us : float;
-  cold_p99_us : float;
-  all_p50_us : float;
-  all_p99_us : float;
-  per_skew : (string * int * int) list; (* skew, requests, hits *)
-  zero_solver_hits : bool;
-  (* the daemon's own telemetry, read back after the traffic: the
-     scrape must reconcile exactly with the driver's ledger, and the
-     histogram percentiles must tell the same hit-vs-cold story as the
-     driver's sampled wall times *)
-  tel_reconciled : bool;
-  tel_hit_p50_us : float;
-  tel_hit_p99_us : float;
-  tel_cold_p50_us : float;
-  tel_cold_p99_us : float;
-}
-
-let run_serve_traffic () =
-  serve_rng := 0x9E3779B97F4A7C15L;
-  let population = serve_population () in
-  let t = Serve.Server.create () in
-  let per_mix = if smoke then 50 else 800 in
-  let all_samples = ref [] in
-  let per_skew = ref [] in
-  let bad = ref 0 in
-  List.iter
-    (fun (tag, skew) ->
-      let samples, bad_hits = serve_run_mix t population ~skew ~count:per_mix in
-      bad := !bad + bad_hits;
-      let hits = List.length (List.filter (fun s -> s.hit) samples) in
-      Printf.printf "  %-8s %5d requests  %5d hits  (%.1f%% hit rate)\n%!" tag
-        per_mix hits
-        (100.0 *. float_of_int hits /. float_of_int per_mix);
-      per_skew := (tag, per_mix, hits) :: !per_skew;
-      all_samples := !all_samples @ samples)
-    [ ("uniform", `Uniform); ("zipf", `Zipf); ("hot", `Hot) ];
-  let samples = !all_samples in
-  let nhits, ncold, (h50, h99), (c50, c99), (o50, o99) =
-    serve_class_stats samples
-  in
-  if !bad > 0 then begin
-    Printf.printf
-      "  FAIL: %d cache hits reported non-zero solver counters\n" !bad;
-    exit 1
-  end;
-  (* reconcile the daemon's telemetry against the driver's own ledger:
-     every answered line was a schedule response, so requests_total,
-     hit (+coalesced, though this single-domain driver never
-     coalesces) and cold must match exactly *)
-  let tel = Serve.Server.telemetry t in
-  let requests = List.length samples in
-  let tel_hits =
-    Serve.Telemetry.outcome_total tel "hit"
-    + Serve.Telemetry.outcome_total tel "coalesced"
-  in
-  let tel_cold = Serve.Telemetry.outcome_total tel "cold" in
-  let reconciled =
-    Serve.Telemetry.requests_total tel = requests
-    && tel_hits = nhits && tel_cold = ncold
-  in
-  if not reconciled then
-    Printf.printf
-      "  telemetry MISMATCH: scrape says %d requests / %d hits / %d cold, \
-       ledger says %d / %d / %d\n%!"
-      (Serve.Telemetry.requests_total tel)
-      tel_hits tel_cold requests nhits ncold;
-  let q cls p = Serve.Telemetry.duration_quantile tel cls p in
-  {
-    srequests = requests;
-    shits = nhits;
-    scold = ncold;
-    hit_p50_us = h50;
-    hit_p99_us = h99;
-    cold_p50_us = c50;
-    cold_p99_us = c99;
-    all_p50_us = o50;
-    all_p99_us = o99;
-    per_skew = List.rev !per_skew;
-    zero_solver_hits = !bad = 0;
-    tel_reconciled = reconciled;
-    tel_hit_p50_us = q `Hit 0.5;
-    tel_hit_p99_us = q `Hit 0.99;
-    tel_cold_p50_us = q `Cold 0.5;
-    tel_cold_p99_us = q `Cold 0.99;
-  }
-
-let serve_record st =
-  let open Obs.Json in
-  let label = Option.value (Sys.getenv_opt "BENCH_LABEL") ~default:"dev" in
-  let r2 v = Float (round2 v) in
-  Obj
-    [ ("label", Str label); ("smoke", Bool smoke);
-      ("requests", Int st.srequests); ("hits", Int st.shits);
-      ("misses", Int st.scold);
-      ( "hit_rate",
-        Float
-          (Float.of_string
-             (Printf.sprintf "%.4f"
-                (float_of_int st.shits /. float_of_int st.srequests))) );
-      ("hit_p50_us", r2 st.hit_p50_us); ("hit_p99_us", r2 st.hit_p99_us);
-      ("cold_p50_us", r2 st.cold_p50_us); ("cold_p99_us", r2 st.cold_p99_us);
-      ("overall_p50_us", r2 st.all_p50_us); ("overall_p99_us", r2 st.all_p99_us);
-      ("speedup_p50", r2 (st.cold_p50_us /. st.hit_p50_us));
-      ("zero_solver_hits", Bool st.zero_solver_hits);
-      ( "telemetry",
-        Obj
-          [ ("reconciled", Bool st.tel_reconciled);
-            ("hist_hit_p50_us", r2 st.tel_hit_p50_us);
-            ("hist_hit_p99_us", r2 st.tel_hit_p99_us);
-            ("hist_cold_p50_us", r2 st.tel_cold_p50_us);
-            ("hist_cold_p99_us", r2 st.tel_cold_p99_us) ] );
-      ( "skews",
-        Obj
-          (List.map
-             (fun (tag, reqs, hits) ->
-               ( tag,
-                 Obj
-                   [ ("requests", Int reqs); ("hits", Int hits);
-                     ( "hit_rate",
-                       Float
-                         (Float.of_string
-                            (Printf.sprintf "%.4f"
-                               (float_of_int hits /. float_of_int reqs))) ) ] ))
-             st.per_skew) ) ]
-
-let read_serve_file () =
-  if Sys.file_exists serve_bench_file then begin
-    let ic = open_in_bin serve_bench_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" serve_bench_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (serve_bench_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_serve_json st =
-  let run = serve_record st in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_serve_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "request latency microseconds against the wiseserve daemon" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin serve_bench_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" serve_bench_file label
-
-let serve_table st =
-  Printf.printf "  %-8s %8s %12s %12s\n" "class" "count" "p50 (us)" "p99 (us)";
-  Printf.printf "  %-8s %8d %12.1f %12.1f\n" "hit" st.shits st.hit_p50_us
-    st.hit_p99_us;
-  Printf.printf "  %-8s %8d %12.1f %12.1f\n" "cold" st.scold st.cold_p50_us
-    st.cold_p99_us;
-  Printf.printf "  %-8s %8d %12.1f %12.1f\n" "overall" st.srequests
-    st.all_p50_us st.all_p99_us;
-  Printf.printf
-    "  hit rate %.1f%%; cache-hit p50 is x%.0f below a cold solve's p50\n"
-    (100.0 *. float_of_int st.shits /. float_of_int st.srequests)
-    (st.cold_p50_us /. st.hit_p50_us);
-  Printf.printf
-    "  telemetry: reconciled %b; histogram p50 hit %.1f us / cold %.1f us\n%!"
-    st.tel_reconciled st.tel_hit_p50_us st.tel_cold_p50_us
-
-let serve_bench () =
-  section "Serve: heavy traffic against the scheduling daemon (wiseserve)";
-  let st = run_serve_traffic () in
-  serve_table st;
-  write_serve_json st
-
-(* Serving gate (CI, advisory like the pipeline gate): machine-
-   independent bounds over one fresh traffic run. The hit-rate floor is
-   set by the workload's composition (the only cold-capable requests
-   are the first touches of each distinct key), and the latency bounds
-   are ratios against the same run's own cold solves — nothing here
-   compares absolute times across machines. *)
-let serve_check () =
-  section "Serve check: hit-rate floor and hit-latency ceilings";
-  (match
-     List.rev (read_serve_file ())
-     |> List.find_opt (fun r -> record_smoke r = Some false)
-   with
-  | Some r ->
-    Printf.printf "  committed baseline: %S\n"
-      (Option.value (record_label r) ~default:"?")
-  | None ->
-    Printf.printf "  (no committed non-smoke baseline in %s)\n" serve_bench_file);
-  let st = run_serve_traffic () in
-  serve_table st;
-  let distinct = List.length (serve_population ()) in
-  (* every request past the first touch of a key can hit; allow 10%
-     slack for eviction effects *)
-  let floor =
-    0.9 *. (1.0 -. (float_of_int distinct /. float_of_int st.srequests))
-  in
-  let checks =
-    [ ( "hit_rate",
-        Bench_check.check_min ~floor
-          ~value:(float_of_int st.shits /. float_of_int st.srequests) );
-      ( "hit_p99 <= cold_p50",
-        Bench_check.check_max ~ceiling:st.cold_p50_us ~value:st.hit_p99_us );
-      ( "cold_p50/hit_p50 >= 10",
-        Bench_check.check_min ~floor:10.0
-          ~value:(st.cold_p50_us /. st.hit_p50_us) );
-      (* the daemon's own histograms must tell the same story as the
-         driver's sampled wall times: hits and colds separate, and the
-         bucketed p50s agree with the sampled ones to within the
-         log-linear resolution (upper-edge estimate, 12.5% buckets —
-         4x is a generous machine-independent envelope) *)
-      ( "hist hit_p50 <= hist cold_p50",
-        Bench_check.check_max ~ceiling:st.tel_cold_p50_us
-          ~value:st.tel_hit_p50_us );
-      ( "hist/sampled hit_p50 <= 4",
-        Bench_check.check_max ~ceiling:4.0
-          ~value:(st.tel_hit_p50_us /. st.hit_p50_us) );
-      ( "hist/sampled cold_p50 <= 4",
-        Bench_check.check_max ~ceiling:4.0
-          ~value:(st.tel_cold_p50_us /. st.cold_p50_us) ) ]
-  in
-  let failed = ref false in
-  List.iter
-    (fun (name, v) ->
-      Printf.printf "  %-28s %s\n" name (Bench_check.describe_bound v);
-      if Bench_check.bound_failure v then failed := true)
-    checks;
-  Printf.printf "  %-28s %s\n" "telemetry reconciled"
-    (if st.tel_reconciled then "OK" else "FAIL");
-  if not st.tel_reconciled then failed := true;
-  if !failed then begin
-    Printf.printf "  FAIL: serving bounds violated\n";
-    exit 1
-  end
-  else Printf.printf "  OK: all serving bounds hold\n"
-
-(* --- telemetry overhead: instruments on vs off over warm traffic ------------- *)
-
 (* The zero-cost-when-disabled claim, measured: the same warm request
    stream (all cache hits after warm-up, so the solver never runs and
    the per-request instrument work is the largest relative term) is
    driven through two servers that differ only in [config.metrics].
    Both must serve byte-identical schedule payloads — telemetry
    observes responses, it never shapes them — and the per-request
-   delta is reported like [trace_overhead]. *)
+   delta is reported like [budget_overhead]'s. *)
 
 let telemetry_overhead () =
   section "Telemetry overhead (metrics instruments on vs off, warm hits)";
@@ -1354,6 +629,14 @@ let telemetry_overhead () =
    breaker, and — the core wiseserve guarantee — still serve payloads
    byte-identical to an unfaulted run afterwards. Survival metrics land
    in BENCH_soak.json; `soak --check` is the gate CI blocks on. *)
+
+let percentile sorted p =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else sorted.(int_of_float (Float.round (p *. float_of_int (n - 1))))
+
+let record_label r = Option.bind (Obs.Json.member "label" r) Obs.Json.to_string_opt
+let record_smoke r = Option.bind (Obs.Json.member "smoke" r) Obs.Json.to_bool_opt
 
 let soak_json_file = "BENCH_soak.json"
 let soak_deadline_ms = 250
@@ -1930,7 +1213,9 @@ let soak_bench () =
 (* Soak gate (CI, blocking): validates the latest BENCH_soak record.
    Every bound is machine-independent — counts, shares and identity
    booleans from one run; the only time-like bound (overrun p99) is
-   relative to the deadline the run itself requested. *)
+   relative to the deadline the run itself requested. A bound whose
+   number is missing or not finite fails: a record without it proves
+   nothing about the daemon. *)
 let soak_check () =
   section "Soak check: survival bounds over the latest BENCH_soak record";
   match List.rev (read_soak_file ()) with
@@ -1939,34 +1224,25 @@ let soak_check () =
       soak_json_file;
     exit 1
   | run :: _ ->
-    let open Obs.Json in
     let smoke_run = Option.value (record_smoke run) ~default:false in
     Printf.printf "  record: %S (smoke %b)\n"
       (Option.value (record_label run) ~default:"?")
       smoke_run;
     let num path =
-      let rec go j = function
-        | [] -> to_float_opt j |> fun f ->
-          (match f with Some _ -> f | None -> Option.map float_of_int (to_int_opt j))
-        | f :: rest -> Option.bind (member f j) (fun v -> go v rest)
-      in
-      Option.value (go run path) ~default:Float.nan
+      Option.value
+        (Option.bind (serve_field run path) Obs.Json.to_float_opt)
+        ~default:Float.nan
     in
-    let flag path =
-      match
-        let rec go j = function
-          | [] -> to_bool_opt j
-          | f :: rest -> Option.bind (member f j) (fun v -> go v rest)
-        in
-        go run path
-      with
-      | Some b -> b
-      | None -> false
-    in
+    let flag path = Option.bind (serve_field run path) Obs.Json.to_bool_opt = Some true in
     let failed = ref false in
     let bound name v =
-      Printf.printf "  %-36s %s\n" name (Bench_check.describe_bound v);
-      if Bench_check.bound_failure v then failed := true
+      let verdict, bad =
+        match v with
+        | Bench_check.Bad_value -> ("missing or not finite  FAIL", true)
+        | v -> (Bench_check.describe_bound v, Bench_check.bound_failure v)
+      in
+      Printf.printf "  %-36s %s\n" name verdict;
+      if bad then failed := true
     in
     let must name ok =
       Printf.printf "  %-36s %s\n" name (if ok then "OK" else "FAIL");
@@ -2008,295 +1284,6 @@ let soak_check () =
     end
     else Printf.printf "  OK: the daemon survived the soak within bounds\n"
 
-(* --- engine scale sweep: ilp vs lp-dfp on generated SCoPs + BENCH_scale.json -- *)
-
-let scale_json_file = "BENCH_scale.json"
-
-(* Chain and blocked sweep to 200 statements. Stencil stops at 100: its
-   ±1 shifts force a loop cut every few statements, both engines spend
-   the sweep inside the shared cut machinery, and past 100 statements
-   the sizes cost minutes each to restate a tie. *)
-let scale_sizes shape =
-  let full =
-    match shape with
-    | Kernels.Scopgen.Stencil -> [ 10; 25; 50; 100 ]
-    | Kernels.Scopgen.Chain | Kernels.Scopgen.Blocked ->
-      [ 10; 25; 50; 100; 150; 200 ]
-  in
-  if smoke then List.filter (fun s -> s <= 50) full else full
-
-(* The counters that tell the two engines apart: bb_nodes must stay 0
-   on the lp-dfp path, lp_relax_solves 0 on the ilp path, and
-   dfp_fallbacks counts the levels clustering could not certify. *)
-let scale_counter_names =
-  [ "lp_solves"; "ilp_solves"; "bb_nodes"; "lp_relax_solves";
-    "cluster_rounds"; "dfp_fallbacks" ]
-
-type scale_cell = {
-  swall_ms : float;
-  scounters : (string * int) list;
-  srows : int; (* schedule rows of statement 0 — sanity, both engines agree *)
-}
-
-(* One timed scheduler run on shared, pre-analyzed dependences, so the
-   measurement isolates the engine (hyperplane search) from dependence
-   analysis. A single repetition: the interesting walls are hundreds of
-   milliseconds to seconds, where run-to-run noise is far below the
-   2x gaps the sweep exists to show. *)
-let time_scale_engine cfg prog deps kind =
-  Pluto.Farkas.reset_cache ();
-  Linalg.Counters.reset ();
-  let t0 = Linalg.Clock.now () in
-  let res =
-    Pluto.Scheduler.run_with_deps ~engine:(Pluto.Engine.Fixed kind) cfg prog
-      deps
-  in
-  let dt = Linalg.Clock.now () -. t0 in
-  let all = Linalg.Counters.all_counters () in
-  {
-    swall_ms = dt *. 1e3;
-    scounters = List.filter (fun (n, _) -> List.mem n scale_counter_names) all;
-    srows = List.length res.Pluto.Scheduler.sched.(0);
-  }
-
-let scale_engines = [ Pluto.Engine.Ilp; Pluto.Engine.Lp_dfp ]
-
-(* size row: {"stmts", "deps", "ilp": {...}, "lp-dfp": {...}} *)
-let scale_size_row shape stmts =
-  let prog = Kernels.Scopgen.generate shape ~stmts in
-  let deps = Deps.Dep.analyze prog in
-  let cfg = scheduler_config Wisefuse in
-  let cells =
-    List.map (fun k -> (k, time_scale_engine cfg prog deps k)) scale_engines
-  in
-  let cell k = List.assoc k cells in
-  let c kind name =
-    try List.assoc name (cell kind).scounters with Not_found -> 0
-  in
-  Printf.printf "  %-8s %5d %6d %10.2f %10.2f %8d %8d %6d %5d\n%!"
-    (Kernels.Scopgen.shape_name shape)
-    stmts (List.length deps) (cell Ilp).swall_ms (cell Lp_dfp).swall_ms
-    (c Ilp "bb_nodes")
-    (c Lp_dfp "lp_relax_solves")
-    (c Lp_dfp "cluster_rounds")
-    (c Lp_dfp "dfp_fallbacks");
-  let open Obs.Json in
-  let cell_obj cl =
-    Obj
-      (("wall_ms", Float (round2 cl.swall_ms))
-       :: ("sched_rows", Int cl.srows)
-       :: List.map (fun (n, v) -> (n, Int v)) cl.scounters)
-  in
-  Obj
-    (("stmts", Int stmts)
-     :: ("deps", Int (List.length deps))
-     :: List.map
-          (fun (k, cl) -> (Pluto.Engine.kind_name k, cell_obj cl))
-          cells)
-
-let scale_record () =
-  Printf.printf "  %-8s %5s %6s %10s %10s %8s %8s %6s %5s\n" "shape" "stmts"
-    "deps" "ilp ms" "lp-dfp ms" "bb nodes" "lp relax" "rounds" "fall";
-  let shapes =
-    List.map
-      (fun shape ->
-        ( Kernels.Scopgen.shape_name shape,
-          Obs.Json.List (List.map (scale_size_row shape) (scale_sizes shape)) ))
-      Kernels.Scopgen.all_shapes
-  in
-  let label = Option.value (Sys.getenv_opt "BENCH_LABEL") ~default:"dev" in
-  Obs.Json.Obj
-    [ ("label", Obs.Json.Str label); ("smoke", Obs.Json.Bool smoke);
-      ("shapes", Obs.Json.Obj shapes) ]
-
-let read_scale_file () =
-  if Sys.file_exists scale_json_file then begin
-    let ic = open_in_bin scale_json_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" scale_json_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (scale_json_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_scale_json run =
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_scale_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "wall milliseconds of one scheduler run per engine on shared deps"
-        );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin scale_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" scale_json_file label
-
-let scale () =
-  section "Scale: ilp vs lp-dfp engines on generated large SCoPs";
-  write_scale_json (scale_record ())
-
-(* Scale gate (CI, advisory like the other gates): validates the latest
-   record in BENCH_scale.json — both engines ran in the same process on
-   the same dependences, so every bound below is a ratio or a counter
-   within one run; nothing compares absolute times across machines.
-   Bounds:
-     - bb_nodes = 0 on every lp-dfp cell (the path never branches);
-     - at each shape's largest size, lp-dfp wall <= ilp wall x 1.25
-       (stencil legitimately ties — cut machinery dominates — so the
-       per-shape bound carries tolerance);
-     - aggregate lp-dfp wall <= aggregate ilp wall over the whole sweep
-       (the headline claim: the relaxation path wins where it matters).
-*)
-let scale_check_threshold = 1.25
-
-let scale_check () =
-  section "Scale check: lp-dfp bounds over the latest BENCH_scale record";
-  match List.rev (read_scale_file ()) with
-  | [] ->
-    Printf.printf "  no record in %s; run `bench -- scale` first\n"
-      scale_json_file;
-    exit 1
-  | run :: _ ->
-    Printf.printf "  record: %S (smoke %b)\n"
-      (Option.value (record_label run) ~default:"?")
-      (Option.value (record_smoke run) ~default:false);
-    let open Obs.Json in
-    let num cell name =
-      Option.bind (member name cell) (fun v ->
-          match to_float_opt v with
-          | Some f -> Some f
-          | None -> Option.map float_of_int (to_int_opt v))
-    in
-    let failed = ref false in
-    let bound name v =
-      Printf.printf "  %-40s %s\n" name (Bench_check.describe_bound v);
-      if Bench_check.bound_failure v then failed := true
-    in
-    let ilp_total = ref 0.0 and dfp_total = ref 0.0 in
-    let shapes =
-      match member "shapes" run with
-      | Some (Obj fields) -> fields
-      | _ -> failwith (scale_json_file ^ {|: record has no "shapes" object|})
-    in
-    List.iter
-      (fun (shape, rows) ->
-        let rows = Option.value (to_list_opt rows) ~default:[] in
-        List.iter
-          (fun row ->
-            match (member "ilp" row, member "lp-dfp" row) with
-            | Some ilp, Some dfp ->
-              ilp_total :=
-                !ilp_total +. Option.value (num ilp "wall_ms") ~default:0.0;
-              dfp_total :=
-                !dfp_total +. Option.value (num dfp "wall_ms") ~default:0.0;
-              let stmts =
-                Option.value (num row "stmts") ~default:Float.nan
-              in
-              bound
-                (Printf.sprintf "%s/%.0f lp-dfp bb_nodes = 0" shape stmts)
-                (Bench_check.check_max ~ceiling:0.0
-                   ~value:(Option.value (num dfp "bb_nodes") ~default:Float.nan))
-            | _ ->
-              failed := true;
-              Printf.printf "  BAD %s row lacks an engine cell\n" shape)
-          rows;
-        (* per-shape wall bound at the largest size only: small sizes
-           are millisecond noise, the asymptote is the claim *)
-        match List.rev rows with
-        | last :: _ -> (
-          match (member "ilp" last, member "lp-dfp" last) with
-          | Some ilp, Some dfp ->
-            let iw = Option.value (num ilp "wall_ms") ~default:Float.nan in
-            let dw = Option.value (num dfp "wall_ms") ~default:Float.nan in
-            let stmts = Option.value (num last "stmts") ~default:Float.nan in
-            bound
-              (Printf.sprintf "%s/%.0f lp-dfp <= ilp x %.2f" shape stmts
-                 scale_check_threshold)
-              (Bench_check.check_max
-                 ~ceiling:(iw *. scale_check_threshold)
-                 ~value:dw)
-          | _ -> ())
-        | [] ->
-          failed := true;
-          Printf.printf "  BAD shape %s has no rows\n" shape)
-      shapes;
-    bound "aggregate lp-dfp <= aggregate ilp"
-      (Bench_check.check_max ~ceiling:!ilp_total ~value:!dfp_total);
-    Printf.printf "  aggregate: lp-dfp %.2f ms vs ilp %.2f ms\n" !dfp_total
-      !ilp_total;
-    if !failed then begin
-      Printf.printf "  FAIL: scale bounds violated\n";
-      exit 1
-    end
-    else Printf.printf "  OK: all scale bounds hold\n"
-
-(* --- Bechamel: time the compiler itself -------------------------------------- *)
-
-let bechamel () =
-  section "Bechamel: optimization-pipeline timings (one test per experiment)";
-  let open Bechamel in
-  let open Toolkit in
-  let mk name f = Test.make ~name (Staged.stage f) in
-  let tests =
-    [ mk "table2-registry" (fun () -> ignore (List.length Kernels.Registry.all));
-      mk "fig1-gemver-smartfuse" (fun () ->
-          ignore
-            (Pluto.Scheduler.run Pluto.Scheduler.smartfuse
-               (Kernels.Gemver.program ~n:10 ())));
-      mk "fig3-gemver-wisefuse" (fun () ->
-          ignore (Fusion.Wisefuse.run (Kernels.Gemver.program ~n:10 ())));
-      mk "fig5-swim-prefusion" (fun () ->
-          let prog = Kernels.Swim.program ~n:6 () in
-          let deps = Deps.Dep.analyze prog in
-          let ddg = Deps.Ddg.build prog deps in
-          let scc = Deps.Ddg.scc_kosaraju ddg in
-          ignore (Fusion.Prefusion.order prog ddg scc));
-      mk "fig4_6-advect-alg2" (fun () ->
-          ignore (Fusion.Wisefuse.run (Kernels.Advect.program ~n:8 ())));
-      mk "fig7-simulate-gemver" (fun () ->
-          let prog = Kernels.Gemver.program ~n:10 () in
-          let ast = Codegen.Scan.original prog ~deps:[] in
-          ignore
-            (Machine.Perf.simulate prog ast
-               ~params:prog.Scop.Program.default_params));
-      mk "fig8-gemsfdtd-icc" (fun () ->
-          ignore (Icc.Icc_model.run (Kernels.Gemsfdtd.program ~n:4 ()))) ]
-  in
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg =
-    if smoke then Benchmark.cfg ~limit:25 ~quota:(Time.second 0.05) ()
-    else Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ()
-  in
-  List.iter
-    (fun t ->
-      let results = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ t ]) in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-      in
-      let res = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name r ->
-          match Analyze.OLS.estimates r with
-          | Some [ est ] -> Printf.printf "  %-26s %14.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-26s (no estimate)\n%!" name)
-        res)
-    tests;
-  (* the pipeline timings ride along so `-- bechamel` (what CI runs)
-     always refreshes BENCH_pipeline.json *)
-  pipeline ()
-
 (* --- driver -------------------------------------------------------------------- *)
 
 let experiments =
@@ -2304,18 +1291,12 @@ let experiments =
     ("fig5", fig5); ("fig4_6", fig4_6); ("fig7", fig7); ("fig8", fig8);
     ("scaling", scaling); ("ablation", ablation); ("extras", extras);
     ("tiling", tiling); ("locality", locality); ("space", space);
-    ("vector", vector); ("pipeline", pipeline); ("analyze", analyze_overhead);
-    ("budget", budget_overhead); ("trace", trace_overhead);
-    ("serve", serve_bench); ("telemetry", telemetry_overhead);
-    ("scale", scale); ("soak", soak_bench);
-    ("bechamel", bechamel) ]
+    ("vector", vector); ("budget", budget_overhead);
+    ("telemetry", telemetry_overhead); ("soak", soak_bench) ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | [ "pipeline"; "--check" ] | [ "--check" ] -> pipeline_check ()
-  | [ "serve"; "--check" ] -> serve_check ()
-  | [ "scale"; "--check" ] -> scale_check ()
   | [ "soak"; "--check" ] -> soak_check ()
   | [] -> List.iter (fun (_, f) -> f ()) experiments
   | names ->

@@ -3,8 +3,8 @@
     The registry kernels top out around 20 statements; the scheduling
     engines diverge far beyond that. This generator builds programs of
     hundreds of statements in three dependence shapes, the same
-    programs for the fuzz harness ([FUZZ_STMTS]) and the
-    [bench -- scale] size sweep:
+    programs for the fuzz harness ([FUZZ_STMTS]), the engine tests and
+    wisebench's [scale] workload:
 
     - {e chain}: one depth-1 nest per statement, statement [k]
       consuming what [k-1] produced — a single long producer-consumer

@@ -8,9 +8,9 @@
     therefore sees one set of counters; solves running on different
     domains never mix their counts. {!scoped} gives one callback a
     fresh record of its own — the serving daemon runs every cold solve
-    that way. The bench harness and the CLI read these to report where
-    the optimization time goes, and the CI benchmark job serializes
-    them into [BENCH_pipeline.json].
+    that way. The CLI ([--stats]), serve payloads and wisebench's
+    traced runs read these to report where the optimization time
+    goes.
 
     The exact-arithmetic counters ({!promotions}, {!demotions}) move
     only where a {!Bigint} crosses between its immediate native-int

@@ -165,9 +165,19 @@ let test_null_sink_no_effect () =
      schedule is byte-identical to a traced run's *)
   Obs.Trace.disable ();
   Obs.Trace.reset ();
+  let t0 = Linalg.Clock.now () in
   let opt_off = run_pipeline (swim ()) in
+  let wall = Linalg.Clock.now () -. t0 in
   let counters_off = Linalg.Counters.all_counters () in
   Alcotest.(check int) "null sink records nothing" 0 (Obs.Trace.event_count ());
+  (* stage timers are exclusive (self-time), so their sum is bounded by
+     the wall time of the run; more means overlapping timers *)
+  let stage_sum =
+    List.fold_left (fun a (_, s) -> a +. s) 0.0 (Linalg.Counters.stage_times ())
+  in
+  if stage_sum > (wall *. 1.02) +. 1e-4 then
+    Alcotest.failf "stage times sum to %.2f ms > %.2f ms wall"
+      (stage_sum *. 1e3) (wall *. 1e3);
   let opt_on, events = traced_pipeline (swim ()) in
   let counters_on = Linalg.Counters.all_counters () in
   Alcotest.(check bool) "traced run recorded events" true (events <> []);

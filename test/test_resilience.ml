@@ -1,6 +1,6 @@
 (* Robustness tests: solver budgets, the graceful-degradation ladder,
    typed diagnostics, always-on schedule verification, the chaos hooks,
-   and the bench regression comparator. *)
+   and the bench bound comparators. *)
 
 open Linalg
 open Poly
@@ -348,33 +348,9 @@ let test_chaos_big_path_equiv () =
       Alcotest.(check bool) "forced Big promotion, same schedule" true
         (got = base))
 
-(* --- bench regression comparator ------------------------------------------ *)
+(* --- bench bound comparators ---------------------------------------------- *)
 
-let test_bench_comparator () =
-  let open Bench_check in
-  let cmp b c = compare_wall ~threshold:1.25 ~baseline_ms:b ~current_ms:c in
-  Alcotest.(check bool) "missing" true (cmp None 10.0 = Missing);
-  Alcotest.(check bool) "zero baseline guarded" true
-    (cmp (Some 0.0) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "negative baseline guarded" true
-    (cmp (Some (-3.0)) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "nan baseline guarded" true
-    (cmp (Some Float.nan) 10.0 = Bad_baseline);
-  Alcotest.(check bool) "nan current guarded" true
-    (cmp (Some 10.0) Float.nan = Bad_baseline);
-  (match cmp (Some 10.0) 12.0 with
-  | Within r -> Alcotest.(check (float 1e-9)) "ratio" 1.2 r
-  | _ -> Alcotest.fail "1.2x is within a 1.25 threshold");
-  (match cmp (Some 10.0) 13.0 with
-  | Regression r -> Alcotest.(check (float 1e-9)) "ratio" 1.3 r
-  | _ -> Alcotest.fail "1.3x must regress a 1.25 threshold");
-  Alcotest.(check bool) "only regressions fail" true
-    (is_failure (cmp (Some 10.0) 13.0)
-    && (not (is_failure (cmp (Some 10.0) 12.0)))
-    && (not (is_failure (cmp (Some 0.0) 10.0)))
-    && not (is_failure (cmp None 10.0)))
-
-(* one-sided bounds used by the serve and scale gates *)
+(* one-sided bounds used by the soak gate and wisebench --compare *)
 let test_bench_bounds () =
   let open Bench_check in
   (match check_min ~floor:0.5 ~value:0.7 with
@@ -393,7 +369,7 @@ let test_bench_bounds () =
   | _ -> Alcotest.fail "11 violates a 10 ceiling");
   Alcotest.(check bool) "ceiling is inclusive" true
     (check_max ~ceiling:10.0 ~value:10.0 = Met 10.0);
-  (* the zero-ceiling form gates lp-dfp's bb_nodes = 0 invariant *)
+  (* the zero-ceiling form gates the soak's crashes = 0 *)
   Alcotest.(check bool) "zero ceiling, zero value" true
     (check_max ~ceiling:0.0 ~value:0.0 = Met 0.0);
   Alcotest.(check bool) "zero ceiling, one violates" true
@@ -475,8 +451,6 @@ let () =
         ] );
       ( "bench",
         [
-          Alcotest.test_case "regression comparator" `Quick
-            test_bench_comparator;
           Alcotest.test_case "bound comparators" `Quick test_bench_bounds;
           Alcotest.test_case "counters pp on empty run" `Quick
             test_counters_pp_empty;
