@@ -400,7 +400,7 @@ let space () =
 
 ";
   (* exhaustive evaluation of all 24 candidates on the machine model *)
-  let cands = Fusion.Search.best ~limit:64 mini3 in
+  let cands = Fusion.Search.best mini3 in
   Printf.printf "  exhaustive search over %d candidates (modeled cycles):
 "
     (List.length cands);
@@ -622,13 +622,14 @@ let telemetry_overhead () =
    multi-domain in-process daemon is soaked in thousands of mixed
    requests where a deliberate share of the traffic is hostile
    (malformed JSON, truncated lines, unknown ops, bad engines/models,
-   oversized lines) and a share of the cold solves is sabotaged by the
-   chaos hook (injected exceptions, starved budgets, slow solves). The
-   daemon must never crash, answer EVERY line with a typed envelope,
-   keep deadline overruns bounded, trip and recover the circuit
-   breaker, and — the core wiseserve guarantee — still serve payloads
-   byte-identical to an unfaulted run afterwards. Survival metrics land
-   in BENCH_soak.json; `soak --check` is the gate CI blocks on. *)
+   oversized lines) and a share of the cold solves is sabotaged by a
+   [Linalg.Chaos] fault plan (injected exceptions, starved budgets, slow
+   solves). The daemon must never crash, answer EVERY line with a typed
+   envelope, keep deadline overruns bounded, trip and recover the
+   circuit breaker, and — the core wiseserve guarantee — still serve
+   payloads byte-identical to an unfaulted run afterwards. Survival
+   metrics land in BENCH_soak.json; `soak --check` is the gate CI
+   blocks on. *)
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -820,7 +821,7 @@ let soak_worker t ~worker ~count =
       ignore (soak_send t tally (soak_hostile_line (soak_rand rng)) ~hostile:true)
     else if r < 0.40 then begin
       (* cache-busting cold solve: a size nobody else requests, so the
-         chaos hook sees a steady stream of fresh fingerprints *)
+         fault plan sees a steady stream of fresh fingerprints *)
       incr fresh;
       let kernel =
         soak_cheap_kernels.(soak_rand rng mod Array.length soak_cheap_kernels)
@@ -921,7 +922,6 @@ type soak_stats = {
 
 let run_soak () =
   let t0 = Linalg.Clock.now () in
-  Serve.Chaos.reset ();
   let registry = soak_registry () in
   let workers = 4 in
   let per_worker = if smoke then 100 else 600 in
@@ -942,40 +942,43 @@ let run_soak () =
      times in a row, which must trip the breaker; the next request for
      it must be rejected without touching the solver *)
   let threshold = (soak_config ()).Serve.Server.breaker_threshold in
-  Serve.Chaos.arm_queue (List.init threshold (fun _ -> Serve.Chaos.Raise));
+  let pill_faults = Linalg.Chaos.(queue (List.init threshold (fun _ -> Raise))) in
   let pill = {|{"id": 0, "kernel": "gemver", "size": 9973}|} in
   let pill_tally = soak_fresh_tally () in
-  for _ = 1 to threshold + 1 do
-    ignore (soak_send t pill_tally pill ~hostile:true)
-  done;
+  Linalg.Chaos.arm ~faults:pill_faults (fun () ->
+      for _ = 1 to threshold + 1 do
+        ignore (soak_send t pill_tally pill ~hostile:true)
+      done);
 
-  (* phase 3: the concurrent soak — probabilistic chaos on cold solves,
+  (* phase 3: the concurrent soak — probabilistic faults on cold solves,
      four worker domains firing the mixed request stream *)
   let chaos_mutex = Mutex.create () in
   let chaos_rng = ref 0x2545F4914F6CDD1DL in
-  (Serve.Chaos.solve_fault :=
-     fun () ->
-       Mutex.lock chaos_mutex;
-       let r = soak_rand_float chaos_rng in
-       let ms = 40 + (soak_rand chaos_rng mod 60) in
-       Mutex.unlock chaos_mutex;
-       if r < 0.04 then Some Serve.Chaos.Raise
-       else if r < 0.08 then Some Serve.Chaos.Exhaust
-       else if r < 0.12 then Some (Serve.Chaos.Slow ms)
-       else None);
-  let tallies =
-    List.init workers (fun w ->
-        Domain.spawn (fun () -> soak_worker t ~worker:w ~count:per_worker))
-    |> List.map Domain.join
+  let storm =
+    Linalg.Chaos.sampled (fun () ->
+        Mutex.lock chaos_mutex;
+        let r = soak_rand_float chaos_rng in
+        let ms = 40 + (soak_rand chaos_rng mod 60) in
+        Mutex.unlock chaos_mutex;
+        if r < 0.04 then Some Linalg.Chaos.Raise
+        else if r < 0.08 then Some Linalg.Chaos.Exhaust
+        else if r < 0.12 then Some (Linalg.Chaos.Slow ms)
+        else None)
   in
-  (* snapshot the chaos tallies before reset zeroes them; shed and
-     recovered are the soak server's own totals over every domain *)
-  let raises = Atomic.get Serve.Chaos.injected_raises in
-  let exhausts = Atomic.get Serve.Chaos.injected_exhausts in
-  let slows = Atomic.get Serve.Chaos.injected_slows in
+  let tallies =
+    Linalg.Chaos.arm ~faults:storm (fun () ->
+        List.init workers (fun w ->
+            Domain.spawn (fun () -> soak_worker t ~worker:w ~count:per_worker))
+        |> List.map Domain.join)
+  in
+  (* faults handed out by both plans; shed and recovered are the soak
+     server's own totals over every domain *)
+  let injected count = count pill_faults + count storm in
+  let raises = injected Linalg.Chaos.raises in
+  let exhausts = injected Linalg.Chaos.exhausts in
+  let slows = injected Linalg.Chaos.slows in
   let shed = Serve.Server.shed t in
   let recovered = Serve.Server.recovered t in
-  Serve.Chaos.reset ();
   let tallies = pill_tally :: tallies in
 
   (* phase 4: identity after the storm — the soak server must still

@@ -62,8 +62,6 @@ let count fs =
       | Info -> (e, w, i + 1))
     (0, 0, 0) fs
 
-let has_errors fs = List.exists (fun f -> f.severity = Error) fs
-
 let rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 let by_severity fs =
@@ -77,25 +75,6 @@ let by_severity fs =
 let stmt_names (prog : Scop.Program.t) ids =
   String.concat ", "
     (List.map (fun id -> prog.stmts.(id).Scop.Statement.name) ids)
-
-let shared_context prog f =
-  (("severity", severity_name f.severity)
-  ::
-  (match f.stmts with
-  | [] -> []
-  | ids -> [ ("statements", stmt_names prog ids) ]))
-  @ (match f.level with
-    | Some l -> [ ("loop", Printf.sprintf "t%d" l) ]
-    | None -> [])
-  @ (match f.dep with
-    | Some d -> [ ("dependence", Format.asprintf "%a" Deps.Dep.pp d) ]
-    | None -> [])
-  @ f.context
-
-let to_diagnostic prog f =
-  Pluto.Diagnostics.make
-    ~context:(shared_context prog f)
-    ~phase:Pluto.Diagnostics.Verification ~code:(code f.kind) f.message
 
 let pp prog fmt f =
   Format.fprintf fmt "%-7s [%s] %s" (severity_name f.severity) (code f.kind)

@@ -64,11 +64,6 @@ type t = {
 (** Stable machine-readable code, e.g. ["race.parallel"]. *)
 val code : kind -> string
 
-(** The severity a kind certifies at (fixed, not configurable). *)
-val severity_of_kind : kind -> severity
-
-val severity_name : severity -> string
-
 (** [make kind ...] with the kind's canonical severity. *)
 val make :
   ?stmts:int list ->
@@ -82,15 +77,8 @@ val make :
 (** [(errors, warnings, infos)]. *)
 val count : t list -> int * int * int
 
-val has_errors : t list -> bool
-
 (** Sort by severity (errors first), then by statement ids. *)
 val by_severity : t list -> t list
-
-(** Render as a [Pluto.Diagnostics.t] (phase [Verification]) so the
-    CLI's verbose renderer applies; statements, level and dependence
-    join the context pairs. *)
-val to_diagnostic : Scop.Program.t -> t -> Pluto.Diagnostics.t
 
 (** One-line rendering: [severity [code] message (S0, S1; level 2)]. *)
 val pp : Scop.Program.t -> Format.formatter -> t -> unit

@@ -45,6 +45,13 @@ let at_least_one v =
   v.(n - 1) <- Linalg.Q.sub v.(n - 1) Linalg.Q.one;
   Poly.Constr.make Poly.Constr.Ge v
 
+(* [carried_witness ?param_floor prog sched dep ~row_idx] decides
+   whether the dependence can connect two distinct iterations of the
+   loop at schedule row [row_idx], with all outer schedule rows (Hyp and
+   Beta alike) forced equal. Returns a witness point of the dependence
+   polyhedron ([src iters; dst iters; params]) when one was recovered,
+   [Some [||]] when the system is feasible but no witness was extracted
+   within budget, [None] when provably conflict-free. *)
 let carried_witness ?(param_floor = 2) prog sched dep ~row_idx =
   let base = conflict_base ~param_floor prog sched dep row_idx in
   let v = delta_vec prog sched dep row_idx in

@@ -20,21 +20,6 @@
     {e infeasible} conflict system is provably race-free — parallelism
     the pipeline left on the table (warning). *)
 
-(** [carried_witness ?param_floor prog sched dep ~row_idx] decides
-    whether the dependence can connect two distinct iterations of the
-    loop at schedule row [row_idx], with all outer schedule rows (Hyp
-    and Beta alike) forced equal. Returns a witness point of the
-    dependence polyhedron ([src iters; dst iters; params]) when one was
-    recovered, [Some [||]] when the system is feasible but no witness
-    was extracted within budget, [None] when provably conflict-free. *)
-val carried_witness :
-  ?param_floor:int ->
-  Scop.Program.t ->
-  Pluto.Sched.t ->
-  Deps.Dep.t ->
-  row_idx:int ->
-  int array option
-
 (** Check every loop of the AST; findings in AST pre-order. [facts]
     (default none) are the reduction proofs used to judge
     [Parallel_reduction] marks — pass proofs re-derived via

@@ -11,8 +11,3 @@ type t = {
 let op_name (i : t) = Scop.Expr.op_str i.op
 
 let for_stmt facts id = List.find_opt (fun i -> i.stmt = id) facts
-
-let pp fmt i =
-  Format.fprintf fmt "S%d: %s-reduction into %s (%d covered self-deps)" i.stmt
-    (op_name i) i.acc.Scop.Access.array
-    (List.length i.covered)

@@ -23,5 +23,3 @@ val op_name : t -> string
 
 (** The fact about statement [id], if the detector proved one. *)
 val for_stmt : t list -> int -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -16,17 +16,8 @@
     e.g. lu's triangular loops after skewing) are conservatively left
     untiled. *)
 
-(** [tile ?size ~prog ~sched ~deps ast] tiles every eligible band of
-    [ast]. [size] is the tile edge (default 4 — matched to the scaled
-    caches of {!Machine.Perf}). The result executes exactly the same
-    statement instances in a reordered-but-legal order. *)
-val tile :
-  ?size:int ->
-  prog:Scop.Program.t ->
-  sched:Pluto.Sched.t ->
-  deps:Deps.Dep.t list ->
-  Ast.node ->
-  Ast.node
-
-(** [of_result ?size res] = generate + tile. *)
+(** [of_result ?size res] generates the loop AST of [res] and tiles
+    every eligible band. [size] is the tile edge (default 4 — matched to
+    the scaled caches of {!Machine.Perf}). The result executes exactly
+    the same statement instances in a reordered-but-legal order. *)
 val of_result : ?size:int -> Pluto.Scheduler.result -> Ast.node

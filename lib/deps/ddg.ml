@@ -21,7 +21,6 @@ let build (prog : Scop.Program.t) deps =
   { n; succ; pred; deps }
 
 let true_deps g = List.filter Dep.is_true g.deps
-let input_deps g = List.filter (fun (d : Dep.t) -> d.kind = Dep.Input) g.deps
 
 let has_edge g a b = List.mem b g.succ.(a)
 

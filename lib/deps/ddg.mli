@@ -20,9 +20,6 @@ val build : Scop.Program.t -> Dep.t list -> t
 (** True dependences only. *)
 val true_deps : t -> Dep.t list
 
-(** Input (read-after-read) dependences only. *)
-val input_deps : t -> Dep.t list
-
 (** Is there a true-dependence edge [src -> dst]? *)
 val has_edge : t -> int -> int -> bool
 

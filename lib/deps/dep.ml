@@ -114,46 +114,44 @@ let classify_kind src_is_write dst_is_write =
   | true, true -> Output
   | false, false -> Input
 
-let analyze ?(param_floor = 2) ?(with_input = true) (prog : Program.t) =
+let analyze ?(param_floor = 2) (prog : Program.t) =
   let np = Program.nparams prog in
   let deps = ref [] in
   let stmts = prog.stmts in
   let consider (src : Statement.t) (dst : Statement.t) src_acc src_w dst_acc dst_w =
     if Access.same_array src_acc dst_acc then begin
       let kind = classify_kind src_w dst_w in
-      if kind <> Input || with_input then begin
-        match base_poly ~np src dst src_acc dst_acc with
-        | None -> ()
-        | Some base ->
-          let d1 = Statement.depth src and d2 = Statement.depth dst in
-          let base =
-            Poly.Polyhedron.add_list base
-              (param_floor_constraints ~d1 ~d2 ~np param_floor)
-          in
-          let common = Statement.common_loops src dst in
-          let try_level level cons =
-            let p = Poly.Polyhedron.add_list base cons in
-            if Ilp.Bb.feasible p then
-              deps :=
-                {
-                  src = src.id;
-                  dst = dst.id;
-                  kind;
-                  src_access = src_acc;
-                  dst_access = dst_acc;
-                  level;
-                  poly = p;
-                  tag = Normal;
-                }
-                :: !deps
-          in
-          for l = 0 to common - 1 do
-            try_level (Carried l) (carried_constraints ~d1 ~d2 ~np l)
-          done;
-          (* loop-independent: only if src textually precedes dst *)
-          if Statement.textual_before src dst then
-            try_level Independent (independent_constraints ~d1 ~d2 ~np common)
-      end
+      match base_poly ~np src dst src_acc dst_acc with
+      | None -> ()
+      | Some base ->
+        let d1 = Statement.depth src and d2 = Statement.depth dst in
+        let base =
+          Poly.Polyhedron.add_list base
+            (param_floor_constraints ~d1 ~d2 ~np param_floor)
+        in
+        let common = Statement.common_loops src dst in
+        let try_level level cons =
+          let p = Poly.Polyhedron.add_list base cons in
+          if Ilp.Bb.feasible p then
+            deps :=
+              {
+                src = src.id;
+                dst = dst.id;
+                kind;
+                src_access = src_acc;
+                dst_access = dst_acc;
+                level;
+                poly = p;
+                tag = Normal;
+              }
+              :: !deps
+        in
+        for l = 0 to common - 1 do
+          try_level (Carried l) (carried_constraints ~d1 ~d2 ~np l)
+        done;
+        (* loop-independent: only if src textually precedes dst *)
+        if Statement.textual_before src dst then
+          try_level Independent (independent_constraints ~d1 ~d2 ~np common)
     end
   in
   Array.iter

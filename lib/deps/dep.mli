@@ -42,21 +42,14 @@ type t = {
 (** Is this a real DDG edge (not an input dependence)? *)
 val is_true : t -> bool
 
-(** [analyze ?param_floor ?with_input program] computes all
-    dependences. [param_floor] (default 2) adds [p >= param_floor] for
-    every program parameter when testing emptiness, standing for the
-    "sufficiently large problem size" assumption. [with_input]
-    (default true) also computes read-after-read dependences. *)
-val analyze : ?param_floor:int -> ?with_input:bool -> Scop.Program.t -> t list
+(** [analyze ?param_floor program] computes all dependences,
+    read-after-read ([Input]) ones included. [param_floor] (default 2)
+    adds [p >= param_floor] for every program parameter when testing
+    emptiness, standing for the "sufficiently large problem size"
+    assumption. *)
+val analyze : ?param_floor:int -> Scop.Program.t -> t list
 
 (** Dependence-polyhedron layout helpers. *)
-
-(** [src_iter d i], [dst_iter dep i], [param_col dep ~np p]: column
-    indices into [poly]. *)
-val src_iter_col : int -> int
-
-val dst_iter_col : d1:int -> int -> int
-val param_col : d1:int -> d2:int -> int -> int
 
 val kind_to_string : kind -> string
 val pp : Format.formatter -> t -> unit

@@ -143,6 +143,9 @@ let degrade_event rung (d : Pluto.Diagnostics.t) =
       ("message", Obs.Json.Str d.message);
     ]
 
+(* [optimize] with dependences already computed (input dependences
+   included if downstream wants them). No [Budget.of_env] default here:
+   the caller decides. *)
 let with_deps ?budget ?(engine = Pluto.Engine.Auto) ~config
     (prog : Scop.Program.t) all_deps =
   (* One attempt = schedule search + code generation; a failure

@@ -36,10 +36,6 @@ type outcome = {
 (** [degraded o] — did the pipeline fall past the primary rung? *)
 val degraded : outcome -> bool
 
-(** The distributed-fallback configuration derived from a primary one
-    (exposed for tests). *)
-val distributed_config : Pluto.Scheduler.config -> Pluto.Scheduler.config
-
 (** [optimize ?param_floor ?budget ?engine ?config ?reductions prog] —
     run the ladder. [config] defaults to the wisefuse model; [engine]
     to {!Pluto.Engine.Auto}; [budget] defaults to
@@ -63,15 +59,4 @@ val optimize :
   ?config:Pluto.Scheduler.config ->
   ?reductions:bool ->
   Scop.Program.t ->
-  outcome
-
-(** {!optimize} with dependences already computed (must include input
-    dependences if downstream wants them). No [Budget.of_env] default
-    here — the caller decides. *)
-val with_deps :
-  ?budget:Linalg.Budget.t ->
-  ?engine:Pluto.Engine.choice ->
-  config:Pluto.Scheduler.config ->
-  Scop.Program.t ->
-  Deps.Dep.t list ->
   outcome

@@ -65,7 +65,10 @@ type candidate = {
   cycles : int;
 }
 
-let best ?(config = Machine.Perf.default) ?(limit = 512) (prog : Scop.Program.t) =
+(* candidates tried by [best], in enumeration order *)
+let limit = 64
+
+let best (prog : Scop.Program.t) =
   let deps = Dep.analyze prog in
   let ddg = Ddg.build prog deps in
   let scc_of = Ddg.scc_kosaraju ddg in
@@ -95,7 +98,7 @@ let best ?(config = Machine.Perf.default) ?(limit = 512) (prog : Scop.Program.t)
                  match
                    Pluto.Diagnostics.protect (fun () ->
                        let ast = Codegen.Scan.of_result result in
-                       Machine.Perf.simulate ~config prog ast ~params)
+                       Machine.Perf.simulate prog ast ~params)
                  with
                  | Ok s -> Some s
                  | Error _ -> None (* codegen rejected the transform *)

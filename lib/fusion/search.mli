@@ -37,9 +37,8 @@ type candidate = {
   cycles : int;  (** machine-model cycles on 8 cores *)
 }
 
-(** [best ?config ?limit prog] schedules and simulates {e every}
-    (ordering, partitioning) candidate — up to [limit] (default 512;
-    the full space is tried when smaller) — and returns them sorted by
-    modeled cycles, best first. Exponential: small programs only. *)
-val best :
-  ?config:Machine.Perf.config -> ?limit:int -> Scop.Program.t -> candidate list
+(** [best prog] schedules and simulates (on {!Machine.Perf.default})
+    every (ordering, partitioning) candidate — up to the first 64 — and
+    returns them sorted by modeled cycles, best first. Exponential:
+    small programs only. *)
+val best : Scop.Program.t -> candidate list

@@ -41,18 +41,18 @@ type search_state = {
   mutable saw_unbounded : bool;
   mutable gave_up : bool;
   mutable root_warm : Lp.warm option; (* snapshot of the root relaxation *)
-  max_nodes : int;
   stop_at_first : bool; (* feasibility search: stop on the first point *)
   budget : Budget.t option; (* shared resource budget, None = unlimited *)
 }
 
 exception Found_first
 
-let self_check = ref false
+(* Node cap of every search, on top of any [Budget]. *)
+let max_nodes = 20000
 
-(* Differential check (tests): a warm re-solve must agree with a cold
-   solve of the same node — same status, same optimal value, and a
-   feasible point. *)
+(* Differential check (the [check_warm] test hook): a warm re-solve
+   must agree with a cold solve of the same node — same status, same
+   optimal value, and a feasible point. *)
 let check_against_cold st p obj result =
   (* an Exhausted warm solve is budget-dependent, not a disagreement *)
   if result = Lp.Exhausted then ()
@@ -66,7 +66,7 @@ let check_against_cold st p obj result =
     | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> true
     | _ -> false
   in
-  if not ok then failwith "Ilp.Bb.self_check: warm and cold solves disagree"
+  if not ok then failwith "Ilp.Bb: warm and cold solves disagree"
 
 (* Charge one branch-and-bound node; [false] latches [gave_up] so the
    whole tree unwinds without raising. *)
@@ -80,7 +80,7 @@ let charge_node st =
 
 let rec branch st p obj ~src =
   if st.gave_up then ()
-  else if st.nodes >= st.max_nodes then st.gave_up <- true
+  else if st.nodes >= max_nodes then st.gave_up <- true
   else if not (charge_node st) then ()
   else begin
     st.nodes <- st.nodes + 1;
@@ -90,7 +90,7 @@ let rec branch st p obj ~src =
       | Cold -> Lp.minimize_warm ~nonneg:st.nonneg ?budget:st.budget p obj
       | Warm (w, cs) ->
         let r, w' = Lp.reoptimize ?budget:st.budget w ~add:cs ~obj in
-        if !self_check then check_against_cold st p obj r;
+        if Chaos.hooks.check_warm then check_against_cold st p obj r;
         (r, w')
     in
     if st.nodes = 1 then st.root_warm <- warm;
@@ -122,8 +122,7 @@ let rec branch st p obj ~src =
       end
   end
 
-let run ?(max_nodes = 20000) ?(stop_at_first = false) ?(nonneg = false)
-    ?(use_warm = true) ?budget ?root_src p obj =
+let run ?(stop_at_first = false) ?(nonneg = false) ?(use_warm = true) ?budget ?root_src p obj =
   Counters.(incr ilp_solves);
   let st =
     {
@@ -134,7 +133,6 @@ let run ?(max_nodes = 20000) ?(stop_at_first = false) ?(nonneg = false)
       saw_unbounded = false;
       gave_up = false;
       root_warm = None;
-      max_nodes;
       stop_at_first;
       budget;
     }
@@ -170,10 +168,10 @@ let answer_of st =
     else if st.gave_up then Gave_up
     else Infeasible
 
-let minimize ?max_nodes ?nonneg ?budget p obj =
+let minimize ?nonneg ?budget p obj =
   if Vec.dim obj <> Polyhedron.dim p + 1 then
     invalid_arg "Ilp.minimize: objective length";
-  answer_of (run ?max_nodes ?nonneg ?budget p obj)
+  answer_of (run ?nonneg ?budget p obj)
 
 (* [integer_point] deliberately searches cold: warm re-solves can land
    on a different optimal vertex of a degenerate LP, which would change
@@ -181,10 +179,10 @@ let minimize ?max_nodes ?nonneg ?budget p obj =
    first. Keeping this search cold makes the returned point — the one
    the scheduler embeds into schedules — independent of the warm-start
    machinery. *)
-let integer_point ?max_nodes ?nonneg ?budget p =
+let integer_point ?nonneg ?budget p =
   let obj = Vec.zero (Polyhedron.dim p + 1) in
   let st =
-    run ?max_nodes ~stop_at_first:true ?nonneg ~use_warm:false ?budget p obj
+    run ~stop_at_first:true ?nonneg ~use_warm:false ?budget p obj
   in
   Option.map snd st.incumbent
 
@@ -201,7 +199,7 @@ let feasible ?budget p =
       st.gave_up
   end
 
-let lexmin ?max_nodes ?nonneg ?budget p objs =
+let lexmin ?nonneg ?budget p objs =
   let dim = Polyhedron.dim p in
   (* [from] carries the previous stage's root-relaxation snapshot plus
      the pending objective-fixing equality, so each stage's root LP is a
@@ -211,11 +209,11 @@ let lexmin ?max_nodes ?nonneg ?budget p objs =
   let rec go p from acc = function
     | [] -> (
       (* recover a point optimal for all fixed objectives *)
-      match integer_point ?max_nodes ?nonneg ?budget p with
+      match integer_point ?nonneg ?budget p with
       | Some x -> Some (List.rev acc, x)
       | None -> None)
     | obj :: rest -> (
-      let st = run ?max_nodes ?nonneg ?budget ?root_src:from p obj in
+      let st = run ?nonneg ?budget ?root_src:from p obj in
       match answer_of st with
       | Optimal (v, _) ->
         (* fix this objective: obj . x + c = v *)

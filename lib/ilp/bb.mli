@@ -23,25 +23,22 @@ type answer =
       (** node budget / {!Linalg.Budget} exhausted without a
           conclusion — the typed "ran out of resources" outcome *)
 
-(** [minimize ?max_nodes ?budget p obj] minimizes the affine objective
-    [obj] (length [dim p + 1]) over the integer points of [p]. When
-    [budget] is given, every node charges {!Linalg.Budget.spend_node}
-    and the underlying LPs charge pivots; exhaustion yields [Gave_up],
-    never an exception. *)
+(** [minimize ?budget p obj] minimizes the affine objective [obj]
+    (length [dim p + 1]) over the integer points of [p]. A search stops
+    after 20,000 nodes. When [budget] is given, every node charges
+    {!Linalg.Budget.spend_node} and the underlying LPs charge pivots;
+    exhaustion of either yields [Gave_up], never an exception. *)
 val minimize :
-  ?max_nodes:int ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
   Linalg.Vec.t ->
   answer
 
-(** [integer_point ?max_nodes p] finds any integer point, if one
-    exists. [None] means "none exists" when the search completed,
-    and "unknown" when the node budget ran out (see {!feasible} for a
-    sound wrapper). *)
+(** [integer_point p] finds any integer point, if one exists. [None]
+    means "none exists" when the search completed, and "unknown" when
+    the node budget ran out (see {!feasible} for a sound wrapper). *)
 val integer_point :
-  ?max_nodes:int ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
@@ -56,25 +53,17 @@ val integer_point :
     built on top. *)
 val feasible : ?budget:Linalg.Budget.t -> Poly.Polyhedron.t -> bool
 
-(** [lexmin ?max_nodes p objs] sequentially minimizes the affine
-    objectives in [objs], fixing each to its optimum before the next
-    (lexicographic minimization). Returns the objective values and a
-    final optimal point, or [None] if infeasible / unbounded /
-    inconclusive (including budget exhaustion). *)
+(** [lexmin p objs] sequentially minimizes the affine objectives in
+    [objs], fixing each to its optimum before the next (lexicographic
+    minimization). Returns the objective values and a final optimal
+    point, or [None] if infeasible / unbounded / inconclusive (including
+    budget exhaustion). *)
 val lexmin :
-  ?max_nodes:int ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
   Linalg.Vec.t list ->
   (Linalg.Q.t list * int array) option
-
-(** Differential-testing hook: when set, every warm-started
-    branch-and-bound node re-solves its LP cold and fails
-    ([Failure _]) unless both solves agree on status and optimal value
-    and the warm point is feasible. Expensive — meant for the test
-    suite, not production runs. *)
-val self_check : bool ref
 
 (** [remove_redundant p] drops every inequality that is implied by the
     remaining constraints (exact rational LP test per row; equalities

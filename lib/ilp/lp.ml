@@ -17,15 +17,15 @@
    scans them in index order, so the pivot sequence is the one a dense
    tableau would take.
 
-   Pivoting: Dantzig's largest-coefficient rule by default — far fewer
-   pivots in practice — with a degeneracy detector that switches
-   permanently to Bland's least-index rule once the objective stalls,
-   which restores the termination guarantee. The ratio test compares
-   rhs_i/a_i ratios by cross-multiplication instead of exact division
-   (no gcd normalization per candidate row). A pivot lists the nonzero
-   slots of its scaled row once; the row elimination and the objective
-   update touch only those, through the fused native [Q.sub_mul].
-   Everything is exact, so no tolerance anywhere.
+   Pivoting: Dantzig's largest-coefficient rule — far fewer pivots in
+   practice — with a degeneracy detector that switches permanently to
+   Bland's least-index rule once the objective stalls, which restores
+   the termination guarantee. The ratio test compares rhs_i/a_i ratios
+   by cross-multiplication instead of exact division (no gcd
+   normalization per candidate row). A pivot lists the nonzero slots of
+   its scaled row once; the row elimination and the objective update
+   touch only those, through the fused native [Q.sub_mul]. Everything is
+   exact, so no tolerance anywhere.
 
    Incremental layer: an optimal solve can return a [warm] snapshot of
    its final tableau. [reoptimize] re-solves after (a) adding
@@ -41,27 +41,11 @@
 open Linalg
 open Poly
 
-type pivot_rule = Bland | Dantzig
-
 type result =
   | Infeasible
   | Unbounded
   | Optimal of Q.t * Vec.t
   | Exhausted
-
-(* Chaos hooks (fault injection for the test suite): [exhaust] makes
-   every solve report [Exhausted] without pivoting — the
-   forced-pivot-exhaustion fault; [warm_fallback] makes [reoptimize]
-   skip the warm path and re-solve cold every time — the
-   forced-warm-start-fallback fault. Production code never sets them. *)
-module Chaos = struct
-  let exhaust = ref false
-  let warm_fallback = ref false
-
-  let reset () =
-    exhaust := false;
-    warm_fallback := false
-end
 
 (* Internal only: budget exhaustion unwinds the solve in progress and
    is converted to the typed [Exhausted] result at every public entry
@@ -100,7 +84,6 @@ type warm = {
   w_n : int; (* original variable count *)
   w_obj_aff : Vec.t; (* the affine objective [w_obj_row] prices *)
   w_poly : Polyhedron.t; (* the solved polyhedron (for cold fallback) *)
-  w_rule : pivot_rule;
 }
 
 let rhs_slot t = Array.length t.nonbasic
@@ -109,9 +92,9 @@ let rhs_slot t = Array.length t.nonbasic
    included: a pivot also scales the entering coefficient to 1
    (p * 1/p) and eliminates it to 0 (f - f*1) in every other row and in
    the objective. On native operands those operations touch no counter;
-   off the native path (a Big or min_int operand, or chaos) they promote
-   and demote, so they are replayed there, and the counts that serve
-   payloads embed do not depend on the storage form. *)
+   off the native path (a Big or min_int operand, or the big-path test
+   hook) they promote and demote, so they are replayed there, and the
+   counts that serve payloads embed do not depend on the storage form. *)
 let native q = Bigint.unbox (Q.num q) <> min_int && Bigint.unbox (Q.den q) <> min_int
 let replay_zeroing f = if not (native f) then ignore (Q.sub f (Q.mul f Q.one))
 
@@ -181,7 +164,7 @@ let pivot t row k =
 (* One simplex phase: minimize obj (reduced costs by slot, with the
    objective value negated in the rhs slot). [allowed col] filters
    columns that may enter. Mutates [t], [obj]. *)
-let run_phase ~rule ~budget t obj allowed =
+let run_phase ~budget t obj allowed =
   let m = Array.length t.a in
   let rhs = rhs_slot t in
   let continue_ = ref true in
@@ -189,8 +172,9 @@ let run_phase ~rule ~budget t obj allowed =
   (* Dantzig's rule (most negative reduced cost) is much faster in
      practice; fall back to Bland's rule permanently once the objective
      stagnates for too long (degenerate-cycling guard), which restores
-     the termination guarantee. *)
-  let use_bland = ref (rule = Bland) in
+     the termination guarantee. The [bland] test hook starts on Bland's
+     rule, which no tier-1 program stalls into, so that it stays tested. *)
+  let use_bland = ref Chaos.hooks.bland in
   let stall = ref 0 in
   let last_value = ref obj.(rhs) in
   while !continue_ do
@@ -314,7 +298,7 @@ let priced_obj_row ~nonneg ~n t obj_aff =
     t.a;
   obj
 
-let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
+let solve_cold_exn ~nonneg ~budget p obj_aff =
   let n = Polyhedron.dim p in
   if Vec.dim obj_aff <> n + 1 then invalid_arg "Lp.minimize: objective length";
   let cons = Polyhedron.constraints p in
@@ -400,7 +384,7 @@ let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
         done
       end
     done;
-    (match run_phase ~rule ~budget t obj1 (fun _ -> true) with
+    (match run_phase ~budget t obj1 (fun _ -> true) with
     | `Unbounded -> assert false (* bounded below by 0 *)
     | `Optimal -> ());
     if Q.sign obj1.(nnb) <> 0 then raise Found_infeasible;
@@ -425,7 +409,7 @@ let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
   (* phase 2 *)
   let obj2 = priced_obj_row ~nonneg ~n t obj_aff in
   let allowed j = j < t.nstruct in
-  match run_phase ~rule ~budget t obj2 allowed with
+  match run_phase ~budget t obj2 allowed with
   | `Unbounded -> (Unbounded, None)
   | `Optimal ->
     let res = extract ~nonneg ~n t obj2 obj_aff in
@@ -438,13 +422,12 @@ let solve_cold_exn ~rule ~nonneg ~budget p obj_aff =
         w_n = n;
         w_obj_aff = obj_aff;
         w_poly = p;
-        w_rule = rule;
       }
     in
     (res, Some w)
 
-let solve_cold ~rule ~nonneg ~budget p obj_aff =
-  try solve_cold_exn ~rule ~nonneg ~budget p obj_aff
+let solve_cold ~nonneg ~budget p obj_aff =
+  try solve_cold_exn ~nonneg ~budget p obj_aff
   with Found_infeasible -> (Infeasible, None)
 
 (* --- warm re-solve ----------------------------------------------------- *)
@@ -541,11 +524,11 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
     if Obs.Trace.on () then
       Obs.Trace.instant ~cat:"ilp" "lp.warm-fallback"
         ~args:[ ("vars", Obs.Json.Int n) ];
-    solve_cold ~rule:w.w_rule ~nonneg:w.w_nonneg ~budget
+    solve_cold ~nonneg:w.w_nonneg ~budget
       (Polyhedron.add_list w.w_poly add)
       obj_aff
   in
-  if !Chaos.warm_fallback then cold ()
+  if Chaos.hooks.cold_reoptimize then cold ()
   else if
     Vec.dim obj_aff <> n + 1 || List.exists (fun c -> Constr.dim c <> n) add
   then cold ()
@@ -634,7 +617,7 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
       in
       let status =
         if same_obj then `Optimal
-        else run_phase ~rule:w.w_rule ~budget t obj_row (fun j -> allowed.(j))
+        else run_phase ~budget t obj_row (fun j -> allowed.(j))
       in
       match status with
       | `Unbounded ->
@@ -657,33 +640,32 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
   end
 
 let reoptimize ?budget w ~add ~obj =
-  if !Chaos.exhaust then (Exhausted, None)
+  if Chaos.hooks.exhaust then (Exhausted, None)
   else
     try reoptimize_exn ?budget w ~add ~obj
     with Out_of_budget -> (Exhausted, None)
 
 (* --- public entry points ------------------------------------------------ *)
 
-let minimize_warm ?(rule = Dantzig) ?(nonneg = false) ?budget p obj_aff =
+let minimize_warm ?(nonneg = false) ?budget p obj_aff =
   Counters.(incr lp_solves);
-  if !Chaos.exhaust then (Exhausted, None)
+  if Chaos.hooks.exhaust then (Exhausted, None)
   else
-    try solve_cold ~rule ~nonneg ~budget p obj_aff
+    try solve_cold ~nonneg ~budget p obj_aff
     with Out_of_budget -> (Exhausted, None)
 
-let minimize ?rule ?nonneg ?budget p obj_aff =
-  fst (minimize_warm ?rule ?nonneg ?budget p obj_aff)
+let minimize ?nonneg ?budget p obj_aff = fst (minimize_warm ?nonneg ?budget p obj_aff)
 
-let maximize ?rule ?nonneg ?budget p obj_aff =
-  match minimize ?rule ?nonneg ?budget p (Vec.neg obj_aff) with
+let maximize ?nonneg ?budget p obj_aff =
+  match minimize ?nonneg ?budget p (Vec.neg obj_aff) with
   | Infeasible -> Infeasible
   | Unbounded -> Unbounded
   | Optimal (v, x) -> Optimal (Q.neg v, x)
   | Exhausted -> Exhausted
 
-let feasible_point ?rule ?nonneg ?budget p =
+let feasible_point ?nonneg ?budget p =
   let n = Polyhedron.dim p in
-  match minimize ?rule ?nonneg ?budget p (Vec.zero (n + 1)) with
+  match minimize ?nonneg ?budget p (Vec.zero (n + 1)) with
   | Infeasible -> None
   | Unbounded -> None (* cannot happen with zero objective *)
   | Exhausted -> None (* caller opted into a budget: treat as unknown *)

@@ -2,17 +2,11 @@
     dictionary-form tableau, arbitrary-precision arithmetic).
 
     Variables are unrestricted in sign; non-negativity must appear as
-    explicit constraints in the polyhedron when wanted. The default
-    pivot rule is Dantzig's largest-coefficient rule with an automatic,
-    permanent fallback to Bland's least-index rule when the objective
-    stalls on a degenerate vertex — so termination is still guaranteed.
-    Exactness comes from {!Linalg.Q}: there is no tolerance anywhere. *)
-
-(** Entering-variable selection. [Dantzig] (the default) picks the most
-    negative reduced cost and is much faster in practice; [Bland] picks
-    the least column index and never cycles. Both reach the same
-    optimal value on any bounded feasible program. *)
-type pivot_rule = Bland | Dantzig
+    explicit constraints in the polyhedron when wanted. The pivot rule
+    is Dantzig's largest-coefficient rule with an automatic, permanent
+    fallback to Bland's least-index rule when the objective stalls on a
+    degenerate vertex — so termination is still guaranteed. Exactness
+    comes from {!Linalg.Q}: there is no tolerance anywhere. *)
 
 type result =
   | Infeasible
@@ -20,11 +14,12 @@ type result =
   | Optimal of Linalg.Q.t * Linalg.Vec.t
       (** optimal objective value and one optimal point *)
   | Exhausted
-      (** the solve hit its {!Linalg.Budget} (or a chaos fault) before
-          reaching a verdict — neither feasibility nor optimality is
-          known. Never produced on an unbudgeted call. *)
+      (** the solve hit its {!Linalg.Budget} before reaching a verdict
+          — neither feasibility nor optimality is known. Never produced
+          on an unbudgeted call, unless the {!Linalg.Chaos} [exhaust]
+          test hook is armed. *)
 
-(** [minimize ?rule ?nonneg ?budget p obj] minimizes the affine
+(** [minimize ?nonneg ?budget p obj] minimizes the affine
     objective [obj] (length [dim p + 1], trailing constant) over
     polyhedron [p]. With [nonneg:true] every variable is additionally
     constrained to be [>= 0] (and the free-variable split is skipped —
@@ -33,7 +28,6 @@ type result =
     yields [Exhausted] rather than an exception.
     @raise Invalid_argument on objective length mismatch. *)
 val minimize :
-  ?rule:pivot_rule ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
@@ -42,7 +36,6 @@ val minimize :
 
 (** [maximize p obj] likewise (implemented by negation). *)
 val maximize :
-  ?rule:pivot_rule ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
@@ -84,7 +77,6 @@ type warm
 (** Like {!minimize}, additionally returning a warm snapshot when the
     program is bounded and feasible. *)
 val minimize_warm :
-  ?rule:pivot_rule ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
@@ -104,26 +96,7 @@ val reoptimize :
 (** [feasible_point p] returns a rational point of [p] if one exists
     (phase-1 only). [None] on budget exhaustion. *)
 val feasible_point :
-  ?rule:pivot_rule ->
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->
   Poly.Polyhedron.t ->
   Linalg.Vec.t option
-
-(** {1 Fault injection}
-
-    Test-suite hooks for the chaos harness. Production code never sets
-    them; both default to [false]. *)
-module Chaos : sig
-  (** Every solve returns [Exhausted] without pivoting (forced pivot
-      exhaustion). *)
-  val exhaust : bool ref
-
-  (** {!reoptimize} skips the warm path and re-solves cold every time
-      (forced warm-start fallback). Results must be observably
-      identical — this hook exercises the fallback's equivalence. *)
-  val warm_fallback : bool ref
-
-  (** Clear both flags. *)
-  val reset : unit -> unit
-end

@@ -17,12 +17,6 @@ let shape_name = function
   | Stencil -> "stencil"
   | Blocked -> "blocked"
 
-let shape_of_string = function
-  | "chain" -> Some Chain
-  | "stencil" -> Some Stencil
-  | "blocked" -> Some Blocked
-  | _ -> None
-
 let block = 5 (* statements per nest in the blocked shape *)
 
 let generate ?(n = 16) shape ~stmts =

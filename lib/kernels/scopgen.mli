@@ -27,9 +27,6 @@ val all_shapes : shape list
 (** ["chain"], ["stencil"], ["blocked"]. *)
 val shape_name : shape -> string
 
-(** Inverse of {!shape_name}; [None] on unknown names. *)
-val shape_of_string : string -> shape option
-
 (** [generate ?n shape ~stmts] builds a program of exactly [stmts]
     statements over size-[n] arrays (default 16; loops run over
     [1, n-2]).

@@ -46,13 +46,6 @@ let minus_one = of_int (-1)
 let is_zero x = x == zero
 let is_one x = x == one
 
-(* Chaos hook (fault injection for the test suite): when set, the
-   native fast paths of add/sub/mul/divmod/gcd are disabled and every
-   operation runs the [big] (promotion) route. Results are still
-   canonical — [of_big] demotes them — so values, comparisons and
-   hashes are unchanged; only the computation path differs. *)
-let chaos_big_path = ref false
-
 let mag_norm (m : int array) : int array =
   let n = ref (Array.length m) in
   while !n > 0 && m.(!n - 1) = 0 do decr n done;
@@ -352,7 +345,7 @@ let big_add (x : big) (y : big) =
 let add x y =
   if is_zero x then y
   else if is_zero y then x
-  else if is_small x && is_small y && not !chaos_big_path then begin
+  else if is_small x && is_small y && not Chaos.hooks.big_path then begin
     let a = small x and b = small y in
     let s = a + b in
     (* two's-complement overflow: operands agree in sign, sum does not *)
@@ -362,7 +355,7 @@ let add x y =
   else big_add (to_big x) (to_big y)
 
 let sub x y =
-  if is_small x && is_small y && not !chaos_big_path then begin
+  if is_small x && is_small y && not Chaos.hooks.big_path then begin
     let a = small x and b = small y in
     let s = a - b in
     (* overflow: operands differ in sign and the result left a's sign *)
@@ -387,7 +380,7 @@ let mul x y =
   else if is_one y then x
   else if x == minus_one then neg y
   else if y == minus_one then neg x
-  else if is_small x && is_small y && not !chaos_big_path then begin
+  else if is_small x && is_small y && not Chaos.hooks.big_path then begin
     let a = small x and b = small y in
     if small_mul_fits a && small_mul_fits b then of_int (a * b)
     else begin
@@ -409,7 +402,7 @@ let big_divmod (a : big) (b : big) =
 
 let divmod a b =
   if is_zero b then raise Division_by_zero
-  else if is_small a && is_small b && not !chaos_big_path then begin
+  else if is_small a && is_small b && not Chaos.hooks.big_path then begin
     let x = small a and y = small b in
     if y = -1 then (neg a, zero) (* min_int / -1 would trap *)
     else (of_int (x / y), of_int (x mod y))
@@ -448,7 +441,7 @@ let rec big_gcd (a : big) (b : big) =
   end
 
 let gcd a b =
-  if is_small a && is_small b && not !chaos_big_path then begin
+  if is_small a && is_small b && not Chaos.hooks.big_path then begin
     let x = small a and y = small b in
     if x = Stdlib.min_int || y = Stdlib.min_int then
       big_gcd (to_big (abs a)) (to_big (abs b))
@@ -524,7 +517,7 @@ let force_big x = if is_small x then boxed (to_big x) else x
 
 (* --- native access for fused kernels ----------------------------------- *)
 
-let unbox x = if is_small x && not !chaos_big_path then small x else Stdlib.min_int
+let unbox x = if is_small x && not Chaos.hooks.big_path then small x else Stdlib.min_int
 
 (* --- operators & printing ------------------------------------------- *)
 

@@ -113,17 +113,9 @@ val is_small : t -> bool
     unspecified. Only for differential testing of the two code paths. *)
 val force_big : t -> t
 
-(** Chaos hook (fault injection, test suite only): when set, the native
-    fast paths of [add]/[sub]/[mul]/[divmod]/[gcd] (and the native
-    kernel of {!Q.sub_mul}) are disabled and every operation runs the
-    boxed (promotion) route. Values stay canonical — results demote —
-    so outputs are identical; only the computation path (and
-    {!Counters.promotions}) changes. *)
-val chaos_big_path : bool ref
-
 (** [unbox x] is [x] as a native int when every native fast path would
     take it, and [min_int] otherwise: when [x] is boxed, when
-    {!chaos_big_path} is set, and for [min_int] itself, whose negation
+    {!Chaos.hooks}[.big_path] is set, and for [min_int] itself, whose negation
     already promotes. Fused kernels such as {!Q.sub_mul} read their
     operands through it and fall back to the generic operations on
     [min_int]. *)

@@ -88,9 +88,6 @@ let spend_node b =
     not b.tripped
   end
 
-let pivots_spent b = b.pivots
-let nodes_spent b = b.nodes
-
 let env_int name =
   match Sys.getenv_opt name with
   | None -> None

@@ -23,7 +23,7 @@ val refresh : t -> t
 val exhausted : t -> bool
 
 (** Force exhaustion (used by the degradation ladder to abandon a
-    stage, and by the chaos harness). *)
+    stage). *)
 val trip : t -> unit
 
 (** Charge one simplex pivot / one branch-and-bound node. [false]
@@ -32,15 +32,9 @@ val spend_pivot : t -> bool
 
 val spend_node : t -> bool
 
-val pivots_spent : t -> int
-val nodes_spent : t -> int
-
 (** Read [WISEFUSE_BUDGET_MS] / [WISEFUSE_BUDGET_PIVOTS] /
     [WISEFUSE_BUDGET_NODES]; [None] when none is set (the unbudgeted
     fast path). Non-positive or malformed values are ignored. *)
 val of_env : unit -> t option
-
-(** Short human-readable limit summary, e.g. ["pivots<=100"]. *)
-val describe : t -> string
 
 val pp : Format.formatter -> t -> unit

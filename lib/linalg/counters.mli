@@ -28,8 +28,8 @@ val set : counter -> int -> unit
 
 (** Count of native {!Bigint} operands that an operation had to
     promote to the boxed sign + magnitude form: a native result
-    overflowed, the other operand was already boxed, or
-    {!Bigint.chaos_big_path} is set. *)
+    overflowed, the other operand was already boxed, or the
+    {!Chaos.hooks}[.big_path] test hook is set. *)
 val promotions : counter
 
 (** Count of boxed results that fit a native int and folded back into

@@ -1,29 +1,18 @@
 type t = Q.t array array
 
-let make r c q = Array.init r (fun _ -> Array.make c q)
-let zero r c = make r c Q.zero
-
 let identity n =
   Array.init n (fun i -> Array.init n (fun j -> if i = j then Q.one else Q.zero))
 
 let of_ints a = Array.map Vec.of_ints a
-let of_rows l = Array.of_list (List.map Vec.copy l)
 let copy m = Array.map Array.copy m
 
 let rows m = Array.length m
 let cols m = if rows m = 0 then 0 else Array.length m.(0)
 let row m i = Array.copy m.(i)
-let col m j = Array.init (rows m) (fun i -> m.(i).(j))
 
 let transpose m =
   let r = rows m and c = cols m in
   Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
-
-let add a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Mat.add";
-  Array.init (rows a) (fun i -> Vec.add a.(i) b.(i))
-
-let scale q m = Array.map (Vec.scale q) m
 
 let mul a b =
   if cols a <> rows b then invalid_arg "Mat.mul: dimension mismatch";
@@ -133,8 +122,3 @@ let row_space_contains m v =
 
 let orthogonal_complement m =
   List.map Vec.normalize_int (nullspace m)
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun r -> Format.fprintf fmt "%a@," Vec.pp r) m;
-  Format.fprintf fmt "@]"

@@ -6,24 +6,12 @@
     during code generation. *)
 
 type t = Q.t array array
-(** Row-major; all rows have the same length. The empty matrix with
-    [rows = 0] is allowed and carries no column information. *)
+(** Row-major; all rows have the same length. The empty matrix with no
+    rows is allowed and carries no column information. *)
 
-val make : int -> int -> Q.t -> t
-val zero : int -> int -> t
 val identity : int -> t
 val of_ints : int array array -> t
-val of_rows : Vec.t list -> t
-val copy : t -> t
-
-val rows : t -> int
-val cols : t -> int
 val row : t -> int -> Vec.t
-val col : t -> int -> Vec.t
-val transpose : t -> t
-
-val add : t -> t -> t
-val scale : Q.t -> t -> t
 
 (** [mul a b]. @raise Invalid_argument on inner dimension mismatch. *)
 val mul : t -> t -> t
@@ -40,7 +28,7 @@ val rref : t -> t * int list
 val rank : t -> int
 
 (** [nullspace m] returns a basis (possibly empty) of the right null
-    space [{x | m x = 0}]; each vector has [cols m] entries. *)
+    space [{x | m x = 0}]; each vector has one entry per column of [m]. *)
 val nullspace : t -> Vec.t list
 
 (** [inverse m] for square [m].
@@ -57,9 +45,7 @@ val solve : t -> Vec.t -> Vec.t option
 val row_space_contains : t -> Vec.t -> bool
 
 (** [orthogonal_complement m] returns a basis of the space orthogonal
-    to the rows of [m] in ℚ{^n} where [n = cols m]; i.e. a basis of the
-    null space of [m]. Rows of the result are primitive integer
-    vectors. *)
+    to the rows of [m] in ℚ{^n}, [n] the column count of [m]; i.e. a
+    basis of the null space of [m]. Rows of the result are primitive
+    integer vectors. *)
 val orthogonal_complement : t -> Vec.t list
-
-val pp : Format.formatter -> t -> unit

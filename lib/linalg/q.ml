@@ -151,9 +151,10 @@ let mul a b =
    at most the result. It finishes natively only when no intermediate leaves
    the native range, which is exactly when the generic calls would
    neither promote nor demote, so values and Counters agree with them.
-   A Big operand, [min_int], chaos or an overflow takes the generic
-   path. [min_int] doubles as the helpers' "left the native range" mark:
-   its negation already promotes, so giving it up loses nothing. *)
+   A Big operand, [min_int], the big-path test hook or an overflow
+   takes the generic path. [min_int] doubles as the helpers' "left the
+   native range" mark: its negation already promotes, so giving it up
+   loses nothing. *)
 
 let off = Stdlib.min_int
 

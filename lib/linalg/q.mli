@@ -53,9 +53,10 @@ val mul : t -> t -> t
 (** [sub_mul a f b] is [sub a (mul f b)], fused: on native operands it
     computes the same intermediates with native integers and allocates
     only the result. Any operand outside the native range, an overflow
-    or {!Bigint.chaos_big_path} takes the two generic calls instead, so
-    the value and the {!Counters.promotions}/{!Counters.demotions}
-    counts always equal theirs. *)
+    or the {!Chaos.hooks}[.big_path] test hook takes the two generic
+    calls instead, so the value and the
+    {!Counters.promotions}/{!Counters.demotions} counts always equal
+    theirs. *)
 val sub_mul : t -> t -> t -> t
 
 (** @raise Division_by_zero on division by zero. *)

@@ -43,8 +43,6 @@ let normalize_int v =
     Array.map (fun n -> Q.of_bigint (Bigint.div n g)) ints
   end
 
-let append = Array.append
-
 let pp fmt v =
   Format.fprintf fmt "(%a)"
     (Format.pp_print_array ~pp_sep:(fun f () -> Format.pp_print_string f ", ") Q.pp)

@@ -2,7 +2,6 @@
 
 type t = Q.t array
 
-val make : int -> Q.t -> t
 val zero : int -> t
 
 (** [unit n i] is the [n]-dimensional [i]-th standard basis vector. *)
@@ -28,8 +27,5 @@ val equal : t -> t -> bool
     integer vector pointing the same way (integer entries, gcd 1, same
     orientation). Returns the zero vector unchanged. *)
 val normalize_int : t -> t
-
-(** Concatenate. *)
-val append : t -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -74,5 +74,3 @@ let clear c =
   Array.iter (fun set -> Array.fill set 0 (Array.length set) 0) c.stamps;
   c.clock <- 0;
   reset_stats c
-
-let line_bytes c = 1 lsl c.line_bits

@@ -19,9 +19,6 @@ val access : t -> addr:int -> bool
 val hits : t -> int
 
 val misses : t -> int
-val reset_stats : t -> unit
 
 (** Drop all contents (cold cache) and reset stats. *)
 val clear : t -> unit
-
-val line_bytes : t -> int

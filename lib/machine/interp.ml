@@ -101,31 +101,25 @@ let run_original ?on_access ?on_stmt prog mem ~params =
   let ast = Codegen.Scan.original prog ~deps in
   run ?on_access ?on_stmt prog ast mem ~params
 
-let equal_info ?(eps = 1e-9) (a : array_info) (b : array_info) =
+let differ va vb = Float.abs (va -. vb) > 1e-9 *. (1.0 +. Float.abs va +. Float.abs vb)
+
+let equal_info (a : array_info) (b : array_info) =
   a.extents = b.extents
   && Array.length a.data = Array.length b.data
-  &&
-  let ok = ref true in
-  Array.iteri
-    (fun i va ->
-      let vb = b.data.(i) in
-      let scale = 1.0 +. Float.abs va +. Float.abs vb in
-      if Float.abs (va -. vb) > eps *. scale then ok := false)
-    a.data;
-  !ok
+  && not (Array.exists2 differ a.data b.data)
 
-let equal ?eps m1 m2 =
+let equal m1 m2 =
   Hashtbl.length m1.tbl = Hashtbl.length m2.tbl
   && Hashtbl.fold
        (fun name info acc ->
          acc
          &&
          match Hashtbl.find_opt m2.tbl name with
-         | Some info2 -> equal_info ?eps info info2
+         | Some info2 -> equal_info info info2
          | None -> false)
        m1.tbl true
 
-let first_diff ?(eps = 1e-9) m1 m2 =
+let first_diff m1 m2 =
   let result = ref None in
   Hashtbl.iter
     (fun name (info : array_info) ->
@@ -137,8 +131,7 @@ let first_diff ?(eps = 1e-9) m1 m2 =
             (fun i va ->
               if !result = None then begin
                 let vb = info2.data.(i) in
-                let scale = 1.0 +. Float.abs va +. Float.abs vb in
-                if Float.abs (va -. vb) > eps *. scale then
+                if differ va vb then
                   result :=
                     Some
                       (Printf.sprintf "%s[%d]: %.12g vs %.12g" name i va vb)

@@ -63,9 +63,9 @@ val run_original :
   params:int array ->
   unit
 
-(** [equal ?eps a b]: same arrays, element-wise within [eps]
-    (default 1e-9 relative-ish tolerance). *)
-val equal : ?eps:float -> memory -> memory -> bool
+(** [equal a b]: same arrays, element-wise within a 1e-9
+    relative-ish tolerance. *)
+val equal : memory -> memory -> bool
 
 (** Human-readable first difference, for test failure messages. *)
-val first_diff : ?eps:float -> memory -> memory -> string option
+val first_diff : memory -> memory -> string option

@@ -91,8 +91,3 @@ let capture prog ast ~params =
   let acc = ref [] in
   Interp.run ~on_access:(fun _ addr -> acc := addr :: !acc) prog ast mem ~params;
   List.rev !acc
-
-let pp fmt s =
-  Format.fprintf fmt "accesses=%d cold=%d mean=%.1f" s.accesses s.cold
-    s.mean_finite;
-  List.iter (fun (b, c) -> Format.fprintf fmt " <=%d:%d" b c) s.histogram

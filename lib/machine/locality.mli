@@ -29,5 +29,3 @@ val of_trace : ?line_bytes:int -> int list -> summary
 
 (** [capture prog ast ~params] runs the AST and records its trace. *)
 val capture : Scop.Program.t -> Codegen.Ast.node -> params:int array -> int list
-
-val pp : Format.formatter -> summary -> unit

@@ -66,8 +66,6 @@ let rec write buf = function
       fields;
     Buffer.add_char buf '}'
 
-let to_buffer buf v = write buf v
-
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;

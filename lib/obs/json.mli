@@ -29,9 +29,6 @@ val to_string : t -> string
 (** Indented rendering, 2 spaces per level, trailing newline. *)
 val to_string_pretty : t -> string
 
-(** Append the compact rendering to a buffer. *)
-val to_buffer : Buffer.t -> t -> unit
-
 (** Parse a complete JSON document. [Error msg] carries a byte offset.
     Numbers without ['.'], ['e'] or overflow parse as [Int], everything
     else as [Float]. *)

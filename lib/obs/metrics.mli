@@ -10,9 +10,6 @@
     single immutable bool load, keeping the disabled path at null-sink
     cost. *)
 
-val shards : int
-(** Number of independent cells per sharded instrument (power of 2). *)
-
 (** Pure log-linear bucket arithmetic (HdrHistogram-style: [sub]
     linear sub-buckets per power of two), exposed for boundary and
     merge property tests. *)
@@ -96,7 +93,6 @@ val hist_buckets : histogram -> int array
 (** Merged per-bucket counts, indexed like {!Buckets}. *)
 
 val hist_count : histogram -> int
-val hist_sum : histogram -> int
 
 val hist_quantile : histogram -> float -> float
 (** [hist_quantile h q] estimates the [q]-quantile from merged buckets

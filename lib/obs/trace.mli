@@ -61,9 +61,6 @@ val disable : unit -> unit
     keeping the enabled/disabled state. *)
 val reset : unit -> unit
 
-(** The calling domain's recorded events, in emission order. *)
-val events : unit -> event list
-
 val event_count : unit -> int
 
 (** {2 Emission} — all no-ops when the calling domain's sink is off. *)

@@ -63,8 +63,6 @@ let pp_verbose fmt d =
     (fun (k, v) -> Format.fprintf fmt "@\n  %s: %s" k v)
     d.context
 
-let to_string d = Format.asprintf "%a" pp d
-
 (* Make stray escapes readable in backtraces and test failures. *)
 let () =
   Printexc.register_printer (function

@@ -49,5 +49,3 @@ val pp : Format.formatter -> t -> unit
 
 (** Like {!pp} plus one indented [key: value] line per context entry. *)
 val pp_verbose : Format.formatter -> t -> unit
-
-val to_string : t -> string

@@ -1,6 +1,7 @@
 open Linalg
 open Poly
 
+(* The local coefficient space (layout in farkas.mli) and its columns. *)
 let local_dim ~d1 ~d2 ~np = d1 + d2 + np + 3
 
 let src_coeff i = i
@@ -10,6 +11,10 @@ let dst_const ~d1 ~d2 = d1 + 1 + d2
 let u_col ~d1 ~d2 p = d1 + d2 + 2 + p
 let w_col ~d1 ~d2 ~np = d1 + d2 + 2 + np
 
+(* [space_for ~form ~nloc poly] constrains the [nloc] local unknowns so
+   that the affine form — given per z-column as a sparse list of
+   [(local_var, coefficient)] pairs, column [dim poly] being the
+   constant — is non-negative everywhere on [poly]. *)
 let space_for ~form ~nloc poly =
   let dz = Polyhedron.dim poly in
   let cons = Polyhedron.constraints poly in

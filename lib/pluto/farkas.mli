@@ -25,18 +25,6 @@
     d1+d2+2+np         w
     v} *)
 
-(** Size of the local space: [d1 + d2 + np + 3]. *)
-val local_dim : d1:int -> d2:int -> np:int -> int
-
-(** Column indices in the local space. *)
-val src_coeff : int -> int
-
-val src_const : d1:int -> int
-val dst_coeff : d1:int -> int -> int
-val dst_const : d1:int -> d2:int -> int
-val u_col : d1:int -> d2:int -> int -> int
-val w_col : d1:int -> d2:int -> np:int -> int
-
 (** [legality_space ~d1 ~d2 ~np poly]: all local coefficient vectors
     whose hyperplanes weakly preserve the dependence.
 
@@ -53,14 +41,6 @@ val legality_space :
     the dependence distance to [u.p + w]. *)
 val bounding_space :
   d1:int -> d2:int -> np:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
-
-(** General entry point: [space_for ~form ~nloc poly] constrains the
-    [nloc] local unknowns so that the affine form (given per
-    z-column as a sparse list of [(local_var, coefficient)] pairs;
-    column [dim poly] is the constant) is non-negative everywhere on
-    [poly]. *)
-val space_for :
-  form:(int -> (int * int) list) -> nloc:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
 
 (** Drop all memoized Farkas systems of the calling domain (the memo is
     domain-local). Benchmarks call this between repetitions so each

@@ -12,8 +12,8 @@ let diff_vec (prog : Scop.Program.t) (dep : Dep.t) (sched : Sched.t) ~level =
   Sched.phi_diff ~d1 ~d2 ~np src_row dst_row
 
 (* Verification LPs run unbudgeted — a degraded schedule must still be
-   checkable — so [Exhausted] only arises under the chaos harness's
-   forced-exhaustion fault. Treat it like "unbounded" (unknown): for
+   checkable — so [Exhausted] only arises under the [exhaust] test
+   hook ([Linalg.Chaos]). Treat it like "unbounded" (unknown): for
    legality that errs toward reporting a violation, never toward
    accepting an illegal schedule. *)
 let diff_min prog dep sched ~level =

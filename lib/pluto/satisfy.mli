@@ -21,10 +21,6 @@ type range = {
 (** δ range of a dependence at one row. *)
 val diff_range : Scop.Program.t -> Deps.Dep.t -> Sched.t -> level:int -> range
 
-(** Only the minimum (one LP instead of two) — enough for legality and
-    satisfaction scans. *)
-val diff_min : Scop.Program.t -> Deps.Dep.t -> Sched.t -> level:int -> Linalg.Q.t option
-
 (** First row index that strongly satisfies the dependence, scanning
     rows outermost-first; rows after the first satisfying one are
     unconstrained (lexicographic positivity). *)

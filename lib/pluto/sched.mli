@@ -47,7 +47,4 @@ val num_rows : t -> int
     kinds agree across statements by construction.) *)
 val is_beta_level : t -> int -> bool
 
-val pp_row : iter_names:string array -> param_names:string array ->
-  Format.formatter -> row -> unit
-
 val pp : Scop.Program.t -> Format.formatter -> t -> unit

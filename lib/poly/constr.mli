@@ -36,9 +36,6 @@ val coeff : t -> int -> Linalg.Q.t
 (** The trailing constant. *)
 val const : t -> Linalg.Q.t
 
-(** [eval c x] is [a . x + const] for a point [x] of size [dim c]. *)
-val eval : t -> Linalg.Vec.t -> Linalg.Q.t
-
 (** [holds c x]: does point [x] satisfy the constraint? *)
 val holds : t -> Linalg.Vec.t -> bool
 

@@ -260,12 +260,3 @@ let structural_key p =
 let equal a b =
   a.dim = b.dim && a.known_empty = b.known_empty
   && List.equal Constr.equal a.cons b.cons
-
-let pp ?names fmt p =
-  if p.known_empty then Format.pp_print_string fmt "{ false }"
-  else if p.cons = [] then Format.fprintf fmt "{ true (dim %d) }" p.dim
-  else begin
-    Format.fprintf fmt "@[<v 2>{";
-    List.iter (fun c -> Format.fprintf fmt "@,%a" (Constr.pp ?names) c) p.cons;
-    Format.fprintf fmt "@]@,}"
-  end

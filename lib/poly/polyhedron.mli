@@ -126,4 +126,3 @@ val lower_upper_bounds : t -> int -> Constr.t list * Constr.t list * Constr.t li
 val structural_key : t -> string
 
 val equal : t -> t -> bool
-val pp : ?names:string array -> Format.formatter -> t -> unit

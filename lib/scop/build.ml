@@ -9,8 +9,6 @@ type arr = { arr_name : string; arr_dims : int }
 type rexpr =
   | RConst of float
   | RLoad of arr * aff list
-  | RNeg of rexpr
-  | RSqrt of rexpr
   | RBin of Expr.binop * rexpr * rexpr
 
 type frame = { loop_id : int; iter_name : string; lb : aff; ub : aff }
@@ -62,8 +60,6 @@ let ( +: ) a b = RBin (Expr.Add, a, b)
 let ( -: ) a b = RBin (Expr.Sub, a, b)
 let ( *: ) a b = RBin (Expr.Mul, a, b)
 let ( /: ) a b = RBin (Expr.Div, a, b)
-let neg a = RNeg a
-let sqrt_ a = RSqrt a
 let min_ a b = RBin (Expr.Min, a, b)
 let max_ a b = RBin (Expr.Max, a, b)
 
@@ -153,8 +149,6 @@ let loop ctx iter_name ~lb ~ub body =
 
 let rec resolve_rexpr ctx ~iter_ids = function
   | RConst x -> Expr.Const x
-  | RNeg e -> Expr.Neg (resolve_rexpr ctx ~iter_ids e)
-  | RSqrt e -> Expr.Sqrt (resolve_rexpr ctx ~iter_ids e)
   | RBin (op, a, b) ->
     Expr.Bin (op, resolve_rexpr ctx ~iter_ids a, resolve_rexpr ctx ~iter_ids b)
   | RLoad (arr, idx) ->

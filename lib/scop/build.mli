@@ -67,8 +67,6 @@ val ( +: ) : rexpr -> rexpr -> rexpr
 val ( -: ) : rexpr -> rexpr -> rexpr
 val ( *: ) : rexpr -> rexpr -> rexpr
 val ( /: ) : rexpr -> rexpr -> rexpr
-val neg : rexpr -> rexpr
-val sqrt_ : rexpr -> rexpr
 
 (** Pointwise minimum / maximum — the associative-commutative operators
     the reduction detector recognizes besides [+] and [*]. *)

@@ -27,7 +27,8 @@
    record the dependence-set fingerprint in the cache entry for audit,
    and so tests can assert the derivation is stable. *)
 
-(* v2: the requested scheduling engine joined the key (an lp-dfp
+(* Version tag mixed into every key; bump on format changes.
+   v2: the requested scheduling engine joined the key (an lp-dfp
    schedule may legitimately differ from the ILP one, so the two must
    never share a cache entry).
    v3: the reductions flag joined the key (reduction-aware legality

@@ -24,25 +24,11 @@
     cryptography. The serialization format is versioned ({!version});
     any change to the canonical form must bump it. *)
 
-(** Version tag mixed into every {!key}; bump on format changes. *)
-val version : string
-
-(** Canonical serialization of a whole program (exposed for tests and
-    for auditing collisions). *)
-val program_body : Scop.Program.t -> string
-
 (** MD5 hex of {!program_body}. *)
 val program : Scop.Program.t -> string
 
-(** Canonical, order-independent serialization of a dependence set. *)
-val deps_body : Deps.Dep.t list -> string
-
 (** MD5 hex of {!deps_body}. *)
 val deps_key : Deps.Dep.t list -> string
-
-(** Canonical serialization of a model configuration (name, pre-fusion
-    order identifier, cut strategies, Algorithm 2 flag). *)
-val model_body : Fusion.Model.t -> string
 
 (** The request key: MD5 hex over version, model, requested scheduling
     engine, reductions flag, param floor and program content.

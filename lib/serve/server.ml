@@ -226,32 +226,19 @@ let explain_lines ex =
    payload (explain chain and counters included) is a pure function of
    the request content — which is what makes cached responses
    byte-identical to fresh solves — whatever else runs on other
-   domains. The chaos hook is consulted once per solve. Returns the
-   payload, the dependence-set fingerprint, whether the resilience
-   ladder degraded (degraded payloads must not be cached: a deadline or
-   an injected fault is request-local state, and caching its result
-   would poison every later request for the same content), and the
-   solve's counter snapshot. *)
+   domains. A test's fault plan ([Linalg.Chaos]) gets one draw per
+   solve. Returns the payload, the dependence-set fingerprint, whether
+   the resilience ladder degraded (degraded payloads must not be
+   cached: a deadline or an injected fault is request-local state, and
+   caching its result would poison every later request for the same
+   content), and the solve's counter snapshot. *)
 let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
   Linalg.Counters.scoped @@ fun () ->
   Pluto.Farkas.scoped @@ fun () ->
-  let fault = !Chaos.solve_fault () in
-  let budget =
-    (* An Exhaust fault starves the budget instead of sabotaging the LP
-       layer itself: solver rungs trip, but the unbudgeted identity
-       verification stays sound, so the ladder settles typed. *)
-    match fault with
-    | Some Chaos.Exhaust -> Some (Chaos.starved_budget ())
-    | _ -> budget
-  in
-  let run () =
-    Obs.Trace.capture (fun () ->
-        Fusion.Model.optimize ?budget ~engine ~reductions model prog)
-  in
   let opt, events =
-    match fault with
-    | None -> run ()
-    | Some fault -> Chaos.apply fault run
+    Linalg.Chaos.with_fault budget (fun budget ->
+        Obs.Trace.capture (fun () ->
+            Fusion.Model.optimize ?budget ~engine ~reductions model prog))
   in
   let aprog, deps, sched = artifacts opt in
   let report = Analysis.Wisecheck.certify aprog deps sched opt.Fusion.Model.ast in

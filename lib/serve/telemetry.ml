@@ -22,6 +22,8 @@
 
 module M = Obs.Metrics
 
+(* the [outcome] labels of wisefuse_serve_outcomes_total and the
+   protocol ops of wisefuse_serve_ops_total *)
 let outcome_labels =
   [ "hit"; "coalesced"; "cold"; "degraded"; "shed"; "oversized"; "breaker";
     "internal"; "draining"; "parse"; "usage"; "diagnostic"; "error" ]
@@ -296,15 +298,6 @@ let outcome_totals t =
   List.map (fun (l, c) -> (l, M.counter_value c)) t.outcomes
 
 let op_totals t = List.map (fun (l, c) -> (l, M.counter_value c)) t.ops
-
-let duration_quantile t cls q =
-  let h =
-    match cls with
-    | `Hit -> t.dur_hit
-    | `Cold -> t.dur_cold
-    | `Other -> t.dur_other
-  in
-  M.hist_quantile h q
 
 (* the compact snapshot carried by "health" envelopes *)
 let snapshot t =

@@ -15,15 +15,6 @@
 
 type t
 
-val outcome_labels : string list
-(** ["hit"; "coalesced"; "cold"; "degraded"; "shed"; "oversized";
-    "breaker"; "internal"; "draining"; "parse"; "usage"; "diagnostic";
-    "error"] — the [outcome] label set of
-    [wisefuse_serve_outcomes_total]. *)
-
-val op_labels : string list
-(** Protocol ops counted by [wisefuse_serve_ops_total]. *)
-
 (** Callbacks sampling tallies that are authoritative elsewhere (cache
     lock, breaker table, server atomics); invoked at scrape time and
     must be monotone where exposed as counters. *)
@@ -74,10 +65,6 @@ val outcome_total : t -> string -> int
 val op_total : t -> string -> int
 val outcome_totals : t -> (string * int) list
 val op_totals : t -> (string * int) list
-
-val duration_quantile : t -> [ `Hit | `Cold | `Other ] -> float -> float
-(** Quantile estimate (microseconds) from the merged duration
-    histogram of a cache class. *)
 
 val snapshot : t -> (string * int) list
 (** The compact snapshot carried by ["health"] envelopes: requests,

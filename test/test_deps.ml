@@ -78,9 +78,8 @@ let test_gemver_input_deps () =
   (* S2 and S4 both read A: input dependence *)
   Alcotest.(check bool) "input S2->S4 on A" true
     (find_dep deps ~src:1 ~dst:3 ~kind:Dep.Input ~array:"A" <> []);
-  let no_input = Dep.analyze ~with_input:false p in
-  Alcotest.(check bool) "with_input:false drops them" true
-    (List.for_all (fun (d : Dep.t) -> d.kind <> Dep.Input) no_input)
+  Alcotest.(check bool) "exactly the input deps are not true deps" true
+    (List.for_all (fun (d : Dep.t) -> Dep.is_true d = (d.kind <> Dep.Input)) deps)
 
 (* Every dependence polyhedron must contain a witness which (a) lies in
    both domains, (b) accesses the same cell, (c) respects the level

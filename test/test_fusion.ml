@@ -246,7 +246,7 @@ let test_search_exhaustive_contains_wisefuse () =
   (* exhaustively evaluate all 24 candidates of the independent triple;
      wisefuse's partition count must match one of the best candidates *)
   let prog = three_independent () in
-  let cands = Search.best ~limit:64 prog in
+  let cands = Search.best prog in
   Alcotest.(check int) "24 candidates" 24 (List.length cands);
   (match cands with
   | bestc :: _ ->

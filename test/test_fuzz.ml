@@ -9,8 +9,8 @@
    - race freedom: wisecheck's independent conflict-system analysis
      certifies every Parallel mark of the generated AST.
 
-   The generator also flips the chaos hooks (forced warm-start
-   fallback, forced bignum promotion) and varies the solver budget
+   The generator also flips two test hooks ([Linalg.Chaos]: forced
+   cold re-solves, forced bignum promotion) and varies the solver budget
    (unlimited / 1 pivot / 50 pivots), so solver-stress paths get the
    same coverage as the happy path.
 
@@ -176,12 +176,7 @@ let arb_spec = QCheck.make ~print:print_spec gen_spec
 (* --- the property --------------------------------------------------------- *)
 
 let run_case spec =
-  Ilp.Lp.Chaos.warm_fallback := spec.chaos_warm;
-  Linalg.Bigint.chaos_big_path := spec.chaos_big;
-  Fun.protect
-    ~finally:(fun () ->
-      Ilp.Lp.Chaos.reset ();
-      Linalg.Bigint.chaos_big_path := false)
+  Linalg.Chaos.arm ~cold_reoptimize:spec.chaos_warm ~big_path:spec.chaos_big
     (fun () ->
       let prog = build_program spec in
       let config = Fusion.Model.scheduler_config (model_of spec.model) in

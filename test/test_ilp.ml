@@ -91,10 +91,11 @@ let test_lp_feasible_point () =
   let e = Polyhedron.make 1 [ Constr.ge [ 1; 0 ]; Constr.ge [ -1; -1 ] ] in
   Alcotest.(check bool) "none" true (Lp.feasible_point e = None)
 
-(* Dantzig (default) and Bland pivoting must agree on the optimum value
-   and on feasibility/boundedness status for every seed LP above.
-   Optimal points may legitimately differ, so only values are compared. *)
-let test_lp_pivot_rules_agree () =
+(* Dantzig pivoting and Bland's rule from the first pivot (the [bland]
+   hook) must agree on the optimum value and on feasibility/boundedness
+   status for every seed LP above. Optimal points may legitimately
+   differ, so only values are compared. *)
+let test_lp_dantzig_bland_agree () =
   let seed_lps =
     [ ("basic", Polyhedron.make 2 [ Constr.ge [ 1; 0; -1 ]; Constr.ge [ 0; 1; -2 ] ],
        vec [ 1; 1; 0 ]);
@@ -123,7 +124,7 @@ let test_lp_pivot_rules_agree () =
   List.iter
     (fun (name, p, obj) ->
       match
-        (Lp.minimize ~rule:Lp.Dantzig p obj, Lp.minimize ~rule:Lp.Bland p obj)
+        (Lp.minimize p obj, Chaos.arm ~bland:true (fun () -> Lp.minimize p obj))
       with
       | Lp.Optimal (vd, _), Lp.Optimal (vb, _) -> check_q name vd vb
       | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> ()
@@ -236,13 +237,13 @@ let prop_feasible_matches_brute_force =
       Bb.feasible p
       = (Polyhedron.integer_points ~lo:[| 0; 0 |] ~hi:[| 6; 6 |] p <> []))
 
-let prop_pivot_rules_same_optimum =
+let prop_dantzig_bland_same_optimum =
   QCheck.Test.make ~name:"Dantzig and Bland reach the same optimum" ~count:100
     (QCheck.pair arb_bounded_poly2
        (QCheck.pair (QCheck.int_range (-3) 3) (QCheck.int_range (-3) 3)))
     (fun (p, (c0, c1)) ->
       let obj = vec [ c0; c1; 0 ] in
-      match (Lp.minimize ~rule:Lp.Dantzig p obj, Lp.minimize ~rule:Lp.Bland p obj) with
+      match (Lp.minimize p obj, Chaos.arm ~bland:true (fun () -> Lp.minimize p obj)) with
       | Lp.Optimal (vd, _), Lp.Optimal (vb, _) -> Q.equal vd vb
       | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> true
       | _ -> false)
@@ -393,7 +394,7 @@ let () =
           Alcotest.test_case "degenerate vertex" `Quick test_lp_degenerate;
           Alcotest.test_case "feasible point" `Quick test_lp_feasible_point;
           Alcotest.test_case "pivot rules agree" `Quick
-            test_lp_pivot_rules_agree ] );
+            test_lp_dantzig_bland_agree ] );
       ( "ilp",
         [ Alcotest.test_case "rounding up" `Quick test_ilp_rounds_up;
           Alcotest.test_case "knapsack-like" `Quick test_ilp_knapsack_like;
@@ -406,7 +407,7 @@ let () =
       ( "ilp-props",
         qt
           [ prop_ilp_matches_brute_force; prop_feasible_matches_brute_force;
-            prop_pivot_rules_same_optimum; prop_lp_lower_bounds_ilp;
+            prop_dantzig_bland_same_optimum; prop_lp_lower_bounds_ilp;
             prop_remove_redundant_preserves_set;
             prop_fm_projection_rationally_exact ] );
       ( "warm-props",

@@ -244,7 +244,7 @@ let diff_compare =
    would neither promote nor demote. Operands are fractions over ints at
    the boundaries (±2^31, min_int = -2^62, max_int, arbitrary), with an
    optional negation that lifts min_int to the Big +2^62; run with the
-   Big-path chaos hook off and on. *)
+   big-path hook off and on. *)
 let arb_q_operand =
   QCheck.make
     ~print:(fun (n, d, negate) -> Printf.sprintf "%s%d / |%d|" (if negate then "-" else "") n d)
@@ -266,10 +266,7 @@ let diff_sub_mul ~chaos =
     (fun (ta, tf, tb) ->
       let a = q_operand ta and f = q_operand tf and b = q_operand tb in
       let counts () = (Counters.(get promotions), Counters.(get demotions)) in
-      Bigint.chaos_big_path := chaos;
-      Fun.protect
-        ~finally:(fun () -> Bigint.chaos_big_path := false)
-        (fun () ->
+      Chaos.arm ~big_path:chaos (fun () ->
           let p0, d0 = counts () in
           let generic = Q.sub a (Q.mul f b) in
           let p1, d1 = counts () in
@@ -285,7 +282,7 @@ let diff_sub_mul ~chaos =
 (* The arithmetic transcript: every public Bigint and Q operation over a
    seeded set of boundary operands, one line per call holding the
    result and the promotions/demotions the call caused, with the
-   Big-path chaos hook off and on. Its MD5 was recorded before Bigint
+   big-path hook off and on. Its MD5 was recorded before Bigint
    and Q moved to the immediate layout, so a port that changes any
    value, representation or counter delta fails here, whichever path
    the change took. The operands come from a fixed splitmix64 stream,
@@ -471,8 +468,7 @@ let arithmetic_transcript () =
   List.iter
     (fun chaos ->
       Printf.bprintf buf "chaos %b\n" chaos;
-      Bigint.chaos_big_path := chaos;
-      Fun.protect ~finally:(fun () -> Bigint.chaos_big_path := false) run)
+      Chaos.arm ~big_path:chaos run)
     [ false; true ];
   Buffer.contents buf
 
@@ -594,7 +590,7 @@ let prop_q_floor_le =
    [Hashtbl.hash] agree with [equal], however a value was reached. Each
    boundary value below is reached by several routes (direct, through
    a sum, a difference, a product, a quotient, a double negation, a
-   fused update), with the Big-path chaos hook off and on. *)
+   fused update), with the big-path hook off and on. *)
 
 let rep_values =
   let z = Bigint.of_string in
@@ -665,10 +661,7 @@ let rep_invariants ~chaos =
     ~name:(Printf.sprintf "one representation per value, chaos %b" chaos)
     ~count:3000 arb_rep
     (fun (i, j, (r1, k1, f1), (r2, k2, f2)) ->
-      Bigint.chaos_big_path := chaos;
-      Fun.protect
-        ~finally:(fun () -> Bigint.chaos_big_path := false)
-        (fun () ->
+      Chaos.arm ~big_path:chaos (fun () ->
           let vi = List.nth rep_values i and vj = List.nth rep_values j in
           let k1 = List.nth rep_offsets k1 and k2 = List.nth rep_offsets k2 in
           let f1 = List.nth rep_fractions f1 and f2 = List.nth rep_fractions f2 in

@@ -238,15 +238,12 @@ let check_legal_or_fail (res : Scheduler.result) =
   | Ok () -> ()
   | Error d -> Alcotest.fail (Format.asprintf "illegal: %a" Dep.pp d)
 
-(* With [Ilp.Bb.self_check] on, every warm-started LP relaxation in the
-   branch-and-bound search is re-solved cold and compared (status and
-   value); a disagreement raises. Exercises the full scheduler on both
-   running examples. *)
+(* With the [check_warm] hook armed, every warm-started LP relaxation
+   in the branch-and-bound search is re-solved cold and compared (status
+   and value); a disagreement raises. Exercises the full scheduler on
+   both running examples. *)
 let test_warm_selfcheck () =
-  Ilp.Bb.self_check := true;
-  Fun.protect
-    ~finally:(fun () -> Ilp.Bb.self_check := false)
-    (fun () ->
+  Linalg.Chaos.arm ~check_warm:true (fun () ->
       List.iter
         (fun prog ->
           List.iter

@@ -304,15 +304,13 @@ let test_corrupt_zero_row () =
 (* --- chaos hooks ---------------------------------------------------------- *)
 
 let test_chaos_exhaust_lp () =
-  Lp.Chaos.exhaust := true;
-  Fun.protect ~finally:Lp.Chaos.reset (fun () ->
+  Chaos.arm ~exhaust:true (fun () ->
       let p = Polyhedron.make 1 [ Constr.ge [ 1; -1 ] ] in
       Alcotest.(check bool) "forced exhaustion" true
         (Lp.minimize p (vec [ 1; 0 ]) = Lp.Exhausted))
 
 let test_chaos_exhaust_scheduler_typed () =
-  Lp.Chaos.exhaust := true;
-  Fun.protect ~finally:Lp.Chaos.reset (fun () ->
+  Chaos.arm ~exhaust:true (fun () ->
       match Pluto.Scheduler.schedule Fusion.Wisefuse.config (producer_consumer ()) with
       | Ok _ -> Alcotest.fail "all-exhausted solves cannot schedule"
       | Error d ->
@@ -322,19 +320,15 @@ let test_chaos_exhaust_scheduler_typed () =
 let test_chaos_warm_fallback_equiv () =
   let prog = swim () in
   let base = (schedule_of prog).Pluto.Scheduler.sched in
-  Lp.Chaos.warm_fallback := true;
-  Fun.protect ~finally:Lp.Chaos.reset (fun () ->
+  Chaos.arm ~cold_reoptimize:true (fun () ->
       let got = (schedule_of prog).Pluto.Scheduler.sched in
       Alcotest.(check bool) "cold-only resolve, same schedule" true
         (got = base))
 
-let test_chaos_big_path_equiv () =
+let test_chaos_forced_big_equiv () =
   let prog = advect () in
   let base = (schedule_of prog).Pluto.Scheduler.sched in
-  Bigint.chaos_big_path := true;
-  Fun.protect
-    ~finally:(fun () -> Bigint.chaos_big_path := false)
-    (fun () ->
+  Chaos.arm ~big_path:true (fun () ->
       (* arithmetic stays canonical on the forced Big path *)
       let i x = Bigint.of_int x in
       Alcotest.(check int) "add" 7 (Bigint.to_int (Bigint.add (i 3) (i 4)));
@@ -347,6 +341,38 @@ let test_chaos_big_path_equiv () =
       let got = (schedule_of prog).Pluto.Scheduler.sched in
       Alcotest.(check bool) "forced Big promotion, same schedule" true
         (got = base))
+
+(* Arming is scoped: after the callback returns, raises, or arms a
+   second set inside the first, every hook reads as it did before. *)
+let test_chaos_arming_scoped () =
+  let check name flags plan =
+    let h = Chaos.hooks in
+    Alcotest.(check (list bool)) name flags
+      [ h.big_path; h.bland; h.exhaust; h.cold_reoptimize; h.check_warm ];
+    Alcotest.(check bool) (name ^ ": fault plan") true (Option.equal ( == ) h.faults plan)
+  in
+  let all_off = [ false; false; false; false; false ] in
+  check "nothing armed" all_off None;
+  let outer = Chaos.queue [ Chaos.Slow 0 ] in
+  Chaos.arm ~big_path:true ~exhaust:true ~faults:outer (fun () ->
+      let armed = [ true; false; true; false; false ] in
+      check "outer set" armed (Some outer);
+      let inner = Chaos.queue [] in
+      Chaos.arm ~bland:true ~exhaust:false ~cold_reoptimize:true ~check_warm:true
+        ~faults:inner (fun () ->
+          check "inner set over the outer" [ true; true; false; true; true ]
+            (Some inner));
+      check "after a nested set returns" armed (Some outer);
+      (try Chaos.arm ~big_path:false ~bland:true (fun () -> failwith "escape")
+       with Failure _ -> ());
+      check "after a nested set raises" armed (Some outer);
+      Alcotest.(check int) "the outer plan hands out its fault" 1
+        (Chaos.with_fault None (fun _ -> Chaos.slows outer)));
+  check "after the outer set returns" all_off None;
+  (match Chaos.arm ~check_warm:true (fun () -> raise Exit) with
+  | () -> Alcotest.fail "the callback's exception must escape"
+  | exception Exit -> ());
+  check "after an outer set raises" all_off None
 
 (* --- bench bound comparators ---------------------------------------------- *)
 
@@ -447,7 +473,8 @@ let () =
           Alcotest.test_case "warm-start fallback equivalence" `Quick
             test_chaos_warm_fallback_equiv;
           Alcotest.test_case "forced Big promotion equivalence" `Quick
-            test_chaos_big_path_equiv;
+            test_chaos_forced_big_equiv;
+          Alcotest.test_case "arming is scoped" `Quick test_chaos_arming_scoped;
         ] );
       ( "bench",
         [

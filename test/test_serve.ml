@@ -4,6 +4,7 @@
    that populated it, for every kernel x model pair. *)
 
 module Cache = Serve.Cache
+module Chaos = Linalg.Chaos
 
 let models = Fusion.Model.all
 let model_names = List.map Fusion.Model.name models
@@ -390,28 +391,25 @@ let sched_line ?(size = test_size) ?deadline ~id kernel =
 
 let error_code j = str_field (field j "error") "code"
 
-let with_chaos f = Fun.protect ~finally:Serve.Chaos.reset f
-
 (* (a) a raising request releases its key and leaves no trace of its
    counters in the caller's; (b) the next cold solve is byte-identical
    to an unfaulted run *)
 let test_firewall_recovery () =
-  with_chaos (fun () ->
-      (* unfaulted reference: a fresh server, same config *)
-      let reference =
-        let t = Serve.Server.create () in
-        let _, cold = respond t (sched_line ~id:1 "gemver") in
-        Obs.Json.to_string (field cold "result")
-      in
-      let t = Serve.Server.create () in
-      Serve.Chaos.arm_queue [ Serve.Chaos.Raise ];
+  (* unfaulted reference: a fresh server, same config *)
+  let reference =
+    let t = Serve.Server.create () in
+    let _, cold = respond t (sched_line ~id:1 "gemver") in
+    Obs.Json.to_string (field cold "result")
+  in
+  let t = Serve.Server.create () in
+  let faults = Chaos.queue [ Chaos.Raise ] in
+  Chaos.arm ~faults (fun () ->
       let _, faulted = respond t (sched_line ~id:2 "gemver") in
       Alcotest.(check string) "faulted request errors" "error"
         (str_field faulted "status");
       Alcotest.(check string) "typed internal error" "internal"
         (error_code faulted);
-      Alcotest.(check int) "one injected raise" 1
-        (Atomic.get Serve.Chaos.injected_raises);
+      Alcotest.(check int) "one injected raise" 1 (Chaos.raises faults);
       (* the poison the fault planted in the counters must be gone *)
       List.iter
         (fun (n, v) ->
@@ -437,15 +435,11 @@ let test_firewall_recovery () =
 
 (* (c) the breaker opens after N failures and closes after the TTL *)
 let test_breaker_opens_and_closes () =
-  with_chaos (fun () ->
-      let config =
-        { Serve.Server.default_config with
-          breaker_threshold = 2;
-          breaker_ttl_s = 0.2;
-        }
-      in
-      let t = Serve.Server.create ~config () in
-      Serve.Chaos.arm_queue [ Serve.Chaos.Raise; Serve.Chaos.Raise ];
+  let config =
+    { Serve.Server.default_config with breaker_threshold = 2; breaker_ttl_s = 0.2 }
+  in
+  let t = Serve.Server.create ~config () in
+  Chaos.arm ~faults:(Chaos.queue [ Chaos.Raise; Chaos.Raise ]) (fun () ->
       let _, f1 = respond t (sched_line ~id:1 "gemver") in
       Alcotest.(check string) "first failure internal" "internal"
         (error_code f1);
@@ -482,9 +476,8 @@ let test_breaker_opens_and_closes () =
 (* a slow solve under a tight deadline degrades down the ladder and is
    served but never cached *)
 let test_deadline_degrades_uncached () =
-  with_chaos (fun () ->
+  Chaos.arm ~faults:(Chaos.queue [ Chaos.Slow 60 ]) (fun () ->
       let t = Serve.Server.create () in
-      Serve.Chaos.arm_queue [ Serve.Chaos.Slow 60 ];
       let _, slow = respond t (sched_line ~id:1 ~deadline:10 "gemver") in
       Alcotest.(check string) "slow request still ok" "ok"
         (str_field slow "status");
@@ -519,16 +512,15 @@ let test_deadline_degrades_uncached () =
 
 (* forced exhaustion degrades to the identity rung, typed, not cached *)
 let test_exhaustion_degrades () =
-  with_chaos (fun () ->
+  let faults = Chaos.queue [ Chaos.Exhaust ] in
+  Chaos.arm ~faults (fun () ->
       let t = Serve.Server.create () in
-      Serve.Chaos.arm_queue [ Serve.Chaos.Exhaust ];
       let _, j = respond t (sched_line ~id:1 "tce") in
       Alcotest.(check string) "exhausted request ok" "ok" (str_field j "status");
       Alcotest.(check string) "identity rung" "identity"
         (str_field (field j "result") "rung");
       Alcotest.(check string) "uncached" "uncached" (str_field j "cache");
-      Alcotest.(check int) "one injected exhaust" 1
-        (Atomic.get Serve.Chaos.injected_exhausts))
+      Alcotest.(check int) "one injected exhaust" 1 (Chaos.exhausts faults))
 
 let test_oversized_line () =
   let t = Serve.Server.create () in
@@ -822,13 +814,12 @@ let test_access_log () =
 let test_metrics_monotone_across_recovery () =
   (* a faulted solve's Linalg.Counters (per-request deltas) die with
      it, but the cumulative telemetry must keep counting through it *)
-  with_chaos (fun () ->
-      let t = Serve.Server.create () in
-      let tel = Serve.Server.telemetry t in
-      ignore (respond t (sched_line ~id:1 "gemver"))(* cold *);
-      let before = Serve.Telemetry.requests_total tel in
-      Alcotest.(check int) "one request before the fault" 1 before;
-      Serve.Chaos.arm_queue [ Serve.Chaos.Raise ];
+  let t = Serve.Server.create () in
+  let tel = Serve.Server.telemetry t in
+  ignore (respond t (sched_line ~id:1 "gemver"))(* cold *);
+  let before = Serve.Telemetry.requests_total tel in
+  Alcotest.(check int) "one request before the fault" 1 before;
+  Chaos.arm ~faults:(Chaos.queue [ Chaos.Raise ]) (fun () ->
       let _, faulted = respond t (sched_line ~id:2 "tce") in
       Alcotest.(check string) "typed internal error" "internal"
         (error_code faulted);
@@ -913,27 +904,27 @@ let test_parallel_cold_solves () =
 let test_fault_stays_on_its_domain () =
   (* a Raise fault fires on one domain while another domain is solving
      a different key; the other solve's payload is untouched *)
-  with_chaos (fun () ->
-      let reference = reference_result "swim" in
-      let t =
-        Serve.Server.create
-          ~config:{ Serve.Server.default_config with domains = 2 } ()
-      in
-      let faulty = Domain.DLS.new_key (fun () -> false) in
-      let solving = Atomic.make false and faulted = Atomic.make false in
-      (Serve.Chaos.solve_fault :=
-         fun () ->
-           if Domain.DLS.get faulty then begin
-             (* raise only once the other solve has begun *)
-             await (fun () -> Atomic.get solving);
-             Atomic.set faulted true;
-             Some Serve.Chaos.Raise
-           end
-           else begin
-             Atomic.set solving true;
-             await (fun () -> Atomic.get faulted);
-             None
-           end);
+  let reference = reference_result "swim" in
+  let t =
+    Serve.Server.create ~config:{ Serve.Server.default_config with domains = 2 } ()
+  in
+  let faulty = Domain.DLS.new_key (fun () -> false) in
+  let solving = Atomic.make false and faulted = Atomic.make false in
+  let faults =
+    Chaos.sampled (fun () ->
+        if Domain.DLS.get faulty then begin
+          (* raise only once the other solve has begun *)
+          await (fun () -> Atomic.get solving);
+          Atomic.set faulted true;
+          Some Chaos.Raise
+        end
+        else begin
+          Atomic.set solving true;
+          await (fun () -> Atomic.get faulted);
+          None
+        end)
+  in
+  Chaos.arm ~faults (fun () ->
       let responses =
         together 2 (fun d ->
             if d = 0 then begin
@@ -958,22 +949,22 @@ let test_waiters_after_degraded_solve () =
   (* three requests for one key; the first solve is starved. Its
      answer is degraded and uncached, exactly one later solve stores
      the key, and the third request is a hit *)
-  with_chaos (fun () ->
-      let t =
-        Serve.Server.create
-          ~config:{ Serve.Server.default_config with domains = 3 } ()
-      in
-      let first = Atomic.make true in
-      (Serve.Chaos.solve_fault :=
-         fun () ->
-           if Atomic.exchange first false then begin
-             (* hold the first solve until all three requests are in
-                flight, so the other two wait on its key *)
-             await (fun () -> Serve.Server.backlog t >= 3);
-             Unix.sleepf 0.02;
-             Some Serve.Chaos.Exhaust
-           end
-           else None);
+  let t =
+    Serve.Server.create ~config:{ Serve.Server.default_config with domains = 3 } ()
+  in
+  let first = Atomic.make true in
+  let faults =
+    Chaos.sampled (fun () ->
+        if Atomic.exchange first false then begin
+          (* hold the first solve until all three requests are in
+             flight, so the other two wait on its key *)
+          await (fun () -> Serve.Server.backlog t >= 3);
+          Unix.sleepf 0.02;
+          Some Chaos.Exhaust
+        end
+        else None)
+  in
+  Chaos.arm ~faults (fun () ->
       let responses =
         together 3 (fun d -> Serve.Server.handle_line t (sched_line ~id:d "tce"))
       in
@@ -993,8 +984,7 @@ let test_waiters_after_degraded_solve () =
             Alcotest.(check string) "the starved solve degraded" "identity"
               (str_field (field j "result") "rung"))
         answers;
-      Alcotest.(check int) "one injected exhaust" 1
-        (Atomic.get Serve.Chaos.injected_exhausts);
+      Alcotest.(check int) "one injected exhaust" 1 (Chaos.exhausts faults);
       Alcotest.(check int) "two solves in all" 2
         (Cache.stats (Serve.Server.cache t)).Cache.misses)
 
