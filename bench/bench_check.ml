@@ -1,5 +1,5 @@
-(* One-sided bounds behind the soak gate (`bench -- soak --check`) and
-   wisebench's `--compare` verdicts.
+(* One-sided bounds behind the chaos soak's survival gate
+   (`bench -- soak`) and wisebench's `--compare` verdicts.
 
    Kept free of I/O and of the JSON parsing so the verdict logic is
    unit-testable: given a measured value and a floor or ceiling,

@@ -1,5 +1,5 @@
-(** One-sided bounds for the soak gate (`bench -- soak --check`) and
-    wisebench's [--compare] verdicts.
+(** One-sided bounds for the chaos soak's survival gate
+    (`bench -- soak`) and wisebench's [--compare] verdicts.
 
     Separated from the bench driver so the verdict logic (including the
     non-finite guard) can be unit-tested without running any

@@ -5,9 +5,8 @@
 
      dune exec bench/main.exe                      - everything
      dune exec bench/main.exe -- fig7              - a single experiment
-     dune exec bench/main.exe -- soak --check      - survival gate over
-       the latest record in BENCH_soak.json; exits non-zero on a
-       violated or missing bound
+     dune exec bench/main.exe -- soak              - the chaos soak; exits
+       non-zero naming each violated survival bound
    Experiments: table1 table2 fig1 fig3 fig5 fig4_6 fig7 fig8 scaling
                 ablation extras tiling locality space vector
                 budget telemetry soak *)
@@ -627,19 +626,15 @@ let telemetry_overhead () =
    solves). The daemon must never crash, answer EVERY line with a typed
    envelope, keep deadline overruns bounded, trip and recover the
    circuit breaker, and — the core wiseserve guarantee — still serve
-   payloads byte-identical to an unfaulted run afterwards. Survival
-   metrics land in BENCH_soak.json; `soak --check` is the gate CI
-   blocks on. *)
+   payloads byte-identical to an unfaulted run afterwards. The run
+   checks its own survival bounds ([soak_gate]) and exits 1 on a
+   violation, which is the gate CI blocks on. *)
 
 let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then nan
   else sorted.(int_of_float (Float.round (p *. float_of_int (n - 1))))
 
-let record_label r = Option.bind (Obs.Json.member "label" r) Obs.Json.to_string_opt
-let record_smoke r = Option.bind (Obs.Json.member "smoke" r) Obs.Json.to_bool_opt
-
-let soak_json_file = "BENCH_soak.json"
 let soak_deadline_ms = 250
 
 (* per-worker xorshift64* state: each domain gets its own stream, so
@@ -1017,7 +1012,7 @@ let run_soak () =
   (* telemetry ledger reconciliation: the final scrape totals must
      match the driver's own ledger EXACTLY — hostile lines, faulted
      solves, shed and breaker-rejected requests included.  The code ->
-     outcome mapping below re-derives [Serve.Telemetry.classify]
+     outcome mapping below re-derives [Serve.Telemetry]'s classification
      independently, so agreement is evidence, not tautology.  The
      server answered: the phase-1 seeds (all cold), every tallied line
      (pill + workers + in-soak scrapes), and the phase-4 warm reads
@@ -1111,77 +1106,6 @@ let soak_fault_share st =
   float_of_int (st.khostile + st.kraises + st.kexhausts + st.kslows)
   /. float_of_int st.ksent
 
-let soak_record st =
-  let open Obs.Json in
-  let label = Option.value (Sys.getenv_opt "BENCH_LABEL") ~default:"dev" in
-  Obj
-    [ ("label", Str label); ("smoke", Bool smoke);
-      ("domains", Int st.kdomains); ("requests", Int st.ksent);
-      ("hostile_lines", Int st.khostile);
-      ( "injected",
-        Obj
-          [ ("raises", Int st.kraises); ("exhausts", Int st.kexhausts);
-            ("slows", Int st.kslows) ] );
-      ( "fault_share",
-        Float (Float.of_string (Printf.sprintf "%.4f" (soak_fault_share st)))
-      );
-      ("hits", Int st.khits); ("misses", Int st.kcold);
-      ("uncached", Int st.kuncached);
-      ("error_codes", Obj (List.map (fun (c, n) -> (c, Int n)) st.kerrs));
-      ("untyped", Int st.kuntyped); ("crashes", Int st.kcrashes);
-      ( "deadline",
-        Obj
-          [ ("deadline_ms", Int soak_deadline_ms);
-            ("samples", Int st.koverrun_samples);
-            ("overrun_p99_ms", Float (round2 st.koverrun_p99_ms));
-            ("bound_ms", Int (2 * soak_deadline_ms)) ] );
-      ( "breaker",
-        Obj [ ("trips", Int st.ktrips); ("rejects", Int st.krejects) ] );
-      ("shed", Int st.kshed); ("recovered", Int st.krecovered);
-      ( "telemetry",
-        Obj
-          [ ("scrapes", Int st.kscrapes); ("monotone", Bool st.kmono);
-            ("requests_total", Int st.ktel_requests);
-            ("ledger_reconciled", Bool st.kledger) ] );
-      ("warm_identity", Bool st.kwarm_identity);
-      ("warm_all_hits", Bool st.kwarm_hits);
-      ("cold_identity", Bool st.kcold_identity);
-      ("wall_s", Float (round2 st.kwall_s)) ]
-
-let read_soak_file () =
-  if Sys.file_exists soak_json_file then begin
-    let ic = open_in_bin soak_json_file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    match Obs.Json.parse s with
-    | Error msg -> failwith (Printf.sprintf "%s: %s" soak_json_file msg)
-    | Ok doc ->
-      (match Option.bind (Obs.Json.member "runs" doc) Obs.Json.to_list_opt with
-      | Some runs -> runs
-      | None -> failwith (soak_json_file ^ {|: no "runs" array|}))
-  end
-  else []
-
-let write_soak_json st =
-  let run = soak_record st in
-  let label = Option.value (record_label run) ~default:"dev" in
-  let kept =
-    List.filter (fun r -> record_label r <> Some label) (read_soak_file ())
-  in
-  let doc =
-    Obs.Json.Obj
-      [ ("schema", Obs.Json.Int 1);
-        ( "unit",
-          Obs.Json.Str
-            "survival metrics of the daemon under chaos + hostile traffic" );
-        ("runs", Obs.Json.List (kept @ [ run ])) ]
-  in
-  let oc = open_out_bin soak_json_file in
-  output_string oc (Obs.Json.to_string_pretty doc);
-  close_out oc;
-  Printf.printf "  wrote %s (label %S)\n%!" soak_json_file label
-
 let soak_table st =
   Printf.printf
     "  %d requests over %d domains in %.1f s: %d hits, %d misses, %d \
@@ -1207,85 +1131,55 @@ let soak_table st =
     "  identity after soak: warm %b (all hits %b), fresh-server cold %b\n%!"
     st.kwarm_identity st.kwarm_hits st.kcold_identity
 
+(* The survival bounds, checked on the run just made. Every bound is
+   machine-independent: counts, shares and identity booleans from one
+   run; the only time-like bound (overrun p99) is relative to the
+   deadline the run itself requested. A number that is not finite
+   fails its bound: it proves nothing about the daemon. Exits 1 naming
+   each violated bound. *)
+let soak_gate st =
+  let failed = ref [] in
+  let report name ok verdict =
+    Printf.printf "  %-36s %s\n" name verdict;
+    if not ok then failed := name :: !failed
+  in
+  let bound name v =
+    match v with
+    | Bench_check.Bad_value -> report name false "not a finite number  FAIL"
+    | v -> report name (not (Bench_check.bound_failure v)) (Bench_check.describe_bound v)
+  in
+  let must name ok = report name ok (if ok then "OK" else "FAIL") in
+  let at_most ceiling n = Bench_check.check_max ~ceiling ~value:(float_of_int n) in
+  let at_least floor n = Bench_check.check_min ~floor ~value:(float_of_int n) in
+  bound "crashes = 0" (at_most 0.0 st.kcrashes);
+  bound "untyped responses = 0" (at_most 0.0 st.kuntyped);
+  bound "fault share >= 0.10"
+    (Bench_check.check_min ~floor:0.10 ~value:(soak_fault_share st));
+  bound "overrun p99 <= 2 x deadline"
+    (Bench_check.check_max
+       ~ceiling:(float_of_int (2 * soak_deadline_ms))
+       ~value:st.koverrun_p99_ms);
+  bound "overrun samples > 0" (at_least 1.0 st.koverrun_samples);
+  bound "breaker trips >= 1" (at_least 1.0 st.ktrips);
+  bound "breaker rejects >= 1" (at_least 1.0 st.krejects);
+  bound "firewall recoveries >= 1" (at_least 1.0 st.krecovered);
+  bound "live scrapes >= 1" (at_least 1.0 st.kscrapes);
+  must "scrape totals monotone" st.kmono;
+  must "telemetry ledger reconciled" st.kledger;
+  must "warm identity after soak" st.kwarm_identity;
+  must "fresh-server cold identity" st.kcold_identity;
+  match List.rev !failed with
+  | [] -> Printf.printf "  OK: the daemon survived the soak within bounds\n%!"
+  | names ->
+    Printf.printf "  FAIL: soak survival bounds violated: %s\n%!"
+      (String.concat "; " names);
+    exit 1
+
 let soak_bench () =
   section "Soak: chaos + hostile traffic against the hardened daemon";
   let st = run_soak () in
   soak_table st;
-  write_soak_json st
-
-(* Soak gate (CI, blocking): validates the latest BENCH_soak record.
-   Every bound is machine-independent — counts, shares and identity
-   booleans from one run; the only time-like bound (overrun p99) is
-   relative to the deadline the run itself requested. A bound whose
-   number is missing or not finite fails: a record without it proves
-   nothing about the daemon. *)
-let soak_check () =
-  section "Soak check: survival bounds over the latest BENCH_soak record";
-  match List.rev (read_soak_file ()) with
-  | [] ->
-    Printf.printf "  no record in %s; run `bench -- soak` first\n"
-      soak_json_file;
-    exit 1
-  | run :: _ ->
-    let smoke_run = Option.value (record_smoke run) ~default:false in
-    Printf.printf "  record: %S (smoke %b)\n"
-      (Option.value (record_label run) ~default:"?")
-      smoke_run;
-    let num path =
-      Option.value
-        (Option.bind (serve_field run path) Obs.Json.to_float_opt)
-        ~default:Float.nan
-    in
-    let flag path = Option.bind (serve_field run path) Obs.Json.to_bool_opt = Some true in
-    let failed = ref false in
-    let bound name v =
-      let verdict, bad =
-        match v with
-        | Bench_check.Bad_value -> ("missing or not finite  FAIL", true)
-        | v -> (Bench_check.describe_bound v, Bench_check.bound_failure v)
-      in
-      Printf.printf "  %-36s %s\n" name verdict;
-      if bad then failed := true
-    in
-    let must name ok =
-      Printf.printf "  %-36s %s\n" name (if ok then "OK" else "FAIL");
-      if not ok then failed := true
-    in
-    bound "crashes = 0" (Bench_check.check_max ~ceiling:0.0 ~value:(num [ "crashes" ]));
-    bound "untyped responses = 0"
-      (Bench_check.check_max ~ceiling:0.0 ~value:(num [ "untyped" ]));
-    bound "fault share >= 0.10"
-      (Bench_check.check_min ~floor:0.10 ~value:(num [ "fault_share" ]));
-    bound "overrun p99 <= 2 x deadline"
-      (Bench_check.check_max
-         ~ceiling:(num [ "deadline"; "bound_ms" ])
-         ~value:(num [ "deadline"; "overrun_p99_ms" ]));
-    bound "overrun samples > 0"
-      (Bench_check.check_min ~floor:1.0 ~value:(num [ "deadline"; "samples" ]));
-    bound "breaker trips >= 1"
-      (Bench_check.check_min ~floor:1.0 ~value:(num [ "breaker"; "trips" ]));
-    bound "breaker rejects >= 1"
-      (Bench_check.check_min ~floor:1.0 ~value:(num [ "breaker"; "rejects" ]));
-    bound "firewall recoveries >= 1"
-      (Bench_check.check_min ~floor:1.0 ~value:(num [ "recovered" ]));
-    bound "live scrapes >= 1"
-      (Bench_check.check_min ~floor:1.0
-         ~value:(num [ "telemetry"; "scrapes" ]));
-    must "scrape totals monotone" (flag [ "telemetry"; "monotone" ]);
-    must "telemetry ledger reconciled" (flag [ "telemetry"; "ledger_reconciled" ]);
-    must "warm identity after soak" (flag [ "warm_identity" ]);
-    must "fresh-server cold identity" (flag [ "cold_identity" ]);
-    if not smoke_run then begin
-      bound "requests >= 2000 (full scale)"
-        (Bench_check.check_min ~floor:2000.0 ~value:(num [ "requests" ]));
-      bound "domains >= 2 (full scale)"
-        (Bench_check.check_min ~floor:2.0 ~value:(num [ "domains" ]))
-    end;
-    if !failed then begin
-      Printf.printf "  FAIL: soak survival bounds violated\n";
-      exit 1
-    end
-    else Printf.printf "  OK: the daemon survived the soak within bounds\n"
+  soak_gate st
 
 (* --- driver -------------------------------------------------------------------- *)
 
@@ -1300,7 +1194,6 @@ let experiments =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   match args with
-  | [ "soak"; "--check" ] -> soak_check ()
   | [] -> List.iter (fun (_, f) -> f ()) experiments
   | names ->
     List.iter

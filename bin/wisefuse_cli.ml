@@ -14,11 +14,23 @@
      metrics           - one-shot telemetry scrape of a running daemon
 
    Exit codes (see Pluto.Diagnostics.exit_code):
-     0 success; 2 usage error (unknown kernel/model/engine, bad flags);
-     3 solver budget exhausted; 4 scheduling failed; 5 verification
-     failed; 6 codegen failed; 7 error-severity wisecheck findings. *)
+     0 success; 2 usage error (unknown kernel/model/engine, bad flags or
+     flag values); 3 solver budget exhausted; 4 scheduling failed; 5
+     verification failed; 6 codegen failed; 7 error-severity wisecheck
+     findings; 125 an unexpected exception (a bug). *)
 
 open Cmdliner
+
+(* an integer flag that must be at least 1; anything else is a usage
+   error *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below 1" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
 
 let kernel_arg =
   let doc = "Benchmark name (see `wisefuse list')." in
@@ -38,11 +50,11 @@ let size_arg =
 
 let cores_arg =
   let doc = "Number of model cores." in
-  Arg.(value & opt int 8 & info [ "c"; "cores" ] ~docv:"CORES" ~doc)
+  Arg.(value & opt positive_int 8 & info [ "c"; "cores" ] ~docv:"CORES" ~doc)
 
 let tile_arg =
   let doc = "Tile permutable bands with this edge (polyhedral models only)." in
-  Arg.(value & opt (some int) None & info [ "t"; "tile" ] ~docv:"SIZE" ~doc)
+  Arg.(value & opt (some positive_int) None & info [ "t"; "tile" ] ~docv:"SIZE" ~doc)
 
 let engine_names = [ "ilp"; "lp-dfp"; "auto" ]
 
@@ -87,7 +99,7 @@ let reductions_of_name s =
 
 let simd_arg =
   let doc = "Model simd width (1 = off)." in
-  Arg.(value & opt int 1 & info [ "simd" ] ~docv:"W" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "simd" ] ~docv:"W" ~doc)
 
 let stats_arg =
   let doc =
@@ -797,16 +809,17 @@ let metrics_cmd =
 let () =
   let doc = "loop fusion in the polyhedral framework (PPoPP'14 reproduction)" in
   let exits =
-    Cmd.Exit.defaults
-    @ [
-        Cmd.Exit.info 2
-          ~doc:"usage error (unknown kernel, model or engine; bad flags).";
-        Cmd.Exit.info 3 ~doc:"solver budget exhausted.";
-        Cmd.Exit.info 4 ~doc:"scheduling failed.";
-        Cmd.Exit.info 5 ~doc:"schedule verification failed.";
-        Cmd.Exit.info 6 ~doc:"code generation failed.";
-        Cmd.Exit.info 7 ~doc:"error-severity wisecheck findings (analyze).";
-      ]
+    [
+      Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+      Cmd.Exit.info 2
+        ~doc:"usage error (unknown kernel, model or engine; bad flags or flag values).";
+      Cmd.Exit.info 3 ~doc:"solver budget exhausted.";
+      Cmd.Exit.info 4 ~doc:"scheduling failed.";
+      Cmd.Exit.info 5 ~doc:"schedule verification failed.";
+      Cmd.Exit.info 6 ~doc:"code generation failed.";
+      Cmd.Exit.info 7 ~doc:"error-severity wisecheck findings (analyze).";
+      Cmd.Exit.info Cmd.Exit.internal_error ~doc:"an unexpected exception (a bug).";
+    ]
   in
   let info = Cmd.info "wisefuse" ~version:"1.0" ~doc ~exits in
   let cmds =
@@ -815,14 +828,23 @@ let () =
       trace_cmd; explain_cmd; serve_cmd; metrics_cmd;
     ]
   in
-  (* a diagnostic escaping the pipeline exits with its phase's code
-     (usage 2, budget 3, scheduling 4, verification 5, codegen 6) —
-     never a bare exception, never exit 1 *)
-  match Cmd.eval (Cmd.group info cmds) with
-  | code -> exit code
+  (* cmdliner's parse errors are usage errors (2); a diagnostic escaping
+     the pipeline exits with its phase's code (usage 2, budget 3,
+     scheduling 4, verification 5, codegen 6); evaluating with
+     [~catch:false] lets both reach this handler. Any other exception
+     is a bug and exits 125. *)
+  match Cmd.eval_value ~catch:false (Cmd.group info cmds) with
+  | Ok (`Ok () | `Version | `Help) -> exit Cmd.Exit.ok
+  | Error (`Parse | `Term) -> exit usage_exit
+  | Error `Exn -> exit Cmd.Exit.internal_error
   | exception Pluto.Diagnostics.Error d ->
     if !verbose then Format.eprintf "wisefuse: %a@." Pluto.Diagnostics.pp_verbose d
     else
       Format.eprintf "wisefuse: %a (re-run with --verbose for details)@."
         Pluto.Diagnostics.pp d;
     exit (Pluto.Diagnostics.exit_code d)
+  | exception e ->
+    let bt = Printexc.get_backtrace () in
+    Format.eprintf "wisefuse: internal error, uncaught exception:@\n%s@\n%s@?"
+      (Printexc.to_string e) bt;
+    exit Cmd.Exit.internal_error

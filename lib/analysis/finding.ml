@@ -110,5 +110,3 @@ let json prog f =
       | None -> [])
     @ [ ("message", Obs.Json.Str f.message) ]
     @ List.map (fun (k, v) -> ("ctx_" ^ k, Obs.Json.Str v)) f.context)
-
-let to_json prog f = Obs.Json.to_string (json prog f)

@@ -61,9 +61,6 @@ type t = {
   context : (string * string) list;
 }
 
-(** Stable machine-readable code, e.g. ["race.parallel"]. *)
-val code : kind -> string
-
 (** [make kind ...] with the kind's canonical severity. *)
 val make :
   ?stmts:int list ->
@@ -80,11 +77,10 @@ val count : t list -> int * int * int
 (** Sort by severity (errors first), then by statement ids. *)
 val by_severity : t list -> t list
 
-(** One-line rendering: [severity [code] message (S0, S1; level 2)]. *)
+(** One-line rendering: [severity [code] message (S0, S1; level 2)],
+    where [code] is the kind's stable machine-readable code, e.g.
+    ["race.parallel"]. *)
 val pp : Scop.Program.t -> Format.formatter -> t -> unit
 
 (** Structured JSON object for a finding (shared {!Obs.Json} writer). *)
 val json : Scop.Program.t -> t -> Obs.Json.t
-
-(** JSON object (one line, no trailing newline): [to_string] of {!json}. *)
-val to_json : Scop.Program.t -> t -> string

@@ -18,8 +18,9 @@
     [reduction.detected] finding per fact and one [reduction.rejected]
     finding per near-miss (a statement that combines its own written
     array but fails the proof), with the exact reason under context key
-    ["reason"]: {!reason_non_assoc}, {!reason_subscript},
-    {!reason_acc_read} or {!reason_interleaved}. Statements that never
+    ["reason"], one of the stable codes ["non-associative-op"],
+    ["subscript-mismatch"], ["accumulator-read"] or
+    ["interleaved-writer"]. Statements that never
     touch their written array on the right-hand side produce no
     finding. *)
 val detect :
@@ -34,10 +35,3 @@ val tag_deps : Reduction_info.t list -> Deps.Dep.t list -> Deps.Dep.t list
     on its accumulator array — i.e. an edge the proof licenses
     relaxing? *)
 val covers : Reduction_info.t -> Deps.Dep.t -> bool
-
-(** Stable rejection reason codes (context key ["reason"]). *)
-
-val reason_non_assoc : string
-val reason_subscript : string
-val reason_acc_read : string
-val reason_interleaved : string

@@ -86,12 +86,9 @@ val instances : node -> instance list
     occurs exactly once in a generated AST. *)
 val members : node -> int list
 
-(** [eval_bound b ~outer ~params ~lower] computes the concrete value
-    (ceil division when [lower], floor otherwise). *)
-val eval_bound : bound -> outer:int array -> params:int array -> lower:bool -> int
-
 (** [loop_range loop ~outer ~params] is the concrete [(lb, ub)]
-    (inclusive; empty when [lb > ub]). *)
+    (inclusive; empty when [lb > ub]), each bound evaluated with ceil
+    division for a lower and floor division for an upper bound. *)
 val loop_range : loop -> outer:int array -> params:int array -> int * int
 
 (** [instance_iters inst ~y ~params] recovers the original iterator

@@ -156,6 +156,8 @@ let stmt_to_c (prog : Program.t) (st : Statement.t) =
     (Expr.pp ~iter_names:st.Statement.iters ~param_names:prog.params)
     st.Statement.rhs
 
+(* just the loop nest (no declarations/main), as it appears inside the
+   kernel function *)
 let body (prog : Program.t) ast =
   let b = Buffer.create 1024 in
   let rec go indent node =

@@ -12,7 +12,3 @@
     via the inverse schedule (guards included), so any legal schedule -
     shifted, permuted, partially fused - emits correct C. *)
 val program : name:string -> Scop.Program.t -> Ast.node -> string
-
-(** Just the loop nest (no declarations/main), as it would appear
-    inside a function body. *)
-val body : Scop.Program.t -> Ast.node -> string

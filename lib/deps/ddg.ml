@@ -22,14 +22,6 @@ let build (prog : Scop.Program.t) deps =
 
 let true_deps g = List.filter Dep.is_true g.deps
 
-let has_edge g a b = List.mem b g.succ.(a)
-
-let has_input_between g a b =
-  List.exists
-    (fun (d : Dep.t) ->
-      d.kind = Dep.Input && ((d.src = a && d.dst = b) || (d.src = b && d.dst = a)))
-    g.deps
-
 (* --- Kosaraju ---------------------------------------------------------- *)
 
 let scc_kosaraju g =

@@ -20,13 +20,6 @@ val build : Scop.Program.t -> Dep.t list -> t
 (** True dependences only. *)
 val true_deps : t -> Dep.t list
 
-(** Is there a true-dependence edge [src -> dst]? *)
-val has_edge : t -> int -> int -> bool
-
-(** Is there an input dependence between the two statements (either
-    direction)? *)
-val has_input_between : t -> int -> int -> bool
-
 (** {1 Strongly connected components}
 
     Both functions return an array mapping statement id to SCC id,

@@ -59,16 +59,3 @@ let optimize ?budget ?engine ?reductions m prog =
       icc = None;
       resilience = Some o;
     }
-
-let simulate ?config ?reductions m (prog : Scop.Program.t) =
-  let { ast; _ } = optimize ?reductions m prog in
-  Machine.Perf.simulate ?config prog ast ~params:prog.default_params
-
-let verify ?reductions m (prog : Scop.Program.t) =
-  let params = prog.default_params in
-  let { ast; _ } = optimize ?reductions m prog in
-  let reference = Machine.Interp.init_memory prog ~params in
-  Machine.Interp.run_original prog reference ~params;
-  let transformed = Machine.Interp.init_memory prog ~params in
-  Machine.Interp.run prog ast transformed ~params;
-  Machine.Interp.first_diff reference transformed

@@ -42,17 +42,3 @@ val optimize :
   t ->
   Scop.Program.t ->
   optimized
-
-(** [simulate ?config m prog] optimizes and runs the machine model (at
-    the program's default parameters). *)
-val simulate :
-  ?config:Machine.Perf.config ->
-  ?reductions:bool ->
-  t ->
-  Scop.Program.t ->
-  Machine.Perf.stats
-
-(** [verify m prog] interprets the transformed program against the
-    original; [None] means semantically equivalent, [Some msg] is the
-    first difference. *)
-val verify : ?reductions:bool -> t -> Scop.Program.t -> string option

@@ -120,6 +120,4 @@ let run (prog : Scop.Program.t) (ddg : Ddg.t) scc_of =
   done;
   List.rev !clusters
 
-let clusters = run
-
 let order prog ddg scc_of = List.concat (run prog ddg scc_of)

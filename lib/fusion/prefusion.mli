@@ -19,12 +19,11 @@
     (all external predecessors visited). For the paper's benchmarks
     the two coincide. *)
 
-(** [order prog ddg scc_of] returns the SCC ids in pre-fusion order.
-    Suitable as {!Pluto.Scheduler.config.order_sccs}. *)
+(** [order prog ddg scc_of] returns the SCC ids in pre-fusion order:
+    the clusters grown by the algorithm, concatenated. Each cluster
+    (the [fusable] set of one outer iteration) is recorded as
+    ["prefuse.seed"] and ["prefuse.join"] trace instants carrying its
+    number; the actual fusion partitions additionally depend on the
+    scheduler's cuts. Suitable as
+    {!Pluto.Scheduler.config.order_sccs}. *)
 val order : Scop.Program.t -> Deps.Ddg.t -> int array -> int list
-
-(** The clusters of SCCs grown by the algorithm (each cluster is the
-    [fusable] set of one outer iteration), in order — useful for
-    inspection and tests; the actual fusion partitions additionally
-    depend on the scheduler's cuts. *)
-val clusters : Scop.Program.t -> Deps.Ddg.t -> int array -> int list list

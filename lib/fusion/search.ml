@@ -41,8 +41,9 @@ let space_size ddg scc_of =
     (fun acc o -> acc + partitionings_per_ordering (List.length o))
     0 os
 
-(* group-id vectors: every cut mask over k-1 boundaries, rendered as
-   non-decreasing group ids starting at 0 *)
+(* the [2^(k-1)] group-id vectors for [k] SCC positions: every cut mask
+   over k-1 boundaries, rendered as non-decreasing group ids starting
+   at 0 *)
 let cut_masks k =
   if k <= 0 then []
   else begin

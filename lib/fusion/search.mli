@@ -26,10 +26,6 @@ val partitionings_per_ordering : int -> int
 (** Size of the whole search space: [sum over orderings of 2^(k-1)]. *)
 val space_size : Deps.Ddg.t -> int array -> int
 
-(** [cut_masks k] enumerates the [2^(k-1)] group-id vectors for [k]
-    SCC positions (each mask is non-decreasing, starting at 0). *)
-val cut_masks : int -> int list list
-
 type candidate = {
   order : int list;  (** SCC ids in pre-fusion order *)
   groups : int list;  (** group id per position *)

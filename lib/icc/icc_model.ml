@@ -260,8 +260,3 @@ let run ?param_floor (prog : Scop.Program.t) =
   in
   let ast = demote ~inside:false ast in
   { prog; deps; nests = nest_infos; sched; ast }
-
-let run_checked ?param_floor prog =
-  Pluto.Diagnostics.protect (fun () -> run ?param_floor prog)
-
-let nest_count r = List.length r.nests

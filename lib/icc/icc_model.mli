@@ -33,12 +33,5 @@ type result = {
 (** Run the model. The resulting schedule is validated with
     {!Pluto.Satisfy.check_legal}.
     @raise Pluto.Diagnostics.Error if the model produced an illegal
-    schedule (a bug); use {!run_checked} for the non-raising variant. *)
+    schedule (a bug). *)
 val run : ?param_floor:int -> Scop.Program.t -> result
-
-(** {!run} with the failure path reified as a typed diagnostic. *)
-val run_checked :
-  ?param_floor:int -> Scop.Program.t -> (result, Pluto.Diagnostics.t) Stdlib.result
-
-(** Number of fused nests (original nest count when no fusion). *)
-val nest_count : result -> int

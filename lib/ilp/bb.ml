@@ -1,6 +1,7 @@
 open Linalg
 open Poly
 
+(* one lexmin stage's outcome; [Gave_up]: node cap or budget exhausted *)
 type answer =
   | Optimal of Q.t * int array
   | Infeasible
@@ -167,11 +168,6 @@ let answer_of st =
     if st.saw_unbounded then Unbounded
     else if st.gave_up then Gave_up
     else Infeasible
-
-let minimize ?nonneg ?budget p obj =
-  if Vec.dim obj <> Polyhedron.dim p + 1 then
-    invalid_arg "Ilp.minimize: objective length";
-  answer_of (run ?nonneg ?budget p obj)
 
 (* [integer_point] deliberately searches cold: warm re-solves can land
    on a different optimal vertex of a degenerate LP, which would change

@@ -13,28 +13,6 @@
     witness {e points} ({!integer_point}) are searched cold so they do
     not depend on the warm-start machinery. *)
 
-type answer =
-  | Optimal of Linalg.Q.t * int array
-      (** objective value (an integer when the objective has integer
-          coefficients) and an optimal integer point *)
-  | Infeasible
-  | Unbounded  (** the LP relaxation is unbounded in the objective *)
-  | Gave_up
-      (** node budget / {!Linalg.Budget} exhausted without a
-          conclusion — the typed "ran out of resources" outcome *)
-
-(** [minimize ?budget p obj] minimizes the affine objective [obj]
-    (length [dim p + 1]) over the integer points of [p]. A search stops
-    after 20,000 nodes. When [budget] is given, every node charges
-    {!Linalg.Budget.spend_node} and the underlying LPs charge pivots;
-    exhaustion of either yields [Gave_up], never an exception. *)
-val minimize :
-  ?nonneg:bool ->
-  ?budget:Linalg.Budget.t ->
-  Poly.Polyhedron.t ->
-  Linalg.Vec.t ->
-  answer
-
 (** [integer_point p] finds any integer point, if one exists. [None]
     means "none exists" when the search completed, and "unknown" when
     the node budget ran out (see {!feasible} for a sound wrapper). *)
@@ -56,8 +34,10 @@ val feasible : ?budget:Linalg.Budget.t -> Poly.Polyhedron.t -> bool
 (** [lexmin p objs] sequentially minimizes the affine objectives in
     [objs], fixing each to its optimum before the next (lexicographic
     minimization). Returns the objective values and a final optimal
-    point, or [None] if infeasible / unbounded / inconclusive (including
-    budget exhaustion). *)
+    point, or [None] if infeasible / unbounded / inconclusive. A search
+    stops after 20,000 nodes. When [budget] is given, every node charges
+    {!Linalg.Budget.spend_node} and the underlying LPs charge pivots;
+    exhaustion of either yields [None], never an exception. *)
 val lexmin :
   ?nonneg:bool ->
   ?budget:Linalg.Budget.t ->

@@ -662,11 +662,3 @@ let maximize ?nonneg ?budget p obj_aff =
   | Unbounded -> Unbounded
   | Optimal (v, x) -> Optimal (Q.neg v, x)
   | Exhausted -> Exhausted
-
-let feasible_point ?nonneg ?budget p =
-  let n = Polyhedron.dim p in
-  match minimize ?nonneg ?budget p (Vec.zero (n + 1)) with
-  | Infeasible -> None
-  | Unbounded -> None (* cannot happen with zero objective *)
-  | Exhausted -> None (* caller opted into a budget: treat as unknown *)
-  | Optimal (_, x) -> Some x

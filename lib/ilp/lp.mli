@@ -92,11 +92,3 @@ val reoptimize :
   add:Poly.Constr.t list ->
   obj:Linalg.Vec.t ->
   result * warm option
-
-(** [feasible_point p] returns a rational point of [p] if one exists
-    (phase-1 only). [None] on budget exhaustion. *)
-val feasible_point :
-  ?nonneg:bool ->
-  ?budget:Linalg.Budget.t ->
-  Poly.Polyhedron.t ->
-  Linalg.Vec.t option

@@ -11,8 +11,8 @@ open Scop.Build
 (* jacobi-2d: a time-iterated 5-point stencil with a copy-back
    statement; the t loop is serial, the space loops parallel; fusion of
    S1 and S2 inside a timestep is the interesting decision. *)
-let jacobi2d ?(n = 14) ?(steps = 6) () =
-  let ctx = create ~name:"jacobi2d" ~params:[ ("N", n); ("T", steps) ] in
+let jacobi2d () =
+  let ctx = create ~name:"jacobi2d" ~params:[ ("N", 14); ("T", 6) ] in
   let n = param ctx "N" in
   let t_ = param ctx "T" in
   let ext = n +~ ci 2 in
@@ -36,8 +36,8 @@ let jacobi2d ?(n = 14) ?(steps = 6) () =
 
 (* mvt: two independent matrix-vector products, one transposed -
    fusable only with per-statement loop permutation. *)
-let mvt ?(n = 40) () =
-  let ctx = create ~name:"mvt" ~params:[ ("N", n) ] in
+let mvt () =
+  let ctx = create ~name:"mvt" ~params:[ ("N", 40) ] in
   let n = param ctx "N" in
   let a = array ctx "A" [ n; n ] in
   let x1 = array ctx "x1" [ n ] and x2 = array ctx "x2" [ n ] in
@@ -53,8 +53,8 @@ let mvt ?(n = 40) () =
 
 (* doitgen: a contraction followed by a copy-back, inside two outer
    loops - the copy-back statement blocks naive fusion. *)
-let doitgen ?(n = 10) () =
-  let ctx = create ~name:"doitgen" ~params:[ ("N", n) ] in
+let doitgen () =
+  let ctx = create ~name:"doitgen" ~params:[ ("N", 10) ] in
   let n = param ctx "N" in
   let a = array ctx "A" [ n; n; n ] in
   let c4 = array ctx "C4" [ n; n ] in
@@ -75,8 +75,8 @@ let doitgen ?(n = 10) () =
 (* seidel-like in-place sweep: a single statement whose dependences
    force a serial outer loop; exercises the scheduler on tight
    recurrences. *)
-let sweep2d ?(n = 16) () =
-  let ctx = create ~name:"sweep2d" ~params:[ ("N", n) ] in
+let sweep2d () =
+  let ctx = create ~name:"sweep2d" ~params:[ ("N", 16) ] in
   let n = param ctx "N" in
   let ext = n +~ ci 2 in
   let a = array ctx "A" [ ext; ext ] in
@@ -89,7 +89,4 @@ let sweep2d ?(n = 16) () =
   finish ctx
 
 let all =
-  [ ("jacobi2d", fun () -> jacobi2d ());
-    ("mvt", fun () -> mvt ());
-    ("doitgen", fun () -> doitgen ());
-    ("sweep2d", fun () -> sweep2d ()) ]
+  [ ("jacobi2d", jacobi2d); ("mvt", mvt); ("doitgen", doitgen); ("sweep2d", sweep2d) ]

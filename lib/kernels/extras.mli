@@ -2,17 +2,9 @@
     claim that wisefuse matches smartfuse's partitionings on small
     kernel programs (Section 5.3). *)
 
-(** Time-iterated 5-point stencil with copy-back. *)
-val jacobi2d : ?n:int -> ?steps:int -> unit -> Scop.Program.t
-
-(** Two matrix-vector products, one transposed. *)
-val mvt : ?n:int -> unit -> Scop.Program.t
-
-(** Tensor contraction with copy-back under two outer loops. *)
-val doitgen : ?n:int -> unit -> Scop.Program.t
-
-(** In-place Gauss-Seidel-style sweep (tight recurrence). *)
-val sweep2d : ?n:int -> unit -> Scop.Program.t
-
-(** All extras with default sizes. *)
+(** All extras with default sizes: [jacobi2d] (time-iterated 5-point
+    stencil with copy-back), [mvt] (two matrix-vector products, one
+    transposed), [doitgen] (tensor contraction with copy-back under two
+    outer loops) and [sweep2d] (in-place Gauss-Seidel-style sweep, a
+    tight recurrence). *)
 val all : (string * (unit -> Scop.Program.t)) list

@@ -10,8 +10,6 @@
 
 type shape = Chain | Stencil | Blocked
 
-let all_shapes = [ Chain; Stencil; Blocked ]
-
 let shape_name = function
   | Chain -> "chain"
   | Stencil -> "stencil"

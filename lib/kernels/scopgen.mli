@@ -21,9 +21,6 @@
 
 type shape = Chain | Stencil | Blocked
 
-(** In presentation order: chain, stencil, blocked. *)
-val all_shapes : shape list
-
 (** ["chain"], ["stencil"], ["blocked"]. *)
 val shape_name : shape -> string
 

@@ -40,7 +40,6 @@ let big (x : t) : big = Obj.magic x (* only when [not (is_small x)] *)
 
 let zero = of_int 0
 let one = of_int 1
-let two = of_int 2
 let minus_one = of_int (-1)
 
 let is_zero x = x == zero
@@ -364,9 +363,6 @@ let sub x y =
   end
   else add x (neg y)
 
-let succ x = add x one
-let pred x = sub x one
-
 (* |a|, |b| <= 2^31 - 1 guarantees the native product fits (< 2^62) *)
 let small_mul_fits a = -0x8000_0000 < a && a < 0x8000_0000
 
@@ -411,7 +407,6 @@ let divmod a b =
   else big_divmod (to_big a) (to_big b)
 
 let div a b = fst (divmod a b)
-let rem a b = snd (divmod a b)
 
 let fdiv a b =
   let q, r = divmod a b in
@@ -453,18 +448,7 @@ let lcm a b =
   if is_zero a || is_zero b then zero
   else abs (div (mul a b) (gcd a b))
 
-let pow x n =
-  if Stdlib.(n < 0) then invalid_arg "Bigint.pow: negative exponent";
-  let rec go acc b n =
-    if n = 0 then acc
-    else go (if n land 1 = 1 then mul acc b else acc) (mul b b) (n lsr 1)
-  in
-  go one x n
-
 (* --- conversions ----------------------------------------------------- *)
-
-(* canonicality: a big never fits a native int *)
-let fits_int = is_small
 
 let to_int_opt x = if is_small x then Some (small x) else None
 
@@ -492,25 +476,6 @@ let to_string x =
       Buffer.contents buf)
   end
 
-let of_string s =
-  let n = String.length s in
-  if n = 0 then invalid_arg "Bigint.of_string: empty";
-  let sign, start =
-    match s.[0] with
-    | '-' -> (-1, 1)
-    | '+' -> (1, 1)
-    | _ -> (1, 0)
-  in
-  if start >= n then invalid_arg "Bigint.of_string: no digits";
-  let acc = ref zero in
-  let ten = of_int 10 in
-  for i = start to n - 1 do
-    let c = s.[i] in
-    if Stdlib.(c < '0' || c > '9') then invalid_arg "Bigint.of_string: bad digit";
-    acc := add (mul !acc ten) (of_int (Char.code c - Char.code '0'))
-  done;
-  if sign = -1 then neg !acc else !acc
-
 (* --- representation introspection (tests and diagnostics) ------------ *)
 
 let force_big x = if is_small x then boxed (to_big x) else x
@@ -518,18 +483,3 @@ let force_big x = if is_small x then boxed (to_big x) else x
 (* --- native access for fused kernels ----------------------------------- *)
 
 let unbox x = if is_small x && not Chaos.hooks.big_path then small x else Stdlib.min_int
-
-(* --- operators & printing ------------------------------------------- *)
-
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div
-let ( ~- ) = neg
-let ( = ) = equal
-let ( < ) a b = Stdlib.( < ) (compare a b) 0
-let ( <= ) a b = Stdlib.( <= ) (compare a b) 0
-let ( > ) a b = Stdlib.( > ) (compare a b) 0
-let ( >= ) a b = Stdlib.( >= ) (compare a b) 0
-
-let pp fmt x = Format.pp_print_string fmt (to_string x)

@@ -22,8 +22,6 @@ type t
 
 val zero : t
 val one : t
-val minus_one : t
-val two : t
 
 (** {1 Conversions} *)
 
@@ -37,10 +35,6 @@ val to_int : t -> int
 (** [to_int_opt x] is [Some n] if [x] fits in a native [int]. *)
 val to_int_opt : t -> int option
 
-(** [of_string s] parses an optionally-signed decimal literal.
-    @raise Invalid_argument on malformed input. *)
-val of_string : string -> t
-
 val to_string : t -> string
 
 (** {1 Queries} *)
@@ -53,29 +47,15 @@ val is_one : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-(** [fits_int x] is [true] iff [to_int x] would succeed. *)
-val fits_int : t -> bool
-
 (** {1 Arithmetic} *)
 
 val neg : t -> t
-val abs : t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val succ : t -> t
-val pred : t -> t
 
-(** [divmod a b] is [(q, r)] with [a = q*b + r], [0 <= |r| < |b|] and
-    [r] carrying the sign of [a] (truncated division, like OCaml [/]).
-    @raise Division_by_zero if [b] is zero. *)
-val divmod : t -> t -> t * t
-
-(** Truncated quotient. @raise Division_by_zero if divisor is zero. *)
+(** Truncated quotient, like OCaml [/].
+    @raise Division_by_zero if divisor is zero. *)
 val div : t -> t -> t
-
-(** Truncated remainder. @raise Division_by_zero if divisor is zero. *)
-val rem : t -> t -> t
 
 (** [fdiv a b] is the floor division: largest [q] with [q*b <= a]
     (assuming [b > 0]); more generally floor of the rational quotient.
@@ -93,9 +73,6 @@ val gcd : t -> t -> t
 (** [lcm a b] is the non-negative least common multiple. *)
 val lcm : t -> t -> t
 
-(** [pow x n] for [n >= 0]. @raise Invalid_argument if [n < 0]. *)
-val pow : t -> int -> t
-
 (** {1 Representation introspection}
 
     For tests and diagnostics. {!Counters.promotions} and
@@ -103,7 +80,7 @@ val pow : t -> int -> t
     between the immediate and the boxed representation. *)
 
 (** [is_small x] is [true] iff [x] is carried as an immediate native
-    int. Canonically equal to [fits_int]. *)
+    int, which canonically is exactly when it fits one. *)
 val is_small : t -> bool
 
 (** [force_big x] is [x] re-encoded in the boxed representation even
@@ -120,18 +97,3 @@ val force_big : t -> t
     operands through it and fall back to the generic operations on
     [min_int]. *)
 val unbox : t -> int
-
-(** {1 Infix operators and printing} *)
-
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-val ( ~- ) : t -> t
-val ( = ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

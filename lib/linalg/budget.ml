@@ -9,8 +9,8 @@
    unwinds quickly instead of grinding each stage to its own limit.
 
    Budgets never raise across a public API: exhaustion surfaces as a
-   typed outcome ([Lp.Exhausted], [Bb.Gave_up]) that callers walk their
-   degradation ladder on. *)
+   typed outcome ([Lp.Exhausted], [None] from [Bb.lexmin]) that callers
+   walk their degradation ladder on. *)
 
 type t = {
   deadline : float option; (* absolute monotonic time ({!Clock.now}), seconds *)
@@ -58,8 +58,6 @@ let refresh b =
 
 let exhausted b = b.tripped
 
-let trip b = b.tripped <- true
-
 let over_deadline b =
   match b.deadline with
   | None -> false
@@ -88,24 +86,15 @@ let spend_node b =
     not b.tripped
   end
 
-let env_int name =
-  match Sys.getenv_opt name with
+(* WISEFUSE_BUDGET_MS; [None] when unset, so the unbudgeted fast path
+   stays the default *)
+let of_env () =
+  match Sys.getenv_opt "WISEFUSE_BUDGET_MS" with
   | None -> None
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some v when v > 0 -> Some v
+    | Some ms when ms > 0 -> Some (make ~ms ())
     | _ -> None)
-
-(* WISEFUSE_BUDGET_MS / WISEFUSE_BUDGET_PIVOTS / WISEFUSE_BUDGET_NODES;
-   [None] when none of the three is set, so the unbudgeted fast path
-   stays the default. *)
-let of_env () =
-  let ms = env_int "WISEFUSE_BUDGET_MS" in
-  let pivots = env_int "WISEFUSE_BUDGET_PIVOTS" in
-  let nodes = env_int "WISEFUSE_BUDGET_NODES" in
-  match (ms, pivots, nodes) with
-  | None, None, None -> None
-  | _ -> Some (make ?ms ?pivots ?nodes ())
 
 let describe b =
   let lim name = function

@@ -6,8 +6,8 @@
     Exhaustion is {e latched}: once any limit trips, every further
     charge fails immediately, so nested solves unwind quickly. Across
     the public solver APIs exhaustion never raises — it surfaces as a
-    typed outcome ([Lp.Exhausted], [Bb.Gave_up]) on which callers run
-    their graceful-degradation ladder. *)
+    typed outcome ([Lp.Exhausted], [None] from [Bb.lexmin]) on which
+    callers run their graceful-degradation ladder. *)
 
 type t
 
@@ -22,19 +22,15 @@ val refresh : t -> t
 (** Latched exhaustion state. *)
 val exhausted : t -> bool
 
-(** Force exhaustion (used by the degradation ladder to abandon a
-    stage). *)
-val trip : t -> unit
-
 (** Charge one simplex pivot / one branch-and-bound node. [false]
     means the budget is exhausted and the caller must stop. *)
 val spend_pivot : t -> bool
 
 val spend_node : t -> bool
 
-(** Read [WISEFUSE_BUDGET_MS] / [WISEFUSE_BUDGET_PIVOTS] /
-    [WISEFUSE_BUDGET_NODES]; [None] when none is set (the unbudgeted
-    fast path). Non-positive or malformed values are ignored. *)
+(** A wall-clock budget of [WISEFUSE_BUDGET_MS] milliseconds; [None]
+    when the variable is unset (the unbudgeted fast path). A
+    non-positive or malformed value is ignored. *)
 val of_env : unit -> t option
 
 val pp : Format.formatter -> t -> unit

@@ -12,7 +12,9 @@
 
    A counter is its slot in the record's [counts]; [names] fixes the
    slots and the [all_counters] order (which serve payloads, and the
-   digests over them, depend on). *)
+   digests over them, depend on). The eight [serve_*] names have no
+   handle: nothing counts them, and they stay in [names] so payloads
+   keep printing them as 0. *)
 
 let names =
   [| "lp_solves"; "lp_pivots"; "ilp_solves"; "bb_nodes"; "warm_starts";
@@ -58,17 +60,6 @@ let reductions_certified = slot "reductions_certified"
 let lp_relax_solves = slot "lp_relax_solves"
 let cluster_rounds = slot "cluster_rounds"
 let dfp_fallbacks = slot "dfp_fallbacks"
-
-(* wiseserve mirrors of tallies the server and its cache own; re-synced
-   (plain [set]) into the calling domain's record after every request *)
-let serve_requests = slot "serve_requests"
-let serve_cache_hits = slot "serve_cache_hits"
-let serve_cache_misses = slot "serve_cache_misses"
-let serve_cache_evictions = slot "serve_cache_evictions"
-let serve_shed = slot "serve_shed"
-let serve_recovered = slot "serve_recovered"
-let serve_breaker_trips = slot "serve_breaker_trips"
-let serve_breaker_rejects = slot "serve_breaker_rejects"
 
 let promotions = slot "big_promotions"
 let demotions = slot "big_demotions"
@@ -162,13 +153,3 @@ let reset () =
   Array.fill r.counts 0 (Array.length r.counts) 0;
   Hashtbl.reset r.stages;
   r.stage_order <- []
-
-let pp fmt () =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun (n, v) -> if v <> 0 then Format.fprintf fmt "%-20s %d@," n v)
-    (all_counters ());
-  List.iter
-    (fun (n, s) -> Format.fprintf fmt "%-20s %.3f ms@," n (s *. 1e3))
-    (stage_times ());
-  Format.fprintf fmt "@]"

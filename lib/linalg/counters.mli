@@ -3,7 +3,7 @@
     Each domain owns one record of counters and stage timers in
     domain-local storage: the hot paths bump a plain slot of the
     calling domain's record ({!incr}), and {!reset}, {!get},
-    {!all_counters}, {!stage_times}, {!time} and {!pp} all act on that
+    {!all_counters}, {!stage_times} and {!time} all act on that
     record only. A single-domain program (the CLI, the bench harness)
     therefore sees one set of counters; solves running on different
     domains never mix their counts. {!scoped} gives one callback a
@@ -105,32 +105,6 @@ val cluster_rounds : counter
     back to the ILP engine. *)
 val dfp_fallbacks : counter
 
-(** {2 Serving (wiseserve) counters}
-
-    Requests handled by the scheduling daemon and the traffic of its
-    content-addressed cross-request cache. These only mirror tallies the
-    server and its cache own: every request re-syncs them into the
-    calling domain's record, so another domain's copy may lag. Read the
-    server's own accessors for totals. *)
-
-val serve_requests : counter
-val serve_cache_hits : counter
-val serve_cache_misses : counter
-val serve_cache_evictions : counter
-
-(** Requests shed by admission control (typed ["overloaded"]). *)
-val serve_shed : counter
-
-(** Requests whose escaped exception was caught by the serve firewall. *)
-val serve_recovered : counter
-
-(** Circuit-breaker trips (a fingerprint's failure run crossed the
-    threshold and opened) and rejects (requests answered ["breaker"]
-    while open). *)
-val serve_breaker_trips : counter
-
-val serve_breaker_rejects : counter
-
 (** [time stage f] runs [f ()] and adds its wall-clock duration to the
     accumulator for [stage] (even if [f] raises). Timers are
     {e exclusive}: when stages nest, the inner stage's time is
@@ -151,7 +125,9 @@ val set_stage_observer : (string -> float -> unit) -> unit
 (** Accumulated (stage, seconds) pairs, in first-use order. *)
 val stage_times : unit -> (string * float) list
 
-(** All counters as (name, value) pairs, including zeros. *)
+(** All counters as (name, value) pairs, including zeros. The eight
+    [serve_*] names have no handle and always read 0; the serving
+    daemon's own accessors hold its tallies. *)
 val all_counters : unit -> (string * int) list
 
 (** Reset every counter and timer of the calling domain to zero. *)
@@ -162,5 +138,3 @@ val reset : unit -> unit
     returns or raises. Everything [f] counts or times is dropped unless
     [f] reads it itself (with {!all_counters} or {!stage_times}). *)
 val scoped : (unit -> 'a) -> 'a
-
-val pp : Format.formatter -> unit -> unit

@@ -1,31 +1,10 @@
 type t = Q.t array array
 
-let identity n =
-  Array.init n (fun i -> Array.init n (fun j -> if i = j then Q.one else Q.zero))
-
 let of_ints a = Array.map Vec.of_ints a
 let copy m = Array.map Array.copy m
 
 let rows m = Array.length m
 let cols m = if rows m = 0 then 0 else Array.length m.(0)
-let row m i = Array.copy m.(i)
-
-let transpose m =
-  let r = rows m and c = cols m in
-  Array.init c (fun j -> Array.init r (fun i -> m.(i).(j)))
-
-let mul a b =
-  if cols a <> rows b then invalid_arg "Mat.mul: dimension mismatch";
-  let bt = transpose b in
-  Array.init (rows a) (fun i -> Array.init (cols b) (fun j -> Vec.dot a.(i) bt.(j)))
-
-let mul_vec a v =
-  if cols a <> Vec.dim v then invalid_arg "Mat.mul_vec: dimension mismatch";
-  Array.init (rows a) (fun i -> Vec.dot a.(i) v)
-
-let equal a b =
-  rows a = rows b && cols a = cols b
-  && Array.for_all2 Vec.equal a b
 
 (* Reduced row echelon form by exact Gauss-Jordan elimination. *)
 let rref m0 =
@@ -97,28 +76,6 @@ let inverse m =
   let left_pivots = List.filter (fun j -> j < n) pivots in
   if List.length left_pivots < n then None
   else Some (Array.init n (fun i -> Array.init n (fun j -> red.(i).(j + n))))
-
-let solve a b =
-  let r = rows a and c = cols a in
-  if Vec.dim b <> r then invalid_arg "Mat.solve: dimension mismatch";
-  let aug = Array.init r (fun i -> Array.append (Array.copy a.(i)) [| b.(i) |]) in
-  let red, pivots = rref aug in
-  if List.mem c pivots then None (* inconsistent: pivot in the rhs column *)
-  else begin
-    let x = Vec.zero c in
-    List.iteri
-      (fun i j -> if j < c then x.(j) <- red.(i).(c))
-      pivots;
-    Some x
-  end
-
-let row_space_contains m v =
-  if rows m = 0 then Vec.is_zero v
-  else begin
-    (* v in rowspace(m) iff rank(m) = rank(m with v appended) *)
-    let aug = Array.append m [| Vec.copy v |] in
-    rank m = rank aug
-  end
 
 let orthogonal_complement m =
   List.map Vec.normalize_int (nullspace m)

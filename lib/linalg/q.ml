@@ -49,21 +49,7 @@ let minus_one = of_int (-1)
 
 let is_zero q = q == zero
 
-let make num den =
-  if Bigint.is_zero den then raise Division_by_zero
-  else if Bigint.is_zero num then zero
-  else begin
-    let num, den =
-      if Bigint.sign den < 0 then (Bigint.neg num, Bigint.neg den)
-      else (num, den)
-    in
-    let g = Bigint.gcd num den in
-    if Bigint.is_one g then mk num den
-    else mk (Bigint.div num g) (Bigint.div den g)
-  end
-
 let of_bigint n = mk n Bigint.one
-let of_ints n d = make (Bigint.of_int n) (Bigint.of_int d)
 
 let sign q = if is_imm q then Stdlib.compare (imm q) 0 else Bigint.sign (frac q).num
 let is_integer q = is_imm q || Bigint.is_one (frac q).den
@@ -249,16 +235,3 @@ let to_bigint q =
 let to_string q =
   if is_integer q then Bigint.to_string (num q)
   else Bigint.to_string (num q) ^ "/" ^ Bigint.to_string (den q)
-
-let ( + ) = add
-let ( - ) = sub
-let ( * ) = mul
-let ( / ) = div
-let ( ~- ) = neg
-let ( = ) = equal
-let ( < ) a b = Stdlib.( < ) (compare a b) 0
-let ( <= ) a b = Stdlib.( <= ) (compare a b) 0
-let ( > ) a b = Stdlib.( > ) (compare a b) 0
-let ( >= ) a b = Stdlib.( >= ) (compare a b) 0
-
-let pp fmt q = Format.pp_print_string fmt (to_string q)

@@ -17,13 +17,6 @@ val zero : t
 val one : t
 val minus_one : t
 
-(** [make num den] normalizes the fraction [num/den].
-    @raise Division_by_zero if [den] is zero. *)
-val make : Bigint.t -> Bigint.t -> t
-
-(** [of_ints n d] is [make (of_int n) (of_int d)]. *)
-val of_ints : int -> int -> t
-
 val of_int : int -> t
 val of_bigint : Bigint.t -> t
 
@@ -76,18 +69,3 @@ val ceil : t -> Bigint.t
 val to_bigint : t -> Bigint.t
 
 val to_string : t -> string
-
-(** {1 Infix operators and printing} *)
-
-val ( + ) : t -> t -> t
-val ( - ) : t -> t -> t
-val ( * ) : t -> t -> t
-val ( / ) : t -> t -> t
-val ( ~- ) : t -> t
-val ( = ) : t -> t -> bool
-val ( < ) : t -> t -> bool
-val ( <= ) : t -> t -> bool
-val ( > ) : t -> t -> bool
-val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

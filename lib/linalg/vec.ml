@@ -3,11 +3,6 @@ type t = Q.t array
 let make n q = Array.make n q
 let zero n = make n Q.zero
 
-let unit n i =
-  let v = zero n in
-  v.(i) <- Q.one;
-  v
-
 let of_ints a = Array.map Q.of_int a
 let of_int_list l = of_ints (Array.of_list l)
 let copy = Array.copy
@@ -22,14 +17,6 @@ let sub = map2 Q.sub
 let neg = Array.map Q.neg
 let scale q = Array.map (Q.mul q)
 
-let dot a b =
-  if dim a <> dim b then invalid_arg "Vec.dot: dimension mismatch";
-  let acc = ref Q.zero in
-  for i = 0 to dim a - 1 do
-    acc := Q.add !acc (Q.mul a.(i) b.(i))
-  done;
-  !acc
-
 let is_zero v = Array.for_all Q.is_zero v
 let equal a b = dim a = dim b && Array.for_all2 Q.equal a b
 
@@ -42,8 +29,3 @@ let normalize_int v =
     let g = Array.fold_left (fun acc n -> Bigint.gcd acc n) Bigint.zero ints in
     Array.map (fun n -> Q.of_bigint (Bigint.div n g)) ints
   end
-
-let pp fmt v =
-  Format.fprintf fmt "(%a)"
-    (Format.pp_print_array ~pp_sep:(fun f () -> Format.pp_print_string f ", ") Q.pp)
-    v

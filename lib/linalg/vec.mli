@@ -4,9 +4,6 @@ type t = Q.t array
 
 val zero : int -> t
 
-(** [unit n i] is the [n]-dimensional [i]-th standard basis vector. *)
-val unit : int -> int -> t
-
 val of_ints : int array -> t
 val of_int_list : int list -> t
 val copy : t -> t
@@ -17,9 +14,6 @@ val sub : t -> t -> t
 val neg : t -> t
 val scale : Q.t -> t -> t
 
-(** Dot product. @raise Invalid_argument on dimension mismatch. *)
-val dot : t -> t -> Q.t
-
 val is_zero : t -> bool
 val equal : t -> t -> bool
 
@@ -27,5 +21,3 @@ val equal : t -> t -> bool
     integer vector pointing the same way (integer entries, gcd 1, same
     orientation). Returns the zero vector unchanged. *)
 val normalize_int : t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -64,13 +64,3 @@ let access c ~addr =
 
 let hits c = c.hits
 let misses c = c.misses
-
-let reset_stats c =
-  c.hits <- 0;
-  c.misses <- 0
-
-let clear c =
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) (-1)) c.tags;
-  Array.iter (fun set -> Array.fill set 0 (Array.length set) 0) c.stamps;
-  c.clock <- 0;
-  reset_stats c

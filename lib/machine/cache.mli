@@ -15,10 +15,7 @@ val create : size_bytes:int -> line_bytes:int -> assoc:int -> unit -> t
     miss the line is filled (LRU eviction). *)
 val access : t -> addr:int -> bool
 
-(** Hit/miss counters since creation or [reset]. *)
+(** Hit/miss counters since creation. *)
 val hits : t -> int
 
 val misses : t -> int
-
-(** Drop all contents (cold cache) and reset stats. *)
-val clear : t -> unit

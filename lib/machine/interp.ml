@@ -35,8 +35,6 @@ let find mem name =
 
 let array_data mem name = (find mem name).data
 
-let global_addr mem name flat = ((find mem name).base + flat) * 8
-
 type access_kind = Read | Write
 
 let flat_index info (idx : int array) =
@@ -102,22 +100,6 @@ let run_original ?on_access ?on_stmt prog mem ~params =
   run ?on_access ?on_stmt prog ast mem ~params
 
 let differ va vb = Float.abs (va -. vb) > 1e-9 *. (1.0 +. Float.abs va +. Float.abs vb)
-
-let equal_info (a : array_info) (b : array_info) =
-  a.extents = b.extents
-  && Array.length a.data = Array.length b.data
-  && not (Array.exists2 differ a.data b.data)
-
-let equal m1 m2 =
-  Hashtbl.length m1.tbl = Hashtbl.length m2.tbl
-  && Hashtbl.fold
-       (fun name info acc ->
-         acc
-         &&
-         match Hashtbl.find_opt m2.tbl name with
-         | Some info2 -> equal_info info info2
-         | None -> false)
-       m1.tbl true
 
 let first_diff m1 m2 =
   let result = ref None in

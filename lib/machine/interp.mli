@@ -18,9 +18,6 @@ val init_memory :
 (** Raw payload of one array (row-major). @raise Not_found. *)
 val array_data : memory -> string -> float array
 
-(** [global_addr mem name flat] is the byte address used in traces. *)
-val global_addr : memory -> string -> int -> int
-
 type access_kind = Read | Write
 
 (** [run ?on_access ?on_stmt prog ast mem ~params] executes the AST.
@@ -63,9 +60,6 @@ val run_original :
   params:int array ->
   unit
 
-(** [equal a b]: same arrays, element-wise within a 1e-9
-    relative-ish tolerance. *)
-val equal : memory -> memory -> bool
-
-(** Human-readable first difference, for test failure messages. *)
+(** The first array element that differs beyond a 1e-9 relative-ish
+    tolerance, human-readable; [None] when the memories agree. *)
 val first_diff : memory -> memory -> string option

@@ -1,6 +1,6 @@
 (** A minimal JSON tree: one writer and one parser for every JSON
-    artifact the project emits or reads back (wisecheck findings, the
-    bench record file, trace exports). Before this module each site
+    artifact the project emits or reads back (wisecheck findings, serve
+    envelopes, trace exports). Before this module each site
     hand-rolled its own escaping and quote-aware field scanning; they
     now all share this one implementation.
 
@@ -19,9 +19,6 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
-
-(** [escape s] is the JSON string-literal body for [s] (no quotes). *)
-val escape : string -> string
 
 (** Compact (single-line) rendering. *)
 val to_string : t -> string

@@ -90,8 +90,6 @@ end
 
 type counter = { c_on : bool; cells : int Atomic.t array }
 
-type gauge = { g_on : bool; cell : int Atomic.t }
-
 type histogram = {
   h_on : bool;
   (* shards x buckets of observation counts, plus a per-shard running
@@ -110,11 +108,6 @@ let inc ?(n = 1) c =
 let counter_value c =
   Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.cells
 
-let gauge_make ~on = { g_on = on; cell = Atomic.make 0 }
-let gauge_set g v = if g.g_on then Atomic.set g.cell v
-let gauge_add g n = if g.g_on then ignore (Atomic.fetch_and_add g.cell n)
-let gauge_value g = Atomic.get g.cell
-
 let hist_make ~on =
   {
     h_on = on;
@@ -129,45 +122,20 @@ let observe h v =
     ignore (Atomic.fetch_and_add h.hsums.(s) v)
   end
 
-(* merged per-bucket counts; one [Atomic.get] per cell, no locks *)
+(* merged per-bucket counts: one [Atomic.get] per cell, shards folded
+   with [Buckets.merge]; no locks *)
 let hist_buckets h =
-  let out = Array.make Buckets.count 0 in
-  Array.iter
-    (fun shard ->
-      Array.iteri (fun i a -> out.(i) <- out.(i) + Atomic.get a) shard)
-    h.hcells;
-  out
+  Array.fold_left
+    (fun acc shard -> Buckets.merge acc (Array.map Atomic.get shard))
+    (Array.make Buckets.count 0) h.hcells
 
-let hist_count h = Array.fold_left ( + ) 0 (hist_buckets h)
 let hist_sum h = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.hsums
-
-(* quantile estimate from merged buckets: the inclusive upper edge of
-   the first bucket where the cumulative count reaches q * total.
-   Relative error is bounded by the bucket width (12.5%). *)
-let hist_quantile h q =
-  let b = hist_buckets h in
-  let total = Array.fold_left ( + ) 0 b in
-  if total = 0 then 0.
-  else
-    let rank = int_of_float (ceil (q *. float_of_int total)) in
-    let rank = max 1 (min total rank) in
-    let rec go i acc =
-      if i >= Buckets.count then float_of_int (Buckets.upper (Buckets.count - 2))
-      else
-        let acc = acc + b.(i) in
-        if acc >= rank then
-          if i = Buckets.overflow then
-            float_of_int (Buckets.upper (Buckets.overflow - 1))
-          else float_of_int (Buckets.upper i)
-        else go (i + 1) acc
-    in
-    go 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type sample = S_counter of counter | S_counter_fn of (unit -> int) | S_gauge of gauge | S_gauge_fn of (unit -> int) | S_hist of histogram
+type sample = S_counter of counter | S_counter_fn of (unit -> int) | S_gauge_fn of (unit -> int) | S_hist of histogram
 
 type series = { labels : (string * string) list; inst : sample }
 
@@ -209,11 +177,6 @@ let counter r ~name ~help ?labels () =
 
 let counter_fn r ~name ~help ?labels f =
   register r ~name ~help ~ftype:"counter" ?labels (S_counter_fn f)
-
-let gauge r ~name ~help ?labels () =
-  let g = gauge_make ~on:r.enabled in
-  register r ~name ~help ~ftype:"gauge" ?labels (S_gauge g);
-  g
 
 let gauge_fn r ~name ~help ?labels f =
   register r ~name ~help ~ftype:"gauge" ?labels (S_gauge_fn f)
@@ -285,7 +248,6 @@ let exposition r =
           match s.inst with
           | S_counter c -> add_sample buf f.name s.labels (counter_value c)
           | S_counter_fn fn | S_gauge_fn fn -> add_sample buf f.name s.labels (fn ())
-          | S_gauge g -> add_sample buf f.name s.labels (gauge_value g)
           | S_hist h -> render_histogram buf f.name s.labels h)
         (List.rev f.rows))
     (List.rev r.families);

@@ -1,11 +1,13 @@
-(** Domain-safe metrics: sharded counters, gauges and log-linear
-    latency histograms with a lock-free [Atomic] hot path, merged at
-    scrape time into a Prometheus text-format exposition.
+(** Domain-safe metrics: sharded counters and log-linear latency
+    histograms with a lock-free [Atomic] hot path, plus counters and
+    gauges sampled by callback, merged at scrape time into a Prometheus
+    text-format exposition.
 
     Writers touch only their own domain's shard (one
-    [Atomic.fetch_and_add], no mutex); a scrape folds the shards with
-    pointwise addition, which is associative, commutative and
-    loss-free — property-tested in [test_metrics].  Instruments minted
+    [Atomic.fetch_and_add], no mutex); a scrape folds a histogram's
+    shards with {!Buckets.merge}, pointwise addition, which is
+    associative, commutative and loss-free — property-tested in
+    [test_metrics].  Instruments minted
     by a registry created with [~enabled:false] early-return after a
     single immutable bool load, keeping the disabled path at null-sink
     cost. *)
@@ -40,7 +42,6 @@ module Buckets : sig
 end
 
 type counter
-type gauge
 type histogram
 type registry
 
@@ -64,10 +65,6 @@ val counter_fn :
     tracked elsewhere (cache hits, breaker trips).  The callback must
     be monotone and safe to call from the scraping domain. *)
 
-val gauge :
-  registry -> name:string -> help:string ->
-  ?labels:(string * string) list -> unit -> gauge
-
 val gauge_fn :
   registry -> name:string -> help:string ->
   ?labels:(string * string) list -> (unit -> int) -> unit
@@ -82,21 +79,8 @@ val inc : ?n:int -> counter -> unit
 val counter_value : counter -> int
 (** Merged total across shards. *)
 
-val gauge_set : gauge -> int -> unit
-val gauge_add : gauge -> int -> unit
-val gauge_value : gauge -> int
-
 val observe : histogram -> int -> unit
 (** Record one observation (we feed microseconds).  Lock-free. *)
-
-val hist_buckets : histogram -> int array
-(** Merged per-bucket counts, indexed like {!Buckets}. *)
-
-val hist_count : histogram -> int
-
-val hist_quantile : histogram -> float -> float
-(** [hist_quantile h q] estimates the [q]-quantile from merged buckets
-    (upper edge of the covering bucket; <= 12.5% relative error). *)
 
 val exposition : registry -> string
 (** Prometheus text format 0.0.4: [# HELP] / [# TYPE] per family, then

@@ -24,14 +24,13 @@ type event = {
 type state = {
   mutable enabled : bool;
   mutable sink : event list; (* reversed; emission is allocation-only *)
-  mutable count : int;
   mutable t0 : float;
   mutable last_ts : float;
 }
 
 let key : state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      { enabled = false; sink = []; count = 0; t0 = 0.0; last_ts = 0.0 })
+      { enabled = false; sink = []; t0 = 0.0; last_ts = 0.0 })
 
 let cur () = Domain.DLS.get key
 
@@ -57,7 +56,6 @@ let now_us st =
 let reset () =
   let st = cur () in
   st.sink <- [];
-  st.count <- 0;
   st.t0 <- (Atomic.get clock) ();
   st.last_ts <- 0.0
 
@@ -77,14 +75,12 @@ let disable () =
   end
 
 let events () = List.rev (cur ()).sink
-let event_count () = (cur ()).count
 
 let emit ph ?(args = []) ~cat name =
   if on () then begin
     let st = cur () in
     if st.enabled then begin
-      st.sink <- { ph; name; cat; ts = now_us st; args } :: st.sink;
-      st.count <- st.count + 1
+      st.sink <- { ph; name; cat; ts = now_us st; args } :: st.sink
     end
   end
 
@@ -156,9 +152,6 @@ let accumulate ~cat () =
 
 let summary ~cat () = accumulate ~cat ()
 
-let self_times ~cat () =
-  List.map (fun (name, self, _) -> (name, self)) (accumulate ~cat ())
-
 let with_recording f =
   enable ();
   let v = f () in
@@ -177,7 +170,6 @@ let capture f =
   let st = cur () in
   let s_enabled = st.enabled
   and s_sink = st.sink
-  and s_count = st.count
   and s_t0 = st.t0
   and s_last = st.last_ts in
   let restore () =
@@ -185,7 +177,6 @@ let capture f =
     else if (not st.enabled) && s_enabled then Atomic.incr live;
     st.enabled <- s_enabled;
     st.sink <- s_sink;
-    st.count <- s_count;
     st.t0 <- s_t0;
     st.last_ts <- s_last
   in

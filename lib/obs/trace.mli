@@ -12,7 +12,7 @@
       rung fired) with structured {!Json.t} arguments.
 
     Every domain owns an independent sink in domain-local storage:
-    {!enable}, {!events}, {!capture} etc. act on the calling domain's
+    {!with_recording}, {!capture}, {!summary} etc. act on the calling domain's
     sink only.  Emission is therefore lock-free — no mutex, no
     cross-domain interleaving — and concurrent {!capture}s on
     different domains (one per in-flight request in the serving
@@ -25,8 +25,8 @@
     argument lists should guard with [if Trace.on () then ...] so the
     allocation is skipped too.
 
-    Timestamps are microseconds relative to the calling domain's most
-    recent {!enable}/{!reset}, clamped to be non-decreasing (Chrome's
+    Timestamps are microseconds relative to the start of the calling
+    domain's current recording, clamped to be non-decreasing (Chrome's
     trace viewer requires monotone timestamps).  The timestamp source
     defaults to the wall clock; [Linalg.Clock] installs the monotonic
     clock via {!set_clock} at link time. *)
@@ -37,7 +37,7 @@ type event = {
   ph : phase;
   name : string;
   cat : string;
-  ts : float;  (** microseconds since {!enable}/{!reset} *)
+  ts : float;  (** microseconds since the recording started *)
   args : (string * Json.t) list;
 }
 
@@ -49,19 +49,9 @@ val on : unit -> bool
     at link time by [Linalg.Clock]; tests may swap in a fake clock. *)
 val set_clock : (unit -> float) -> unit
 
-(** Start recording into a fresh sink {e on the calling domain} (drops
-    that domain's prior events, re-zeroes its clock). *)
-val enable : unit -> unit
-
-(** Stop the calling domain's recording. Events stay readable until
-    the next {!enable}. *)
+(** Stop the calling domain's recording. Events stay readable (by
+    {!summary}) until the next recording starts. *)
 val disable : unit -> unit
-
-(** Drop the calling domain's recorded events and re-zero its clock,
-    keeping the enabled/disabled state. *)
-val reset : unit -> unit
-
-val event_count : unit -> int
 
 (** {2 Emission} — all no-ops when the calling domain's sink is off. *)
 
@@ -76,18 +66,17 @@ val instant : ?args:(string * Json.t) list -> cat:string -> string -> unit
 
 (** {2 Reconstruction} — all over the calling domain's sink. *)
 
-(** Per-name {e exclusive} (self) seconds of the recorded spans of
-    category [cat], in first-appearance order: each span's duration
-    minus the duration of its child spans {e of the same category}.
-    With [cat = "stage"] this recomputes [Counters.stage_times] from
-    the trace. *)
-val self_times : cat:string -> unit -> (string * float) list
-
-(** Per-name [(self, total)] seconds (total = inclusive duration sum)
-    for spans of category [cat], in first-appearance order. *)
+(** Per-name [(self, total)] seconds for the recorded spans of
+    category [cat], in first-appearance order. Self is {e exclusive}:
+    each span's duration minus the duration of its child spans {e of
+    the same category}, so with [cat = "stage"] it recomputes
+    [Counters.stage_times] from the trace. Total is the inclusive
+    duration sum. *)
 val summary : cat:string -> unit -> (string * float * float) list
 
-(** [with_recording f] runs [f] under a fresh enabled sink and returns
+(** [with_recording f] starts recording into a fresh sink {e on the
+    calling domain} (dropping that domain's prior events and
+    re-zeroing its clock), runs [f] and returns
     its result with the recorded events; the previous sink state
     (on/off and events) is NOT restored — callers own their domain's
     tracer. *)

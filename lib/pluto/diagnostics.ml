@@ -9,9 +9,9 @@
    Within the libraries the idiom is exception-at-the-point,
    result-at-the-boundary: deep pipeline code raises [Error d] (so it
    does not have to thread [result] through every recursion), and the
-   public entry points ([Scheduler.schedule], [Fusion.Resilient],
-   [Icc_model.run_checked]) catch it and surface [('a, t) result]. The
-   CLI maps phases to distinct exit codes. *)
+   public entry points ([Scheduler.schedule_with_deps],
+   [Fusion.Resilient]) catch it and surface [('a, t) result]. The CLI
+   maps phases to distinct exit codes. *)
 
 type phase = Usage | Budget | Scheduling | Verification | Codegen
 
@@ -29,9 +29,6 @@ let make ?(context = []) ~phase ~code message =
 
 let fail ?context ~phase ~code message =
   raise (Error (make ?context ~phase ~code message))
-
-let failf ?context ~phase ~code fmt =
-  Format.kasprintf (fun message -> fail ?context ~phase ~code message) fmt
 
 (* Run [f ()], converting a raised diagnostic into [Error d]. Other
    exceptions propagate untouched. *)

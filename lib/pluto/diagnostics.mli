@@ -28,14 +28,6 @@ val make :
 val fail :
   ?context:(string * string) list -> phase:phase -> code:string -> string -> 'a
 
-(** [failf ... fmt] — like {!fail} with a format string. *)
-val failf :
-  ?context:(string * string) list ->
-  phase:phase ->
-  code:string ->
-  ('a, Format.formatter, unit, 'b) format4 ->
-  'a
-
 (** [protect f] runs [f ()], converting a raised {!Error} into
     [Error d]. Other exceptions propagate. *)
 val protect : (unit -> 'a) -> ('a, t) result

@@ -4,24 +4,6 @@ type row = Hyp of int array | Beta of int
 
 type t = row list array
 
-let eval_row row ~iters ~params =
-  match row with
-  | Beta b -> b
-  | Hyp h ->
-    let d = Array.length iters and np = Array.length params in
-    if Array.length h <> d + np + 1 then invalid_arg "Sched.eval_row: width";
-    let acc = ref h.(d + np) in
-    for i = 0 to d - 1 do
-      acc := !acc + (h.(i) * iters.(i))
-    done;
-    for p = 0 to np - 1 do
-      acc := !acc + (h.(d + p) * params.(p))
-    done;
-    !acc
-
-let timestamp sched id ~iters ~params =
-  Array.of_list (List.map (fun r -> eval_row r ~iters ~params) sched.(id))
-
 let row_as_hyp ~depth ~np = function
   | Hyp h ->
     if Array.length h <> depth + np + 1 then invalid_arg "Sched.row_as_hyp: width";
@@ -30,10 +12,6 @@ let row_as_hyp ~depth ~np = function
     let h = Array.make (depth + np + 1) 0 in
     h.(depth + np) <- b;
     h
-
-let iter_part ~depth = function
-  | Hyp h -> Array.sub h 0 depth
-  | Beta _ -> Array.make depth 0
 
 (* phi_dst(t) - phi_src(s) over [s(d1); t(d2); p(np); 1] *)
 let phi_diff ~d1 ~d2 ~np src_row dst_row =
@@ -55,9 +33,6 @@ let phi_diff ~d1 ~d2 ~np src_row dst_row =
 let num_rows (s : t) =
   if Array.length s = 0 then invalid_arg "Sched.num_rows: no statements";
   List.length s.(0)
-
-let is_beta_level (s : t) level =
-  match List.nth s.(0) level with Beta _ -> true | Hyp _ -> false
 
 let pp_row ~iter_names ~param_names fmt = function
   | Beta b -> Format.fprintf fmt "[%d]" b

@@ -14,14 +14,6 @@ type t = row list array
 (** indexed by statement id; every list has the same length and the
     same row kinds at each position. *)
 
-(** [eval_row ~np row ~iters ~params] evaluates ϕ at a point of the
-    statement's domain. A [Beta] row evaluates to its constant. *)
-val eval_row : row -> iters:int array -> params:int array -> int
-
-(** [timestamp sched stmt_id ~iters ~params] is the full
-    multidimensional time vector of one statement instance. *)
-val timestamp : t -> int -> iters:int array -> params:int array -> int array
-
 (** [phi_diff ~d1 ~d2 ~np src_row dst_row] builds the affine form
     ϕ_dst(t) − ϕ_src(s) over the dependence space
     [s (d1); t (d2); params (np)] as a vector of length
@@ -35,16 +27,8 @@ val phi_diff :
     ([Beta b] becomes the constant form [0 ... 0 b]). *)
 val row_as_hyp : depth:int -> np:int -> row -> int array
 
-(** Iterator-coefficient part of a row (length [depth]); zeros for
-    [Beta]. *)
-val iter_part : depth:int -> row -> int array
-
 (** Number of rows (same for all statements).
     @raise Invalid_argument on an empty schedule. *)
 val num_rows : t -> int
-
-(** Is the row at [level] a scalar dimension? (Checks statement 0;
-    kinds agree across statements by construction.) *)
-val is_beta_level : t -> int -> bool
 
 val pp : Scop.Program.t -> Format.formatter -> t -> unit

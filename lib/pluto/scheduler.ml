@@ -34,37 +34,6 @@ type result = {
 let topological_order _prog _ddg scc_of =
   List.init (Ddg.scc_count scc_of) Fun.id
 
-(* A genuine depth-first traversal of the SCC condensation: roots and
-   successors are taken in increasing SCC id and SCCs are emitted in
-   reverse postorder. Also a topological order, but it keeps each DFS
-   subtree contiguous — unlike {!topological_order}, two independent
-   chains come out one after the other rather than interleaved. *)
-let dfs_order _prog (ddg : Ddg.t) scc_of =
-  let nscc = Ddg.scc_count scc_of in
-  let succ = Array.make nscc [] in
-  Array.iteri
-    (fun src dsts ->
-      List.iter
-        (fun dst ->
-          let a = scc_of.(src) and b = scc_of.(dst) in
-          if a <> b && not (List.mem b succ.(a)) then succ.(a) <- b :: succ.(a))
-        dsts)
-    ddg.Ddg.succ;
-  Array.iteri (fun i l -> succ.(i) <- List.sort compare l) succ;
-  let visited = Array.make nscc false in
-  let post = ref [] in
-  let rec dfs v =
-    if not visited.(v) then begin
-      visited.(v) <- true;
-      List.iter dfs succ.(v);
-      post := v :: !post
-    end
-  in
-  for v = 0 to nscc - 1 do
-    dfs v
-  done;
-  !post
-
 let scc_dim (prog : Scop.Program.t) members =
   List.fold_left
     (fun m id -> max m (Scop.Statement.depth prog.stmts.(id)))
@@ -1134,9 +1103,6 @@ let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) cfg
       outer_partition;
     }
 
-let run_with_deps ?engine cfg prog all_deps =
-  run_with_deps_budgeted ?engine cfg prog all_deps
-
 let run ?param_floor ?budget ?engine cfg prog =
   let all_deps =
     Counters.time "dep-analysis" (fun () -> Dep.analyze ?param_floor prog)
@@ -1148,12 +1114,6 @@ let schedule_with_deps ?budget ?engine cfg prog all_deps =
   Diagnostics.protect (fun () ->
       Counters.time "scheduling" (fun () ->
           run_with_deps_budgeted ?budget ?engine cfg prog all_deps))
-
-let schedule ?param_floor ?budget ?engine cfg prog =
-  let all_deps =
-    Counters.time "dep-analysis" (fun () -> Dep.analyze ?param_floor prog)
-  in
-  schedule_with_deps ?budget ?engine cfg prog all_deps
 
 let partitions (result : result) =
   let n = Array.length result.prog.stmts in

@@ -67,13 +67,6 @@ type result = {
     is what the stock configurations use. *)
 val topological_order : Scop.Program.t -> Deps.Ddg.t -> int array -> int list
 
-(** A genuine depth-first traversal of the SCC condensation (roots and
-    successors in increasing SCC id, reverse postorder out). Also a
-    valid topological order, but keeps each DFS subtree contiguous:
-    independent chains are emitted one after the other instead of
-    interleaved by id. *)
-val dfs_order : Scop.Program.t -> Deps.Ddg.t -> int array -> int list
-
 val nofuse : config
 val maxfuse : config
 val smartfuse : config
@@ -88,7 +81,7 @@ val smartfuse : config
     [Engine.Auto]: ILP below {!Engine.auto_threshold} statements,
     lp-dfp at or above — see {!Engine}).
     @raise Diagnostics.Error if no legal schedule can be found within
-    budget — use {!schedule} for the non-raising variant. *)
+    budget — use {!schedule_with_deps} for the non-raising variant. *)
 val run :
   ?param_floor:int ->
   ?budget:Linalg.Budget.t ->
@@ -97,25 +90,12 @@ val run :
   Scop.Program.t ->
   result
 
-(** Run with dependences already computed (they must include input
-    dependences if downstream wants them).
-    @raise Diagnostics.Error like {!run}. *)
-val run_with_deps :
-  ?engine:Engine.choice -> config -> Scop.Program.t -> Deps.Dep.t list -> result
-
-(** {!run} with the failure path reified: a schedule that failed
-    verification or a search that died (budget exhaustion included)
-    comes back as [Error d] instead of raising. This is the entry point
-    the degradation ladder ({!Fusion.Resilient}) builds on. *)
-val schedule :
-  ?param_floor:int ->
-  ?budget:Linalg.Budget.t ->
-  ?engine:Engine.choice ->
-  config ->
-  Scop.Program.t ->
-  (result, Diagnostics.t) Stdlib.result
-
-(** {!schedule} with dependences already computed. *)
+(** {!run} with dependences already computed (they must include input
+    dependences if downstream wants them) and the failure path reified:
+    a schedule that failed verification or a search that died (budget
+    exhaustion included) comes back as [Error d] instead of raising.
+    This is the entry point the degradation ladder
+    ({!Fusion.Resilient}) builds on. *)
 val schedule_with_deps :
   ?budget:Linalg.Budget.t ->
   ?engine:Engine.choice ->

@@ -26,12 +26,6 @@ type t
     @raise Invalid_argument if a constraint has the wrong dimension. *)
 val make : int -> Constr.t list -> t
 
-(** The unconstrained polyhedron of the given dimension. *)
-val universe : int -> t
-
-(** A canonically empty polyhedron. *)
-val empty : int -> t
-
 val dim : t -> int
 
 (** The rows in stored order; a known-empty polyhedron returns the one

@@ -55,9 +55,6 @@ let array_extent decl ~params =
       !acc)
     decl.extents
 
-let find_array t name =
-  List.find (fun d -> d.array_name = name) t.arrays
-
 let max_depth t =
   Array.fold_left (fun m s -> max m (Statement.depth s)) 0 t.stmts
 

@@ -33,9 +33,6 @@ val nparams : t -> int
 (** [array_extent p decl ~params] concretizes the extents. *)
 val array_extent : array_decl -> params:int array -> int array
 
-(** [find_array p name]. @raise Not_found if absent. *)
-val find_array : t -> string -> array_decl
-
 (** Maximum statement depth in the program. *)
 val max_depth : t -> int
 

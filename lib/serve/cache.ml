@@ -11,8 +11,8 @@
    the ILP solve that the insertion just performed.
 
    All operations take the cache lock, so any number of domains can hit
-   concurrently. Tallies are kept under the same lock (authoritative)
-   and mirrored into Linalg.Counters by [sync_counters]. *)
+   concurrently. Tallies are kept under the same lock and read with
+   [stats]. *)
 
 type entry = {
   payload : Obs.Json.t;  (* the cached "result" object, served verbatim *)
@@ -71,15 +71,6 @@ let find_quiet t key =
 let count_hit t = locked t (fun () -> t.hits <- t.hits + 1)
 let count_miss t = locked t (fun () -> t.misses <- t.misses + 1)
 
-let find t key =
-  match find_quiet t key with
-  | Some e ->
-    count_hit t;
-    Some e
-  | None ->
-    count_miss t;
-    None
-
 let evict_lru t =
   (* called with the lock held *)
   let victim = ref None in
@@ -112,13 +103,3 @@ let stats t =
         entries = Hashtbl.length t.tbl;
         capacity = t.capacity;
       })
-
-(* Mirror the authoritative tallies into the calling domain's counters
-   so `--stats` and the bench records see serving traffic alongside the
-   solver counters. Plain [set], re-synced after every request. *)
-let sync_counters t ~requests =
-  let s = stats t in
-  Linalg.Counters.(set serve_requests requests);
-  Linalg.Counters.(set serve_cache_hits s.hits);
-  Linalg.Counters.(set serve_cache_misses s.misses);
-  Linalg.Counters.(set serve_cache_evictions s.evictions)

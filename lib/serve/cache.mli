@@ -6,9 +6,8 @@
     created the entry. Eviction is LRU under a fixed capacity.
 
     Every operation is safe to call from concurrent domains (one lock
-    per cache). Hit/miss/eviction tallies are authoritative here and
-    mirrored into the calling domain's [Linalg.Counters] by
-    {!sync_counters}. *)
+    per cache). The hit/miss/eviction tallies live here; read them with
+    {!stats}. *)
 
 type entry = {
   payload : Obs.Json.t;  (** the cached ["result"] object *)
@@ -32,12 +31,9 @@ type t
 (** @raise Invalid_argument if [capacity < 1]. *)
 val create : capacity:int -> t
 
-(** Counting lookup: bumps the hit or miss tally. *)
-val find : t -> string -> entry option
-
-(** Lookup without hit/miss accounting — for the server, which counts
-    each request's outcome itself and re-probes after claiming a key
-    for solving. *)
+(** Lookup without hit/miss accounting: the server counts each
+    request's outcome itself ({!count_hit}, {!count_miss}) and
+    re-probes after claiming a key for solving. *)
 val find_quiet : t -> string -> entry option
 
 (** Count a hit/miss that {!find_quiet} deliberately didn't. *)
@@ -50,7 +46,3 @@ val count_miss : t -> unit
 val add : t -> string -> payload:Obs.Json.t -> deps_fp:string -> solve_ms:float -> unit
 
 val stats : t -> stats
-
-(** Mirror the tallies (plus the caller's request count) into
-    [Linalg.Counters.serve_*]. *)
-val sync_counters : t -> requests:int -> unit

@@ -196,7 +196,6 @@ let deps_body deps =
 (* --- digests ------------------------------------------------------------- *)
 
 let digest s = Digest.to_hex (Digest.string s)
-let program p = digest (program_body p)
 let deps_key ds = digest (deps_body ds)
 
 (* The *requested* choice is keyed, not the resolved kind: [Auto] and

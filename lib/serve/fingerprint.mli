@@ -24,10 +24,7 @@
     cryptography. The serialization format is versioned ({!version});
     any change to the canonical form must bump it. *)
 
-(** MD5 hex of {!program_body}. *)
-val program : Scop.Program.t -> string
-
-(** MD5 hex of {!deps_body}. *)
+(** MD5 hex of a canonical serialization of the dependence set. *)
 val deps_key : Deps.Dep.t list -> string
 
 (** The request key: MD5 hex over version, model, requested scheduling

@@ -152,7 +152,6 @@ let breaker t = t.breaker
 let telemetry t = t.telemetry
 let shed t = Atomic.get t.shed
 let recovered t = Atomic.get t.recovered
-let stopping t = Atomic.get t.stop
 let backlog t = Atomic.get t.inflight + Atomic.get t.queued
 
 (* Flush and close the access log (idempotent; no-op without one).
@@ -509,14 +508,6 @@ let oversized_error t ~id =
     ~message:
       (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes)
 
-(* mirror the hardening tallies into the calling domain's counters next
-   to the cache's sync *)
-let sync_hardening t =
-  Linalg.Counters.(set serve_shed (Atomic.get t.shed));
-  Linalg.Counters.(set serve_recovered (Atomic.get t.recovered));
-  Linalg.Counters.(set serve_breaker_trips (Breaker.trips t.breaker));
-  Linalg.Counters.(set serve_breaker_rejects (Breaker.rejects t.breaker))
-
 (* --- per-request observability ------------------------------------------- *)
 
 (* splitmix64 finalizer over (start time, sequence number): unique,
@@ -598,7 +589,6 @@ let handle_line t line =
   if String.length line > t.config.max_line_bytes then begin
     Atomic.incr t.requests;
     ignore (Atomic.fetch_and_add t.seq 1);
-    Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
     Some (finish t ~wall0 (oversized_error t ~id:Obs.Json.Null))
   end
   else
@@ -653,8 +643,6 @@ let handle_line t line =
             end
             else (compute (), None)
           in
-          Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
-          sync_hardening t;
           Some (finish t ~wall0 ?trace response))
     end
 
@@ -690,7 +678,6 @@ let oversized_line t =
   let wall0 = Linalg.Clock.now () in
   Atomic.incr t.requests;
   ignore (Atomic.fetch_and_add t.seq 1);
-  Cache.sync_counters t.cache ~requests:(Atomic.get t.requests);
   finish t ~wall0 (oversized_error t ~id:Obs.Json.Null)
 
 (* Both SIGTERM and SIGINT mean: stop taking work, finish what is in

@@ -94,13 +94,6 @@ val recovered : t -> int
     directly call it before reading the log file. *)
 val close : t -> unit
 
-(** Has a shutdown request (or drain signal) been processed? *)
-val stopping : t -> bool
-
-(** The pending-work gauge: requests in flight plus lines/connections
-    queued for the worker pool. *)
-val backlog : t -> int
-
 (** [handle_line t line] handles one request line and returns the
     response line (no trailing newline), or [None] for blank input.
     Never raises — internal failures become ["internal"] error

@@ -157,6 +157,9 @@ let enabled t = M.enabled t.reg
 
 (* --- classification ------------------------------------------------------ *)
 
+(* a response as a serve outcome (schedule traffic and errors) or a
+   protocol op, read from the envelope alone: status, cache verdict,
+   coalesced marker, error code, op marker fields *)
 type class_ = Outcome of string | Op of string
 
 let member = Obs.Json.member

@@ -36,14 +36,6 @@ val create : ?enabled:bool -> sources -> t
 
 val enabled : t -> bool
 
-(** A response classified as a serve outcome (schedule traffic and
-    errors) or a protocol op. *)
-type class_ = Outcome of string | Op of string
-
-val classify : Obs.Json.t -> class_
-(** Classification from the response envelope alone (status, cache
-    verdict, coalesced marker, error code, op marker fields). *)
-
 val record_response : t -> wall_us:float -> Obs.Json.t -> string
 (** Count one answered request (requests total, outcome/op, duration
     histogram by cache class, degraded-by-rung, overrun) and return

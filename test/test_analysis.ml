@@ -346,7 +346,7 @@ let test_reduction_rejections () =
   (* a) non-associative operator on the accumulator *)
   let _, fs = detect (shape "sub" (fun s b i -> s.%([ ci 0 ]) -: b.%([ i ]))) in
   Alcotest.(check (option string)) "a - x rejected"
-    (Some Analysis.Reduction.reason_non_assoc) (reject_reason fs);
+    (Some "non-associative-op") (reject_reason fs);
   (* b) mismatched accumulator subscripts (a recurrence, not a reduction) *)
   let recur =
     let ctx = create ~name:"recur" ~params:[ ("N", 12) ] in
@@ -360,7 +360,7 @@ let test_reduction_rejections () =
   in
   let _, fs = detect recur in
   Alcotest.(check (option string)) "a[i-1] read rejected"
-    (Some Analysis.Reduction.reason_subscript) (reject_reason fs);
+    (Some "subscript-mismatch") (reject_reason fs);
   (* c) accumulator read inside the combined expression *)
   let _, fs =
     detect
@@ -368,7 +368,7 @@ let test_reduction_rejections () =
            s.%([ ci 0 ]) +: (s.%([ ci 0 ]) *: b.%([ i ]))))
   in
   Alcotest.(check (option string)) "acc inside e rejected"
-    (Some Analysis.Reduction.reason_acc_read) (reject_reason fs);
+    (Some "accumulator-read") (reject_reason fs);
   (* d) an interleaved writer mid-chain *)
   let interleaved =
     let ctx = create ~name:"inter" ~params:[ ("N", 12) ] in
@@ -386,7 +386,7 @@ let test_reduction_rejections () =
   let facts, fs = detect interleaved in
   Alcotest.(check int) "no fact for the broken chain" 0 (List.length facts);
   Alcotest.(check (option string)) "mid-chain writer rejected"
-    (Some Analysis.Reduction.reason_interleaved) (reject_reason fs)
+    (Some "interleaved-writer") (reject_reason fs)
 
 (* dot through the reduction-aware scheduler: the fused loop comes out
    Parallel_reduction, and wisecheck certifies it "up to reduction" *)
@@ -497,13 +497,19 @@ let test_json_round_trip () =
   | [] -> Alcotest.fail "widened bound not reported as loose-bounds");
   List.iter
     (fun (f : Analysis.Finding.t) ->
-      let line = Analysis.Finding.to_json prog f in
+      let line = Obs.Json.to_string (Analysis.Finding.json prog f) in
+      (* the code as the one-line rendering prints it: "[code]" *)
+      let code =
+        let s = Format.asprintf "%a" (Analysis.Finding.pp prog) f in
+        let i = String.index s '[' in
+        String.sub s (i + 1) (String.index s ']' - i - 1)
+      in
       match Obs.Json.parse line with
       | Error msg -> Alcotest.failf "finding JSON does not parse: %s" msg
       | Ok j ->
         Alcotest.(check (option string))
           "code survives"
-          (Some (Analysis.Finding.code f.Analysis.Finding.kind))
+          (Some code)
           (Option.bind (Obs.Json.member "code" j) Obs.Json.to_string_opt);
         (match f.Analysis.Finding.context with
         | [] -> ()

@@ -40,7 +40,11 @@ let check_kernel kname prog models =
     in
     List.iter
       (fun (tag, cfg) ->
-        let res = Pluto.Scheduler.run_with_deps cfg prog deps in
+        let res =
+          match Pluto.Scheduler.schedule_with_deps cfg prog deps with
+          | Ok res -> res
+          | Error d -> Alcotest.failf "%s/%s: %s" kname tag d.Pluto.Diagnostics.code
+        in
         let ast = Codegen.Scan.of_result res in
         let out =
           run_c

@@ -26,6 +26,16 @@ let run_help args =
   | _ -> Alcotest.failf "%s: non-zero exit" cmd);
   Buffer.contents buf
 
+(* the exit status of one CLI run, output discarded *)
+let exit_status args =
+  let cmd =
+    Printf.sprintf "%s %s >/dev/null 2>&1" (Filename.quote binary)
+      (String.concat " " args)
+  in
+  match Unix.system cmd with
+  | Unix.WEXITED n -> n
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -76,6 +86,18 @@ let test_engine_everywhere () =
       check_mentions (sub ^ " help") text [ "--engine" ])
     [ "opt"; "emit"; "sim"; "analyze"; "trace"; "explain" ]
 
+(* bad flags, bad flag values and unknown names are usage errors *)
+let test_usage_exit () =
+  List.iter
+    (fun args ->
+      Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 (exit_status args))
+    [
+      [ "opt"; "gemver"; "--bogus" ];
+      [ "opt"; "gemver"; "--size"; "x" ];
+      [ "opt"; "gemver"; "--model"; "bogus" ];
+      [ "sim"; "gemver"; "--tile"; "0" ];
+    ]
+
 let () =
   Alcotest.run "cli_help"
     [
@@ -86,5 +108,6 @@ let () =
           Alcotest.test_case "serve flags" `Quick test_serve_help;
           Alcotest.test_case "--engine everywhere" `Quick
             test_engine_everywhere;
+          Alcotest.test_case "usage errors exit 2" `Quick test_usage_exit;
         ] );
     ]

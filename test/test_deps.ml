@@ -130,10 +130,15 @@ let test_ddg_gemver () =
   let p = gemver () in
   let deps = Dep.analyze p in
   let g = Ddg.build p deps in
-  Alcotest.(check bool) "edge S1->S2" true (Ddg.has_edge g 0 1);
-  Alcotest.(check bool) "edge S2->S3" true (Ddg.has_edge g 1 2);
-  Alcotest.(check bool) "no edge S2->S1" false (Ddg.has_edge g 1 0);
-  Alcotest.(check bool) "input S2~S4" true (Ddg.has_input_between g 1 3);
+  let edge a b = List.mem b g.Ddg.succ.(a) in
+  Alcotest.(check bool) "edge S1->S2" true (edge 0 1);
+  Alcotest.(check bool) "edge S2->S3" true (edge 1 2);
+  Alcotest.(check bool) "no edge S2->S1" false (edge 1 0);
+  Alcotest.(check bool) "input S2~S4" true
+    (List.exists
+       (fun (d : Dep.t) ->
+         d.kind = Dep.Input && ((d.src = 1 && d.dst = 3) || (d.src = 3 && d.dst = 1)))
+       g.Ddg.deps);
   (* all SCCs are singletons here *)
   let scc = Ddg.scc_kosaraju g in
   Alcotest.(check int) "scc count" 4 (Ddg.scc_count scc);
@@ -156,8 +161,8 @@ let test_scc_cycle () =
   let p = cyclic () in
   let deps = Dep.analyze p in
   let g = Ddg.build p deps in
-  Alcotest.(check bool) "S1->S2" true (Ddg.has_edge g 0 1);
-  Alcotest.(check bool) "S2->S1" true (Ddg.has_edge g 1 0);
+  Alcotest.(check bool) "S1->S2" true (List.mem 1 g.Ddg.succ.(0));
+  Alcotest.(check bool) "S2->S1" true (List.mem 0 g.Ddg.succ.(1));
   let scc = Ddg.scc_kosaraju g in
   Alcotest.(check int) "one scc" 1 (Ddg.scc_count scc);
   Alcotest.(check int) "same id" scc.(0) scc.(1)

@@ -50,11 +50,13 @@ let test_engine_resolve () =
    check_legal on every result; we re-assert both here so a future
    change to that invariant fails loudly, and additionally require
    wisecheck's independent race certification of the generated AST. *)
+let schedule ~engine cfg prog deps =
+  match Pluto.Scheduler.schedule_with_deps ~engine cfg prog deps with
+  | Ok r -> r
+  | Error d -> Alcotest.failf "%s: %s" prog.Scop.Program.name d.Pluto.Diagnostics.code
+
 let run_engine name cfg prog deps kind =
-  let r =
-    Pluto.Scheduler.run_with_deps ~engine:(Pluto.Engine.Fixed kind) cfg prog
-      deps
-  in
+  let r = schedule ~engine:(Pluto.Engine.Fixed kind) cfg prog deps in
   Alcotest.(check bool)
     (Printf.sprintf "%s/%s: engine recorded" name (Pluto.Engine.kind_name kind))
     true
@@ -152,14 +154,14 @@ let test_large_scops () =
         (Linalg.Counters.(get cluster_rounds) > 0);
       (* auto selects lp-dfp for programs this large *)
       let auto =
-        Pluto.Scheduler.run_with_deps ~engine:Pluto.Engine.Auto cfg prog deps
+        schedule ~engine:Pluto.Engine.Auto cfg prog deps
       in
       Alcotest.(check bool)
         (name ^ ": auto resolves to lp-dfp at 60 stmts")
         true
         (auto.Pluto.Scheduler.engine = Pluto.Engine.Lp_dfp);
       ignore r)
-    Kernels.Scopgen.all_shapes
+    Kernels.Scopgen.[ Chain; Stencil; Blocked ]
 
 (* --- the Lp_relaxed resilience rung --------------------------------------- *)
 

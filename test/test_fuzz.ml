@@ -340,6 +340,8 @@ let large_count = max 3 (count / 10)
 
 type large_spec = { shape : int; lstmts : int; engine : int; lmodel : int }
 
+let shapes = Kernels.Scopgen.[ Chain; Stencil; Blocked ]
+
 let gen_large =
   QCheck.Gen.(
     map
@@ -351,8 +353,7 @@ let gen_large =
 
 let print_large spec =
   Printf.sprintf "shape=%s stmts=%d engine=%s model=%s"
-    (Kernels.Scopgen.shape_name
-       (List.nth Kernels.Scopgen.all_shapes spec.shape))
+    (Kernels.Scopgen.shape_name (List.nth shapes spec.shape))
     spec.lstmts
     (Pluto.Engine.choice_name
        (match spec.engine with
@@ -362,7 +363,7 @@ let print_large spec =
     (Fusion.Model.name (model_of spec.lmodel))
 
 let run_large spec =
-  let shape = List.nth Kernels.Scopgen.all_shapes spec.shape in
+  let shape = List.nth shapes spec.shape in
   let engine =
     match spec.engine with
     | 0 -> Pluto.Engine.Fixed Pluto.Engine.Ilp

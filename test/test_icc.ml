@@ -11,7 +11,7 @@ let test_gemver_no_fusion_serial_reductions () =
   let prog = Kernels.Gemver.program ~n:12 () in
   let r = Icc_model.run prog in
   (* four nests: no fusion opportunities without interchange *)
-  Alcotest.(check int) "four nests" 4 (Icc_model.nest_count r);
+  Alcotest.(check int) "four nests" 4 (List.length r.Icc_model.nests);
   let by_name =
     List.map (fun nst -> (nest_names prog nst, nst.Icc_model.parallel)) r.nests
   in
@@ -37,7 +37,7 @@ let test_advect_pairwise_fusion () =
   let r = Icc_model.run prog in
   (* S1, S2, S3 are adjacent conformable parallel nests: fused; S4 would
      need shifting (backward dependence): not fused *)
-  Alcotest.(check int) "two nests" 2 (Icc_model.nest_count r);
+  Alcotest.(check int) "two nests" 2 (List.length r.Icc_model.nests);
   (match r.nests with
   | [ a; b ] ->
     Alcotest.(check (list string)) "first nest" [ "S1"; "S2"; "S3" ]
@@ -53,20 +53,20 @@ let test_gemsfdtd_no_fusion () =
   (* adjacent nests differ in dimensionality or loop order, and the
      conformable 2-D boundary planes share no data: nothing fuses (the
      paper: icc "doesn't accomplish any fusion" here) *)
-  Alcotest.(check int) "twelve nests" 12 (Icc_model.nest_count r)
+  Alcotest.(check int) "twelve nests" 12 (List.length r.Icc_model.nests)
 
 let test_tce_no_fusion () =
   let prog = Kernels.Tce.program ~n:6 () in
   let r = Icc_model.run prog in
   (* permuted loop orders: no conformable pattern *)
-  Alcotest.(check int) "four nests" 4 (Icc_model.nest_count r)
+  Alcotest.(check int) "four nests" 4 (List.length r.Icc_model.nests)
 
 let test_swim_fusion_within_dims () =
   let prog = Kernels.Swim.program ~n:8 () in
   let r = Icc_model.run prog in
   (* boundary loops fuse only where they share data (unew with unew,
      vnew with vnew): {S4,S5} and {S7,S8}; everything else stays *)
-  Alcotest.(check int) "nine nests" 9 (Icc_model.nest_count r);
+  Alcotest.(check int) "nine nests" 9 (List.length r.Icc_model.nests);
   (* the result must still be a legal schedule (validated inside run,
      but double-check the published invariant) *)
   match

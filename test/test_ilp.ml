@@ -35,7 +35,7 @@ let test_lp_fractional_optimum () =
   (* min x s.t. 2x >= 1 -> 1/2 *)
   let p = Polyhedron.make 1 [ Constr.unsafe_make Constr.Ge (vec [ 2; -1 ]) ] in
   match Lp.minimize p (vec [ 1; 0 ]) with
-  | Lp.Optimal (v, _) -> check_q "value" (Q.of_ints 1 2) v
+  | Lp.Optimal (v, _) -> check_q "value" (Q.div Q.one (Q.of_int 2)) v
   | _ -> Alcotest.fail "expected optimal"
 
 let test_lp_infeasible () =
@@ -83,13 +83,14 @@ let test_lp_degenerate () =
   | Lp.Optimal (v, _) -> check_q "value" Q.zero v
   | _ -> Alcotest.fail "expected optimal"
 
+(* a feasible point is an optimum of the zero objective *)
 let test_lp_feasible_point () =
   let p = Polyhedron.make 2 [ Constr.ge [ 1; 0; -2 ]; Constr.ge [ 0; 1; -3 ] ] in
-  (match Lp.feasible_point p with
-  | Some x -> Alcotest.(check bool) "in p" true (Polyhedron.contains p x)
-  | None -> Alcotest.fail "expected a point");
+  (match Lp.minimize p (Vec.zero 3) with
+  | Lp.Optimal (_, x) -> Alcotest.(check bool) "in p" true (Polyhedron.contains p x)
+  | _ -> Alcotest.fail "expected a point");
   let e = Polyhedron.make 1 [ Constr.ge [ 1; 0 ]; Constr.ge [ -1; -1 ] ] in
-  Alcotest.(check bool) "none" true (Lp.feasible_point e = None)
+  Alcotest.(check bool) "none" true (Lp.minimize e (Vec.zero 2) = Lp.Infeasible)
 
 (* Dantzig pivoting and Bland's rule from the first pivot (the [bland]
    hook) must agree on the optimum value and on feasibility/boundedness
@@ -136,8 +137,8 @@ let test_lp_dantzig_bland_agree () =
 let test_ilp_rounds_up () =
   (* min x s.t. 2x >= 1, integer -> 1 (LP gives 1/2) *)
   let p = Polyhedron.make 1 [ Constr.unsafe_make Constr.Ge (vec [ 2; -1 ]) ] in
-  match Bb.minimize p (vec [ 1; 0 ]) with
-  | Bb.Optimal (v, x) ->
+  match Bb.lexmin p [ vec [ 1; 0 ] ] with
+  | Some ([ v ], x) ->
     check_q "value" Q.one v;
     Alcotest.(check int) "point" 1 x.(0)
   | _ -> Alcotest.fail "expected optimal"
@@ -149,8 +150,8 @@ let test_ilp_knapsack_like () =
     Polyhedron.make 2
       [ Constr.ge [ -2; -3; 7 ]; Constr.ge [ 1; 0; 0 ]; Constr.ge [ 0; 1; 0 ] ]
   in
-  match Bb.minimize p (vec [ -3; -4; 0 ]) with
-  | Bb.Optimal (v, x) ->
+  match Bb.lexmin p [ vec [ -3; -4; 0 ] ] with
+  | Some ([ v ], x) ->
     check_q "value" (Q.of_int (-10)) v;
     Alcotest.(check bool) "feasible" true (Polyhedron.contains_int p x)
   | _ -> Alcotest.fail "expected optimal"
@@ -188,7 +189,7 @@ let test_ilp_lexmin () =
 
 let test_ilp_empty_polyhedron () =
   Alcotest.(check bool) "canonical empty infeasible" false
-    (Bb.feasible (Polyhedron.empty 2))
+    (Bb.feasible (Polyhedron.make 2 [ Constr.ge [ 0; 0; -1 ] ]))
 
 (* --- properties: ILP vs brute force ------------------------------------- *)
 
@@ -225,9 +226,9 @@ let prop_ilp_matches_brute_force =
        (QCheck.pair (QCheck.int_range (-3) 3) (QCheck.int_range (-3) 3)))
     (fun (p, (c0, c1)) ->
       let obj = vec [ c0; c1; 0 ] in
-      match (Bb.minimize p obj, brute_force_min p [| c0; c1 |]) with
-      | Bb.Optimal (v, _), Some bf -> Q.equal v bf
-      | Bb.Infeasible, None -> true
+      match (Bb.lexmin p [ obj ], brute_force_min p [| c0; c1 |]) with
+      | Some ([ v ], _), Some bf -> Q.equal v bf
+      | None, None -> true
       | _ -> false)
 
 let prop_feasible_matches_brute_force =
@@ -254,10 +255,9 @@ let prop_lp_lower_bounds_ilp =
        (QCheck.pair (QCheck.int_range (-3) 3) (QCheck.int_range (-3) 3)))
     (fun (p, (c0, c1)) ->
       let obj = vec [ c0; c1; 0 ] in
-      match (Lp.minimize p obj, Bb.minimize p obj) with
-      | Lp.Optimal (lv, _), Bb.Optimal (iv, _) -> Q.compare lv iv <= 0
-      | Lp.Infeasible, Bb.Infeasible -> true
-      | _, Bb.Infeasible -> true (* rational-feasible, integer-empty *)
+      match (Lp.minimize p obj, Bb.lexmin p [ obj ]) with
+      | Lp.Optimal (lv, _), Some ([ iv ], _) -> Q.compare lv iv <= 0
+      | _, None -> brute_force_min p [| c0; c1 |] = None
       | _ -> false)
 
 (* Fourier-Motzkin without tightening is exact over the rationals:
@@ -288,7 +288,7 @@ let prop_fm_projection_rationally_exact =
             Polyhedron.add_list p
               [ Constr.eq [ 1; 0; 0; -pt.(0) ]; Constr.eq [ 0; 1; 0; -pt.(1) ] ]
           in
-          Lp.feasible_point fiber <> None)
+          Lp.minimize fiber (Vec.zero 4) <> Lp.Infeasible)
         shadow)
 
 let prop_remove_redundant_preserves_set =

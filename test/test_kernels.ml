@@ -183,19 +183,18 @@ let test_extras_semantics () =
       match Machine.Interp.first_diff reference m with
       | None -> ()
       | Some d -> Alcotest.failf "%s: %s" name d)
-    [ ("jacobi2d", fun () -> Kernels.Extras.jacobi2d ~n:8 ~steps:4 ());
-      ("mvt", fun () -> Kernels.Extras.mvt ~n:10 ());
-      ("doitgen", fun () -> Kernels.Extras.doitgen ~n:6 ());
-      ("sweep2d", fun () -> Kernels.Extras.sweep2d ~n:10 ()) ]
+    Kernels.Extras.all
 
 let test_jacobi_time_loop_serial () =
   (* the t loop must come out Forward (serial), the space loops parallel *)
-  let prog = Kernels.Extras.jacobi2d ~n:8 ~steps:4 () in
+  let prog = List.assoc "jacobi2d" Kernels.Extras.all () in
   let res = Fusion.Wisefuse.run prog in
   let members = [ 0; 1 ] in
   let first_hyp =
     let rec find l =
-      if Pluto.Sched.is_beta_level res.sched l then find (l + 1) else l
+      match List.nth res.sched.(0) l with
+      | Pluto.Sched.Beta _ -> find (l + 1)
+      | Pluto.Sched.Hyp _ -> l
     in
     find 0
   in

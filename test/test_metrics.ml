@@ -76,6 +76,37 @@ let arb_cells =
 
 let sum = Array.fold_left ( + ) 0
 
+let contains text needle =
+  let n = String.length needle and m = String.length text in
+  let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
+  go 0
+
+(* the [(le, cumulative count)] bucket lines of histogram [name] in an
+   exposition, +Inf as [max_int] *)
+let buckets_of text name =
+  let prefix = name ^ {|_bucket{le="|} in
+  let k = String.length prefix in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun l ->
+         if String.length l > k && String.sub l 0 k = prefix then
+           match String.index_from_opt l k '"', String.rindex_opt l ' ' with
+           | Some q, Some sp ->
+             let le = String.sub l k (q - k) in
+             Some
+               ( (if le = "+Inf" then max_int else int_of_string le),
+                 int_of_string (String.sub l (sp + 1) (String.length l - sp - 1)) )
+           | _ -> None
+         else None)
+
+(* the upper edge of the first bucket whose cumulative count reaches
+   [q] of the total: the estimate a Prometheus consumer reads *)
+let quantile text name q =
+  match List.rev (buckets_of text name) with
+  | [] | (_, 0) :: _ -> 0.
+  | (_, total) :: _ ->
+    let rank = max 1 (min total (int_of_float (ceil (q *. float_of_int total)))) in
+    float_of_int (fst (List.find (fun (_, c) -> c >= rank) (buckets_of text name)))
+
 let merge_associative =
   QCheck.Test.make ~name:"merge associative" ~count:100
     (QCheck.triple arb_cells arb_cells arb_cells) (fun (a, b, c) ->
@@ -118,9 +149,11 @@ let test_multi_domain_lossfree () =
   in
   Alcotest.(check int) "counter exact" (domains * per_domain)
     (M.counter_value c);
-  Alcotest.(check int) "histogram count exact" expected (M.hist_count h);
-  Alcotest.(check int) "bucket sum == count" expected
-    (sum (M.hist_buckets h))
+  let text = M.exposition r in
+  Alcotest.(check bool) "histogram count exact" true
+    (contains text (Printf.sprintf "t_lat_count %d\n" expected));
+  Alcotest.(check bool) "bucket sum == count" true
+    (contains text (Printf.sprintf {|t_lat_bucket{le="+Inf"} %d|} expected))
 
 let test_quantile_bound () =
   let r = M.create () in
@@ -128,16 +161,18 @@ let test_quantile_bound () =
   for v = 1 to 1000 do
     M.observe h v
   done;
-  let q50 = M.hist_quantile h 0.5 in
-  let q99 = M.hist_quantile h 0.99 in
+  let text = M.exposition r in
+  let q50 = quantile text "t_q" 0.5 in
+  let q99 = quantile text "t_q" 0.99 in
   (* upper-edge estimate: true quantile <= estimate <= 1.125x + edge *)
   Alcotest.(check bool) "p50 in [500, 575]" true (q50 >= 500. && q50 <= 575.);
   Alcotest.(check bool) "p99 in [990, 1120]" true
     (q99 >= 990. && q99 <= 1120.);
   Alcotest.(check bool) "p50 <= p99" true (q50 <= q99);
   (* empty histogram answers 0, never raises *)
-  let e = M.histogram r ~name:"t_empty" ~help:"h" () in
-  Alcotest.(check (float 0.0)) "empty quantile" 0.0 (M.hist_quantile e 0.5)
+  ignore (M.histogram r ~name:"t_empty" ~help:"h" ());
+  Alcotest.(check (float 0.0)) "empty quantile" 0.0
+    (quantile (M.exposition r) "t_empty" 0.5)
 
 (* --- disabled path -------------------------------------------------------- *)
 
@@ -145,16 +180,13 @@ let test_disabled_noop () =
   let r = M.create ~enabled:false () in
   Alcotest.(check bool) "registry disabled" false (M.enabled r);
   let c = M.counter r ~name:"d_total" ~help:"h" () in
-  let g = M.gauge r ~name:"d_gauge" ~help:"h" () in
   let h = M.histogram r ~name:"d_lat" ~help:"h" () in
   M.inc c;
   M.inc ~n:41 c;
-  M.gauge_set g 7;
-  M.gauge_add g 3;
   M.observe h 123;
   Alcotest.(check int) "counter stays 0" 0 (M.counter_value c);
-  Alcotest.(check int) "gauge stays 0" 0 (M.gauge_value g);
-  Alcotest.(check int) "histogram stays empty" 0 (M.hist_count h)
+  Alcotest.(check bool) "histogram stays empty" true
+    (contains (M.exposition r) "d_lat_count 0\n")
 
 (* --- exposition ----------------------------------------------------------- *)
 
@@ -166,18 +198,13 @@ let test_exposition () =
 el|}) ]
       ()
   in
-  let g = M.gauge r ~name:"e_gauge" ~help:"depth" () in
+  M.gauge_fn r ~name:"e_gauge" ~help:"depth" (fun () -> 42);
   let h = M.histogram r ~name:"e_lat" ~help:"latency" () in
   M.inc ~n:3 c;
-  M.gauge_set g 42;
   List.iter (M.observe h) [ 1; 1; 9; 700; 1 lsl 30 ];
   M.counter_fn r ~name:"e_fn" ~help:"sampled" (fun () -> 17);
   let text = M.exposition r in
-  let contains needle =
-    let n = String.length needle and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = contains text in
   Alcotest.(check bool) "HELP line" true (contains "# HELP e_total requests");
   Alcotest.(check bool) "TYPE counter" true (contains "# TYPE e_total counter");
   Alcotest.(check bool) "TYPE gauge" true (contains "# TYPE e_gauge gauge");

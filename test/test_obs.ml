@@ -164,12 +164,16 @@ let test_null_sink_no_effect () =
   (* tracing off: no events appear, no counters change, and the
      schedule is byte-identical to a traced run's *)
   Obs.Trace.disable ();
-  Obs.Trace.reset ();
-  let t0 = Linalg.Clock.now () in
-  let opt_off = run_pipeline (swim ()) in
-  let wall = Linalg.Clock.now () -. t0 in
-  let counters_off = Linalg.Counters.all_counters () in
-  Alcotest.(check int) "null sink records nothing" 0 (Obs.Trace.event_count ());
+  (* a fresh sink, switched off before the run: nothing may reach it *)
+  let (opt_off, wall, counters_off), recorded =
+    Obs.Trace.capture (fun () ->
+        Obs.Trace.disable ();
+        let t0 = Linalg.Clock.now () in
+        let opt_off = run_pipeline (swim ()) in
+        let wall = Linalg.Clock.now () -. t0 in
+        (opt_off, wall, Linalg.Counters.all_counters ()))
+  in
+  Alcotest.(check int) "null sink records nothing" 0 (List.length recorded);
   (* stage timers are exclusive (self-time), so their sum is bounded by
      the wall time of the run; more means overlapping timers *)
   let stage_sum =
@@ -204,11 +208,11 @@ let test_multi_domain_capture () =
   in
   (* an outer recording on the test's own domain must survive the
      concurrent captures untouched *)
-  Obs.Trace.enable ();
-  Obs.Trace.instant ~cat:"md" "outer";
-  let results =
-    List.init domains (fun d -> Domain.spawn (worker d))
-    |> List.map Domain.join
+  let results, outer =
+    Obs.Trace.with_recording (fun () ->
+        Obs.Trace.instant ~cat:"md" "outer";
+        List.init domains (fun d -> Domain.spawn (worker d))
+        |> List.map Domain.join)
   in
   List.iteri
     (fun d events ->
@@ -224,8 +228,7 @@ let test_multi_domain_capture () =
         (Printf.sprintf "domain %d: only its own events" d)
         true (List.for_all own events))
     results;
-  Alcotest.(check int) "outer sink untouched" 1 (Obs.Trace.event_count ());
-  Obs.Trace.disable ();
+  Alcotest.(check int) "outer sink untouched" 1 (List.length outer);
   Alcotest.(check bool) "all sinks off again" false (Obs.Trace.on ())
 
 let test_self_times_reconcile () =
@@ -235,7 +238,9 @@ let test_self_times_reconcile () =
   let _, events = traced_pipeline (swim ()) in
   ignore events;
   let stages = Linalg.Counters.stage_times () in
-  let spans = Obs.Trace.self_times ~cat:"stage" () in
+  let spans =
+    List.map (fun (name, self, _) -> (name, self)) (Obs.Trace.summary ~cat:"stage" ())
+  in
   Alcotest.(check (list string))
     "same stages in same order" (List.map fst stages) (List.map fst spans);
   List.iter

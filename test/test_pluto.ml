@@ -166,7 +166,9 @@ let test_advect_maxfuse_shifts () =
   let members = [ 0; 1; 2; 3 ] in
   let first_hyp_level =
     let rec find l =
-      if Sched.is_beta_level res.sched l then find (l + 1) else l
+      match List.nth res.sched.(0) l with
+      | Pluto.Sched.Beta _ -> find (l + 1)
+      | Pluto.Sched.Hyp _ -> l
     in
     find 0
   in
@@ -298,24 +300,6 @@ let test_farkas_cache_identity () =
   | () -> Alcotest.fail "the scope swallowed the exception");
   Alcotest.(check int) "the caller's memo is back" 0 (misses spaces)
 
-(* dfs_order must produce a permutation of the SCC ids that still
-   yields a legal schedule *)
-let test_dfs_order_schedules () =
-  let cfg =
-    { Scheduler.smartfuse with
-      Scheduler.name = "smartfuse-dfs";
-      order_sccs = Scheduler.dfs_order }
-  in
-  List.iter
-    (fun prog ->
-      let res = Scheduler.run cfg prog in
-      check_legal_or_fail res;
-      let n = List.length res.scc_order in
-      Alcotest.(check (list int)) "permutation of SCC ids"
-        (List.init n Fun.id)
-        (List.sort compare res.scc_order))
-    [ gemver (); advect () ]
-
 (* --- pivot path ------------------------------------------------------------ *)
 
 (* The simplex effort of whole-program optimizations, from a reset
@@ -424,9 +408,7 @@ let () =
         [ Alcotest.test_case "warm B&B nodes match cold" `Quick
             test_warm_selfcheck;
           Alcotest.test_case "farkas cache identity" `Quick
-            test_farkas_cache_identity;
-          Alcotest.test_case "dfs_order schedules" `Quick
-            test_dfs_order_schedules ] );
+            test_farkas_cache_identity ] );
       ( "pivot path",
         List.map
           (fun ((label, _, _, _) as case) ->

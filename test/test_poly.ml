@@ -78,9 +78,9 @@ let test_poly_empty () =
   Alcotest.(check bool) "empty" true (Polyhedron.is_empty p);
   Alcotest.(check bool) "nonempty" false (Polyhedron.is_empty triangle);
   Alcotest.(check bool) "universe nonempty" false
-    (Polyhedron.is_empty (Polyhedron.universe 3));
+    (Polyhedron.is_empty (Polyhedron.make 3 []));
   Alcotest.(check bool) "canonical empty" true
-    (Polyhedron.is_empty (Polyhedron.empty 2))
+    (Polyhedron.is_empty (Polyhedron.make 2 [ Constr.ge [ 0; 0; -1 ] ]))
 
 let test_poly_empty_gap () =
   (* 1 <= 2x <= 1 within integers: x = 1/2, rational point but the

@@ -62,9 +62,9 @@ let test_budget_latch () =
   Alcotest.(check bool) "refresh spends again" true (Budget.spend_pivot b')
 
 let test_budget_trip () =
-  let b = Budget.make () in
+  let b = Budget.make ~nodes:0 () in
   Alcotest.(check bool) "fresh" false (Budget.exhausted b);
-  Budget.trip b;
+  Alcotest.(check bool) "first node trips" false (Budget.spend_node b);
   Alcotest.(check bool) "tripped" true (Budget.exhausted b);
   Alcotest.(check bool) "spend after trip" false (Budget.spend_pivot b)
 
@@ -87,27 +87,22 @@ let test_model_optimize_env_budget_legal () =
       Alcotest.failf "illegal schedule under env budget (dep %d->%d)"
         d.Deps.Dep.src d.Deps.Dep.dst)
 
-(* note: mutates the WISEFUSE_BUDGET_* environment; runs after the
-   env-integration test above and every other test passes its budget
-   explicitly, so the order in the suite list matters only for that
-   one *)
+(* note: mutates WISEFUSE_BUDGET_MS; runs after the env-integration
+   test above and every other test passes its budget explicitly, so the
+   order in the suite list matters only for that one *)
 let test_budget_of_env () =
-  let clear () =
-    List.iter
-      (fun v -> Unix.putenv v "")
-      [ "WISEFUSE_BUDGET_MS"; "WISEFUSE_BUDGET_PIVOTS"; "WISEFUSE_BUDGET_NODES" ]
-  in
-  clear ();
+  let set v = Unix.putenv "WISEFUSE_BUDGET_MS" v in
+  set "";
   Alcotest.(check bool) "unset -> None" true (Budget.of_env () = None);
-  Unix.putenv "WISEFUSE_BUDGET_PIVOTS" "100";
+  set "100000";
   (match Budget.of_env () with
   | Some _ -> ()
-  | None -> Alcotest.fail "pivots=100 must produce a budget");
-  Unix.putenv "WISEFUSE_BUDGET_PIVOTS" "abc";
+  | None -> Alcotest.fail "ms=100000 must produce a budget");
+  set "abc";
   Alcotest.(check bool) "malformed ignored" true (Budget.of_env () = None);
-  Unix.putenv "WISEFUSE_BUDGET_PIVOTS" "-5";
+  set "-5";
   Alcotest.(check bool) "non-positive ignored" true (Budget.of_env () = None);
-  clear ()
+  set ""
 
 (* --- budget threading through the solvers -------------------------------- *)
 
@@ -176,7 +171,10 @@ let test_happy_path_identical () =
 let test_schedule_result_matches_run () =
   let prog = advect () in
   let base = schedule_of prog in
-  match Pluto.Scheduler.schedule Fusion.Wisefuse.config prog with
+  match
+    Pluto.Scheduler.schedule_with_deps Fusion.Wisefuse.config prog
+      (Deps.Dep.analyze prog)
+  with
   | Ok r ->
     Alcotest.(check bool) "schedule = run" true
       (r.Pluto.Scheduler.sched = base.Pluto.Scheduler.sched)
@@ -311,7 +309,11 @@ let test_chaos_exhaust_lp () =
 
 let test_chaos_exhaust_scheduler_typed () =
   Chaos.arm ~exhaust:true (fun () ->
-      match Pluto.Scheduler.schedule Fusion.Wisefuse.config (producer_consumer ()) with
+      let prog = producer_consumer () in
+      match
+        Pluto.Scheduler.schedule_with_deps Fusion.Wisefuse.config prog
+          (Deps.Dep.analyze prog)
+      with
       | Ok _ -> Alcotest.fail "all-exhausted solves cannot schedule"
       | Error d ->
         Alcotest.(check bool) "phase is scheduling" true
@@ -334,9 +336,9 @@ let test_chaos_forced_big_equiv () =
       Alcotest.(check int) "add" 7 (Bigint.to_int (Bigint.add (i 3) (i 4)));
       Alcotest.(check int) "mul" (-12) (Bigint.to_int (Bigint.mul (i 3) (i (-4))));
       Alcotest.(check int) "gcd" 6 (Bigint.to_int (Bigint.gcd (i 12) (i 18)));
-      let q, r = Bigint.divmod (i 17) (i 5) in
-      Alcotest.(check int) "div" 3 (Bigint.to_int q);
-      Alcotest.(check int) "mod" 2 (Bigint.to_int r);
+      Alcotest.(check int) "div" 3 (Bigint.to_int (Bigint.div (i 17) (i 5)));
+      (* a non-zero remainder rounds the ceiling up *)
+      Alcotest.(check int) "cdiv" 4 (Bigint.to_int (Bigint.cdiv (i 17) (i 5)));
       (* and the whole pipeline is unchanged *)
       let got = (schedule_of prog).Pluto.Scheduler.sched in
       Alcotest.(check bool) "forced Big promotion, same schedule" true
@@ -415,13 +417,6 @@ let test_bench_bounds () =
     && (not (bound_failure (Met 2.0)))
     && not (bound_failure Bad_value))
 
-(* --- counters on an empty run ---------------------------------------------- *)
-
-let test_counters_pp_empty () =
-  Counters.reset ();
-  let s = Format.asprintf "%a" Counters.pp () in
-  ignore s
-
 (* -------------------------------------------------------------------------- *)
 
 let () =
@@ -479,7 +474,5 @@ let () =
       ( "bench",
         [
           Alcotest.test_case "bound comparators" `Quick test_bench_bounds;
-          Alcotest.test_case "counters pp on empty run" `Quick
-            test_counters_pp_empty;
         ] );
     ]

@@ -3,14 +3,6 @@
 
 open Pluto
 
-let test_eval_row () =
-  (* phi = 2i + 3j + 5N + 7 at i=1, j=2, N=10 -> 2+6+50+7 = 65 *)
-  let row = Sched.Hyp [| 2; 3; 5; 7 |] in
-  Alcotest.(check int) "hyp" 65
-    (Sched.eval_row row ~iters:[| 1; 2 |] ~params:[| 10 |]);
-  Alcotest.(check int) "beta" 4
-    (Sched.eval_row (Sched.Beta 4) ~iters:[| 1; 2 |] ~params:[| 10 |])
-
 let test_row_as_hyp () =
   let h = Sched.row_as_hyp ~depth:2 ~np:1 (Sched.Beta 3) in
   Alcotest.(check (array int)) "beta as hyp" [| 0; 0; 0; 3 |] h;
@@ -18,12 +10,6 @@ let test_row_as_hyp () =
   Alcotest.(check (array int)) "hyp passthrough" [| 1; 0; 0; 2 |] h2;
   Alcotest.check_raises "width check" (Invalid_argument "Sched.row_as_hyp: width")
     (fun () -> ignore (Sched.row_as_hyp ~depth:1 ~np:1 (Sched.Hyp [| 1; 0; 0; 2 |])))
-
-let test_iter_part () =
-  Alcotest.(check (array int)) "hyp" [| 1; 2 |]
-    (Sched.iter_part ~depth:2 (Sched.Hyp [| 1; 2; 0; 5 |]));
-  Alcotest.(check (array int)) "beta" [| 0; 0 |]
-    (Sched.iter_part ~depth:2 (Sched.Beta 7))
 
 let test_phi_diff () =
   (* src row: i (depth 2), dst row: j + 1 (depth 1), np = 1:
@@ -33,21 +19,6 @@ let test_phi_diff () =
   let v = Sched.phi_diff ~d1:2 ~d2:1 ~np:1 src dst in
   let expect = Linalg.Vec.of_ints [| -1; 0; 1; 0; 1 |] in
   Alcotest.(check bool) "phi diff" true (Linalg.Vec.equal v expect)
-
-let test_timestamp () =
-  let sched =
-    [| [ Sched.Beta 1; Sched.Hyp [| 1; 0; 0 |]; Sched.Beta 0 ] |]
-  in
-  Alcotest.(check (array int)) "timestamp" [| 1; 5; 0 |]
-    (Sched.timestamp sched 0 ~iters:[| 5 |] ~params:[| 9 |])
-
-let test_is_beta_level () =
-  let sched =
-    [| [ Sched.Beta 0; Sched.Hyp [| 1; 0; 0 |]; Sched.Beta 2 ] |]
-  in
-  Alcotest.(check bool) "level 0" true (Sched.is_beta_level sched 0);
-  Alcotest.(check bool) "level 1" false (Sched.is_beta_level sched 1);
-  Alcotest.(check bool) "level 2" true (Sched.is_beta_level sched 2)
 
 (* --- Fusion.Model dispatch --------------------------------------------- *)
 
@@ -60,11 +31,18 @@ let test_model_roundtrip () =
   Alcotest.check_raises "unknown" Not_found (fun () ->
       ignore (Fusion.Model.of_name "megafuse"))
 
+(* every model's transformed program computes what the original does *)
 let test_model_pipeline () =
   let prog = Kernels.Gemver.program ~n:8 () in
+  let params = prog.Scop.Program.default_params in
+  let reference = Machine.Interp.init_memory prog ~params in
+  Machine.Interp.run_original prog reference ~params;
   List.iter
     (fun m ->
-      match Fusion.Model.verify m prog with
+      let opt = Fusion.Model.optimize m prog in
+      let transformed = Machine.Interp.init_memory prog ~params in
+      Machine.Interp.run prog opt.Fusion.Model.ast transformed ~params;
+      match Machine.Interp.first_diff reference transformed with
       | None -> ()
       | Some d ->
         Alcotest.failf "%s semantic mismatch: %s" (Fusion.Model.name m) d)
@@ -83,12 +61,8 @@ let test_model_optimized_fields () =
 let () =
   Alcotest.run "sched"
     [ ( "rows",
-        [ Alcotest.test_case "eval_row" `Quick test_eval_row;
-          Alcotest.test_case "row_as_hyp" `Quick test_row_as_hyp;
-          Alcotest.test_case "iter_part" `Quick test_iter_part;
-          Alcotest.test_case "phi_diff" `Quick test_phi_diff;
-          Alcotest.test_case "timestamp" `Quick test_timestamp;
-          Alcotest.test_case "is_beta_level" `Quick test_is_beta_level ] );
+        [ Alcotest.test_case "row_as_hyp" `Quick test_row_as_hyp;
+          Alcotest.test_case "phi_diff" `Quick test_phi_diff ] );
       ( "model",
         [ Alcotest.test_case "name roundtrip" `Quick test_model_roundtrip;
           Alcotest.test_case "pipeline all models" `Quick test_model_pipeline;

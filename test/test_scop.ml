@@ -153,7 +153,7 @@ let test_array_extent () =
   loop ctx "i" ~lb:(ci 0) ~ub:n (fun i ->
       assign ctx "S" _a [ i; ci 0 ] (f 0.0));
   let p = finish ctx in
-  let decl = Program.find_array p "A" in
+  let decl = List.find (fun d -> d.Program.array_name = "A") p.Program.arrays in
   Alcotest.(check (array int)) "extents" [| 12; 5 |]
     (Program.array_extent decl ~params:[| 10; 5 |])
 

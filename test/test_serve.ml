@@ -174,9 +174,9 @@ let test_fingerprint_alpha_invariant () =
   let p2 =
     mini ~name:"other" ~arrays:("xs", "ys", "zs") ~stmts:("T9", "T10") ()
   in
+  let fp = Serve.Fingerprint.key ~model:Fusion.Model.Wisefuse in
   Alcotest.(check string) "alpha-renamed programs share a fingerprint"
-    (Serve.Fingerprint.program p1)
-    (Serve.Fingerprint.program p2);
+    (fp p1) (fp p2);
   (* ... but structure does: swapping which array the second statement
      reads changes the key *)
   let p3 =
@@ -191,7 +191,7 @@ let test_fingerprint_alpha_invariant () =
     loop ctx "i" ~lb ~ub (fun i -> assign ctx "S2" c [ i ] (a.%([ i ]) +: f 1.0));
     finish ctx
   in
-  if Serve.Fingerprint.program p1 = Serve.Fingerprint.program p3 then
+  if fp p1 = fp p3 then
     Alcotest.fail "changing a read target must change the fingerprint"
 
 let test_deps_key_deterministic () =
@@ -214,7 +214,7 @@ let test_cache_lru_eviction () =
   Cache.add c "k1" ~payload:(payload "1") ~deps_fp:"d" ~solve_ms:1.0;
   Cache.add c "k2" ~payload:(payload "2") ~deps_fp:"d" ~solve_ms:1.0;
   (* touch k1 so k2 is the least recently used *)
-  ignore (Cache.find c "k1");
+  ignore (Cache.find_quiet c "k1");
   Cache.add c "k3" ~payload:(payload "3") ~deps_fp:"d" ~solve_ms:1.0;
   let s = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
@@ -236,22 +236,18 @@ let test_cache_lru_eviction () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "capacity 0 must be rejected"
 
-let test_cache_counting_and_sync () =
+let test_cache_counting () =
   let c = Cache.create ~capacity:4 in
-  ignore (Cache.find c "absent");
+  Alcotest.(check bool) "absent" true (Cache.find_quiet c "absent" = None);
+  Cache.count_miss c;
   Cache.add c "k" ~payload:(payload "k") ~deps_fp:"d" ~solve_ms:1.0;
-  ignore (Cache.find c "k");
   ignore (Cache.find_quiet c "k") (* quiet: no tally *);
+  Cache.count_hit c;
   Cache.count_hit c;
   let s = Cache.stats c in
   Alcotest.(check int) "hits" 2 s.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Cache.misses;
-  Cache.sync_counters c ~requests:3;
-  Alcotest.(check int) "counter hits" 2 Linalg.Counters.(get serve_cache_hits);
-  Alcotest.(check int) "counter misses" 1 Linalg.Counters.(get serve_cache_misses);
-  Alcotest.(check int) "counter requests" 3 Linalg.Counters.(get serve_requests);
-  Linalg.Counters.reset ();
-  Alcotest.(check int) "reset clears" 0 Linalg.Counters.(get serve_cache_hits)
+  Alcotest.(check int) "no evictions" 0 s.Cache.evictions
 
 (* --- concurrent serving under 4 domains ----------------------------------- *)
 
@@ -372,10 +368,14 @@ let test_protocol_envelopes () =
   let stats = field j "stats" in
   Alcotest.(check bool) "stats has capacity" true
     (Obs.Json.to_int_opt (field stats "cache_capacity") = Some 512);
-  Alcotest.(check bool) "not stopping yet" false (Serve.Server.stopping t);
+  let draining () =
+    let _, j = respond t {|{"id": 6, "op": "health"}|} in
+    Obs.Json.to_bool_opt (field (field j "health") "draining")
+  in
+  Alcotest.(check (option bool)) "not stopping yet" (Some false) (draining ());
   let _, j = respond t {|{"id": 5, "op": "shutdown"}|} in
   Alcotest.(check string) "shutdown ok" "ok" (str_field j "status");
-  Alcotest.(check bool) "stopping after shutdown" true (Serve.Server.stopping t)
+  Alcotest.(check (option bool)) "stopping after shutdown" (Some true) (draining ())
 
 (* --- hardening: firewall, breaker, deadlines, admission, drain ------------ *)
 
@@ -403,6 +403,7 @@ let test_firewall_recovery () =
   in
   let t = Serve.Server.create () in
   let faults = Chaos.queue [ Chaos.Raise ] in
+  let before = Linalg.Counters.all_counters () in
   Chaos.arm ~faults (fun () ->
       let _, faulted = respond t (sched_line ~id:2 "gemver") in
       Alcotest.(check string) "faulted request errors" "error"
@@ -411,15 +412,13 @@ let test_firewall_recovery () =
         (error_code faulted);
       Alcotest.(check int) "one injected raise" 1 (Chaos.raises faults);
       (* the poison the fault planted in the counters must be gone *)
-      List.iter
-        (fun (n, v) ->
-          if
-            (not (String.length n >= 6 && String.sub n 0 6 = "serve_"))
-            && v <> 0
-          then Alcotest.failf "counter %s = %d after recovery" n v)
-        (Linalg.Counters.all_counters ());
+      List.iter2
+        (fun (n, v) (_, v0) ->
+          if v <> v0 then
+            Alcotest.failf "counter %s = %d after recovery, %d before" n v v0)
+        (Linalg.Counters.all_counters ()) before;
       Alcotest.(check int) "firewall counted the recovery" 1
-        Linalg.Counters.(get serve_recovered);
+        (Serve.Server.recovered t);
       (* key released + clean state: the next cold solve (same key, no
          fault armed) succeeds and is byte-identical to the unfaulted
          reference *)
@@ -457,8 +456,8 @@ let test_breaker_opens_and_closes () =
         (error_code rej);
       Alcotest.(check int) "reject counted" 1
         (Serve.Breaker.rejects (Serve.Server.breaker t));
-      Alcotest.(check bool) "trips synced to counters" true
-        (Linalg.Counters.(get serve_breaker_trips) >= 1);
+      Alcotest.(check bool) "trip counted" true
+        (Serve.Breaker.trips (Serve.Server.breaker t) >= 1);
       (* a different fingerprint is unaffected *)
       let _, other = respond t (sched_line ~id:4 "tce") in
       Alcotest.(check string) "other keys still served" "ok"
@@ -568,7 +567,7 @@ let test_admission_shedding () =
   let t = Serve.Server.create ~config () in
   let _, shed = respond t (sched_line ~id:1 "gemver") in
   Alcotest.(check string) "typed overloaded" "overloaded" (error_code shed);
-  Alcotest.(check int) "shed counted" 1 Linalg.Counters.(get serve_shed);
+  Alcotest.(check int) "shed counted" 1 (Serve.Server.shed t);
   (* protocol ops are never shed *)
   let _, ping = respond t {|{"id": 2, "op": "ping"}|} in
   Alcotest.(check string) "ping served under overload" "ok"
@@ -957,8 +956,13 @@ let test_waiters_after_degraded_solve () =
     Chaos.sampled (fun () ->
         if Atomic.exchange first false then begin
           (* hold the first solve until all three requests are in
-             flight, so the other two wait on its key *)
-          await (fun () -> Serve.Server.backlog t >= 3);
+             flight, so the other two wait on its key: the health probe
+             counts them plus itself *)
+          await (fun () ->
+              let _, j = respond t {|{"id": 0, "op": "health"}|} in
+              match Obs.Json.to_int_opt (field (field j "health") "backlog") with
+              | Some n -> n >= 4
+              | None -> false);
           Unix.sleepf 0.02;
           Some Chaos.Exhaust
         end
@@ -1002,8 +1006,7 @@ let () =
       ( "cache",
         [
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
-          Alcotest.test_case "counting + sync" `Quick
-            test_cache_counting_and_sync;
+          Alcotest.test_case "counting" `Quick test_cache_counting;
         ] );
       ( "server",
         [
