@@ -620,7 +620,10 @@ let serve_cmd =
     Arg.(value & flag & info [ "stdio" ] ~doc)
   in
   let domains_arg =
-    let doc = "Worker domains serving requests concurrently." in
+    let doc =
+      "Socket worker domains: connections served concurrently. Stdio \
+       always answers on one domain, in request order."
+    in
     Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
   let cache_cap_arg =

@@ -69,29 +69,6 @@ let identity_result (prog : Scop.Program.t) all_deps =
   let scc_of = Ddg.scc_kosaraju ddg in
   let scc_order = List.init (Ddg.scc_count scc_of) Fun.id in
   let sched = Codegen.Scan.identity_schedule prog in
-  let outer_partition =
-    (* statements sharing the leading scalar row share the outermost
-       nest, exactly as the scheduler computes it *)
-    let prefix id =
-      let rec go acc = function
-        | Pluto.Sched.Beta b :: rest -> go (b :: acc) rest
-        | Pluto.Sched.Hyp _ :: _ | [] -> List.rev acc
-      in
-      go [] sched.(id)
-    in
-    let tbl = Hashtbl.create 8 in
-    let next = ref 0 in
-    Array.map
-      (fun k ->
-        match Hashtbl.find_opt tbl k with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.add tbl k id;
-          id)
-      (Array.init (Array.length prog.stmts) prefix)
-  in
   {
     Pluto.Scheduler.prog;
     config_name = "identity";
@@ -102,7 +79,7 @@ let identity_result (prog : Scop.Program.t) all_deps =
     scc_of;
     scc_order;
     sched;
-    outer_partition;
+    outer_partition = Pluto.Sched.outer_partition sched;
   }
 
 let verify_identity (res : Pluto.Scheduler.result) =

@@ -34,6 +34,25 @@ let num_rows (s : t) =
   if Array.length s = 0 then invalid_arg "Sched.num_rows: no statements";
   List.length s.(0)
 
+(* statements sharing every scalar row before their first loop row
+   share the outermost nest; groups are numbered by first occurrence *)
+let outer_partition (s : t) =
+  let rec prefix acc = function
+    | Beta b :: rest -> prefix (b :: acc) rest
+    | Hyp _ :: _ | [] -> List.rev acc
+  in
+  let groups = Hashtbl.create 8 in
+  Array.map
+    (fun rows ->
+      let k = prefix [] rows in
+      match Hashtbl.find_opt groups k with
+      | Some g -> g
+      | None ->
+        let g = Hashtbl.length groups in
+        Hashtbl.add groups k g;
+        g)
+    s
+
 let pp_row ~iter_names ~param_names fmt = function
   | Beta b -> Format.fprintf fmt "[%d]" b
   | Hyp h ->

@@ -31,4 +31,10 @@ val row_as_hyp : depth:int -> np:int -> row -> int array
     @raise Invalid_argument on an empty schedule. *)
 val num_rows : t -> int
 
+(** Outermost fusion partition, indexed by statement id: statements
+    with the same scalar rows before their first loop row share the
+    outermost loop nest. Groups are numbered 0, 1, ... in order of
+    their first statement. *)
+val outer_partition : t -> int array
+
 val pp : Scop.Program.t -> Format.formatter -> t -> unit

@@ -1056,31 +1056,7 @@ let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) cfg
   Array.iteri (fun id rows -> st.rows_rev.(id) <- Sched.Beta fb.(id) :: rows) st.rows_rev;
   mark_beta_satisfaction st fb;
   let sched = Array.map List.rev st.rows_rev in
-  (* outermost fusion partitions: statements sharing every scalar
-     dimension before the first loop row share the outermost nest *)
-  let outer_partition =
-    let prefix id =
-      let rec go acc = function
-        | Sched.Beta b :: rest -> go (b :: acc) rest
-        | Sched.Hyp _ :: _ | [] -> List.rev acc
-      in
-      go [] sched.(id)
-    in
-    let n = Array.length prog.stmts in
-    let keys = Array.init n prefix in
-    let tbl = Hashtbl.create 8 in
-    let next = ref 0 in
-    Array.map
-      (fun k ->
-        match Hashtbl.find_opt tbl k with
-        | Some id -> id
-        | None ->
-          let id = !next in
-          incr next;
-          Hashtbl.add tbl k id;
-          id)
-      keys
-  in
+  let outer_partition = Sched.outer_partition sched in
   if Obs.Trace.on () then
     Obs.Trace.instant ~cat:"fuse" "fuse.partition"
       ~args:

@@ -1,6 +1,6 @@
 (* A minimal blocking multi-producer/multi-consumer queue for the
-   daemon's domain pools (line workers, connection workers, the access
-   log writer). [pop] returns [None] once the queue is closed and
+   daemon's domain pools (socket connection workers, the access log
+   writer). [pop] returns [None] once the queue is closed and
    drained. *)
 
 type 'a t = {

@@ -1,6 +1,6 @@
 (** A minimal blocking multi-producer/multi-consumer queue for the
-    daemon's domain pools (line workers, connection workers, the
-    access-log writer domain). *)
+    daemon's domain pools (socket connection workers, the access-log
+    writer domain). *)
 
 type 'a t
 

@@ -16,7 +16,6 @@
 
 type entry = {
   payload : Obs.Json.t;  (* the cached "result" object, served verbatim *)
-  deps_fp : string;  (* Fingerprint.deps_key of the solve's dependence set *)
   solve_ms : float;  (* wall time of the cold solve that built this entry *)
   mutable last_used : int;
 }
@@ -86,12 +85,12 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
   | None -> ()
 
-let add t key ~payload ~deps_fp ~solve_ms =
+let add t key ~payload ~solve_ms =
   locked t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         t.tick <- t.tick + 1;
-        Hashtbl.add t.tbl key { payload; deps_fp; solve_ms; last_used = t.tick }
+        Hashtbl.add t.tbl key { payload; solve_ms; last_used = t.tick }
       end)
 
 let stats t =

@@ -11,9 +11,6 @@
 
 type entry = {
   payload : Obs.Json.t;  (** the cached ["result"] object *)
-  deps_fp : string;
-      (** {!Fingerprint.deps_key} of the dependence set the cold solve
-          derived — audit metadata, not part of the lookup key *)
   solve_ms : float;  (** wall time of the cold solve behind this entry *)
   mutable last_used : int;  (** LRU stamp, managed by the cache *)
 }
@@ -43,6 +40,6 @@ val count_miss : t -> unit
 
 (** Insert (no-op if the key is already present), evicting the LRU
     entry when at capacity. *)
-val add : t -> string -> payload:Obs.Json.t -> deps_fp:string -> solve_ms:float -> unit
+val add : t -> string -> payload:Obs.Json.t -> solve_ms:float -> unit
 
 val stats : t -> stats

@@ -20,12 +20,10 @@
 
    The dependence set of a program is a deterministic function of
    (program, param_floor) — the analysis is exact and has no hidden
-   state — so the request key does NOT recompute dependences: hashing
+   state — so the request key does NOT compute dependences: hashing
    the program content already content-addresses the dependence set,
    and the hit path stays free of B&B emptiness tests (zero LP pivots,
-   zero B&B nodes). [deps_key] is still provided so the cold path can
-   record the dependence-set fingerprint in the cache entry for audit,
-   and so tests can assert the derivation is stable. *)
+   zero B&B nodes). *)
 
 (* Version tag mixed into every key; bump on format changes.
    v2: the requested scheduling engine joined the key (an lp-dfp
@@ -170,33 +168,9 @@ let model_body (m : Fusion.Model.t) =
       (cut_body cfg.Pluto.Scheduler.fallback_cut)
       cfg.Pluto.Scheduler.outer_parallel
 
-(* --- dependence sets ----------------------------------------------------- *)
-
-let dep_body (d : Deps.Dep.t) =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf "D|%d>%d|%s|%s" d.Deps.Dep.src d.Deps.Dep.dst
-       (Deps.Dep.kind_to_string d.Deps.Dep.kind)
-       (match d.Deps.Dep.level with
-       | Deps.Dep.Carried l -> "c" ^ string_of_int l
-       | Deps.Dep.Independent -> "i"));
-  Buffer.add_string buf "|sa=";
-  add_matrix buf d.Deps.Dep.src_access.Scop.Access.idx;
-  Buffer.add_string buf "|da=";
-  add_matrix buf d.Deps.Dep.dst_access.Scop.Access.idx;
-  Buffer.add_string buf "|p=";
-  Buffer.add_string buf (Poly.Polyhedron.structural_key d.Deps.Dep.poly);
-  Buffer.contents buf
-
-let deps_body deps =
-  (* order-independent: dependence analysis order is an implementation
-     detail, the set is not *)
-  String.concat "\n" (List.sort String.compare (List.map dep_body deps))
-
 (* --- digests ------------------------------------------------------------- *)
 
 let digest s = Digest.to_hex (Digest.string s)
-let deps_key ds = digest (deps_body ds)
 
 (* The *requested* choice is keyed, not the resolved kind: [Auto] and
    [Fixed] requests stay distinct even when they resolve to the same

@@ -14,18 +14,13 @@
     first occurrence, preserving loop-sharing structure only.
 
     The dependence set is a deterministic function of
-    [(program, param_floor)], so {!key} does not recompute it — hashing
+    [(program, param_floor)], so {!key} does not compute it — hashing
     the program content already content-addresses the dependences, and
-    a cache hit performs no B&B emptiness tests. {!deps_key} exists so
-    the cold path can record the derived dependence-set fingerprint in
-    the cache entry, and so tests can assert the derivation is stable.
+    a cache hit performs no B&B emptiness tests.
 
     Digests are MD5 hex (via [Digest]) — content addressing, not
     cryptography. The serialization format is versioned ({!version});
     any change to the canonical form must bump it. *)
-
-(** MD5 hex of a canonical serialization of the dependence set. *)
-val deps_key : Deps.Dep.t list -> string
 
 (** The request key: MD5 hex over version, model, requested scheduling
     engine, reductions flag, param floor and program content.

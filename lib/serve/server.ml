@@ -8,7 +8,12 @@
    stores the rendered payload for every later request with the same
    content.
 
-   Concurrency model (OCaml 5 domains): any number of workers serve
+   Every transport runs one line loop ([serve_lines]): stdio on the
+   calling domain, so its answers come back in request order, and the
+   socket server on each of config.domains workers, one connection at a
+   time.
+
+   Concurrency model (OCaml 5 domains): any number of domains may serve
    requests concurrently. Hits and protocol ops touch only the cache
    (which has its own lock) and atomics. A cold solve runs on the
    domain that received the request, inside a counter record and a
@@ -43,7 +48,7 @@
    0. *)
 
 type config = {
-  domains : int;
+  domains : int;  (* socket worker pool size *)
   cache_capacity : int;
   max_pending : int;  (* admission high-water mark (in-flight + queued) *)
   max_line_bytes : int;  (* longer request lines answer "oversized" *)
@@ -80,15 +85,13 @@ type t = {
   solving : (string, unit) Hashtbl.t;  (* keys with a cold solve in flight *)
   flight : Mutex.t;  (* guards [solving] *)
   landed : Condition.t;  (* a key left [solving] *)
-  out : Mutex.t;  (* serializes response emission in pool modes *)
   stop : bool Atomic.t;
-  requests : int Atomic.t;
+  requests : int Atomic.t;  (* answered lines; drives trace sampling *)
   inflight : int Atomic.t;  (* requests admitted and not yet answered *)
-  queued : int Atomic.t;  (* lines/connections waiting in a pool queue *)
+  queued : int Atomic.t;  (* accepted connections waiting for a worker *)
   shed : int Atomic.t;  (* schedule requests refused by admission control *)
   recovered : int Atomic.t;  (* exceptions caught by the solve firewall *)
   started : float;  (* Clock.now — uptime survives NTP steps *)
-  seq : int Atomic.t;  (* answered-line sequence, drives trace sampling *)
   telemetry : Telemetry.t;
   access : Access.t option;
   mutable on_stop : unit -> unit;
@@ -133,7 +136,6 @@ let create ?(config = default_config) () =
     solving = Hashtbl.create 16;
     flight = Mutex.create ();
     landed = Condition.create ();
-    out = Mutex.create ();
     stop = Atomic.make false;
     requests = Atomic.make 0;
     inflight;
@@ -141,7 +143,6 @@ let create ?(config = default_config) () =
     shed;
     recovered;
     started;
-    seq = Atomic.make 0;
     telemetry;
     access = Option.map (fun path -> Access.open_ ~path) config.access_log;
     on_stop = (fun () -> ());
@@ -226,11 +227,11 @@ let explain_lines ex =
    the request content — which is what makes cached responses
    byte-identical to fresh solves — whatever else runs on other
    domains. A test's fault plan ([Linalg.Chaos]) gets one draw per
-   solve. Returns the payload, the dependence-set fingerprint, whether
-   the resilience ladder degraded (degraded payloads must not be
-   cached: a deadline or an injected fault is request-local state, and
-   caching its result would poison every later request for the same
-   content), and the solve's counter snapshot. *)
+   solve. Returns the payload, the engine that ran, whether the
+   resilience ladder degraded (degraded payloads must not be cached: a
+   deadline or an injected fault is request-local state, and caching
+   its result would poison every later request for the same content),
+   and the solve's counter snapshot. *)
 let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
   Linalg.Counters.scoped @@ fun () ->
   Pluto.Farkas.scoped @@ fun () ->
@@ -273,7 +274,7 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
         ( "counters",
           Obs.Json.Obj (List.map (fun (n, v) -> (n, Obs.Json.Int v)) counters) ) ]
   in
-  (payload, Fingerprint.deps_key deps, degraded, counters)
+  (payload, engine_used, degraded, counters)
 
 (* --- request handling ---------------------------------------------------- *)
 
@@ -417,25 +418,18 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                       match
                         Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
                             let t0 = Linalg.Clock.now () in
-                            let payload, deps_fp, degraded, counters =
+                            let payload, engine_used, degraded, counters =
                               solve ?budget ~kernel ~model ~size:n ~engine
                                 ~reductions prog
                             in
                             ( payload,
-                              deps_fp,
+                              engine_used,
                               degraded,
                               counters,
                               Linalg.Clock.elapsed_ms ~since:t0 ))
                       with
-                      | payload, deps_fp, degraded, counters, solve_ms ->
+                      | payload, engine_used, degraded, counters, solve_ms ->
                         Breaker.record_success t.breaker key;
-                        let engine_used =
-                          Option.value
-                            (Option.bind
-                               (Obs.Json.member "engine_used" payload)
-                               Obs.Json.to_string_opt)
-                            ~default:"none"
-                        in
                         Telemetry.record_solve t.telemetry ~engine_used
                           ~solve_ms;
                         (* degraded = this request's deadline (or an
@@ -445,7 +439,7 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                         let cache_state =
                           if degraded then "uncached"
                           else begin
-                            Cache.add t.cache key ~payload ~deps_fp ~solve_ms;
+                            Cache.add t.cache key ~payload ~solve_ms;
                             "miss"
                           end
                         in
@@ -502,11 +496,6 @@ let handle_request t ({ id; op } : Protocol.request) =
     Protocol.shutdown_response ~id
   | Protocol.Schedule { kernel; size; model; engine; reductions; deadline_ms } ->
     handle_schedule t ~id ~kernel ~size ~model ~engine ~reductions ~deadline_ms
-
-let oversized_error t ~id =
-  Protocol.error_response ~id ~code:"oversized"
-    ~message:
-      (Printf.sprintf "request line exceeds %d bytes" t.config.max_line_bytes)
 
 (* --- per-request observability ------------------------------------------- *)
 
@@ -588,16 +577,19 @@ let handle_line t line =
   let wall0 = Linalg.Clock.now () in
   if String.length line > t.config.max_line_bytes then begin
     Atomic.incr t.requests;
-    ignore (Atomic.fetch_and_add t.seq 1);
-    Some (finish t ~wall0 (oversized_error t ~id:Obs.Json.Null))
+    Some
+      (finish t ~wall0
+         (Protocol.error_response ~id:Obs.Json.Null ~code:"oversized"
+            ~message:
+              (Printf.sprintf "request line exceeds %d bytes"
+                 t.config.max_line_bytes)))
   end
   else
     let line = String.trim line in
     if line = "" then None
     else begin
-      Atomic.incr t.requests;
+      let n = Atomic.fetch_and_add t.requests 1 in
       Atomic.incr t.inflight;
-      let n = Atomic.fetch_and_add t.seq 1 in
       let sampled =
         t.config.trace_sample > 0 && n mod t.config.trace_sample = 0
       in
@@ -648,37 +640,41 @@ let handle_line t line =
 
 (* --- serving loops ------------------------------------------------------- *)
 
-(* Bounded line framing: read up to [max] bytes of one
-   newline-terminated line. An overlong line is consumed to its
-   newline (or EOF) but never buffered past the cap, so hostile input
-   cannot grow the heap; the caller answers it with a typed
-   "oversized" error and the stream stays framed. *)
+(* Bounded line framing: one newline-terminated line, or [None] at
+   EOF. A line longer than [max] bytes comes back cut at [max + 1]
+   bytes, which [handle_line] answers "oversized"; the rest of it is
+   consumed to its newline (or EOF) but never buffered, so hostile
+   input cannot grow the heap and the stream stays framed. *)
 let read_line_bounded ic ~max =
   let buf = Buffer.create 256 in
-  let rec go overflow =
+  let rec go () =
     match input_char ic with
     | exception End_of_file ->
-      if overflow then `Oversized
-      else if Buffer.length buf = 0 then `Eof
-      else `Line (Buffer.contents buf)
-    | '\n' -> if overflow then `Oversized else `Line (Buffer.contents buf)
+      if Buffer.length buf = 0 then None else Some (Buffer.contents buf)
+    | '\n' -> Some (Buffer.contents buf)
     | c ->
-      if Buffer.length buf >= max then go true
-      else begin
-        Buffer.add_char buf c;
-        go overflow
-      end
+      if Buffer.length buf <= max then Buffer.add_char buf c;
+      go ()
   in
-  go false
+  go ()
 
-(* the response line for an input the reader refused to buffer — still
-   routed through [finish] so it is counted and access-logged like
-   every other answered line *)
-let oversized_line t =
-  let wall0 = Linalg.Clock.now () in
-  Atomic.incr t.requests;
-  ignore (Atomic.fetch_and_add t.seq 1);
-  finish t ~wall0 (oversized_error t ~id:Obs.Json.Null)
+(* The one request-line loop, for stdio and for every socket
+   connection: answer each line in order and flush it; stop at EOF, or
+   after a line once the stop flag is set (a shutdown op or a drain). *)
+let serve_lines t ic oc =
+  let rec loop () =
+    match read_line_bounded ic ~max:t.config.max_line_bytes with
+    | None -> ()
+    | Some line ->
+      Option.iter
+        (fun r ->
+          output_string oc r;
+          output_char oc '\n';
+          flush oc)
+        (handle_line t line);
+      if not (Atomic.get t.stop) then loop ()
+  in
+  loop ()
 
 (* Both SIGTERM and SIGINT mean: stop taking work, finish what is in
    flight, clean up, exit 0 — the contract the CI serve job asserts. A
@@ -704,75 +700,10 @@ let install_drain_signals ?(immediate = false) t cleanup =
       with Invalid_argument _ -> ())
     [ (Sys.sigterm, "SIGTERM"); (Sys.sigint, "SIGINT") ]
 
-let emit_locked t oc line =
-  Mutex.lock t.out;
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  Mutex.unlock t.out
-
 let serve_stdio t =
   install_drain_signals ~immediate:true t (fun () -> close t);
-  let max = t.config.max_line_bytes in
-  if t.config.domains <= 1 then begin
-    (* synchronous: responses come back in request order *)
-    let rec loop () =
-      if not (Atomic.get t.stop) then
-        match read_line_bounded stdin ~max with
-        | `Eof -> ()
-        | `Oversized ->
-          print_string (oversized_line t);
-          print_newline ();
-          flush stdout;
-          loop ()
-        | `Line line ->
-          (match handle_line t line with
-          | None -> ()
-          | Some r ->
-            print_string r;
-            print_newline ();
-            flush stdout);
-          loop ()
-    in
-    loop ();
-    close t
-  end
-  else begin
-    (* pool: N domains drain a shared line queue; responses may
-       interleave out of order (envelopes carry the request id) *)
-    let jobs = Bqueue.create () in
-    let worker () =
-      let rec loop () =
-        match Bqueue.pop jobs with
-        | None -> ()
-        | Some line ->
-          Atomic.decr t.queued;
-          (match handle_line t line with
-          | None -> ()
-          | Some r -> emit_locked t stdout r);
-          loop ()
-      in
-      loop ()
-    in
-    let workers = List.init t.config.domains (fun _ -> Domain.spawn worker) in
-    let rec feed () =
-      if not (Atomic.get t.stop) then
-        match read_line_bounded stdin ~max with
-        | `Eof -> ()
-        | `Oversized ->
-          (* answered inline: the pool never sees the line *)
-          emit_locked t stdout (oversized_line t);
-          feed ()
-        | `Line line ->
-          Atomic.incr t.queued;
-          Bqueue.push jobs line;
-          feed ()
-    in
-    feed ();
-    Bqueue.close jobs;
-    List.iter Domain.join workers;
-    close t
-  end
+  serve_lines t stdin stdout;
+  close t
 
 (* Live connections, so a drain can unblock workers parked in a read:
    shutting down the receive side delivers EOF to the worker, which
@@ -803,30 +734,9 @@ end
 
 (* One accepted connection, served to EOF by a single worker. *)
 let handle_conn t registry fd =
-  let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  (try
-     let rec loop () =
-       match read_line_bounded ic ~max:t.config.max_line_bytes with
-       | `Eof -> ()
-       | `Oversized ->
-         output_string oc (oversized_line t);
-         output_char oc '\n';
-         flush oc;
-         if not (Atomic.get t.stop) then loop ()
-       | `Line line ->
-         (match handle_line t line with
-         | None -> ()
-         | Some r ->
-           output_string oc r;
-           output_char oc '\n';
-           flush oc);
-         if not (Atomic.get t.stop) then loop ()
-     in
-     loop ()
-   with
-  | End_of_file | Sys_error _ -> ()
-  | Unix.Unix_error _ -> ());
+  (try serve_lines t (Unix.in_channel_of_descr fd) oc
+   with End_of_file | Sys_error _ | Unix.Unix_error _ -> ());
   Conn_registry.remove registry fd;
   close_out_noerr oc
 

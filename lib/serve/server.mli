@@ -6,6 +6,11 @@
     trace capture + wisecheck) and stores the payload for every later
     request with the same content.
 
+    Transports: stdio and every socket connection run the same line
+    loop, which answers each line in request order. Stdio runs it on
+    the calling domain; the socket server runs it on a pool of
+    [config.domains] workers, one connection per worker at a time.
+
     Concurrency: requests are served concurrently by any number of
     OCaml 5 domains. A cold solve runs on the domain that received it,
     with its own counter record and Farkas memo
@@ -26,7 +31,8 @@
     gets a typed ["internal"] error; repeated failures per fingerprint
     trip a TTL'd circuit breaker ({!Breaker}). Admission control sheds
     schedule requests (["overloaded"]) past [config.max_pending];
-    oversized lines answer ["oversized"] without being buffered;
+    oversized lines answer ["oversized"] without being buffered in
+    full;
     SIGTERM/SIGINT drain and exit 0.
 
     Trace spans (category ["serve"]): [serve.request] wraps each
@@ -37,6 +43,8 @@
 
 type config = {
   domains : int;
+      (** socket worker pool size: connections served concurrently.
+          Stdio always runs on the calling domain. *)
   cache_capacity : int;
   max_pending : int;
       (** admission high-water mark on the pending-work gauge
@@ -66,7 +74,7 @@ type config = {
 }
 
 val default_config : config
-(** 1 domain, 512 cache entries, 64 pending, 1 MiB lines, 10 s default
+(** 1 socket worker, 512 cache entries, 64 pending, 1 MiB lines, 10 s default
     deadline (300 s cap), breaker 3 failures / 30 s TTL, metrics on,
     no trace sampling, no access log. *)
 
@@ -101,18 +109,10 @@ val close : t -> unit
     entry point the tests and the bench harness drive directly. *)
 val handle_line : t -> string -> string option
 
-(** Bounded line framing: one newline-terminated line of at most [max]
-    bytes. Overlong input is consumed (never buffered past the cap)
-    and reported as [`Oversized]. Exposed for the serving loops and
-    their tests. *)
-val read_line_bounded :
-  in_channel -> max:int -> [ `Line of string | `Oversized | `Eof ]
-
-(** Serve requests from stdin to stdout until EOF or a shutdown
-    request. With [config.domains > 1], a domain pool drains the input
-    and responses may interleave out of request order (envelopes carry
-    the request id). SIGTERM/SIGINT exit 0 (the blocking stdin read
-    cannot observe a drain flag). *)
+(** Serve requests from stdin to stdout on the calling domain, one
+    response line per request line in request order, until EOF or a
+    shutdown request ([config.domains] is not used). SIGTERM/SIGINT
+    exit 0 (the blocking stdin read cannot observe a drain flag). *)
 val serve_stdio : t -> unit
 
 (** Listen on a Unix domain socket ([path] is created, and removed on

@@ -135,7 +135,7 @@ let create ?(enabled = true) (src : sources) =
   M.gauge_fn reg ~name:"wisefuse_inflight"
     ~help:"Requests admitted and not yet answered." src.inflight;
   M.gauge_fn reg ~name:"wisefuse_queued"
-    ~help:"Lines/connections waiting in a worker pool queue." src.queued;
+    ~help:"Accepted socket connections waiting for a worker." src.queued;
   M.gauge_fn reg ~name:"wisefuse_uptime_seconds" ~help:"Daemon uptime."
     (fun () -> int_of_float (src.uptime_s ()));
   {

@@ -1,7 +1,8 @@
 (* Guard against --help drift: the top-level help must mention every
    subcommand, every documented exit code and the engine knob. We
    assert on substrings rather than a byte-exact golden file so the
-   test survives cmdliner's formatting changes across versions. *)
+   test survives cmdliner's formatting changes across versions. The
+   stdio daemon is driven end to end through the same binary. *)
 
 let binary =
   (* dune places the test runner in _build/default/test/ and the CLI in
@@ -9,7 +10,8 @@ let binary =
   Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "wisefuse_cli.exe")
 
-let run_help args =
+(* stdout of one CLI run, which must exit 0 *)
+let run_cli args =
   let cmd =
     Printf.sprintf "%s %s 2>/dev/null" (Filename.quote binary)
       (String.concat " " args)
@@ -56,7 +58,7 @@ let subcommands =
   ]
 
 let test_top_help () =
-  let text = run_help [ "--help=plain" ] in
+  let text = run_cli [ "--help=plain" ] in
   check_mentions "top help" text subcommands;
   (* the exit-code table documents the pipeline-phase codes *)
   check_mentions "top help" text
@@ -66,12 +68,12 @@ let test_top_help () =
     ]
 
 let test_opt_help () =
-  let text = run_help [ "opt"; "--help=plain" ] in
+  let text = run_cli [ "opt"; "--help=plain" ] in
   check_mentions "opt help" text [ "--engine"; "lp-dfp"; "auto"; "--tile" ]
 
 let test_serve_help () =
   (* the hardening knobs must stay documented *)
-  let text = run_help [ "serve"; "--help=plain" ] in
+  let text = run_cli [ "serve"; "--help=plain" ] in
   check_mentions "serve help" text
     [
       "--max-pending"; "--deadline-ms"; "--max-deadline-ms";
@@ -82,9 +84,55 @@ let test_engine_everywhere () =
   (* every pipeline subcommand that runs the optimizer takes --engine *)
   List.iter
     (fun sub ->
-      let text = run_help [ sub; "--help=plain" ] in
+      let text = run_cli [ sub; "--help=plain" ] in
       check_mentions (sub ^ " help") text [ "--engine" ])
     [ "opt"; "emit"; "sim"; "analyze"; "trace"; "explain" ]
+
+(* The stdio transport: one loop answers every line in request order
+   (whatever --domains says), skips the blank line, answers the
+   overlong line "oversized" and keeps the stream framed after it, and
+   answers nothing after the shutdown op. *)
+let test_stdio_in_order () =
+  let input = Filename.temp_file "wiseserve" ".in" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove input)
+    (fun () ->
+      let oc = open_out input in
+      List.iter
+        (fun l -> output_string oc (l ^ "\n"))
+        [ {|{"id": 1, "op": "ping"}|}; "";
+          {|{"id": 2, "kernel": "gemver", "size": 8}|}; String.make 200 'x';
+          {|{"id": 3, "op": "ping"}|}; {|{"id": 4, "op": "shutdown"}|};
+          {|{"id": 5, "op": "ping"}|} ];
+      close_out oc;
+      let replies =
+        run_cli
+          [ "serve"; "--stdio"; "--domains"; "2"; "--max-line-bytes"; "64";
+            "<"; Filename.quote input ]
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+        |> List.map (fun l ->
+               match Obs.Json.parse l with
+               | Ok j -> j
+               | Error m -> Alcotest.failf "unparseable response %S: %s" l m)
+      in
+      let id j = Option.bind (Obs.Json.member "id" j) Obs.Json.to_int_opt in
+      let str path j =
+        Option.bind
+          (List.fold_left
+             (fun v f -> Option.bind v (Obs.Json.member f))
+             (Some j) path)
+          Obs.Json.to_string_opt
+      in
+      Alcotest.(check (list (option int)))
+        "ids in request order, none after shutdown"
+        [ Some 1; Some 2; None; Some 3; Some 4 ]
+        (List.map id replies);
+      Alcotest.(check (list (option string)))
+        "schedule ok, long line oversized"
+        [ Some "ok"; Some "oversized" ]
+        [ str [ "status" ] (List.nth replies 1);
+          str [ "error"; "code" ] (List.nth replies 2) ])
 
 (* bad flags, bad flag values and unknown names are usage errors *)
 let test_usage_exit () =
@@ -110,4 +158,7 @@ let () =
             test_engine_everywhere;
           Alcotest.test_case "usage errors exit 2" `Quick test_usage_exit;
         ] );
+      ( "serve",
+        [ Alcotest.test_case "stdio answers in order" `Quick test_stdio_in_order ]
+      );
     ]

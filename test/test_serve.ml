@@ -194,28 +194,17 @@ let test_fingerprint_alpha_invariant () =
   if fp p1 = fp p3 then
     Alcotest.fail "changing a read target must change the fingerprint"
 
-let test_deps_key_deterministic () =
-  let prog = Kernels.Gemver.program ~n:16 () in
-  let k1 = Serve.Fingerprint.deps_key (Deps.Dep.analyze prog) in
-  let k2 = Serve.Fingerprint.deps_key (Deps.Dep.analyze prog) in
-  Alcotest.(check string) "deps key deterministic" k1 k2;
-  (* order-independence: reversing the list changes nothing *)
-  let k3 =
-    Serve.Fingerprint.deps_key (List.rev (Deps.Dep.analyze prog))
-  in
-  Alcotest.(check string) "deps key order-independent" k1 k3
-
 (* --- the cache ------------------------------------------------------------ *)
 
 let payload tag = Obs.Json.Obj [ ("tag", Obs.Json.Str tag) ]
 
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 in
-  Cache.add c "k1" ~payload:(payload "1") ~deps_fp:"d" ~solve_ms:1.0;
-  Cache.add c "k2" ~payload:(payload "2") ~deps_fp:"d" ~solve_ms:1.0;
+  Cache.add c "k1" ~payload:(payload "1") ~solve_ms:1.0;
+  Cache.add c "k2" ~payload:(payload "2") ~solve_ms:1.0;
   (* touch k1 so k2 is the least recently used *)
   ignore (Cache.find_quiet c "k1");
-  Cache.add c "k3" ~payload:(payload "3") ~deps_fp:"d" ~solve_ms:1.0;
+  Cache.add c "k3" ~payload:(payload "3") ~solve_ms:1.0;
   let s = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
   Alcotest.(check int) "still at capacity" 2 s.Cache.entries;
@@ -225,7 +214,7 @@ let test_cache_lru_eviction () =
     (Cache.find_quiet c "k1" <> None);
   Alcotest.(check bool) "new k3 present" true (Cache.find_quiet c "k3" <> None);
   (* re-adding an existing key is a no-op, not an eviction *)
-  Cache.add c "k3" ~payload:(payload "3'") ~deps_fp:"d" ~solve_ms:9.0;
+  Cache.add c "k3" ~payload:(payload "3'") ~solve_ms:9.0;
   Alcotest.(check int) "no extra eviction" 1 (Cache.stats c).Cache.evictions;
   (match Cache.find_quiet c "k3" with
   | Some e ->
@@ -240,7 +229,7 @@ let test_cache_counting () =
   let c = Cache.create ~capacity:4 in
   Alcotest.(check bool) "absent" true (Cache.find_quiet c "absent" = None);
   Cache.count_miss c;
-  Cache.add c "k" ~payload:(payload "k") ~deps_fp:"d" ~solve_ms:1.0;
+  Cache.add c "k" ~payload:(payload "k") ~solve_ms:1.0;
   ignore (Cache.find_quiet c "k") (* quiet: no tally *);
   Cache.count_hit c;
   Cache.count_hit c;
@@ -523,42 +512,16 @@ let test_exhaustion_degrades () =
 
 let test_oversized_line () =
   let t = Serve.Server.create () in
-  (* satellite contract: a 10 MiB line answers a typed error without
-     being processed *)
+  (* a 10 MiB line answers a typed error without being processed; the
+     serving loop's framing is driven end to end by test_cli_help *)
   let huge = String.make (10 * 1024 * 1024) 'x' in
-  (match Serve.Server.handle_line t huge with
+  match Serve.Server.handle_line t huge with
   | None -> Alcotest.fail "oversized line must be answered"
   | Some r -> (
     match Obs.Json.parse r with
     | Ok j ->
       Alcotest.(check string) "typed oversized error" "oversized" (error_code j)
-    | Error m -> Alcotest.failf "unparseable oversized envelope: %s" m));
-  (* the bounded reader: refuses the long line without buffering it,
-     then keeps the stream framed for the next request *)
-  let file = Filename.temp_file "wiseserve" ".in" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      let oc = open_out file in
-      output_string oc (String.make 4096 'y');
-      output_string oc "\n{\"id\":1,\"op\":\"ping\"}\n";
-      close_out oc;
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let max = 256 in
-          (match Serve.Server.read_line_bounded ic ~max with
-          | `Oversized -> ()
-          | `Line _ | `Eof -> Alcotest.fail "long line must read Oversized");
-          (match Serve.Server.read_line_bounded ic ~max with
-          | `Line l ->
-            Alcotest.(check string) "stream stays framed"
-              {|{"id":1,"op":"ping"}|} l
-          | `Oversized | `Eof -> Alcotest.fail "next line lost");
-          match Serve.Server.read_line_bounded ic ~max with
-          | `Eof -> ()
-          | `Line _ | `Oversized -> Alcotest.fail "expected EOF"))
+    | Error m -> Alcotest.failf "unparseable oversized envelope: %s" m)
 
 let test_admission_shedding () =
   (* max_pending 0: every schedule request finds the gauge (which
@@ -1001,7 +964,6 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "alpha-invariant" `Quick
             test_fingerprint_alpha_invariant;
-          Alcotest.test_case "deps key" `Quick test_deps_key_deterministic;
         ] );
       ( "cache",
         [
