@@ -6,24 +6,46 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Rendered of rendered
+
+(* Built only by [rendered], so [text] is always [to_string tree]. *)
+and rendered = { tree : t; text : string }
 
 (* --- writing ------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The digits of [n], as [string_of_int] prints them, with no string in
+   between. They come off the non-positive side, where [min_int] has
+   room. *)
+let add_int buf n =
+  let rec digits m =
+    if m <= -10 then digits (m / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    digits n
+  end
+  else digits (-n)
+
+let needs_escape c = c < ' ' || c = '"' || c = '\\'
+
+(* a string that needs no escape, the common case, is one append *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when c < ' ' -> Printf.bprintf buf "\\u%04x" (Char.code c)
+        | c -> Buffer.add_char buf c)
+      s;
+  Buffer.add_char buf '"'
 
 (* Shortest representation that round-trips the doubles we emit:
    integral values get a trailing ".0" (so they read back as floats),
@@ -38,14 +60,11 @@ let float_repr f =
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
     if not (Float.is_finite f) then Buffer.add_string buf "null"
     else Buffer.add_string buf (float_repr f)
-  | Str s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (escape s);
-    Buffer.add_char buf '"'
+  | Str s -> add_quoted buf s
   | List vs ->
     Buffer.add_char buf '[';
     List.iteri
@@ -59,17 +78,21 @@ let rec write buf = function
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ", ";
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
         write buf v)
       fields;
     Buffer.add_char buf '}'
+  | Rendered r -> Buffer.add_string buf r.text
 
 let to_string v =
   let buf = Buffer.create 256 in
   write buf v;
   Buffer.contents buf
+
+let rendered = function
+  | Rendered _ as v -> v
+  | v -> Rendered { tree = v; text = to_string v }
 
 let rec write_pretty buf indent = function
   | (Null | Bool _ | Int _ | Float _ | Str _) as v -> write buf v
@@ -94,14 +117,14 @@ let rec write_pretty buf indent = function
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string buf ",\n";
         Buffer.add_string buf pad;
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape k);
-        Buffer.add_string buf "\": ";
+        add_quoted buf k;
+        Buffer.add_string buf ": ";
         write_pretty buf (indent + 2) v)
       fields;
     Buffer.add_char buf '\n';
     Buffer.add_string buf (String.make indent ' ');
     Buffer.add_char buf '}'
+  | Rendered r -> write_pretty buf indent r.tree
 
 let to_string_pretty v =
   let buf = Buffer.create 1024 in
@@ -141,24 +164,33 @@ let parse s =
   in
   let parse_hex4 () =
     if !pos + 4 > n then error "truncated \\u escape";
-    let h = String.sub s !pos 4 in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - 48
+      | 'a' .. 'f' -> Char.code c - 87
+      | 'A' .. 'F' -> Char.code c - 55
+      | _ -> error "bad \\u escape"
+    in
+    let c = ref 0 in
+    for i = 0 to 3 do
+      c := (!c lsl 4) lor digit s.[!pos + i]
+    done;
     pos := !pos + 4;
-    match int_of_string_opt ("0x" ^ h) with
-    | Some c -> c
-    | None -> error "bad \\u escape"
+    !c
   in
-  (* encode a code point as UTF-8 (surrogate pairs are not recombined;
-     our own writer never emits them for the strings this project uses) *)
-  let add_codepoint buf c =
-    if c < 0x80 then Buffer.add_char buf (Char.chr c)
-    else if c < 0x800 then begin
-      Buffer.add_char buf (Char.chr (0xc0 lor (c lsr 6)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
-    end
+  (* a code point above U+FFFF arrives as a high surrogate escape then a
+     low one; either half alone encodes nothing *)
+  let parse_unicode () =
+    let c = parse_hex4 () in
+    if c land 0xfc00 = 0xdc00 then error "lone low surrogate";
+    if c land 0xfc00 <> 0xd800 then c
     else begin
-      Buffer.add_char buf (Char.chr (0xe0 lor (c lsr 12)));
-      Buffer.add_char buf (Char.chr (0x80 lor ((c lsr 6) land 0x3f)));
-      Buffer.add_char buf (Char.chr (0x80 lor (c land 0x3f)))
+      if not (!pos + 2 <= n && s.[!pos] = '\\' && s.[!pos + 1] = 'u') then
+        error "lone high surrogate";
+      pos := !pos + 2;
+      let lo = parse_hex4 () in
+      if lo land 0xfc00 <> 0xdc00 then error "lone high surrogate";
+      0x10000 + ((c - 0xd800) lsl 10) + (lo - 0xdc00)
     end
   in
   let parse_string () =
@@ -182,7 +214,7 @@ let parse s =
         | 'n' -> Buffer.add_char buf '\n'
         | 'r' -> Buffer.add_char buf '\r'
         | 't' -> Buffer.add_char buf '\t'
-        | 'u' -> add_codepoint buf (parse_hex4 ())
+        | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (parse_unicode ()))
         | _ -> error "unknown escape");
         go ()
       | c ->
@@ -292,19 +324,22 @@ let parse s =
 
 (* --- accessors ---------------------------------------------------------- *)
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* a rendered node answers for its tree *)
+let tree = function Rendered r -> r.tree | v -> v
 
-let to_string_opt = function Str s -> Some s | _ -> None
-let to_int_opt = function Int i -> Some i | _ -> None
+let member key v =
+  match tree v with Obj fields -> List.assoc_opt key fields | _ -> None
 
-let to_float_opt = function
+let to_string_opt v = match tree v with Str s -> Some s | _ -> None
+let to_int_opt v = match tree v with Int i -> Some i | _ -> None
+
+let to_float_opt v =
+  match tree v with
   | Float f -> Some f
   | Int i -> Some (float_of_int i)
   | _ -> None
 
-let to_bool_opt = function Bool b -> Some b | _ -> None
-let to_list_opt = function List vs -> Some vs | _ -> None
+let to_bool_opt v = match tree v with Bool b -> Some b | _ -> None
+let to_list_opt v = match tree v with List vs -> Some vs | _ -> None
 
 let round2 f = Float.round (f *. 100.0) /. 100.0

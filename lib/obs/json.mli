@@ -19,21 +19,46 @@ type t =
   | Str of string
   | List of t list
   | Obj of (string * t) list
+  | Rendered of rendered
+      (** A tree together with its compact text, rendered once by
+          {!rendered}. *)
 
-(** Compact (single-line) rendering. *)
+(** Abstract, so that only {!rendered} builds one: its text is always
+    [to_string] of its tree. *)
+and rendered
+
+(** Compact (single-line) rendering. A [Rendered] node, at the top or
+    anywhere inside, contributes its stored text; nothing below it is
+    walked again. *)
 val to_string : t -> string
+
+(** [rendered v] holds [v] and [to_string v], rendered now. Printing
+    the node appends that text, so a value printed many times (a cached
+    serve payload) is rendered once. {!member}, the [to_*_opt]
+    accessors and {!to_string_pretty} look through it to [v].
+    [rendered] of a [Rendered] node is that node. *)
+val rendered : t -> t
 
 (** Indented rendering, 2 spaces per level, trailing newline. *)
 val to_string_pretty : t -> string
 
+(** [add_int buf n] appends [string_of_int n] without building the
+    string: the one decimal writer for the JSON [Int] case,
+    [Poly.Constr.structural_key] and [Serve.Fingerprint]. *)
+val add_int : Buffer.t -> int -> unit
+
 (** Parse a complete JSON document. [Error msg] carries a byte offset.
     Numbers without ['.'], ['e'] or overflow parse as [Int], everything
-    else as [Float]. *)
+    else as [Float]. A [\\u] escape decodes to UTF-8: a high surrogate
+    followed by a low one is one code point above U+FFFF, and a lone
+    surrogate or a non-hex digit is an error. Never returns a
+    [Rendered] node. *)
 val parse : string -> (t, string) result
 
 (** {2 Accessors} *)
 
-(** Field of an object ([None] on absent field or non-object). *)
+(** Field of an object ([None] on absent field or non-object). Like the
+    [to_*_opt] accessors, it looks through a [Rendered] node. *)
 val member : string -> t -> t option
 
 val to_string_opt : t -> string option

@@ -105,7 +105,11 @@ let structural_key c =
   Array.iter
     (fun q ->
       Buffer.add_char buf ' ';
-      Buffer.add_string buf (Q.to_string q))
+      (* a native integer, nearly every coefficient, prints as
+         [Q.to_string] would without building its string *)
+      let n = Q.num q in
+      if Q.is_integer q && Bigint.is_small n then Obs.Json.add_int buf (Bigint.to_int n)
+      else Buffer.add_string buf (Q.to_string q))
     c.coeffs;
   Buffer.contents buf
 

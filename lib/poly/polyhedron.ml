@@ -248,7 +248,7 @@ let lower_upper_bounds p k =
 
 let structural_key p =
   let buf = Buffer.create 128 in
-  Buffer.add_string buf (string_of_int p.dim);
+  Obs.Json.add_int buf p.dim;
   if p.known_empty then Buffer.add_string buf "!empty";
   List.iter
     (fun c ->

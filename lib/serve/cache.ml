@@ -1,9 +1,11 @@
 (* The content-addressed cross-request cache.
 
-   Maps a Fingerprint key to the full certified response payload (an
-   immutable Obs.Json tree — embedding the same tree into every
-   envelope guarantees hit responses are byte-identical to the miss
-   that created them). Eviction is LRU over a capacity bound: each
+   Maps a Fingerprint key to the full certified response payload, held
+   with its bytes: [add] renders the payload once into an
+   Obs.Json.Rendered node, the miss answers with that node and every
+   hit splices the same bytes into its envelope, so hit responses are
+   byte-identical to the miss that created them and a hit renders no
+   payload. Eviction is LRU over a capacity bound: each
    access stamps a monotonically increasing tick, and inserting past
    capacity evicts the smallest stamp. The scan is O(capacity), paid
    only on insertion of a new entry into a full cache — at serving
@@ -15,7 +17,7 @@
    [stats]. *)
 
 type entry = {
-  payload : Obs.Json.t;  (* the cached "result" object, served verbatim *)
+  payload : Obs.Json.t;  (* the cached "result" object, rendered *)
   solve_ms : float;  (* wall time of the cold solve that built this entry *)
   mutable last_used : int;
 }
@@ -85,13 +87,17 @@ let evict_lru t =
     t.evictions <- t.evictions + 1
   | None -> ()
 
+(* renders before taking the lock, so hits on other domains never wait
+   on a render *)
 let add t key ~payload ~solve_ms =
+  let payload = Obs.Json.rendered payload in
   locked t (fun () ->
       if not (Hashtbl.mem t.tbl key) then begin
         if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
         t.tick <- t.tick + 1;
         Hashtbl.add t.tbl key { payload; solve_ms; last_used = t.tick }
-      end)
+      end);
+  payload
 
 let stats t =
   locked t (fun () ->

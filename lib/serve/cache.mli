@@ -1,16 +1,19 @@
 (** The content-addressed cross-request cache of the scheduling daemon.
 
-    Maps {!Fingerprint} keys to full certified response payloads. The
-    payload is an immutable {!Obs.Json.t} tree served verbatim, so a
-    hit's rendered bytes are identical to the miss response that
-    created the entry. Eviction is LRU under a fixed capacity.
+    Maps {!Fingerprint} keys to full certified response payloads. An
+    entry holds its payload with the payload's bytes, rendered once by
+    {!add} into an {!Obs.Json.Rendered} node: a hit's envelope splices
+    those bytes, so it renders no payload and is byte-identical to the
+    miss response that created the entry. Eviction is LRU under a fixed
+    capacity.
 
     Every operation is safe to call from concurrent domains (one lock
     per cache). The hit/miss/eviction tallies live here; read them with
     {!stats}. *)
 
 type entry = {
-  payload : Obs.Json.t;  (** the cached ["result"] object *)
+  payload : Obs.Json.t;
+      (** the cached ["result"] object, a [Rendered] node *)
   solve_ms : float;  (** wall time of the cold solve behind this entry *)
   mutable last_used : int;  (** LRU stamp, managed by the cache *)
 }
@@ -38,8 +41,9 @@ val count_hit : t -> unit
 
 val count_miss : t -> unit
 
-(** Insert (no-op if the key is already present), evicting the LRU
-    entry when at capacity. *)
-val add : t -> string -> payload:Obs.Json.t -> solve_ms:float -> unit
+(** Render [payload] once ({!Obs.Json.rendered}) and insert it (no-op
+    if the key is already present), evicting the LRU entry when at
+    capacity. Returns the rendered node, which the miss answers with. *)
+val add : t -> string -> payload:Obs.Json.t -> solve_ms:float -> Obs.Json.t
 
 val stats : t -> stats

@@ -35,12 +35,14 @@ let version = "wisefuse-fp-v3"
 
 (* --- canonical writers --------------------------------------------------- *)
 
+let add_int = Obs.Json.add_int
+
 let add_int_array buf a =
   Buffer.add_char buf '[';
   Array.iteri
     (fun i v ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int v))
+      add_int buf v)
     a;
   Buffer.add_char buf ']'
 
@@ -52,7 +54,7 @@ let add_matrix buf m =
 (* arrays are keyed by their declaration index, not their name *)
 let add_access buf ~array_index (a : Scop.Access.t) =
   Buffer.add_char buf 'a';
-  Buffer.add_string buf (string_of_int (array_index a.Scop.Access.array));
+  add_int buf (array_index a.Scop.Access.array);
   add_matrix buf a.Scop.Access.idx
 
 let rec add_expr buf ~array_index (e : Scop.Expr.t) =
@@ -87,10 +89,9 @@ let rec add_expr buf ~array_index (e : Scop.Expr.t) =
 
 (* --- the program body ---------------------------------------------------- *)
 
-let program_body (p : Scop.Program.t) =
-  let buf = Buffer.create 1024 in
+let add_program buf (p : Scop.Program.t) =
   Buffer.add_string buf "P|np=";
-  Buffer.add_string buf (string_of_int (Scop.Program.nparams p));
+  add_int buf (Scop.Program.nparams p);
   Buffer.add_string buf "|defaults=";
   add_int_array buf p.Scop.Program.default_params;
   (* arrays by declaration order; names dropped, extents kept *)
@@ -128,7 +129,7 @@ let program_body (p : Scop.Program.t) =
   Array.iter
     (fun (s : Scop.Statement.t) ->
       Buffer.add_string buf "|S:d=";
-      Buffer.add_string buf (string_of_int (Scop.Statement.depth s));
+      add_int buf (Scop.Statement.depth s);
       Buffer.add_string buf ";beta=";
       add_int_array buf s.Scop.Statement.beta;
       Buffer.add_string buf ";loops=";
@@ -139,38 +140,39 @@ let program_body (p : Scop.Program.t) =
       add_access buf ~array_index s.Scop.Statement.write;
       Buffer.add_string buf ";r=";
       add_expr buf ~array_index s.Scop.Statement.rhs)
-    p.Scop.Program.stmts;
-  Buffer.contents buf
+    p.Scop.Program.stmts
 
 (* --- the model body ------------------------------------------------------ *)
 
-let cut_body = function
-  | Pluto.Scheduler.Cut_all_sccs -> "all"
-  | Pluto.Scheduler.Cut_between_dims -> "dims"
-  | Pluto.Scheduler.Cut_minimal -> "min"
+let add_cut buf = function
+  | Pluto.Scheduler.Cut_all_sccs -> Buffer.add_string buf "all"
+  | Pluto.Scheduler.Cut_between_dims -> Buffer.add_string buf "dims"
+  | Pluto.Scheduler.Cut_minimal -> Buffer.add_string buf "min"
   | Pluto.Scheduler.Cut_groups gs ->
-    "groups(" ^ String.concat "," (List.map string_of_int gs) ^ ")"
+    Buffer.add_string buf "groups(";
+    List.iteri
+      (fun i g ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_int buf g)
+      gs;
+    Buffer.add_char buf ')'
 
-let model_body (m : Fusion.Model.t) =
+let add_model buf (m : Fusion.Model.t) =
   match m with
-  | Fusion.Model.Icc -> "M|icc"
+  | Fusion.Model.Icc -> Buffer.add_string buf "M|icc"
   | _ ->
     (* the scheduler config's name identifies its pre-fusion ordering
        function (the one field a structural hash cannot inspect); the
        cut strategies and the Algorithm 2 flag are serialized
        structurally *)
     let cfg = Fusion.Model.scheduler_config m in
-    Printf.sprintf "M|%s|cfg=%s|init=%s|fb=%s|alg2=%b"
-      (Fusion.Model.name m) cfg.Pluto.Scheduler.name
-      (match cfg.Pluto.Scheduler.initial_cut with
-      | None -> "none"
-      | Some c -> cut_body c)
-      (cut_body cfg.Pluto.Scheduler.fallback_cut)
+    Printf.bprintf buf "M|%s|cfg=%s|init=%a|fb=%a|alg2=%b" (Fusion.Model.name m)
+      cfg.Pluto.Scheduler.name
+      (fun buf -> function None -> Buffer.add_string buf "none" | Some c -> add_cut buf c)
+      cfg.Pluto.Scheduler.initial_cut add_cut cfg.Pluto.Scheduler.fallback_cut
       cfg.Pluto.Scheduler.outer_parallel
 
-(* --- digests ------------------------------------------------------------- *)
-
-let digest s = Digest.to_hex (Digest.string s)
+(* --- the key -------------------------------------------------------------- *)
 
 (* The *requested* choice is keyed, not the resolved kind: [Auto] and
    [Fixed] requests stay distinct even when they resolve to the same
@@ -179,9 +181,11 @@ let digest s = Digest.to_hex (Digest.string s)
    independent of the program's statement count. *)
 let key ?(param_floor = 2) ?(engine = Pluto.Engine.Auto) ?(reductions = false)
     ~model prog =
-  digest
-    (String.concat "\x00"
-       [ version; model_body model;
-         "engine=" ^ Pluto.Engine.choice_name engine;
-         "reductions=" ^ (if reductions then "on" else "off");
-         "floor=" ^ string_of_int param_floor; program_body prog ])
+  let buf = Buffer.create 1024 in
+  Printf.bprintf buf "%s\x00%a\x00engine=%s\x00reductions=%s\x00floor=%a\x00" version
+    add_model model
+    (Pluto.Engine.choice_name engine)
+    (if reductions then "on" else "off")
+    add_int param_floor;
+  add_program buf prog;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -436,12 +436,9 @@ let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
                            injected fault) shaped the result; it is
                            valid for this caller but must not be served
                            to anyone else *)
-                        let cache_state =
-                          if degraded then "uncached"
-                          else begin
-                            Cache.add t.cache key ~payload ~solve_ms;
-                            "miss"
-                          end
+                        let payload, cache_state =
+                          if degraded then (payload, "uncached")
+                          else (Cache.add t.cache key ~payload ~solve_ms, "miss")
                         in
                         Cache.count_miss t.cache;
                         let solver = solver_deltas counters in

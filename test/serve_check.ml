@@ -9,7 +9,8 @@
                                    every request line from FILE, validate the
                                    responses
 
-   Checks per line: well-formed JSON; "id" present; "status" ok|error;
+   Checks per line: valid UTF-8; well-formed JSON; "id" present;
+   "status" ok|error;
    error envelopes carry {"error": {"code", "message"}}; ok schedule
    envelopes carry a 32-hex "key", "cache" hit|miss|uncached (uncached
    = a degraded solve the daemon refused to store), a "serve" section
@@ -21,8 +22,10 @@
    envelopes must carry the full readiness/backlog/breaker gauge set
    plus the telemetry "snapshot"; metrics envelopes must carry a
    Prometheus text exposition (deep syntax checks live in
-   metrics_check). Exits 1 on any violation, with a per-class summary
-   on stdout either way. *)
+   metrics_check). In --connect mode each response is also checked
+   against its request: the "id" is the request's id as parsed, and a
+   request that is not JSON gets a typed "parse" error. Exits 1 on any
+   violation, with a per-class summary on stdout either way. *)
 
 let violations = ref 0
 let seen = ref 0
@@ -98,15 +101,31 @@ let check_schedule line j =
       | Some false -> fail line "served schedule is not wisecheck-certified"
       | None -> fail line "wisecheck verdict lacks \"certified\""))
 
-let check_line line =
+(* what the response to [request] must say: its id, or a parse error *)
+let check_against line j request =
+  let member = Obs.Json.member in
+  match Obs.Json.parse request with
+  | Error _ ->
+    if Option.bind (member "error" j) (member "code") <> Some (Obs.Json.Str "parse")
+    then fail line "a request that is not JSON must get a \"parse\" error"
+  | Ok r ->
+    let id = Option.value (member "id" r) ~default:Obs.Json.Null in
+    if member "id" j <> Some id then
+      fail line "id %s is not the request's %s"
+        (Option.fold ~none:"(none)" ~some:Obs.Json.to_string (member "id" j))
+        (Obs.Json.to_string id)
+
+let check_line ?request line =
   let line = String.trim line in
   if line <> "" then begin
     incr seen;
+    if not (String.is_valid_utf_8 line) then fail line "response is not valid UTF-8";
     match Obs.Json.parse line with
     | Error msg -> fail line "unparseable response: %s" msg
     | Ok j -> (
       let member = Obs.Json.member in
       if member "id" j = None then fail line {|response lacks an "id"|};
+      Option.iter (check_against line j) request;
       match Option.bind (member "status" j) Obs.Json.to_string_opt with
       | Some "ok" ->
         if member "key" j <> None || member "result" j <> None then
@@ -179,7 +198,7 @@ let connect_and_check path requests_file =
          output_char oc '\n';
          flush oc;
          incr sent;
-         check_line (input_line ic)
+         check_line ~request:line (input_line ic)
        end
      done
    with End_of_file -> ());

@@ -67,16 +67,135 @@ line tab	end|};
   (match parse (to_string_pretty v) with
   | Ok v' -> Alcotest.(check bool) "pretty roundtrip" true (v = v')
   | Error e -> Alcotest.fail e);
-  (* unicode escape decodes to UTF-8 *)
-  (match parse {|"é"|} with
-  | Ok (Str s) -> Alcotest.(check string) "utf8" "\xc3\xa9" s
-  | _ -> Alcotest.fail "unicode escape");
+  (* UTF-8 passes through; a unicode escape decodes to UTF-8, and a
+     surrogate pair to one four-byte code point (Python's json.dumps
+     writes U+1F600 as the pair) *)
+  List.iter
+    (fun (text, bytes) ->
+      match parse text with
+      | Ok (Str s) -> Alcotest.(check string) text bytes s
+      | _ -> Alcotest.fail ("unicode: " ^ text))
+    [ ({|"é"|}, "\xc3\xa9"); ({|"\u00e9"|}, "\xc3\xa9");
+      ({|"\u20AC"|}, "\xe2\x82\xac");
+      ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
+      ({|"\uDBFF\uDFFF"|}, "\xf4\x8f\xbf\xbf") ];
   List.iter
     (fun bad ->
       match parse bad with
       | Ok _ -> Alcotest.fail ("accepted garbage: " ^ bad)
       | Error _ -> ())
-    [ "{"; "[1,]"; {|{"a" 1}|}; "tru"; {|"unterminated|}; "1 2" ]
+    [ "{"; "[1,]"; {|{"a" 1}|}; "tru"; {|"unterminated|}; "1 2";
+      (* lone surrogates and non-hex digits *)
+      {|"\udc00"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
+      {|"\ud83d\ud83d"|}; {|"\u12_3"|}; {|"\u+123"|}; {|"\u12"|} ]
+
+(* A reference writer, the plain way: one escaped copy per string and
+   [string_of_int] per integer. The property below holds [Obs.Json]'s
+   writer to its bytes. *)
+module Ref_writer = struct
+  open Obs.Json
+
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let float_repr f =
+    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+    else
+      let s = Printf.sprintf "%.12g" f in
+      if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+  let rec write buf = function
+    | Null -> Buffer.add_string buf "null"
+    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+    | Int i -> Buffer.add_string buf (string_of_int i)
+    | Float f ->
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
+    | Str s -> Buffer.add_string buf ("\"" ^ escape s ^ "\"")
+    | List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          write buf v)
+        vs;
+      Buffer.add_char buf ']'
+    | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf ("\"" ^ escape k ^ "\": ");
+          write buf v)
+        fields;
+      Buffer.add_char buf '}'
+    | Rendered _ -> invalid_arg "Ref_writer: the generator builds no Rendered node"
+
+  let to_string v =
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+end
+
+(* random trees: strings over all 256 byte values, integers over the
+   whole native range with its extremes and negatives *)
+let arb_tree =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let int =
+    oneof
+      [ int; oneofl [ min_int; max_int; 0; -1; 10; -10 ];
+        map (fun n -> -n) small_nat ]
+  in
+  let float = oneofl [ 0.0; -0.5; 0.1; 3.0; 1e20; Float.nan; Float.infinity ] in
+  let leaf =
+    oneof
+      [ return Obs.Json.Null;
+        map (fun b -> Obs.Json.Bool b) bool;
+        map (fun i -> Obs.Json.Int i) int;
+        map (fun f -> Obs.Json.Float f) float;
+        map (fun s -> Obs.Json.Str s) str ]
+  in
+  let tree =
+    sized
+    @@ fix (fun self n ->
+           if n <= 1 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (1, map (fun l -> Obs.Json.List l) (list_size (int_bound 4) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun l -> Obs.Json.Obj l)
+                     (list_size (int_bound 4) (pair str (self (n / 3))))) ])
+  in
+  QCheck.make ~print:Ref_writer.to_string tree
+
+let prop_writer =
+  QCheck.Test.make ~name:"writer = reference; rendered looks through" ~count:500
+    arb_tree (fun v ->
+      let open Obs.Json in
+      let r = rendered v in
+      let keys = match v with Obj fields -> "absent" :: List.map fst fields | _ -> [ "k" ] in
+      to_string v = Ref_writer.to_string v
+      && to_string r = to_string v
+      && to_string (List [ r; Obj [ ("r", r) ] ]) = to_string (List [ v; Obj [ ("r", v) ] ])
+      && to_string_pretty r = to_string_pretty v
+      (* [compare], not [=]: a nan leaf equals itself only there *)
+      && List.for_all (fun k -> compare (member k r) (member k v) = 0) keys
+      && rendered r == r)
 
 (* --- trace spans and self-times ------------------------------------------ *)
 
@@ -290,6 +409,7 @@ let () =
         [
           Alcotest.test_case "escaping" `Quick test_json_escaping;
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_writer;
         ] );
       ( "trace",
         [

@@ -194,17 +194,53 @@ let test_fingerprint_alpha_invariant () =
   if fp p1 = fp p3 then
     Alcotest.fail "changing a read target must change the fingerprint"
 
+(* The key bytes themselves, pinned: MD5 over the newline-joined keys of
+   every registry kernel x model at its model size and one above, with
+   reductions off and on, under each engine choice (840 keys). The
+   other fingerprint cases check stability, sensitivity and renaming;
+   this one fails when a key changes, which would silently cold-start
+   every running daemon's cache. A deliberate format change bumps
+   [Fingerprint.version] and re-records the pin. *)
+let keys_pin = "5111983ace5a7a4dbda6126e8868ffbc"
+
+let test_fingerprint_pinned () =
+  let engines = Pluto.Engine.[ Auto; Fixed Ilp; Fixed Lp_dfp ] in
+  let keys =
+    List.concat_map
+      (fun (e : Kernels.Registry.entry) ->
+        List.concat_map
+          (fun n ->
+            let prog = e.Kernels.Registry.program ~n () in
+            List.concat_map
+              (fun model ->
+                List.concat_map
+                  (fun reductions ->
+                    List.map
+                      (fun engine ->
+                        Serve.Fingerprint.key ~engine ~reductions ~model prog)
+                      engines)
+                  [ false; true ])
+              models)
+          [ e.Kernels.Registry.model_size; e.Kernels.Registry.model_size + 1 ])
+      Kernels.Registry.all
+  in
+  Alcotest.(check int) "key count"
+    (List.length kernels * List.length models * 2 * 2 * 3)
+    (List.length keys);
+  Alcotest.(check string) "keys digest" keys_pin
+    (Digest.to_hex (Digest.string (String.concat "\n" keys)))
+
 (* --- the cache ------------------------------------------------------------ *)
 
 let payload tag = Obs.Json.Obj [ ("tag", Obs.Json.Str tag) ]
 
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 in
-  Cache.add c "k1" ~payload:(payload "1") ~solve_ms:1.0;
-  Cache.add c "k2" ~payload:(payload "2") ~solve_ms:1.0;
+  ignore (Cache.add c "k1" ~payload:(payload "1") ~solve_ms:1.0);
+  ignore (Cache.add c "k2" ~payload:(payload "2") ~solve_ms:1.0);
   (* touch k1 so k2 is the least recently used *)
   ignore (Cache.find_quiet c "k1");
-  Cache.add c "k3" ~payload:(payload "3") ~solve_ms:1.0;
+  ignore (Cache.add c "k3" ~payload:(payload "3") ~solve_ms:1.0);
   let s = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
   Alcotest.(check int) "still at capacity" 2 s.Cache.entries;
@@ -214,7 +250,7 @@ let test_cache_lru_eviction () =
     (Cache.find_quiet c "k1" <> None);
   Alcotest.(check bool) "new k3 present" true (Cache.find_quiet c "k3" <> None);
   (* re-adding an existing key is a no-op, not an eviction *)
-  Cache.add c "k3" ~payload:(payload "3'") ~solve_ms:9.0;
+  ignore (Cache.add c "k3" ~payload:(payload "3'") ~solve_ms:9.0);
   Alcotest.(check int) "no extra eviction" 1 (Cache.stats c).Cache.evictions;
   (match Cache.find_quiet c "k3" with
   | Some e ->
@@ -229,8 +265,14 @@ let test_cache_counting () =
   let c = Cache.create ~capacity:4 in
   Alcotest.(check bool) "absent" true (Cache.find_quiet c "absent" = None);
   Cache.count_miss c;
-  Cache.add c "k" ~payload:(payload "k") ~solve_ms:1.0;
-  ignore (Cache.find_quiet c "k") (* quiet: no tally *);
+  let stored = Cache.add c "k" ~payload:(payload "k") ~solve_ms:1.0 in
+  (* quiet: no tally; and the entry holds the very node the miss answers
+     with, so a hit splices the bytes rendered once *)
+  (match Cache.find_quiet c "k" with
+  | Some e ->
+    Alcotest.(check bool) "entry holds the node add returned" true
+      (e.Cache.payload == stored)
+  | None -> Alcotest.fail "k vanished");
   Cache.count_hit c;
   Cache.count_hit c;
   let s = Cache.stats c in
@@ -964,6 +1006,7 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_fingerprint_sensitivity;
           Alcotest.test_case "alpha-invariant" `Quick
             test_fingerprint_alpha_invariant;
+          Alcotest.test_case "pinned keys" `Quick test_fingerprint_pinned;
         ] );
       ( "cache",
         [
