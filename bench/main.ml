@@ -206,11 +206,7 @@ let fig8 () =
   let wf = Pluto.Scheduler.run (scheduler_config Wisefuse) prog in
   let sf = Pluto.Scheduler.run (scheduler_config Smartfuse) prog in
   let icc = Icc.Icc_model.run prog in
-  let icc_part = Array.make (Array.length prog.Scop.Program.stmts) 0 in
-  List.iteri
-    (fun idx (nst : Icc.Icc_model.nest) ->
-      List.iter (fun id -> icc_part.(id) <- idx) nst.Icc.Icc_model.stmts)
-    icc.Icc.Icc_model.nests;
+  let icc_part = Pluto.Sched.outer_partition icc.Icc.Icc_model.sched in
   Printf.printf "  %-6s %-4s %-6s %-10s %-9s\n" "SCC" "dim" "icc" "smartfuse"
     "wisefuse";
   List.iter

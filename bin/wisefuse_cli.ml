@@ -36,17 +36,35 @@ let kernel_arg =
   let doc = "Benchmark name (see `wisefuse list')." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
-let model_names = List.map Fusion.Model.name Fusion.Model.all
+(* KERNEL, or every registry kernel with --all *)
+type target = Kernel of string | All
 
-let model_arg =
-  let doc =
-    Printf.sprintf "Fusion model: %s." (String.concat ", " model_names)
+let target_arg ~all_doc =
+  let kernel =
+    let doc = "Benchmark name (see `wisefuse list'); omit with --all." in
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
   in
-  Arg.(value & opt string "wisefuse" & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
+  let all = Arg.(value & flag & info [ "all" ] ~doc:all_doc) in
+  let target kernel all =
+    match (kernel, all) with
+    | _, true -> Ok All
+    | Some k, false -> Ok (Kernel k)
+    | None, false -> Error "KERNEL required (or pass --all)"
+  in
+  Term.(term_result' (const target $ kernel $ all))
 
 let size_arg =
   let doc = "Problem size N (default: the registry's model size)." in
   Arg.(value & opt (some int) None & info [ "n"; "size" ] ~docv:"N" ~doc)
+
+let model_arg =
+  let models = List.map (fun m -> (Fusion.Model.name m, m)) Fusion.Model.all in
+  let doc =
+    Printf.sprintf "Fusion model: %s." (String.concat ", " (List.map fst models))
+  in
+  Arg.(value
+       & opt (enum models) Fusion.Model.Wisefuse
+       & info [ "m"; "model" ] ~docv:"MODEL" ~doc)
 
 let cores_arg =
   let doc = "Number of model cores." in
@@ -56,25 +74,20 @@ let tile_arg =
   let doc = "Tile permutable bands with this edge (polyhedral models only)." in
   Arg.(value & opt (some positive_int) None & info [ "t"; "tile" ] ~docv:"SIZE" ~doc)
 
-let engine_names = [ "ilp"; "lp-dfp"; "auto" ]
-
 let engine_arg =
   let doc =
     "Scheduling engine: ilp (exact branch-and-bound lexmin), lp-dfp (LP \
      relaxation + clustering, no branching), or auto (ilp below the \
      statement-count threshold, lp-dfp at or above)."
   in
-  Arg.(value & opt string "auto" & info [ "engine" ] ~docv:"ENGINE" ~doc)
-
-let engine_of_name s =
-  match Pluto.Engine.of_string s with
-  | Some e -> e
-  | None ->
-    Printf.eprintf "unknown engine %s (expected one of %s)\n" s
-      (String.concat ", " engine_names);
-    exit 2
-
-let reductions_names = [ "on"; "off" ]
+  let engines =
+    List.map
+      (fun c -> (Pluto.Engine.choice_name c, c))
+      Pluto.Engine.[ Fixed Ilp; Fixed Lp_dfp; Auto ]
+  in
+  Arg.(value
+       & opt (enum engines) Pluto.Engine.Auto
+       & info [ "engine" ] ~docv:"ENGINE" ~doc)
 
 let reductions_arg =
   let doc =
@@ -85,17 +98,8 @@ let reductions_arg =
      pre-reduction pipeline)."
   in
   Arg.(value
-       & opt string "off"
+       & opt (enum [ ("on", true); ("off", false) ]) false
        & info [ "reductions" ] ~docv:"MODE" ~doc)
-
-let reductions_of_name s =
-  match s with
-  | "on" -> true
-  | "off" -> false
-  | _ ->
-    Printf.eprintf "unknown reductions mode %s (expected one of %s)\n" s
-      (String.concat ", " reductions_names);
-    exit 2
 
 let simd_arg =
   let doc = "Model simd width (1 = off)." in
@@ -103,47 +107,64 @@ let simd_arg =
 
 let stats_arg =
   let doc =
-    "Print pipeline performance counters (LP solves, simplex pivots, \
-     bignum promotions, per-stage wall time) after the run."
+    "Print the whole command's pipeline performance counters (LP solves, \
+     simplex pivots, bignum promotions) and each stage's self-time after \
+     the run."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-(* set per-command from --verbose; read by the top-level diagnostic
-   handler when a pipeline error escapes *)
+(* set from --verbose when a pipeline command line is evaluated; read by
+   the top-level diagnostic handler when a pipeline error escapes *)
 let verbose = ref false
 
 let verbose_arg =
   let doc = "Render full diagnostic context (phase, code, details) on errors." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-(* Counters plus an aligned stage-timer table. The self column is the
-   exclusive accumulator from [Counters.stage_times]; the total
-   (inclusive) column can only be recomputed from the span tree, so it
-   reads "-" unless the run was traced. *)
-let report_stats stats =
-  if stats then begin
+(* What every job of a pipeline command takes. *)
+type job = {
+  size : int option;
+  model : Fusion.Model.t;
+  engine : Pluto.Engine.choice;
+  reductions : bool;
+}
+
+let job_args =
+  let job size model engine reductions vflag =
+    verbose := vflag;
+    { size; model; engine; reductions }
+  in
+  Term.(const job $ size_arg $ model_arg $ engine_arg $ reductions_arg
+        $ verbose_arg)
+
+(* --stats: the counters of the whole command, then each stage's
+   self-time summed over the command. The stage observer that sums them
+   is installed only under --stats. *)
+let with_stats stats f =
+  if not stats then f ()
+  else begin
+    (* (stage, summed self seconds), latest first use first *)
+    let stages = ref [] in
+    Linalg.Counters.set_stage_observer (fun name dt ->
+        match List.assoc_opt name !stages with
+        | Some t -> t := !t +. dt
+        | None -> stages := (name, ref dt) :: !stages);
+    let v = f () in
     Format.printf "=== pipeline counters ===@.";
     List.iter
       (fun (n, v) -> if v <> 0 then Format.printf "%-20s %d@." n v)
       (Linalg.Counters.all_counters ());
-    let stages = Linalg.Counters.stage_times () in
-    if stages <> [] then begin
-      let spans = Obs.Trace.summary ~cat:"stage" () in
+    if !stages <> [] then begin
       Format.printf "=== stage timers ===@.";
-      Format.printf "%-14s %12s %12s@." "stage" "self (ms)" "total (ms)";
+      Format.printf "%-14s %12s@." "stage" "self (ms)";
       List.iter
-        (fun (name, self) ->
-          let total =
-            match List.find_opt (fun (n, _, _) -> n = name) spans with
-            | Some (_, _, tot) -> Printf.sprintf "%12.3f" (tot *. 1e3)
-            | None -> Printf.sprintf "%12s" "-"
-          in
-          Format.printf "%-14s %12.3f %s@." name (self *. 1e3) total)
-        stages
-    end
+        (fun (name, t) -> Format.printf "%-14s %12.3f@." name (!t *. 1e3))
+        (List.rev !stages)
+    end;
+    v
   end
 
-(* usage errors (unknown kernel / unknown model) exit 2, matching
+(* usage errors (unknown kernel, bad flag values) exit 2, matching
    Diagnostics.exit_code for the Usage phase *)
 let usage_exit = 2
 
@@ -161,45 +182,48 @@ let load name size =
       Kernels.Registry.all;
     exit usage_exit
 
-let ast_of_model ?tile ?engine ?reductions prog mname =
-  match Fusion.Model.of_name mname with
-  | m ->
-    let opt = Fusion.Model.optimize ?engine ?reductions m prog in
-    (match opt.Fusion.Model.resilience with
-    | Some o when Fusion.Resilient.degraded o ->
-      Format.eprintf "note: %a@." Fusion.Report.pp_resilience o
-    | _ -> ());
-    let ast =
-      match (tile, opt.Fusion.Model.scheduler) with
-      | Some size, Some res -> Codegen.Tile.of_result ~size res
-      | Some _, None ->
-        Printf.eprintf "note: --tile applies to polyhedral models only\n";
-        opt.Fusion.Model.ast
-      | None, _ -> opt.Fusion.Model.ast
-    in
-    (ast, opt.Fusion.Model.scheduler)
-  | exception Not_found ->
-    Printf.eprintf "unknown model %s (expected one of %s)\n" mname
-      (String.concat ", " model_names);
-    exit usage_exit
+(* Every pipeline job runs the model's pipeline here, once. Each run
+   owns its Farkas memo (Fusion.Resilient), so nothing is reset
+   between jobs. *)
+let optimize job prog =
+  let opt =
+    Fusion.Model.optimize ~engine:job.engine ~reductions:job.reductions
+      job.model prog
+  in
+  (match opt.Fusion.Model.resilience with
+  | Some o when Fusion.Resilient.degraded o ->
+    Format.eprintf "note: %a@." Fusion.Report.pp_resilience o
+  | _ -> ());
+  opt
+
+(* ... and every certification here *)
+let certify (opt : Fusion.Model.optimized) =
+  let prog, deps, sched = Fusion.Model.artifacts opt in
+  (prog, Analysis.Wisecheck.certify prog deps sched opt.Fusion.Model.ast)
+
+(* the AST to print or simulate, tiled under --tile *)
+let tiled ?tile (opt : Fusion.Model.optimized) =
+  match (tile, opt.Fusion.Model.scheduler) with
+  | Some size, Some res -> Codegen.Tile.of_result ~size res
+  | Some _, None ->
+    Printf.eprintf "note: --tile applies to polyhedral models only\n";
+    opt.Fusion.Model.ast
+  | None, _ -> opt.Fusion.Model.ast
 
 (* --- list ------------------------------------------------------------- *)
 
 let list_cmd =
-  let run stats =
+  let run () =
     Printf.printf "%-10s %-10s %-34s %-28s %s\n" "name" "suite" "category"
       "paper size" "model N";
     List.iter
       (fun (e : Kernels.Registry.entry) ->
         Printf.printf "%-10s %-10s %-34s %-28s %d\n" e.name e.suite e.category
           e.paper_size e.model_size)
-      Kernels.Registry.all;
-    (* no pipeline ran: the counters are empty, and printing them must
-       still work *)
-    report_stats stats
+      Kernels.Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List the benchmarks (Table 2)")
-    Term.(const run $ stats_arg)
+    Term.(const run $ const ())
 
 (* --- show ------------------------------------------------------------- *)
 
@@ -242,20 +266,17 @@ let deps_cmd =
 (* --- opt -------------------------------------------------------------- *)
 
 let opt_cmd =
-  let run name size model engine reductions tile stats vflag =
-    verbose := vflag;
-    let prog = load name size in
-    let ast, res =
-      ast_of_model ?tile ~engine:(engine_of_name engine)
-        ~reductions:(reductions_of_name reductions) prog model
-    in
-    (match res with
-    | Some res ->
-      Format.printf "=== schedule (%s) ===@.%a@." model
+  let run name job tile stats =
+    with_stats stats @@ fun () ->
+    let prog = load name job.size in
+    let opt = optimize job prog in
+    let ast = tiled ?tile opt in
+    (match (opt.Fusion.Model.scheduler, opt.Fusion.Model.icc) with
+    | Some res, _ ->
+      Format.printf "=== schedule (%s) ===@.%a@." (Fusion.Model.name job.model)
         (Pluto.Sched.pp prog) res.Pluto.Scheduler.sched;
       Format.printf "=== partitions ===@.%a@.@." Fusion.Report.pp_table res
-    | None ->
-      let r = Icc.Icc_model.run prog in
+    | None, Some r ->
       Format.printf "=== icc nests ===@.";
       List.iter
         (fun (nst : Icc.Icc_model.nest) ->
@@ -266,31 +287,27 @@ let opt_cmd =
               Format.printf " %s" prog.Scop.Program.stmts.(id).Scop.Statement.name)
             nst.stmts;
           Format.printf "@.")
-        r.Icc.Icc_model.nests);
-    Format.printf "=== generated code ===@.%a@." (Codegen.Ast.pp prog) ast;
-    report_stats stats
+        r.Icc.Icc_model.nests
+    | None, None -> assert false);
+    Format.printf "=== generated code ===@.%a@." (Codegen.Ast.pp prog) ast
   in
   Cmd.v (Cmd.info "opt" ~doc:"Optimize and print the transformed code")
-    Term.(const run $ kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ tile_arg $ stats_arg $ verbose_arg)
+    Term.(const run $ kernel_arg $ job_args $ tile_arg $ stats_arg)
 
 (* --- emit ------------------------------------------------------------- *)
 
 let emit_cmd =
-  let run name size model engine reductions vflag =
-    verbose := vflag;
-    let prog = load name size in
-    let ast, _ =
-      ast_of_model ~engine:(engine_of_name engine)
-        ~reductions:(reductions_of_name reductions) prog model
-    in
+  let run name job =
+    let prog = load name job.size in
+    let opt = optimize job prog in
     print_string
-      (Codegen.Cprint.program ~name:(name ^ "_" ^ model) prog ast)
+      (Codegen.Cprint.program
+         ~name:(name ^ "_" ^ Fusion.Model.name job.model)
+         prog opt.Fusion.Model.ast)
   in
   Cmd.v
     (Cmd.info "emit" ~doc:"Emit a complete C program for the transformed code")
-    Term.(const run $ kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ verbose_arg)
+    Term.(const run $ kernel_arg $ job_args)
 
 (* --- analyze ---------------------------------------------------------- *)
 
@@ -298,35 +315,9 @@ let emit_cmd =
    distinct from the pipeline phases (usage 2 .. codegen 6) *)
 let analysis_exit = 7
 
-let certify_opt (opt : Fusion.Model.optimized) =
-  let prog, deps, sched =
-    match (opt.Fusion.Model.scheduler, opt.Fusion.Model.icc) with
-    | Some res, _ ->
-      ( res.Pluto.Scheduler.prog,
-        res.Pluto.Scheduler.all_deps,
-        res.Pluto.Scheduler.sched )
-    | None, Some r ->
-      (r.Icc.Icc_model.prog, r.Icc.Icc_model.deps, r.Icc.Icc_model.sched)
-    | None, None -> assert false
-  in
-  (prog, Analysis.Wisecheck.certify prog deps sched opt.Fusion.Model.ast)
-
-let analyze_one ?engine ?reductions prog mname =
-  certify_opt
-    (Fusion.Model.optimize ?engine ?reductions (Fusion.Model.of_name mname)
-       prog)
-
 let json_arg =
   let doc = "Emit findings as JSON (one object per line of \"findings\")." in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-let all_arg =
-  let doc = "Analyze every registry kernel under every fusion model." in
-  Arg.(value & flag & info [ "all" ] ~doc)
-
-let opt_kernel_arg =
-  let doc = "Benchmark name (see `wisefuse list'); omit with --all." in
-  Arg.(value & pos 0 (some string) None & info [] ~docv:"KERNEL" ~doc)
 
 let print_report_text prog label (r : Analysis.Wisecheck.report) =
   Format.printf "=== wisecheck %s ===@." label;
@@ -349,58 +340,40 @@ let print_report_json prog ~kernel ~model (r : Analysis.Wisecheck.report) =
           ]))
 
 let analyze_cmd =
-  let run kernel size model engine reductions all json stats vflag =
-    verbose := vflag;
-    let engine = engine_of_name engine in
-    let reductions = reductions_of_name reductions in
-    let targets =
-      if all then
+  let run target job json stats =
+    let jobs =
+      match target with
+      | Kernel k -> [ (k, job.model) ]
+      | All ->
         List.concat_map
           (fun (e : Kernels.Registry.entry) ->
-            List.map (fun m -> (e.Kernels.Registry.name, m)) model_names)
+            List.map (fun m -> (e.Kernels.Registry.name, m)) Fusion.Model.all)
           Kernels.Registry.all
-      else begin
-        match kernel with
-        | Some k -> [ (k, model) ]
-        | None ->
-          Printf.eprintf "analyze: KERNEL required (or pass --all)\n";
-          exit usage_exit
-      end
     in
-    let any_errors = ref false in
-    List.iter
-      (fun (kname, mname) ->
-        let prog = load kname size in
-        if not (List.mem mname model_names) then begin
-          Printf.eprintf "unknown model %s (expected one of %s)\n" mname
-            (String.concat ", " model_names);
-          exit usage_exit
-        end;
-        let prog, report = analyze_one ~engine ~reductions prog mname in
-        if report.Analysis.Wisecheck.errors > 0 then any_errors := true;
-        if json then print_report_json prog ~kernel:kname ~model:mname report
-        else print_report_text prog (kname ^ " / " ^ mname) report)
-      targets;
-    report_stats stats;
-    if !any_errors then exit analysis_exit
+    let errors =
+      with_stats stats @@ fun () ->
+      List.fold_left
+        (fun errors (kname, model) ->
+          let prog, report =
+            certify (optimize { job with model } (load kname job.size))
+          in
+          let mname = Fusion.Model.name model in
+          if json then print_report_json prog ~kernel:kname ~model:mname report
+          else print_report_text prog (kname ^ " / " ^ mname) report;
+          errors || report.Analysis.Wisecheck.errors > 0)
+        false jobs
+    in
+    if errors then exit analysis_exit
   in
+  let all_doc = "Analyze every registry kernel under every fusion model." in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
          "Independently certify the generated code (race freedom, scan \
           soundness, DDG lints); exit 7 on error-severity findings")
-    Term.(const run $ opt_kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ all_arg $ json_arg $ stats_arg $ verbose_arg)
+    Term.(const run $ target_arg ~all_doc $ job_args $ json_arg $ stats_arg)
 
 (* --- trace / explain --------------------------------------------------- *)
-
-let model_of_name mname =
-  match Fusion.Model.of_name mname with
-  | m -> m
-  | exception Not_found ->
-    Printf.eprintf "unknown model %s (expected one of %s)\n" mname
-      (String.concat ", " model_names);
-    exit usage_exit
 
 let out_arg =
   let doc = "Output file (default: KERNEL.trace.json)." in
@@ -410,83 +383,56 @@ let out_dir_arg =
   let doc = "Output directory for --all (one FILE per kernel)." in
   Arg.(value & opt string "traces" & info [ "out-dir" ] ~docv:"DIR" ~doc)
 
-(* One traced pipeline run: model optimization + wisecheck
-   certification under a fresh recording sink, counters and Farkas
-   cache reset first so the trace is a function of the program alone.
-   Leaves the tracer disabled but the events readable (report_stats
-   reads the span totals from them). *)
-let traced_run ?engine ?reductions prog mname =
-  let model = model_of_name mname in
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
-  let res =
-    Obs.Trace.with_recording (fun () ->
-        let opt = Fusion.Model.optimize ?engine ?reductions model prog in
-        ignore (certify_opt opt);
-        opt)
-  in
-  Obs.Trace.disable ();
-  res
-
 let trace_cmd =
-  let run kernel size model engine reductions all out out_dir stats vflag =
-    verbose := vflag;
-    let engine = engine_of_name engine in
-    let reductions = reductions_of_name reductions in
+  let run target job out out_dir stats =
+    with_stats stats @@ fun () ->
+    (* one recording per kernel: optimization and certification *)
     let trace_one kname out =
-      let prog = load kname size in
-      let _, events = traced_run ~engine ~reductions prog model in
-      let json =
-        Obs.Export.chrome_trace
-          ~process:(Printf.sprintf "wisefuse %s/%s" kname model)
-          events
+      let prog = load kname job.size in
+      let (), events =
+        Obs.Trace.with_recording (fun () -> ignore (certify (optimize job prog)))
       in
+      let process =
+        Printf.sprintf "wisefuse %s/%s" kname (Fusion.Model.name job.model)
+      in
+      let json = Obs.Export.chrome_trace ~process events in
       let oc = open_out out in
       output_string oc (Obs.Json.to_string_pretty json);
       close_out oc;
       Printf.printf "%s: wrote %s (%d events)\n" kname out (List.length events)
     in
-    if all then begin
-      (if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755);
+    match target with
+    | Kernel k -> trace_one k (Option.value out ~default:(k ^ ".trace.json"))
+    | All ->
+      if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
       List.iter
         (fun (e : Kernels.Registry.entry) ->
           trace_one e.Kernels.Registry.name
             (Filename.concat out_dir (e.Kernels.Registry.name ^ ".json")))
         Kernels.Registry.all
-    end
-    else begin
-      match kernel with
-      | Some k -> trace_one k (Option.value out ~default:(k ^ ".trace.json"))
-      | None ->
-        Printf.eprintf "trace: KERNEL required (or pass --all)\n";
-        exit usage_exit
-    end;
-    report_stats stats
   in
+  let all_doc = "Trace every registry kernel under the fusion model." in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run the pipeline under the span tracer and export a Chrome \
           trace-event JSON (load in chrome://tracing or ui.perfetto.dev)")
-    Term.(const run $ opt_kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ all_arg $ out_arg $ out_dir_arg $ stats_arg
-          $ verbose_arg)
+    Term.(const run $ target_arg ~all_doc $ job_args $ out_arg $ out_dir_arg
+          $ stats_arg)
 
 let explain_cmd =
-  let run kernel size model engine reductions all stats vflag =
-    verbose := vflag;
-    let engine = engine_of_name engine in
-    let reductions = reductions_of_name reductions in
+  let run target job stats =
+    with_stats stats @@ fun () ->
     let explain_one kname =
-      let prog = load kname size in
-      let m = model_of_name model in
-      let ex =
-        Fusion.Explain.capture ~engine ~reductions ~model:m ~kernel:kname prog
+      let prog = load kname job.size in
+      (* the recording covers optimization only: certification's solver
+         events are not part of the decision chain *)
+      let outcome, events =
+        Obs.Trace.with_recording (fun () -> optimize job prog)
       in
-      Format.printf "%a@." Fusion.Explain.pp ex;
-      (* the analysis verdict is not part of the optimization trace;
-         append it from a direct certification of the captured result *)
-      let _, r = certify_opt ex.Fusion.Explain.outcome in
+      Format.printf "%a@." Fusion.Explain.pp
+        { Fusion.Explain.kernel = kname; model = job.model; outcome; events };
+      let _, r = certify outcome in
       Format.printf "wisecheck: %d error%s, %d warning%s, %d info@."
         r.Analysis.Wisecheck.errors
         (if r.Analysis.Wisecheck.errors = 1 then "" else "s")
@@ -494,41 +440,32 @@ let explain_cmd =
         (if r.Analysis.Wisecheck.warnings = 1 then "" else "s")
         r.Analysis.Wisecheck.infos
     in
-    if all then
+    match target with
+    | Kernel k -> explain_one k
+    | All ->
       List.iter
         (fun (e : Kernels.Registry.entry) ->
           explain_one e.Kernels.Registry.name;
           Format.printf "@.")
         Kernels.Registry.all
-    else begin
-      match kernel with
-      | Some k -> explain_one k
-      | None ->
-        Printf.eprintf "explain: KERNEL required (or pass --all)\n";
-        exit usage_exit
-    end;
-    report_stats stats
   in
+  let all_doc = "Explain every registry kernel under the fusion model." in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Explain the fusion decisions: pre-fusion clustering, every cut \
           with its justifying dependence, per-level ILP effort, \
           degradation rungs and the final partitioning")
-    Term.(const run $ opt_kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ all_arg $ stats_arg $ verbose_arg)
+    Term.(const run $ target_arg ~all_doc $ job_args $ stats_arg)
 
 (* --- sim -------------------------------------------------------------- *)
 
 let sim_cmd =
-  let run name size model engine reductions cores tile simd stats vflag =
-    verbose := vflag;
-    let prog = load name size in
+  let run name job cores tile simd stats =
+    with_stats stats @@ fun () ->
+    let prog = load name job.size in
     let params = prog.Scop.Program.default_params in
-    let ast, _ =
-      ast_of_model ?tile ~engine:(engine_of_name engine)
-        ~reductions:(reductions_of_name reductions) prog model
-    in
+    let ast = tiled ?tile (optimize job prog) in
     (* semantic check against the original *)
     let m_ref = Machine.Interp.init_memory prog ~params in
     Machine.Interp.run_original prog m_ref ~params;
@@ -542,22 +479,20 @@ let sim_cmd =
         Machine.Perf.simd_width = simd }
     in
     let st = Machine.Perf.simulate ~config prog ast ~params in
-    Format.printf "%s on %d cores: %a@." model cores Machine.Perf.pp_stats st;
-    Format.printf "modeled time: %.3f ms@." (Machine.Perf.seconds st *. 1e3);
-    report_stats stats
+    Format.printf "%s on %d cores: %a@." (Fusion.Model.name job.model) cores
+      Machine.Perf.pp_stats st;
+    Format.printf "modeled time: %.3f ms@." (Machine.Perf.seconds st *. 1e3)
   in
   Cmd.v (Cmd.info "sim" ~doc:"Simulate on the machine model")
-    Term.(const run $ kernel_arg $ size_arg $ model_arg $ engine_arg
-          $ reductions_arg $ cores_arg $ tile_arg $ simd_arg $ stats_arg
-          $ verbose_arg)
+    Term.(const run $ kernel_arg $ job_args $ cores_arg $ tile_arg $ simd_arg
+          $ stats_arg)
 
 (* --- serve ------------------------------------------------------------ *)
 
 let serve_cmd =
   let run socket stdio domains cache_cap max_pending deadline_ms
       max_deadline_ms max_line_bytes breaker_threshold breaker_ttl_s
-      no_metrics trace_sample access_log vflag =
-    verbose := vflag;
+      no_metrics trace_sample access_log =
     let check name v floor =
       if v < floor then begin
         Printf.eprintf "serve: --%s must be >= %d\n" name floor;
@@ -722,8 +657,7 @@ let serve_cmd =
     Term.(const run $ socket_arg $ stdio_arg $ domains_arg $ cache_cap_arg
           $ max_pending_arg $ deadline_ms_arg $ max_deadline_ms_arg
           $ max_line_bytes_arg $ breaker_threshold_arg $ breaker_ttl_arg
-          $ no_metrics_arg $ trace_sample_arg $ access_log_arg
-          $ verbose_arg)
+          $ no_metrics_arg $ trace_sample_arg $ access_log_arg)
 
 (* --- metrics (one-shot scraper) --------------------------------------- *)
 
@@ -733,8 +667,7 @@ let serve_cmd =
    scrape pipeline (curl-style usage in cron/CI). Exits 1 on connection
    or protocol failure so scrapers can alert on a dead daemon. *)
 let metrics_cmd =
-  let run socket op vflag =
-    verbose := vflag;
+  let run socket op =
     let fail fmt =
       Printf.ksprintf
         (fun msg ->
@@ -807,7 +740,7 @@ let metrics_cmd =
          "One-shot telemetry scrape of a running daemon over its Unix \
           socket: sends {\"op\": \"metrics\"} and prints the Prometheus \
           text exposition (exit 1 if the daemon is unreachable)")
-    Term.(const run $ socket_arg $ op_arg $ verbose_arg)
+    Term.(const run $ socket_arg $ op_arg)
 
 let () =
   let doc = "loop fusion in the polyhedral framework (PPoPP'14 reproduction)" in

@@ -12,11 +12,7 @@ let () =
   let icc = Icc.Icc_model.run prog in
 
   (* icc partition per statement = its nest index *)
-  let icc_part = Array.make (Array.length prog.stmts) 0 in
-  List.iteri
-    (fun idx (nst : Icc.Icc_model.nest) ->
-      List.iter (fun id -> icc_part.(id) <- idx) nst.Icc.Icc_model.stmts)
-    icc.Icc.Icc_model.nests;
+  let icc_part = Pluto.Sched.outer_partition icc.Icc.Icc_model.sched in
 
   (* align rows on wisefuse's pre-fusion order, like Figure 8 *)
   Format.printf "Figure 8 - partitioning per fusion model (gemsfdtd)@.";

@@ -157,38 +157,22 @@ let instance_iters inst ~y ~params =
 
 (* --- pretty printing ----------------------------------------------------- *)
 
-let pp_num (prog : Scop.Program.t) fmt (num : int array) =
-  let np = Scop.Program.nparams prog in
-  let no = Array.length num - np - 1 in
-  let buf = Buffer.create 16 in
-  let first = ref true in
-  let term c name =
-    if c <> 0 then begin
-      if c > 0 && not !first then Buffer.add_string buf "+";
-      if c = -1 then Buffer.add_string buf "-"
-      else if c <> 1 then Buffer.add_string buf (string_of_int c ^ "*");
-      Buffer.add_string buf name;
-      first := false
-    end
-  in
-  for i = 0 to no - 1 do
-    term num.(i) (Printf.sprintf "t%d" i)
-  done;
-  for p = 0 to np - 1 do
-    term num.(no + p) prog.params.(p)
-  done;
-  let k = num.(no + np) in
-  if !first then Buffer.add_string buf (string_of_int k)
-  else if k > 0 then Buffer.add_string buf ("+" ^ string_of_int k)
-  else if k < 0 then Buffer.add_string buf (string_of_int k);
-  Format.pp_print_string fmt (Buffer.contents buf)
+(* a bound numerator over [t0 .. t(l-1); params; 1] *)
+let num_to_string (prog : Scop.Program.t) (num : int array) =
+  let no = Array.length num - Scop.Program.nparams prog - 1 in
+  Scop.Access.affine
+    (fun i -> if i < no then "t" ^ string_of_int i else prog.params.(i - no))
+    num
 
-let pp_bound prog ~lower fmt (b : bound) =
-  if b.den = 1 then pp_num prog fmt b.num
+let bound_to_string prog ~lower (b : bound) =
+  if b.den = 1 then num_to_string prog b.num
   else
-    Format.fprintf fmt "%s(%a, %d)"
+    Printf.sprintf "%s(%s, %d)"
       (if lower then "ceild" else "floord")
-      (pp_num prog) b.num b.den
+      (num_to_string prog b.num) b.den
+
+let pp_bound prog ~lower fmt b =
+  Format.pp_print_string fmt (bound_to_string prog ~lower b)
 
 let pp_bound_groups prog ~lower fmt groups =
   (* drop duplicate bounds and duplicate groups for readability *)

@@ -98,4 +98,9 @@ val loop_range : loop -> outer:int array -> params:int array -> int * int
 val instance_iters :
   instance -> y:int array -> params:int array -> int array option
 
+(** [bound_to_string prog ~lower b]: the bound as C, e.g. ["t0+N-1"] or
+    ["ceild(t0-1, 2)"] ([floord] for an upper bound); {!pp} and the C
+    printer both write bounds with it. *)
+val bound_to_string : Scop.Program.t -> lower:bool -> bound -> string
+
 val pp : Scop.Program.t -> Format.formatter -> node -> unit

@@ -4,40 +4,6 @@ let buf_add = Buffer.add_string
 
 (* --- small C expression helpers ---------------------------------------- *)
 
-(* affine numerator over [t0..t(l-1); params; 1] *)
-let num_to_c (prog : Program.t) (num : int array) =
-  let np = Program.nparams prog in
-  let no = Array.length num - np - 1 in
-  let b = Buffer.create 16 in
-  let first = ref true in
-  let term c name =
-    if c <> 0 then begin
-      if c > 0 && not !first then buf_add b "+";
-      if c = -1 then buf_add b "-"
-      else if c <> 1 then buf_add b (string_of_int c ^ "*");
-      buf_add b name;
-      first := false
-    end
-  in
-  for i = 0 to no - 1 do
-    term num.(i) (Printf.sprintf "t%d" i)
-  done;
-  for p = 0 to np - 1 do
-    term num.(no + p) prog.params.(p)
-  done;
-  let k = num.(no + np) in
-  if !first then buf_add b (string_of_int k)
-  else if k > 0 then buf_add b (Printf.sprintf "+%d" k)
-  else if k < 0 then buf_add b (string_of_int k);
-  Buffer.contents b
-
-let bound_to_c prog ~lower (bd : Ast.bound) =
-  if bd.den = 1 then num_to_c prog bd.num
-  else
-    Printf.sprintf "%s(%s, %d)"
-      (if lower then "ceild" else "floord")
-      (num_to_c prog bd.num) bd.den
-
 (* nested binary min/max over a non-empty list *)
 let rec fold_minmax op = function
   | [] -> invalid_arg "Cprint: empty bound list"
@@ -48,7 +14,9 @@ let bounds_to_c prog ~lower groups =
   let dedup l = List.sort_uniq compare l in
   let groups =
     dedup
-      (List.map (fun g -> dedup (List.map (bound_to_c prog ~lower) g)) groups)
+      (List.map
+         (fun g -> dedup (List.map (Ast.bound_to_string prog ~lower) g))
+         groups)
   in
   let inner_op = if lower then "maxd" else "mind" in
   let outer_op = if lower then "mind" else "maxd" in
@@ -120,29 +88,16 @@ let instance_to_c (prog : Program.t) (inst : Ast.instance) =
   (* domain constraints *)
   List.iter
     (fun c ->
-      let b = Buffer.create 16 in
-      let first = ref true in
-      let coeffs = Poly.Constr.coeffs c in
-      let w = Array.length coeffs in
-      let name k =
-        if k < d then st.Statement.iters.(k) else prog.params.(k - d)
+      let row =
+        Array.map
+          (fun q -> Linalg.Bigint.to_int (Linalg.Q.num q))
+          (Poly.Constr.coeffs c)
       in
-      for k = 0 to w - 2 do
-        let v = Linalg.Bigint.to_int (Linalg.Q.num coeffs.(k)) in
-        if v <> 0 then begin
-          if v > 0 && not !first then buf_add b "+";
-          if v = -1 then buf_add b "-"
-          else if v <> 1 then buf_add b (string_of_int v ^ "*");
-          buf_add b (name k);
-          first := false
-        end
-      done;
-      let kst = Linalg.Bigint.to_int (Linalg.Q.num coeffs.(w - 1)) in
-      if !first then buf_add b (string_of_int kst)
-      else if kst > 0 then buf_add b (Printf.sprintf "+%d" kst)
-      else if kst < 0 then buf_add b (string_of_int kst);
-      let rel = match Poly.Constr.kind c with Poly.Constr.Eq -> "==" | Poly.Constr.Ge -> ">=" in
-      guards := Printf.sprintf "%s %s 0" (Buffer.contents b) rel :: !guards)
+      let name k = if k < d then st.Statement.iters.(k) else prog.params.(k - d) in
+      let rel =
+        match Poly.Constr.kind c with Poly.Constr.Eq -> "==" | Poly.Constr.Ge -> ">="
+      in
+      guards := Printf.sprintf "%s %s 0" (Access.affine name row) rel :: !guards)
     (Poly.Polyhedron.constraints st.Statement.domain);
   let guard =
     match !guards with [] -> "1" | gs -> String.concat " && " (List.rev gs)

@@ -10,18 +10,6 @@ type t = {
   events : Obs.Trace.event list;
 }
 
-(* A fresh Farkas memo makes the memo events (hit or miss) a function of
-   the program alone. The counters need no scope: the report reads only
-   per-level deltas, and the caller's `--stats` keeps seeing the run. *)
-let capture ?budget ?engine ?reductions ~model ~kernel prog =
-  Pluto.Farkas.scoped @@ fun () ->
-  let outcome, events =
-    Obs.Trace.with_recording (fun () ->
-        Model.optimize ?budget ?engine ?reductions model prog)
-  in
-  Obs.Trace.disable ();
-  { kernel; model; outcome; events }
-
 (* --- event argument accessors ------------------------------------------ *)
 
 let astr (e : Obs.Trace.event) k =

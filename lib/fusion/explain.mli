@@ -1,13 +1,16 @@
 (** Human-readable fusion-decision reports.
 
-    [capture] runs a model's whole pipeline under a fresh {!Obs.Trace}
-    recording and keeps the decision events; [pp] renders them as a
-    justification chain in the house diagnostics style: the pre-fusion
-    clustering (which SCC seeded each cluster and why each joiner was
-    pulled in), every cut with the strategy chosen and — for minimal /
-    Algorithm 2 cuts — the offending dependence, the per-level ILP
-    effort, the degradation-ladder path, verification and the final
-    partition table. *)
+    A report pairs a model run with the decision events recorded
+    while it ran (under {!Obs.Trace.with_recording} or
+    {!Obs.Trace.capture}); the run's own Farkas memo
+    ({!Resilient.optimize}) makes those events a function of the
+    program alone. [pp] renders them as a justification chain in the
+    house diagnostics style: the pre-fusion clustering (which SCC
+    seeded each cluster and why each joiner was pulled in), every cut
+    with the strategy chosen and — for minimal / Algorithm 2 cuts —
+    the offending dependence, the per-level ILP effort, the
+    degradation-ladder path, verification and the final partition
+    table. *)
 
 type t = {
   kernel : string;
@@ -15,13 +18,5 @@ type t = {
   outcome : Model.optimized;
   events : Obs.Trace.event list;
 }
-
-(** Run [Model.optimize] on [prog] under a fresh trace recording and a
-    fresh Farkas memo ({!Pluto.Farkas.scoped}), so the report is a
-    function of the program alone. The run's work still counts in the
-    caller's {!Linalg.Counters}. The tracer is left disabled. *)
-val capture :
-  ?budget:Linalg.Budget.t -> ?engine:Pluto.Engine.choice ->
-  ?reductions:bool -> model:Model.t -> kernel:string -> Scop.Program.t -> t
 
 val pp : Format.formatter -> t -> unit

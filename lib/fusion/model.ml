@@ -59,3 +59,11 @@ let optimize ?budget ?engine ?reductions m prog =
       icc = None;
       resilience = Some o;
     }
+
+let artifacts o =
+  match (o.scheduler, o.icc) with
+  | Some r, _ ->
+    (r.Pluto.Scheduler.prog, r.Pluto.Scheduler.all_deps, r.Pluto.Scheduler.sched)
+  | None, Some r ->
+    (r.Icc.Icc_model.prog, r.Icc.Icc_model.deps, r.Icc.Icc_model.sched)
+  | None, None -> assert false

@@ -42,3 +42,8 @@ val optimize :
   t ->
   Scop.Program.t ->
   optimized
+
+(** The program, dependences and schedule behind a result (the
+    scheduler's, or icc's for [Icc]): what wisecheck certifies and the
+    daemon serializes. *)
+val artifacts : optimized -> Scop.Program.t * Deps.Dep.t list * Pluto.Sched.t

@@ -195,8 +195,12 @@ let with_deps ?budget ?(engine = Pluto.Engine.Auto) ~config
     end
     else distributed [ d1 ]
 
+(* The run owns its Farkas memo: every rung of one ladder shares it,
+   and no run sees another's systems, so the memo events in a trace and
+   the memo counters are a function of the run alone. *)
 let optimize ?param_floor ?budget ?engine ?(config = Wisefuse.config)
     ?(reductions = false) prog =
+  Pluto.Farkas.scoped @@ fun () ->
   let budget =
     match budget with Some _ -> budget | None -> Linalg.Budget.of_env ()
   in

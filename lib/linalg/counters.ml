@@ -1,11 +1,12 @@
 (* Performance counters for the exact-arithmetic pipeline, one set per
    domain.
 
-   Every counter and the stage accumulators live in one record held in
-   domain-local storage, the pattern Obs.Trace uses for its sinks. Only
-   the owning domain touches a record, so the hot paths (simplex pivots,
-   bignum promotions) bump a plain array slot — no atomic, no lock — and
-   solves running on different domains never see each other's counts.
+   Every counter and the stack of open stage timers live in one record
+   held in domain-local storage, the pattern Obs.Trace uses for its
+   sinks. Only the owning domain touches a record, so the hot paths
+   (simplex pivots, bignum promotions) bump a plain array slot — no
+   atomic, no lock — and solves running on different domains never see
+   each other's counts.
    [scoped] installs a fresh record for one callback (one solve) and
    puts the caller's back afterwards, so a solve's counts are its own
    without resetting anything shared.
@@ -66,16 +67,12 @@ let demotions = slot "big_demotions"
 
 type t = {
   counts : int array;
-  stages : (string, float) Hashtbl.t;
-  mutable stage_order : string list;
   (* child-time accumulators of the currently active (nested) timers,
      innermost first *)
   mutable active : float ref list;
 }
 
-let fresh () =
-  { counts = Array.make (Array.length names) 0; stages = Hashtbl.create 8;
-    stage_order = []; active = [] }
+let fresh () = { counts = Array.make (Array.length names) 0; active = [] }
 
 let key : t Domain.DLS.key = Domain.DLS.new_key fresh
 let cur () = Domain.DLS.get key
@@ -99,31 +96,23 @@ let scoped f =
 (* --- stage wall-clock timers ----------------------------------------- *)
 
 (* Timers are exclusive (self-time): when stages nest, the inner stage's
-   elapsed time is subtracted from the enclosing stage, so the per-stage
-   accumulators are disjoint and sum to at most the outermost wall
-   time. *)
+   elapsed time is subtracted from the enclosing stage, so the reported
+   stage times are disjoint and sum to at most the outermost wall time.
 
-let add_stage r name dt =
-  match Hashtbl.find_opt r.stages name with
-  | Some acc -> Hashtbl.replace r.stages name (acc +. dt)
-  | None ->
-    r.stage_order <- name :: r.stage_order;
-    Hashtbl.add r.stages name dt
-
-(* Stage observer: a hook the serving daemon installs to feed each
-   completed stage's exclusive duration into its latency histograms
-   ([wisefuse_stage_duration_us]). Kept as an [Atomic] function cell so
-   installation is race-free against concurrent solves; the default is
-   a no-op, so non-serving binaries pay one atomic load per stage. *)
+   Each completed stage goes to the stage observer, the one consumer of
+   stage times: the daemon's [wisefuse_stage_duration_us] histograms,
+   wisebench's serve layers and the CLI's [--stats] table. Kept as an
+   [Atomic] function cell so installation is race-free against
+   concurrent solves; the default is a no-op, so a run without an
+   observer pays one atomic load per stage. *)
 let stage_observer : (string -> float -> unit) Atomic.t =
   Atomic.make (fun _ _ -> ())
 
 let set_stage_observer f = Atomic.set stage_observer f
 
 let time name f =
-  (* every stage is also a trace span (category "stage"), so a recorded
-     trace can re-derive these accumulators: the span tree's exclusive
-     self-times reconcile with [stage_times] *)
+  (* every stage is also a trace span (category "stage"); the span
+     tree's exclusive self-times reconcile with the observed ones *)
   if Obs.Trace.on () then Obs.Trace.begin_span ~cat:"stage" name;
   let r = cur () in
   let t0 = Clock.now () in
@@ -138,18 +127,10 @@ let time name f =
         (* charge the whole span to the parent, keep only self time *)
         (match rest with parent :: _ -> parent := !parent +. dt | [] -> ())
       | _ -> () (* unbalanced via an exotic exception path; be lenient *));
-      let self = dt -. !children in
-      add_stage r name self;
-      (Atomic.get stage_observer) name self;
+      (Atomic.get stage_observer) name (dt -. !children);
       Obs.Trace.end_span name)
     f
 
-let stage_times () =
-  let r = cur () in
-  List.rev_map (fun n -> (n, Hashtbl.find r.stages n)) r.stage_order
-
 let reset () =
   let r = cur () in
-  Array.fill r.counts 0 (Array.length r.counts) 0;
-  Hashtbl.reset r.stages;
-  r.stage_order <- []
+  Array.fill r.counts 0 (Array.length r.counts) 0

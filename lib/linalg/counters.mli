@@ -1,16 +1,19 @@
-(** Per-domain performance counters for the exact-arithmetic pipeline.
+(** Per-domain performance counters for the exact-arithmetic pipeline,
+    and the one stage timer.
 
-    Each domain owns one record of counters and stage timers in
-    domain-local storage: the hot paths bump a plain slot of the
-    calling domain's record ({!incr}), and {!reset}, {!get},
-    {!all_counters}, {!stage_times} and {!time} all act on that
+    Each domain owns one record of counters in domain-local storage:
+    the hot paths bump a plain slot of the calling domain's record
+    ({!incr}), and {!reset}, {!get} and {!all_counters} act on that
     record only. A single-domain program (the CLI, the bench harness)
     therefore sees one set of counters; solves running on different
     domains never mix their counts. {!scoped} gives one callback a
     fresh record of its own — the serving daemon runs every cold solve
     that way. The CLI ([--stats]), serve payloads and wisebench's
-    traced runs read these to report where the optimization time
-    goes.
+    traced runs read these to report what work the optimization did.
+
+    Stage times are not kept here: {!time} hands each stage's
+    exclusive duration to the process-wide stage observer
+    ({!set_stage_observer}), and the consumer decides what to keep.
 
     The exact-arithmetic counters ({!promotions}, {!demotions}) move
     only where a {!Bigint} crosses between its immediate native-int
@@ -105,36 +108,34 @@ val cluster_rounds : counter
     back to the ILP engine. *)
 val dfp_fallbacks : counter
 
-(** [time stage f] runs [f ()] and adds its wall-clock duration to the
-    accumulator for [stage] (even if [f] raises). Timers are
-    {e exclusive}: when stages nest, the inner stage's time is
-    subtracted from the enclosing stage, so stage times are disjoint
-    and sum to at most the outermost wall time. When the {!Obs.Trace}
-    sink is on, each stage additionally records a span (category
-    ["stage"]), so traces can re-derive these accumulators. *)
+(** [time stage f] runs [f ()] and hands the stage observer
+    ({!set_stage_observer}) [stage] and its {e exclusive} wall-clock
+    duration in seconds (even if [f] raises): when stages nest on one
+    domain, the inner stage's time is subtracted from the enclosing
+    stage, so stage times are disjoint and sum to at most the outermost
+    wall time. When the {!Obs.Trace} sink is on, each stage also
+    records a span (category ["stage"]), whose exclusive self-times
+    match the observed ones. *)
 val time : string -> (unit -> 'a) -> 'a
 
-(** Install a callback invoked with each completed stage's name and
-    {e exclusive} duration in seconds (same accounting as
-    {!stage_times}). The serving daemon uses this to feed per-stage
-    latency histograms without [linalg] depending on the metrics
-    registry. The default is a no-op; installation is atomic, so it is
-    safe against concurrent solves. *)
+(** Install the callback {!time} invokes with each completed stage's
+    name and exclusive duration in seconds. The serving daemon feeds
+    per-stage latency histograms with it, without [linalg] depending on
+    the metrics registry, and the CLI's [--stats] sums it per stage.
+    The default is a no-op; installation is atomic, so it is safe
+    against concurrent solves. *)
 val set_stage_observer : (string -> float -> unit) -> unit
-
-(** Accumulated (stage, seconds) pairs, in first-use order. *)
-val stage_times : unit -> (string * float) list
 
 (** All counters as (name, value) pairs, including zeros. The eight
     [serve_*] names have no handle and always read 0; the serving
     daemon's own accessors hold its tallies. *)
 val all_counters : unit -> (string * int) list
 
-(** Reset every counter and timer of the calling domain to zero. *)
+(** Reset every counter of the calling domain to zero. *)
 val reset : unit -> unit
 
 (** [scoped f] runs [f ()] with a fresh, zeroed record installed for
     the calling domain and restores the caller's record when [f]
-    returns or raises. Everything [f] counts or times is dropped unless
-    [f] reads it itself (with {!all_counters} or {!stage_times}). *)
+    returns or raises. Everything [f] counts is dropped unless [f]
+    reads it itself (with {!all_counters}). *)
 val scoped : (unit -> 'a) -> 'a

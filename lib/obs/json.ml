@@ -217,9 +217,17 @@ let parse s =
         | 'u' -> Buffer.add_utf_8_uchar buf (Uchar.of_int (parse_unicode ()))
         | _ -> error "unknown escape");
         go ()
-      | c ->
+      | c when Char.code c < 0x80 ->
         Buffer.add_char buf c;
         advance ();
+        go ()
+      | _ ->
+        (* raw bytes must be UTF-8: a response may echo them *)
+        let d = String.get_utf_8_uchar s !pos in
+        if not (Uchar.utf_decode_is_valid d) then error "invalid UTF-8";
+        let len = Uchar.utf_decode_length d in
+        Buffer.add_substring buf s !pos len;
+        pos := !pos + len;
         go ()
     in
     go ();

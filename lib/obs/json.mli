@@ -51,8 +51,8 @@ val add_int : Buffer.t -> int -> unit
     Numbers without ['.'], ['e'] or overflow parse as [Int], everything
     else as [Float]. A [\\u] escape decodes to UTF-8: a high surrogate
     followed by a low one is one code point above U+FFFF, and a lone
-    surrogate or a non-hex digit is an error. Never returns a
-    [Rendered] node. *)
+    surrogate or a non-hex digit is an error. So is a string whose raw
+    bytes are not valid UTF-8. Never returns a [Rendered] node. *)
 val parse : string -> (t, string) result
 
 (** {2 Accessors} *)

@@ -95,63 +95,6 @@ let span ?args ~cat name f =
     Fun.protect ~finally:(fun () -> end_span name) f
   end
 
-(* --- span-tree reconstruction ------------------------------------------- *)
-
-(* Walk the event list keeping a stack of open spans of category [cat]
-   (end events carry no category, so membership is decided by the
-   matching begin). Self time = own duration minus the summed durations
-   of direct children of the same category. Unbalanced tails (spans
-   still open when the sink was read) are ignored. *)
-let fold_spans ~cat ~f acc0 =
-  let acc = ref acc0 in
-  let stack : (string * float * float ref) list ref = ref [] in
-  List.iter
-    (fun e ->
-      match e.ph with
-      | B when e.cat = cat -> stack := (e.name, e.ts, ref 0.0) :: !stack
-      | E -> (
-        match !stack with
-        | (name, start, children) :: rest when name = e.name ->
-          stack := rest;
-          let dt = (e.ts -. start) /. 1e6 in
-          (match rest with
-          | (_, _, parent_children) :: _ ->
-            parent_children := !parent_children +. dt
-          | [] -> ());
-          acc := f !acc ~name ~total:dt ~self:(dt -. !children)
-        | _ -> () (* an end of some other category's span *))
-      | B | I -> ())
-    (events ());
-  !acc
-
-let accumulate ~cat () =
-  (* (name, self, total) in first-appearance order *)
-  let order = ref [] in
-  let tbl : (string, float ref * float ref) Hashtbl.t = Hashtbl.create 8 in
-  let _ =
-    fold_spans ~cat
-      ~f:(fun () ~name ~total ~self ->
-        let s, t =
-          match Hashtbl.find_opt tbl name with
-          | Some cell -> cell
-          | None ->
-            let cell = (ref 0.0, ref 0.0) in
-            Hashtbl.add tbl name cell;
-            order := name :: !order;
-            cell
-        in
-        s := !s +. self;
-        t := !t +. total)
-      ()
-  in
-  List.rev_map
-    (fun name ->
-      let s, t = Hashtbl.find tbl name in
-      (name, !s, !t))
-    !order
-
-let summary ~cat () = accumulate ~cat ()
-
 let with_recording f =
   enable ();
   let v = f () in

@@ -4,15 +4,14 @@
     The tracer records two kinds of events into an in-memory sink:
 
     - {b spans} (begin/end pairs) forming a tree — pipeline stages,
-      per-level hyperplane searches — from which exclusive self-times
-      can be recomputed and reconciled against
-      [Linalg.Counters.stage_times];
+      per-level hyperplane searches — whose exclusive self-times
+      reconcile with the stage times [Linalg.Counters.time] reports;
     - {b instants} — point-in-time decision events (why an SCC pair was
       cut, whether an ILP solve was warm or cold, which degradation
       rung fired) with structured {!Json.t} arguments.
 
     Every domain owns an independent sink in domain-local storage:
-    {!with_recording}, {!capture}, {!summary} etc. act on the calling domain's
+    {!with_recording}, {!capture} etc. act on the calling domain's
     sink only.  Emission is therefore lock-free — no mutex, no
     cross-domain interleaving — and concurrent {!capture}s on
     different domains (one per in-flight request in the serving
@@ -49,8 +48,7 @@ val on : unit -> bool
     at link time by [Linalg.Clock]; tests may swap in a fake clock. *)
 val set_clock : (unit -> float) -> unit
 
-(** Stop the calling domain's recording. Events stay readable (by
-    {!summary}) until the next recording starts. *)
+(** Stop the calling domain's recording. *)
 val disable : unit -> unit
 
 (** {2 Emission} — all no-ops when the calling domain's sink is off. *)
@@ -63,16 +61,6 @@ val end_span : string -> unit
 val span : ?args:(string * Json.t) list -> cat:string -> string -> (unit -> 'a) -> 'a
 
 val instant : ?args:(string * Json.t) list -> cat:string -> string -> unit
-
-(** {2 Reconstruction} — all over the calling domain's sink. *)
-
-(** Per-name [(self, total)] seconds for the recorded spans of
-    category [cat], in first-appearance order. Self is {e exclusive}:
-    each span's duration minus the duration of its child spans {e of
-    the same category}, so with [cat = "stage"] it recomputes
-    [Counters.stage_times] from the trace. Total is the inclusive
-    duration sum. *)
-val summary : cat:string -> unit -> (string * float * float) list
 
 (** [with_recording f] starts recording into a fresh sink {e on the
     calling domain} (dropping that domain's prior events and

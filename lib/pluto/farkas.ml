@@ -106,7 +106,8 @@ let space_for ~form ~nloc poly =
    multiplier elimination is keyed on {!Polyhedron.structural_key} and
    run once per equivalence class. The memo is domain-local, like
    Linalg.Counters: solves on different domains share no table, and
-   [scoped] gives one solve a table of its own. *)
+   [scoped] gives one pipeline run (Fusion.Resilient.optimize) a table
+   of its own. *)
 
 let memo_table : (string, Polyhedron.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)

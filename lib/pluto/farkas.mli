@@ -49,5 +49,6 @@ val reset_cache : unit -> unit
 
 (** [scoped f] runs [f ()] with a fresh, empty memo for the calling
     domain and restores the caller's memo when [f] returns or raises;
-    the systems [f] memoized are dropped. *)
+    the systems [f] memoized are dropped. Every pipeline run
+    ([Fusion.Resilient.optimize]) runs in one. *)
 val scoped : (unit -> 'a) -> 'a

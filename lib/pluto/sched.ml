@@ -56,29 +56,11 @@ let outer_partition (s : t) =
 let pp_row ~iter_names ~param_names fmt = function
   | Beta b -> Format.fprintf fmt "[%d]" b
   | Hyp h ->
-    let d = Array.length iter_names and np = Array.length param_names in
-    let buf = Buffer.create 16 in
-    let first = ref true in
-    let term c name =
-      if c <> 0 then begin
-        if c > 0 && not !first then Buffer.add_string buf "+";
-        if c = -1 then Buffer.add_string buf "-"
-        else if c <> 1 then Buffer.add_string buf (string_of_int c ^ "*");
-        Buffer.add_string buf name;
-        first := false
-      end
-    in
-    for i = 0 to d - 1 do
-      term h.(i) iter_names.(i)
-    done;
-    for p = 0 to np - 1 do
-      term h.(d + p) param_names.(p)
-    done;
-    let k = h.(d + np) in
-    if !first then Buffer.add_string buf (string_of_int k)
-    else if k > 0 then Buffer.add_string buf ("+" ^ string_of_int k)
-    else if k < 0 then Buffer.add_string buf (string_of_int k);
-    Format.pp_print_string fmt (Buffer.contents buf)
+    let d = Array.length iter_names in
+    Format.pp_print_string fmt
+      (Scop.Access.affine
+         (fun i -> if i < d then iter_names.(i) else param_names.(i - d))
+         h)
 
 let pp (prog : Scop.Program.t) fmt (s : t) =
   Format.fprintf fmt "@[<v>";

@@ -37,47 +37,36 @@ let equal a b =
 
 let same_array a b = a.array = b.array
 
-let pp_row ?iter_names ?param_names d np fmt row =
-  let name_iter i =
-    match iter_names with
-    | Some a when i < Array.length a -> a.(i)
-    | _ -> Printf.sprintf "i%d" i
-  in
-  let name_param p =
-    match param_names with
-    | Some a when p < Array.length a -> a.(p)
-    | _ -> Printf.sprintf "p%d" p
-  in
+let affine name row =
   let buf = Buffer.create 16 in
-  let first = ref true in
-  let term c name =
+  let last = Array.length row - 1 in
+  for i = 0 to last - 1 do
+    let c = row.(i) in
     if c <> 0 then begin
-      if c > 0 && not !first then Buffer.add_string buf "+";
-      if c = -1 then Buffer.add_string buf "-"
+      if c > 0 && Buffer.length buf > 0 then Buffer.add_char buf '+';
+      if c = -1 then Buffer.add_char buf '-'
       else if c <> 1 then Buffer.add_string buf (string_of_int c ^ "*");
-      Buffer.add_string buf name;
-      first := false
+      Buffer.add_string buf (name i)
     end
-  in
-  for i = 0 to d - 1 do
-    term row.(i) (name_iter i)
   done;
-  for p = 0 to np - 1 do
-    term row.(d + p) (name_param p)
-  done;
-  let k = row.(d + np) in
-  if !first then Buffer.add_string buf (string_of_int k)
+  let k = row.(last) in
+  if Buffer.length buf = 0 then Buffer.add_string buf (string_of_int k)
   else if k > 0 then Buffer.add_string buf ("+" ^ string_of_int k)
   else if k < 0 then Buffer.add_string buf (string_of_int k);
-  Format.pp_print_string fmt (Buffer.contents buf)
+  Buffer.contents buf
 
 let pp ?iter_names ?param_names fmt a =
   let np =
     match param_names with Some p -> Array.length p | None -> 0
   in
   let d = width a - np - 1 in
+  (* a column past [d] exists only when [param_names] is given *)
+  let name i =
+    if i >= d then (Option.get param_names).(i - d)
+    else
+      match iter_names with
+      | Some its when i < Array.length its -> its.(i)
+      | _ -> Printf.sprintf "i%d" i
+  in
   Format.fprintf fmt "%s" a.array;
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "[%a]" (pp_row ?iter_names ?param_names d np) row)
-    a.idx
+  Array.iter (fun row -> Format.fprintf fmt "[%s]" (affine name row)) a.idx

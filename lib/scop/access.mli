@@ -27,5 +27,14 @@ val equal : t -> t -> bool
 (** Do two accesses touch the same array? *)
 val same_array : t -> t -> bool
 
+(** [affine name row] writes the integer affine form [row] (one
+    coefficient per column, named [name i]; the constant last), as in
+    ["2*i+j-N-1"]: zero terms are dropped, a unit coefficient prints
+    as its sign alone, a non-zero constant follows the terms with its
+    sign, and a form without terms is its constant. The one writer of
+    affine forms for subscripts, schedule rows, loop bounds and C
+    guards. *)
+val affine : (int -> string) -> int array -> string
+
 val pp : ?iter_names:string array -> ?param_names:string array ->
   Format.formatter -> t -> unit

@@ -16,10 +16,10 @@
    Concurrency model (OCaml 5 domains): any number of domains may serve
    requests concurrently. Hits and protocol ops touch only the cache
    (which has its own lock) and atomics. A cold solve runs on the
-   domain that received the request, inside a counter record and a
-   Farkas memo of its own (Linalg.Counters.scoped and
-   Pluto.Farkas.scoped; both are domain-local, like the trace sink), so
-   solves of different keys run in parallel and each payload's
+   domain that received the request, inside a counter record of its own
+   (Linalg.Counters.scoped), and its pipeline run owns a Farkas memo
+   (Fusion.Resilient.optimize; both are domain-local, like the trace
+   sink), so solves of different keys run in parallel and each payload's
    counters — and the response's "serve" solver deltas — are exactly
    that solve's work: a hit provably performed zero LP pivots and zero
    B&B nodes, and a miss reports precisely its own. Requests for the
@@ -178,34 +178,6 @@ let sched_json (prog : Scop.Program.t) (sched : Pluto.Sched.t) =
                 ("rows", Obs.Json.List (List.map row_json rows)) ])
           sched))
 
-(* outermost fusion partition, statement id order; derived from the icc
-   nests when the structural model served the request *)
-let partition_json (opt : Fusion.Model.optimized) =
-  let part =
-    match (opt.Fusion.Model.scheduler, opt.Fusion.Model.icc) with
-    | Some res, _ -> res.Pluto.Scheduler.outer_partition
-    | None, Some r ->
-      let n = Array.length r.Icc.Icc_model.prog.Scop.Program.stmts in
-      let part = Array.make n 0 in
-      List.iteri
-        (fun idx (nst : Icc.Icc_model.nest) ->
-          List.iter (fun id -> part.(id) <- idx) nst.Icc.Icc_model.stmts)
-        r.Icc.Icc_model.nests;
-      part
-    | None, None -> [||]
-  in
-  Obs.Json.List (List.map (fun p -> Obs.Json.Int p) (Array.to_list part))
-
-let artifacts (opt : Fusion.Model.optimized) =
-  match (opt.Fusion.Model.scheduler, opt.Fusion.Model.icc) with
-  | Some res, _ ->
-    ( res.Pluto.Scheduler.prog,
-      res.Pluto.Scheduler.all_deps,
-      res.Pluto.Scheduler.sched )
-  | None, Some r ->
-    (r.Icc.Icc_model.prog, r.Icc.Icc_model.deps, r.Icc.Icc_model.sched)
-  | None, None -> assert false
-
 let wisecheck_json prog (r : Analysis.Wisecheck.report) =
   Obs.Json.Obj
     [ ("errors", Obs.Json.Int r.Analysis.Wisecheck.errors);
@@ -222,25 +194,24 @@ let explain_lines ex =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map (fun l -> Obs.Json.Str l)
 
-(* One cold solve, inside a fresh counter record and Farkas memo, so the
-   payload (explain chain and counters included) is a pure function of
-   the request content — which is what makes cached responses
-   byte-identical to fresh solves — whatever else runs on other
-   domains. A test's fault plan ([Linalg.Chaos]) gets one draw per
-   solve. Returns the payload, the engine that ran, whether the
-   resilience ladder degraded (degraded payloads must not be cached: a
-   deadline or an injected fault is request-local state, and caching
-   its result would poison every later request for the same content),
-   and the solve's counter snapshot. *)
+(* One cold solve, inside a fresh counter record (the run brings its
+   own Farkas memo), so the payload (explain chain and counters
+   included) is a pure function of the request content — which is what
+   makes cached responses byte-identical to fresh solves — whatever
+   else runs on other domains. A test's fault plan ([Linalg.Chaos])
+   gets one draw per solve. Returns the payload, the engine that ran,
+   whether the resilience ladder degraded (degraded payloads must not
+   be cached: a deadline or an injected fault is request-local state,
+   and caching its result would poison every later request for the
+   same content), and the solve's counter snapshot. *)
 let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
   Linalg.Counters.scoped @@ fun () ->
-  Pluto.Farkas.scoped @@ fun () ->
   let opt, events =
     Linalg.Chaos.with_fault budget (fun budget ->
         Obs.Trace.capture (fun () ->
             Fusion.Model.optimize ?budget ~engine ~reductions model prog))
   in
-  let aprog, deps, sched = artifacts opt in
+  let aprog, deps, sched = Fusion.Model.artifacts opt in
   let report = Analysis.Wisecheck.certify aprog deps sched opt.Fusion.Model.ast in
   let ex = { Fusion.Explain.kernel; model; outcome = opt; events } in
   let rung, degraded =
@@ -268,7 +239,12 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
         ("rung", Obs.Json.Str rung);
         ("degraded", Obs.Json.Bool degraded);
         ("schedule", sched_json aprog sched);
-        ("partition", partition_json opt);
+        (* outermost fusion partition, in statement id order *)
+        ( "partition",
+          Obs.Json.List
+            (List.map
+               (fun p -> Obs.Json.Int p)
+               (Array.to_list (Pluto.Sched.outer_partition sched))) );
         ("wisecheck", wisecheck_json aprog report);
         ("explain", Obs.Json.List (explain_lines ex));
         ( "counters",

@@ -13,14 +13,14 @@
 
     Concurrency: requests are served concurrently by any number of
     OCaml 5 domains. A cold solve runs on the domain that received it,
-    with its own counter record and Farkas memo
-    ({!Linalg.Counters.scoped}, {!Pluto.Farkas.scoped}), so solves of
-    different keys run in parallel and the per-request counter deltas
-    in each response are exact — hits provably perform zero LP pivots
-    and zero B&B nodes. Concurrent misses for the same key coalesce
-    into one solve: later requests wait for the first and leave with
-    its cache entry, or solve the key themselves if the first stored
-    nothing.
+    with its own counter record ({!Linalg.Counters.scoped}) and the
+    Farkas memo its pipeline run owns ({!Fusion.Resilient.optimize}),
+    so solves of different keys run in parallel and the per-request
+    counter deltas in each response are exact — hits provably perform
+    zero LP pivots and zero B&B nodes. Concurrent misses for the same
+    key coalesce into one solve: later requests wait for the first and
+    leave with its cache entry, or solve the key themselves if the
+    first stored nothing.
 
     Hardening: every request solves under a fresh deadline budget
     (client ["deadline_ms"], server default/cap) and degrades down the

@@ -270,8 +270,8 @@ let observe_stage t ~stage ~seconds =
             let h =
               M.histogram t.reg ~name:"wisefuse_stage_duration_us"
                 ~help:
-                  "Exclusive pipeline-stage wall time in microseconds \
-                   (same accounting as Counters.stage_times)."
+                  "Exclusive pipeline-stage wall time in microseconds, \
+                   as Counters.time measures it."
                 ~labels:[ ("stage", stage) ] ()
             in
             Hashtbl.add t.stages stage h;

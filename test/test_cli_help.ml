@@ -134,17 +134,59 @@ let test_stdio_in_order () =
         [ str [ "status" ] (List.nth replies 1);
           str [ "error"; "code" ] (List.nth replies 2) ])
 
-(* bad flags, bad flag values and unknown names are usage errors *)
+(* bad flags, bad flag values, unknown names and a missing KERNEL are
+   usage errors *)
 let test_usage_exit () =
+  let pipeline = [ "opt"; "emit"; "sim"; "analyze"; "trace"; "explain" ] in
+  let with_all = [ "analyze"; "trace"; "explain" ] in
   List.iter
     (fun args ->
       Alcotest.(check int) (String.concat " " args ^ " exits 2") 2 (exit_status args))
-    [
-      [ "opt"; "gemver"; "--bogus" ];
-      [ "opt"; "gemver"; "--size"; "x" ];
-      [ "opt"; "gemver"; "--model"; "bogus" ];
-      [ "sim"; "gemver"; "--tile"; "0" ];
-    ]
+    ([
+       [ "opt"; "gemver"; "--bogus" ];
+       [ "opt"; "gemver"; "--size"; "x" ];
+       [ "opt"; "gemver"; "--model"; "bogus" ];
+       [ "sim"; "gemver"; "--tile"; "0" ];
+       [ "list"; "--stats" ];
+       [ "metrics"; "--socket"; "S"; "-v" ];
+     ]
+    @ List.concat_map
+        (fun c ->
+          [ [ c; "gemver"; "--engine"; "bogus" ];
+            [ c; "gemver"; "--reductions"; "bogus" ] ])
+        pipeline
+    @ List.concat_map
+        (fun c -> [ [ c; "gemver"; "--model"; "bogus" ]; [ c ] ])
+        with_all)
+
+(* --stats counts the whole command: every job of trace --all, each in
+   a Farkas memo of its own, adds up to the per-kernel runs *)
+let test_stats_whole_command () =
+  let lp_solves args =
+    let out = run_cli (args @ [ "--stats" ]) in
+    match
+      List.find_map
+        (fun l -> Scanf.sscanf_opt l "lp_solves %d" Fun.id)
+        (String.split_on_char '\n' out)
+    with
+    | Some n -> n
+    | None ->
+      Alcotest.failf "%s --stats printed no lp_solves" (String.concat " " args)
+  in
+  let dir = Filename.temp_dir "wisefuse" "traces" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let all = lp_solves [ "trace"; "--all"; "--out-dir"; Filename.quote dir ] in
+      let each =
+        List.fold_left
+          (fun acc (e : Kernels.Registry.entry) ->
+            acc + lp_solves [ "trace"; e.name; "--out"; "/dev/null" ])
+          0 Kernels.Registry.all
+      in
+      Alcotest.(check int) "trace --all = sum of trace K" each all)
 
 let () =
   Alcotest.run "cli_help"
@@ -157,6 +199,8 @@ let () =
           Alcotest.test_case "--engine everywhere" `Quick
             test_engine_everywhere;
           Alcotest.test_case "usage errors exit 2" `Quick test_usage_exit;
+          Alcotest.test_case "--stats covers the command" `Quick
+            test_stats_whole_command;
         ] );
       ( "serve",
         [ Alcotest.test_case "stdio answers in order" `Quick test_stdio_in_order ]

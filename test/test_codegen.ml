@@ -184,6 +184,35 @@ let test_pretty_print_runs () =
   Alcotest.(check bool) "mentions a loop" true (contains s "for (");
   Alcotest.(check bool) "mentions a statement" true (contains s "S1")
 
+(* The display printers over every registry kernel x model at its
+   model size, one MD5 per printer: a change to the shared affine
+   writer or the bound printer that moves a byte fails here. *)
+let test_printers_pinned () =
+  let progs = Buffer.create 4096 and scheds = Buffer.create 4096 in
+  let asts = Buffer.create 4096 and cs = Buffer.create 4096 in
+  List.iter
+    (fun (e : Kernels.Registry.entry) ->
+      let prog = e.program () in
+      Buffer.add_string progs (Format.asprintf "%a@." Scop.Program.pp prog);
+      List.iter
+        (fun m ->
+          let opt = Fusion.Model.optimize m prog in
+          let _, _, sched = Fusion.Model.artifacts opt in
+          let name = e.name ^ "_" ^ Fusion.Model.name m in
+          Buffer.add_string scheds (Format.asprintf "%a@." (Pluto.Sched.pp prog) sched);
+          Buffer.add_string asts (Format.asprintf "%a@." (Ast.pp prog) opt.ast);
+          Buffer.add_string cs (Cprint.program ~name prog opt.ast))
+        Fusion.Model.all)
+    Kernels.Registry.all;
+  List.iter
+    (fun (what, buf, md5) ->
+      Alcotest.(check string) what md5
+        (Digest.to_hex (Digest.string (Buffer.contents buf))))
+    [ ("Program.pp", progs, "f4dff31dd49908ad0bfc51bbf6d1ad7b");
+      ("Sched.pp", scheds, "79e5b7b0b65ec7409320ae794c0852c7");
+      ("Ast.pp", asts, "3b26956a5a8229f6ed1736ab7d3c9a4b");
+      ("Cprint.program", cs, "e7d5dd28e75a0169139e8410254c8915") ]
+
 let () =
   Alcotest.run "codegen"
     [ ( "structure",
@@ -193,5 +222,6 @@ let () =
           Alcotest.test_case "identity determinism" `Quick test_identity_semantics;
           Alcotest.test_case "bound evaluation" `Quick test_bound_eval;
           Alcotest.test_case "instance inversion" `Quick test_instance_inversion;
-          Alcotest.test_case "pretty printer" `Quick test_pretty_print_runs ] );
+          Alcotest.test_case "pretty printer" `Quick test_pretty_print_runs;
+          Alcotest.test_case "printers pinned" `Quick test_printers_pinned ] );
       ("semantic-equivalence", semantic_equivalence_cases) ]

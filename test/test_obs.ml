@@ -1,16 +1,28 @@
-(* Observability tests: the shared JSON writer/parser, the span tracer
-   and its self-time reconstruction, Chrome trace-event export and
-   validation, trace determinism, and the zero-effect guarantee of the
-   disabled (null) sink. *)
+(* Observability tests: the shared JSON writer/parser, the span tracer,
+   the stage observer's agreement with the stage spans, Chrome
+   trace-event export and validation, trace determinism, and the
+   zero-effect guarantee of the disabled (null) sink. *)
 
 let swim () = Kernels.Swim.program ~n:12 ()
 let advect () = Kernels.Advect.program ~n:12 ()
 
-(* a fresh, fully reset pipeline run; returns the optimized outcome *)
+(* a pipeline run from zeroed counters (the run owns its Farkas memo);
+   returns the optimized outcome *)
 let run_pipeline prog =
   Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
   Fusion.Model.optimize Fusion.Model.Wisefuse prog
+
+(* [observed f] runs [f ()] under a stage observer and returns its
+   result with the observed (stage, self seconds), in completion order *)
+let observed f =
+  let seen = ref [] in
+  Linalg.Counters.set_stage_observer (fun name dt -> seen := (name, dt) :: !seen);
+  let v =
+    Fun.protect
+      ~finally:(fun () -> Linalg.Counters.set_stage_observer (fun _ _ -> ()))
+      f
+  in
+  (v, List.rev !seen)
 
 let sched_string (opt : Fusion.Model.optimized) =
   match opt.Fusion.Model.scheduler with
@@ -67,7 +79,7 @@ line tab	end|};
   (match parse (to_string_pretty v) with
   | Ok v' -> Alcotest.(check bool) "pretty roundtrip" true (v = v')
   | Error e -> Alcotest.fail e);
-  (* UTF-8 passes through; a unicode escape decodes to UTF-8, and a
+  (* valid UTF-8 passes through; a unicode escape decodes to UTF-8, and a
      surrogate pair to one four-byte code point (Python's json.dumps
      writes U+1F600 as the pair) *)
   List.iter
@@ -76,6 +88,7 @@ line tab	end|};
       | Ok (Str s) -> Alcotest.(check string) text bytes s
       | _ -> Alcotest.fail ("unicode: " ^ text))
     [ ({|"é"|}, "\xc3\xa9"); ({|"\u00e9"|}, "\xc3\xa9");
+      ("\"\xf0\x9f\x98\x80\"", "\xf0\x9f\x98\x80");
       ({|"\u20AC"|}, "\xe2\x82\xac");
       ({|"\ud83d\ude00"|}, "\xf0\x9f\x98\x80");
       ({|"\uDBFF\uDFFF"|}, "\xf4\x8f\xbf\xbf") ];
@@ -87,7 +100,10 @@ line tab	end|};
     [ "{"; "[1,]"; {|{"a" 1}|}; "tru"; {|"unterminated|}; "1 2";
       (* lone surrogates and non-hex digits *)
       {|"\udc00"|}; {|"\ud83d"|}; {|"\ud83dx"|}; {|"\ud83d\u0041"|};
-      {|"\ud83d\ud83d"|}; {|"\u12_3"|}; {|"\u+123"|}; {|"\u12"|} ]
+      {|"\ud83d\ud83d"|}; {|"\u12_3"|}; {|"\u+123"|}; {|"\u12"|};
+      (* raw bytes that are not UTF-8: a stray byte, a truncated
+         sequence, an encoded surrogate (CESU-8), an overlong form *)
+      "\"a\xffb\""; "\"\xc3\""; "\"\xed\xa0\x80\""; "\"\xc0\xaf\"" ]
 
 (* A reference writer, the plain way: one escaped copy per string and
    [string_of_int] per integer. The property below holds [Obs.Json]'s
@@ -258,12 +274,7 @@ let structure events =
         List.map (fun (k, v) -> (k, Obs.Json.to_string v)) e.Obs.Trace.args ))
     events
 
-let traced_pipeline prog =
-  Linalg.Counters.reset ();
-  Pluto.Farkas.reset_cache ();
-  let opt, events = Obs.Trace.with_recording (fun () -> run_pipeline prog) in
-  Obs.Trace.disable ();
-  (opt, events)
+let traced_pipeline prog = Obs.Trace.with_recording (fun () -> run_pipeline prog)
 
 let test_determinism () =
   List.iter
@@ -284,20 +295,19 @@ let test_null_sink_no_effect () =
      schedule is byte-identical to a traced run's *)
   Obs.Trace.disable ();
   (* a fresh sink, switched off before the run: nothing may reach it *)
-  let (opt_off, wall, counters_off), recorded =
+  let ((opt_off, wall, counters_off), stages), recorded =
     Obs.Trace.capture (fun () ->
         Obs.Trace.disable ();
-        let t0 = Linalg.Clock.now () in
-        let opt_off = run_pipeline (swim ()) in
-        let wall = Linalg.Clock.now () -. t0 in
-        (opt_off, wall, Linalg.Counters.all_counters ()))
+        observed (fun () ->
+            let t0 = Linalg.Clock.now () in
+            let opt_off = run_pipeline (swim ()) in
+            let wall = Linalg.Clock.now () -. t0 in
+            (opt_off, wall, Linalg.Counters.all_counters ())))
   in
   Alcotest.(check int) "null sink records nothing" 0 (List.length recorded);
   (* stage timers are exclusive (self-time), so their sum is bounded by
      the wall time of the run; more means overlapping timers *)
-  let stage_sum =
-    List.fold_left (fun a (_, s) -> a +. s) 0.0 (Linalg.Counters.stage_times ())
-  in
+  let stage_sum = List.fold_left (fun a (_, s) -> a +. s) 0.0 stages in
   if stage_sum > (wall *. 1.02) +. 1e-4 then
     Alcotest.failf "stage times sum to %.2f ms > %.2f ms wall"
       (stage_sum *. 1e3) (wall *. 1e3);
@@ -350,37 +360,54 @@ let test_multi_domain_capture () =
   Alcotest.(check int) "outer sink untouched" 1 (List.length outer);
   Alcotest.(check bool) "all sinks off again" false (Obs.Trace.on ())
 
+(* each stage span's exclusive self-time (its duration minus its child
+   stage spans'), in completion order *)
+let stage_self_times events =
+  let stack = ref [] and out = ref [] in
+  List.iter
+    (fun (e : Obs.Trace.event) ->
+      match e.ph with
+      | Obs.Trace.B when e.cat = "stage" ->
+        stack := (e.name, e.ts, ref 0.0) :: !stack
+      | Obs.Trace.E -> (
+        match !stack with
+        | (name, t0, children) :: rest when name = e.name ->
+          stack := rest;
+          let dt = (e.ts -. t0) /. 1e6 in
+          (match rest with
+          | (_, _, parent) :: _ -> parent := !parent +. dt
+          | [] -> ());
+          out := (name, dt -. !children) :: !out
+        | _ -> ())
+      | _ -> ())
+    events;
+  List.rev !out
+
 let test_self_times_reconcile () =
-  (* the span tree's exclusive self-times must agree with the
-     Counters.stage_times accumulators: same stages, and each within
-     5% (they bracket the same code with adjacent clock reads) *)
-  let _, events = traced_pipeline (swim ()) in
-  ignore events;
-  let stages = Linalg.Counters.stage_times () in
-  let spans =
-    List.map (fun (name, self, _) -> (name, self)) (Obs.Trace.summary ~cat:"stage" ())
-  in
+  (* the observer's exclusive self-times must agree with the stage
+     spans': same stages in the same order, and each within 5% (they
+     bracket the same code with adjacent clock reads) *)
+  let (_, events), stages = observed (fun () -> traced_pipeline (swim ())) in
+  let spans = stage_self_times events in
   Alcotest.(check (list string))
     "same stages in same order" (List.map fst stages) (List.map fst spans);
-  List.iter
-    (fun (name, t) ->
-      let t' = List.assoc name spans in
+  List.iter2
+    (fun (name, t) (_, t') ->
       let tol = 0.05 *. Float.max t t' +. 5e-4 in
       if Float.abs (t -. t') > tol then
-        Alcotest.failf "stage %s: counters %.6fs vs spans %.6fs" name t t')
-    stages
+        Alcotest.failf "stage %s: observer %.6fs vs spans %.6fs" name t t')
+    stages spans
 
 (* --- per-domain counters ------------------------------------------------- *)
 
-(* one optimize from reset counters and memo: its counters and stages *)
-let counted_run prog =
-  ignore (run_pipeline prog);
-  (Linalg.Counters.all_counters (), List.map fst (Linalg.Counters.stage_times ()))
-
 let test_counters_per_domain () =
   (* two domains optimize different kernels at once; each domain's
-     counters and stages are those of a sequential run of its kernel *)
+     counters are those of a sequential run of its kernel *)
   let progs = [ ("swim", swim); ("advect", advect) ] in
+  let counted_run prog =
+    ignore (run_pipeline prog);
+    Linalg.Counters.all_counters ()
+  in
   let sequential = List.map (fun (_, p) -> counted_run (p ())) progs in
   let ready = Atomic.make 0 in
   let concurrent =
@@ -397,10 +424,9 @@ let test_counters_per_domain () =
     |> List.map Domain.join
   in
   List.iter2
-    (fun ((name, _), (c_seq, s_seq)) (c_par, s_par) ->
-      Alcotest.(check (list (pair string int))) (name ^ ": counters") c_seq c_par;
-      Alcotest.(check (list string)) (name ^ ": stages") s_seq s_par)
-    (List.combine progs sequential) concurrent
+    (fun (name, _) (c_seq, c_par) ->
+      Alcotest.(check (list (pair string int))) (name ^ ": counters") c_seq c_par)
+    progs (List.combine sequential concurrent)
 
 let () =
   Alcotest.run "obs"

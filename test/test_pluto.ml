@@ -302,8 +302,9 @@ let test_farkas_cache_identity () =
 
 (* --- pivot path ------------------------------------------------------------ *)
 
-(* The simplex effort of whole-program optimizations, from a reset
-   Farkas memo and counter set as a fresh process would find them.
+(* The simplex effort of whole-program optimizations, from zeroed
+   counters (each run owns its Farkas memo), as a fresh process would
+   find them.
    These counts follow the pivot choices of the exact simplex, and
    serve payloads embed them, so a change to the LP kernel that moves
    any of them changes observable output. *)
@@ -317,7 +318,6 @@ let pivot_counters =
 
 let pivot_path model prog =
   Linalg.Counters.reset ();
-  Farkas.reset_cache ();
   ignore (Fusion.Model.optimize model prog);
   List.map (fun (name, c) -> (name, Linalg.Counters.get c)) pivot_counters
 

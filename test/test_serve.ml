@@ -395,6 +395,12 @@ let test_protocol_envelopes () =
   Alcotest.(check string) "parse error envelope" "error" (str_field j "status");
   Alcotest.(check string) "parse code" "parse"
     (str_field (field j "error") "code");
+  (* raw bytes that are not UTF-8 are a parse error, never echoed into
+     a response that is not UTF-8 itself *)
+  let r, j = respond t "{\"id\": \"a\xffb\", \"op\": \"ping\"}" in
+  Alcotest.(check string) "invalid UTF-8 is a parse error" "parse"
+    (str_field (field j "error") "code");
+  Alcotest.(check bool) "response is UTF-8" true (String.is_valid_utf_8 r);
   let _, j = respond t {|{"id": 4, "op": "stats"}|} in
   let stats = field j "stats" in
   Alcotest.(check bool) "stats has capacity" true
@@ -551,6 +557,37 @@ let test_exhaustion_degrades () =
         (str_field (field j "result") "rung");
       Alcotest.(check string) "uncached" "uncached" (str_field j "cache");
       Alcotest.(check int) "one injected exhaust" 1 (Chaos.exhausts faults))
+
+(* A cold solve feeds wisefuse_stage_duration_us from the stage
+   observer, one observation per pipeline stage it ran; a hit runs no
+   stage and adds none. *)
+let test_stage_metrics () =
+  let t = Serve.Server.create () in
+  let stages =
+    [ "dep-analysis"; "scheduling"; "verification"; "codegen"; "analysis" ]
+  in
+  let counts () =
+    let text = Serve.Telemetry.exposition (Serve.Server.telemetry t) in
+    let lines = String.split_on_char '\n' text in
+    List.map
+      (fun stage ->
+        let prefix =
+          Printf.sprintf {|wisefuse_stage_duration_us_count{stage="%s"} |} stage
+        in
+        let n = String.length prefix in
+        match List.find_opt (String.starts_with ~prefix) lines with
+        | Some l -> int_of_string (String.sub l n (String.length l - n))
+        | None -> 0)
+      stages
+  in
+  ignore (respond t (sched_line ~id:1 "gemver"));
+  let cold = counts () in
+  List.iter2
+    (fun stage n -> if n = 0 then Alcotest.failf "a cold solve observed no %s stage" stage)
+    stages cold;
+  let _, hit = respond t (sched_line ~id:2 "gemver") in
+  Alcotest.(check string) "second request is a hit" "hit" (str_field hit "cache");
+  Alcotest.(check (list int)) "a hit observes no stage" cold (counts ())
 
 let test_oversized_line () =
   let t = Serve.Server.create () in
@@ -1044,6 +1081,7 @@ let () =
           Alcotest.test_case "health + idempotent shutdown" `Quick
             test_health_and_idempotent_shutdown;
           Alcotest.test_case "metrics op + snapshot" `Quick test_metrics_op;
+          Alcotest.test_case "stage metrics" `Quick test_stage_metrics;
           Alcotest.test_case "trace sampling" `Quick test_trace_sampling;
           Alcotest.test_case "access log" `Quick test_access_log;
           Alcotest.test_case "metrics monotone across recovery" `Quick
