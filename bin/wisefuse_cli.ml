@@ -168,6 +168,20 @@ let with_stats stats f =
    Diagnostics.exit_code for the Usage phase *)
 let usage_exit = 2
 
+(* the exit table of the group and of every subcommand's --help *)
+let exits =
+  [
+    Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info usage_exit
+      ~doc:"usage error (unknown kernel, model or engine; bad flags or flag values).";
+    Cmd.Exit.info 3 ~doc:"solver budget exhausted.";
+    Cmd.Exit.info 4 ~doc:"scheduling failed.";
+    Cmd.Exit.info 5 ~doc:"schedule verification failed.";
+    Cmd.Exit.info 6 ~doc:"code generation failed.";
+    Cmd.Exit.info 7 ~doc:"error-severity wisecheck findings (analyze).";
+    Cmd.Exit.info Cmd.Exit.internal_error ~doc:"an unexpected exception (a bug).";
+  ]
+
 let load name size =
   match Kernels.Registry.find name with
   | entry ->
@@ -222,7 +236,7 @@ let list_cmd =
           e.paper_size e.model_size)
       Kernels.Registry.all
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the benchmarks (Table 2)")
+  Cmd.v (Cmd.info "list" ~exits ~doc:"List the benchmarks (Table 2)")
     Term.(const run $ const ())
 
 (* --- show ------------------------------------------------------------- *)
@@ -232,7 +246,7 @@ let show_cmd =
     let prog = load name size in
     Format.printf "%a@." Scop.Program.pp prog
   in
-  Cmd.v (Cmd.info "show" ~doc:"Print the source program")
+  Cmd.v (Cmd.info "show" ~exits ~doc:"Print the source program")
     Term.(const run $ kernel_arg $ size_arg)
 
 (* --- deps ------------------------------------------------------------- *)
@@ -260,7 +274,7 @@ let deps_cmd =
     Format.printf "@.@.dependences (%d):@." (List.length deps);
     List.iter (fun d -> Format.printf "  %a@." Deps.Dep.pp d) deps
   in
-  Cmd.v (Cmd.info "deps" ~doc:"Print dependences, DDG and SCCs")
+  Cmd.v (Cmd.info "deps" ~exits ~doc:"Print dependences, DDG and SCCs")
     Term.(const run $ kernel_arg $ size_arg $ dot_arg)
 
 (* --- opt -------------------------------------------------------------- *)
@@ -291,7 +305,7 @@ let opt_cmd =
     | None, None -> assert false);
     Format.printf "=== generated code ===@.%a@." (Codegen.Ast.pp prog) ast
   in
-  Cmd.v (Cmd.info "opt" ~doc:"Optimize and print the transformed code")
+  Cmd.v (Cmd.info "opt" ~exits ~doc:"Optimize and print the transformed code")
     Term.(const run $ kernel_arg $ job_args $ tile_arg $ stats_arg)
 
 (* --- emit ------------------------------------------------------------- *)
@@ -306,7 +320,8 @@ let emit_cmd =
          prog opt.Fusion.Model.ast)
   in
   Cmd.v
-    (Cmd.info "emit" ~doc:"Emit a complete C program for the transformed code")
+    (Cmd.info "emit" ~exits
+       ~doc:"Emit a complete C program for the transformed code")
     Term.(const run $ kernel_arg $ job_args)
 
 (* --- analyze ---------------------------------------------------------- *)
@@ -367,7 +382,7 @@ let analyze_cmd =
   in
   let all_doc = "Analyze every registry kernel under every fusion model." in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:
          "Independently certify the generated code (race freedom, scan \
           soundness, DDG lints); exit 7 on error-severity findings")
@@ -413,7 +428,7 @@ let trace_cmd =
   in
   let all_doc = "Trace every registry kernel under the fusion model." in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "trace" ~exits
        ~doc:
          "Run the pipeline under the span tracer and export a Chrome \
           trace-event JSON (load in chrome://tracing or ui.perfetto.dev)")
@@ -451,7 +466,7 @@ let explain_cmd =
   in
   let all_doc = "Explain every registry kernel under the fusion model." in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits
        ~doc:
          "Explain the fusion decisions: pre-fusion clustering, every cut \
           with its justifying dependence, per-level ILP effort, \
@@ -483,7 +498,7 @@ let sim_cmd =
       Machine.Perf.pp_stats st;
     Format.printf "modeled time: %.3f ms@." (Machine.Perf.seconds st *. 1e3)
   in
-  Cmd.v (Cmd.info "sim" ~doc:"Simulate on the machine model")
+  Cmd.v (Cmd.info "sim" ~exits ~doc:"Simulate on the machine model")
     Term.(const run $ kernel_arg $ job_args $ cores_arg $ tile_arg $ simd_arg
           $ stats_arg)
 
@@ -647,7 +662,7 @@ let serve_cmd =
          & info [ "access-log" ] ~docv:"PATH" ~doc)
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info "serve" ~exits
        ~doc:
          "Run the scheduling daemon: line-delimited JSON requests over stdio \
           or a Unix socket, answered from a content-addressed cross-request \
@@ -736,6 +751,9 @@ let metrics_cmd =
   in
   Cmd.v
     (Cmd.info "metrics"
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"the daemon is unreachable or answers an error."
+         :: exits)
        ~doc:
          "One-shot telemetry scrape of a running daemon over its Unix \
           socket: sends {\"op\": \"metrics\"} and prints the Prometheus \
@@ -744,19 +762,6 @@ let metrics_cmd =
 
 let () =
   let doc = "loop fusion in the polyhedral framework (PPoPP'14 reproduction)" in
-  let exits =
-    [
-      Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
-      Cmd.Exit.info 2
-        ~doc:"usage error (unknown kernel, model or engine; bad flags or flag values).";
-      Cmd.Exit.info 3 ~doc:"solver budget exhausted.";
-      Cmd.Exit.info 4 ~doc:"scheduling failed.";
-      Cmd.Exit.info 5 ~doc:"schedule verification failed.";
-      Cmd.Exit.info 6 ~doc:"code generation failed.";
-      Cmd.Exit.info 7 ~doc:"error-severity wisecheck findings (analyze).";
-      Cmd.Exit.info Cmd.Exit.internal_error ~doc:"an unexpected exception (a bug).";
-    ]
-  in
   let info = Cmd.info "wisefuse" ~version:"1.0" ~doc ~exits in
   let cmds =
     [

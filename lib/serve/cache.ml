@@ -12,14 +12,24 @@
    capacities (hundreds to thousands of entries) this is noise next to
    the ILP solve that the insertion just performed.
 
-   All operations take the cache lock, so any number of domains can hit
-   concurrently. Tallies are kept under the same lock and read with
-   [stats]. *)
+   A second index maps request forms to entries. A form is the server's
+   canonical spelling of the request fields the key is a pure function
+   of (kernel, size, model, engine, reductions), so a repeated request
+   finds its entry without building the program or fingerprinting it.
+   Each entry lists the forms indexed to it and eviction drops them
+   with it: the index holds nothing the content table does not, and has
+   no capacity of its own. Several forms may share one entry, since the
+   content table stays the address.
+
+   All operations take the cache lock, each exactly once, so any number
+   of domains can hit concurrently. Tallies are kept under the same
+   lock and read with [stats]. *)
 
 type entry = {
   payload : Obs.Json.t;  (* the cached "result" object, rendered *)
   solve_ms : float;  (* wall time of the cold solve that built this entry *)
   mutable last_used : int;
+  mutable forms : string list;  (* request forms indexed to this entry *)
 }
 
 type stats = {
@@ -33,6 +43,7 @@ type stats = {
 type t = {
   capacity : int;
   tbl : (string, entry) Hashtbl.t;
+  by_form : (string, string * entry) Hashtbl.t;  (* form -> key, entry *)
   lock : Mutex.t;
   mutable tick : int;
   mutable hits : int;
@@ -45,6 +56,7 @@ let create ~capacity =
   {
     capacity;
     tbl = Hashtbl.create (min capacity 1024);
+    by_form = Hashtbl.create (min capacity 1024);
     lock = Mutex.create ();
     tick = 0;
     hits = 0;
@@ -52,55 +64,82 @@ let create ~capacity =
     evictions = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+(* the helpers below run with the lock held *)
 
-(* Quiet lookup: no hit/miss accounting. The server counts each
-   request's outcome itself, and re-probes with this after claiming a
-   key for solving, where a second find for the same request must not
-   double-count. *)
-let find_quiet t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
-      | Some e ->
-        t.tick <- t.tick + 1;
-        e.last_used <- t.tick;
-        Some e
-      | None -> None)
+let touch t e =
+  t.tick <- t.tick + 1;
+  e.last_used <- t.tick
 
-let count_hit t = locked t (fun () -> t.hits <- t.hits + 1)
-let count_miss t = locked t (fun () -> t.misses <- t.misses + 1)
+let index t ~form key e =
+  if not (Hashtbl.mem t.by_form form) then begin
+    e.forms <- form :: e.forms;
+    Hashtbl.add t.by_form form (key, e)
+  end
+
+let lookup t key =
+  let found = Hashtbl.find_opt t.tbl key in
+  Option.iter (touch t) found;
+  found
 
 let evict_lru t =
-  (* called with the lock held *)
   let victim = ref None in
   Hashtbl.iter
     (fun k e ->
       match !victim with
-      | Some (_, best) when best <= e.last_used -> ()
-      | _ -> victim := Some (k, e.last_used))
+      | Some (_, best) when best.last_used <= e.last_used -> ()
+      | _ -> victim := Some (k, e))
     t.tbl;
   match !victim with
-  | Some (k, _) ->
+  | Some (k, e) ->
     Hashtbl.remove t.tbl k;
+    List.iter (Hashtbl.remove t.by_form) e.forms;
     t.evictions <- t.evictions + 1
   | None -> ()
 
+let find_form t form =
+  Mutex.protect t.lock (fun () ->
+      match Hashtbl.find_opt t.by_form form with
+      | Some (_, e) as found ->
+        touch t e;
+        t.hits <- t.hits + 1;
+        found
+      | None -> None)
+
+let find t ~form key =
+  Mutex.protect t.lock (fun () ->
+      let found = lookup t key in
+      Option.iter
+        (fun e ->
+          t.hits <- t.hits + 1;
+          index t ~form key e)
+        found;
+      found)
+
+(* Quiet lookup: no hit accounting and no form. *)
+let find_quiet t key = Mutex.protect t.lock (fun () -> lookup t key)
+
+let count_miss t = Mutex.protect t.lock (fun () -> t.misses <- t.misses + 1)
+
 (* renders before taking the lock, so hits on other domains never wait
    on a render *)
-let add t key ~payload ~solve_ms =
+let add t key ~form ~payload ~solve_ms =
   let payload = Obs.Json.rendered payload in
-  locked t (fun () ->
-      if not (Hashtbl.mem t.tbl key) then begin
-        if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
-        t.tick <- t.tick + 1;
-        Hashtbl.add t.tbl key { payload; solve_ms; last_used = t.tick }
-      end);
+  Mutex.protect t.lock (fun () ->
+      let e =
+        match Hashtbl.find_opt t.tbl key with
+        | Some e -> e
+        | None ->
+          if Hashtbl.length t.tbl >= t.capacity then evict_lru t;
+          let e = { payload; solve_ms; last_used = 0; forms = [] } in
+          touch t e;
+          Hashtbl.add t.tbl key e;
+          e
+      in
+      index t ~form key e);
   payload
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         hits = t.hits;
         misses = t.misses;

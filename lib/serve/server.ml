@@ -8,6 +8,17 @@
    stores the rendered payload for every later request with the same
    content.
 
+   A repeated request is answered without computing its key. Its
+   validated fields (kernel, resolved size, model, engine, reductions)
+   spell a request form, and the key is a pure function of the form,
+   so the cache's form index answers it with one probe under one lock:
+   no SCoP build, no Fingerprint.key. A form is indexed once its key is
+   cached (a fingerprint hit, a coalesced hit or a store) and lives as
+   long as the entry; degraded, failed and usage answers index nothing.
+   An index hit is the same hit as a fingerprint hit: same envelope,
+   same serve.request span and serve.cache-hit instant, same telemetry
+   and access-log line.
+
    Every transport runs one line loop ([serve_lines]): stdio on the
    calling domain, so its answers come back in request order, and the
    socket server on each of config.domains workers, one connection at a
@@ -316,131 +327,146 @@ let recover t ~key exn =
           ("exn", Obs.Json.Str (Printexc.to_string exn)) ];
   note_failure t key
 
+(* The request form: the fields a schedule request's key is a pure
+   function of, spelled canonically (registry kernel name, resolved
+   size, model name, engine choice name, reductions flag), so an absent
+   field and its explicit default give one form and equal forms have
+   equal keys. *)
+let request_form ~kernel ~size ~model ~engine ~reductions =
+  String.concat " "
+    [ kernel; string_of_int size; Fusion.Model.name model;
+      Pluto.Engine.choice_name engine; (if reductions then "on" else "off") ]
+
+(* A request whose form and key both missed: unless the breaker is
+   open, claim the key, re-probe (a waiter leaves with a coalesced hit)
+   and solve. The form is indexed to the key's entry once it is cached:
+   by the coalesced hit or by the store; a degraded or failed solve
+   indexes nothing. *)
+let solve_request t ~id ~wall0 ?deadline_ms ~form ~key ~kernel ~model ~size
+    ~engine ~reductions prog =
+  match Breaker.check t.breaker key with
+  | Breaker.Open remaining ->
+    if Obs.Trace.on () then
+      Obs.Trace.instant ~cat:"serve" "serve.breaker"
+        ~args:[ ("key", Obs.Json.Str key); ("state", Obs.Json.Str "reject") ];
+    Protocol.error_response ~id ~code:"breaker"
+      ~message:
+        (Printf.sprintf
+           "circuit open for this fingerprint after repeated failures (retry \
+            in %.1fs)"
+           remaining)
+  | Breaker.Closed ->
+    claim t key;
+    Fun.protect
+      ~finally:(fun () -> release t key)
+      (fun () ->
+        (* double-checked: someone may have solved this key while we
+           waited for it, or since our first probe *)
+        match Cache.find t.cache ~form key with
+        | Some e -> hit_response ~id ~key ~coalesced:true ~wall0 ?deadline_ms e
+        | None -> (
+          let budget =
+            Option.map (fun ms -> Linalg.Budget.make ~ms ()) deadline_ms
+          in
+          match
+            Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
+                let t0 = Linalg.Clock.now () in
+                let payload, engine_used, degraded, counters =
+                  solve ?budget ~kernel ~model ~size ~engine ~reductions prog
+                in
+                ( payload,
+                  engine_used,
+                  degraded,
+                  counters,
+                  Linalg.Clock.elapsed_ms ~since:t0 ))
+          with
+          | payload, engine_used, degraded, counters, solve_ms ->
+            Breaker.record_success t.breaker key;
+            Telemetry.record_solve t.telemetry ~engine_used ~solve_ms;
+            (* degraded = this request's deadline (or an injected fault)
+               shaped the result; it is valid for this caller but must
+               not be served to anyone else *)
+            let payload, cache_state =
+              if degraded then (payload, "uncached")
+              else (Cache.add t.cache key ~form ~payload ~solve_ms, "miss")
+            in
+            Cache.count_miss t.cache;
+            let solver = solver_deltas counters in
+            let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
+            Protocol.schedule_response ~id ~key ~cache_state
+              ~serve:(Protocol.serve_section ?deadline_ms ~wall_us ~solver ())
+              ~result:payload
+          | exception Pluto.Diagnostics.Error d ->
+            (* typed failure: deterministic for this content, so it
+               feeds the breaker *)
+            note_failure t key;
+            Protocol.error_response ~id
+              ~code:
+                (Pluto.Diagnostics.phase_name d.Pluto.Diagnostics.phase
+                ^ ":" ^ d.Pluto.Diagnostics.code)
+              ~message:d.Pluto.Diagnostics.message
+          | exception e ->
+            (* the exception firewall: answer typed instead of dying;
+               the key is released on the way out *)
+            recover t ~key e;
+            Protocol.error_response ~id ~code:"internal"
+              ~message:(Printexc.to_string e)))
+
+(* A repeated request is answered from the form index: no program
+   build, no fingerprint, one cache lock. Otherwise the program is
+   built and fingerprinted, and the key is looked up, then solved. *)
 let handle_schedule t ~id ~kernel ~size ~model:model_name ~engine:engine_name
     ~reductions ~deadline_ms:requested_deadline =
   let wall0 = Linalg.Clock.now () in
+  let usage message = Protocol.error_response ~id ~code:"usage" ~message in
   match Kernels.Registry.find kernel with
   | exception Not_found ->
-    Protocol.error_response ~id ~code:"usage"
-      ~message:
-        (Printf.sprintf "unknown kernel %S (see `wisefuse list')" kernel)
+    usage (Printf.sprintf "unknown kernel %S (see `wisefuse list')" kernel)
   | entry -> (
     match Fusion.Model.of_name model_name with
-    | exception Not_found ->
-      Protocol.error_response ~id ~code:"usage"
-        ~message:(Printf.sprintf "unknown model %S" model_name)
+    | exception Not_found -> usage (Printf.sprintf "unknown model %S" model_name)
     | model -> (
       match Pluto.Engine.of_string engine_name with
       | None ->
-        Protocol.error_response ~id ~code:"usage"
-          ~message:
-            (Printf.sprintf
-               "unknown engine %S (expected \"ilp\", \"lp-dfp\" or \"auto\")"
-               engine_name)
+        usage
+          (Printf.sprintf
+             "unknown engine %S (expected \"ilp\", \"lp-dfp\" or \"auto\")"
+             engine_name)
       | Some engine -> (
-      let n = Option.value size ~default:entry.Kernels.Registry.model_size in
-      match entry.Kernels.Registry.program ~n () with
-      | exception Invalid_argument msg ->
-        Protocol.error_response ~id ~code:"usage"
-          ~message:(Printf.sprintf "cannot build %s at size %d: %s" kernel n msg)
-      | prog ->
-        let key = Fingerprint.key ~engine ~reductions ~model prog in
-        let deadline_ms = effective_deadline t requested_deadline in
-        let args =
-          if Obs.Trace.on () then
-            [ ("kernel", Obs.Json.Str kernel);
-              ("model", Obs.Json.Str model_name);
-              ("engine", Obs.Json.Str (Pluto.Engine.choice_name engine));
-              ("key", Obs.Json.Str key) ]
-          else []
+        let n = Option.value size ~default:entry.Kernels.Registry.model_size in
+        let form =
+          request_form ~kernel:entry.Kernels.Registry.name ~size:n ~model
+            ~engine ~reductions
         in
-        Obs.Trace.span ~cat:"serve" ~args "serve.request" (fun () ->
-            match Cache.find_quiet t.cache key with
-            | Some e ->
-              Cache.count_hit t.cache;
-              hit_response ~id ~key ~coalesced:false ~wall0 ?deadline_ms e
-            | None -> (
-              match Breaker.check t.breaker key with
-              | Breaker.Open remaining ->
-                if Obs.Trace.on () then
-                  Obs.Trace.instant ~cat:"serve" "serve.breaker"
-                    ~args:
-                      [ ("key", Obs.Json.Str key);
-                        ("state", Obs.Json.Str "reject") ];
-                Protocol.error_response ~id ~code:"breaker"
-                  ~message:
-                    (Printf.sprintf
-                       "circuit open for this fingerprint after repeated \
-                        failures (retry in %.1fs)"
-                       remaining)
-              | Breaker.Closed ->
-                claim t key;
-                Fun.protect
-                  ~finally:(fun () -> release t key)
-                  (fun () ->
-                    (* double-checked: someone may have solved this key
-                       while we waited for it, or since our first probe *)
-                    match Cache.find_quiet t.cache key with
-                    | Some e ->
-                      Cache.count_hit t.cache;
-                      hit_response ~id ~key ~coalesced:true ~wall0 ?deadline_ms
-                        e
-                    | None -> (
-                      let budget =
-                        Option.map
-                          (fun ms -> Linalg.Budget.make ~ms ())
-                          deadline_ms
-                      in
-                      match
-                        Obs.Trace.span ~cat:"serve" "serve.schedule" (fun () ->
-                            let t0 = Linalg.Clock.now () in
-                            let payload, engine_used, degraded, counters =
-                              solve ?budget ~kernel ~model ~size:n ~engine
-                                ~reductions prog
-                            in
-                            ( payload,
-                              engine_used,
-                              degraded,
-                              counters,
-                              Linalg.Clock.elapsed_ms ~since:t0 ))
-                      with
-                      | payload, engine_used, degraded, counters, solve_ms ->
-                        Breaker.record_success t.breaker key;
-                        Telemetry.record_solve t.telemetry ~engine_used
-                          ~solve_ms;
-                        (* degraded = this request's deadline (or an
-                           injected fault) shaped the result; it is
-                           valid for this caller but must not be served
-                           to anyone else *)
-                        let payload, cache_state =
-                          if degraded then (payload, "uncached")
-                          else (Cache.add t.cache key ~payload ~solve_ms, "miss")
-                        in
-                        Cache.count_miss t.cache;
-                        let solver = solver_deltas counters in
-                        let wall_us = Linalg.Clock.elapsed_us ~since:wall0 in
-                        Protocol.schedule_response ~id ~key ~cache_state
-                          ~serve:
-                            (Protocol.serve_section ?deadline_ms ~wall_us
-                               ~solver ())
-                          ~result:payload
-                      | exception Pluto.Diagnostics.Error d ->
-                        (* typed failure: deterministic for this content,
-                           so it feeds the breaker *)
-                        note_failure t key;
-                        Protocol.error_response ~id
-                          ~code:
-                            (Pluto.Diagnostics.phase_name
-                               d.Pluto.Diagnostics.phase
-                            ^ ":" ^ d.Pluto.Diagnostics.code)
-                          ~message:d.Pluto.Diagnostics.message
-                      | exception e ->
-                        (* the exception firewall: answer typed
-                           instead of dying; the key is released on the
-                           way out *)
-                        recover t ~key e;
-                        Protocol.error_response ~id ~code:"internal"
-                          ~message:(Printexc.to_string e))))))))
+        let deadline_ms = effective_deadline t requested_deadline in
+        let in_span key f =
+          let args =
+            if Obs.Trace.on () then
+              [ ("kernel", Obs.Json.Str kernel);
+                ("model", Obs.Json.Str model_name);
+                ("engine", Obs.Json.Str (Pluto.Engine.choice_name engine));
+                ("key", Obs.Json.Str key) ]
+            else []
+          in
+          Obs.Trace.span ~cat:"serve" ~args "serve.request" f
+        in
+        match Cache.find_form t.cache form with
+        | Some (key, e) ->
+          in_span key (fun () ->
+              hit_response ~id ~key ~coalesced:false ~wall0 ?deadline_ms e)
+        | None -> (
+          match entry.Kernels.Registry.program ~n () with
+          | exception Invalid_argument msg ->
+            usage (Printf.sprintf "cannot build %s at size %d: %s" kernel n msg)
+          | prog ->
+            let key = Fingerprint.key ~engine ~reductions ~model prog in
+            in_span key (fun () ->
+                match Cache.find t.cache ~form key with
+                | Some e ->
+                  hit_response ~id ~key ~coalesced:false ~wall0 ?deadline_ms e
+                | None ->
+                  solve_request t ~id ~wall0 ?deadline_ms ~form ~key ~kernel
+                    ~model ~size:n ~engine ~reductions prog)))))
 
 let handle_request t ({ id; op } : Protocol.request) =
   match op with

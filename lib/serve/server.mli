@@ -4,7 +4,10 @@
     {!Fingerprint} and answered from the content-addressed {!Cache}; a
     miss runs the full certified pipeline (optimize under a nested
     trace capture + wisecheck) and stores the payload for every later
-    request with the same content.
+    request with the same content. A repeated request (same kernel,
+    resolved size, model, engine and reductions flag) is answered from
+    the cache's request-form index without building its program or
+    computing its key.
 
     Transports: stdio and every socket connection run the same line
     loop, which answers each line in request order. Stdio runs it on

@@ -54,18 +54,34 @@ let check_mentions what text needles =
 let subcommands =
   [
     "list"; "show"; "deps"; "opt"; "emit"; "sim"; "analyze"; "trace";
-    "explain"; "serve";
+    "explain"; "serve"; "metrics";
+  ]
+
+(* the exit-code table documents the pipeline-phase codes *)
+let exit_table =
+  [
+    "usage error"; "budget exhausted"; "scheduling failed";
+    "verification failed"; "code generation failed"; "wisecheck findings";
+    "unexpected exception";
   ]
 
 let test_top_help () =
   let text = run_cli [ "--help=plain" ] in
   check_mentions "top help" text subcommands;
-  (* the exit-code table documents the pipeline-phase codes *)
-  check_mentions "top help" text
-    [
-      "usage error"; "budget exhausted"; "scheduling failed";
-      "verification failed"; "code generation failed"; "wisecheck findings";
-    ]
+  check_mentions "top help" text exit_table;
+  (* every subcommand prints the same table, not cmdliner's default one
+     (123 and 124), since a bad flag exits 2 *)
+  List.iter
+    (fun sub ->
+      let text = run_cli [ sub; "--help=plain" ] in
+      check_mentions (sub ^ " help") text exit_table;
+      List.iter
+        (fun default ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s help lacks %S" sub default)
+            false (contains text default))
+        [ "indiscriminate errors"; "command line parsing errors" ])
+    subcommands
 
 let test_opt_help () =
   let text = run_cli [ "opt"; "--help=plain" ] in

@@ -44,17 +44,30 @@ let str_field j name =
 
 (* --- warm vs cold: byte identity over the whole registry ----------------- *)
 
+(* minor words [f] allocates on this domain *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
 let test_warm_cold_identical () =
   let t = Serve.Server.create () in
   let id = ref 0 in
   List.iter
-    (fun kernel ->
+    (fun (e : Kernels.Registry.entry) ->
+      let kernel = e.Kernels.Registry.name in
+      let _, build_words =
+        minor_words (fun () -> e.Kernels.Registry.program ~n:test_size ())
+      in
       List.iter
         (fun model ->
           incr id;
           let line = request_line ~id:!id ~model kernel in
           let _, cold = respond t line in
-          let _, warm = respond t line in
+          let warm, hit_words =
+            minor_words (fun () -> Serve.Server.handle_line t line)
+          in
+          let _, warm = parse_response warm in
           Alcotest.(check string)
             (kernel ^ "/" ^ model ^ " cold is a miss")
             "miss" (str_field cold "cache");
@@ -70,6 +83,11 @@ let test_warm_cold_identical () =
             (kernel ^ "/" ^ model ^ " byte-identical result")
             (Obs.Json.to_string (field cold "result"))
             (Obs.Json.to_string (field warm "result"));
+          (* the hit came from the request form: it built no program,
+             so it allocated less than one build of its kernel *)
+          if hit_words >= build_words then
+            Alcotest.failf "%s/%s hit allocated %.0f minor words, a build %.0f"
+              kernel model hit_words build_words;
           (* and the hit performed zero solver work *)
           let serve = field warm "serve" in
           List.iter
@@ -81,7 +99,7 @@ let test_warm_cold_identical () =
                   (match v with Some n -> string_of_int n | None -> "?"))
             [ "lp_solves"; "lp_pivots"; "dual_pivots"; "ilp_solves"; "bb_nodes" ])
         model_names)
-    kernels;
+    Kernels.Registry.all;
   let s = Cache.stats (Serve.Server.cache t) in
   Alcotest.(check int) "one miss per pair"
     (List.length kernels * List.length models)
@@ -236,36 +254,56 @@ let payload tag = Obs.Json.Obj [ ("tag", Obs.Json.Str tag) ]
 
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 in
-  ignore (Cache.add c "k1" ~payload:(payload "1") ~solve_ms:1.0);
-  ignore (Cache.add c "k2" ~payload:(payload "2") ~solve_ms:1.0);
+  ignore (Cache.add c "k1" ~form:"f1" ~payload:(payload "1") ~solve_ms:1.0);
+  ignore (Cache.add c "k2" ~form:"f2" ~payload:(payload "2") ~solve_ms:1.0);
   (* touch k1 so k2 is the least recently used *)
   ignore (Cache.find_quiet c "k1");
-  ignore (Cache.add c "k3" ~payload:(payload "3") ~solve_ms:1.0);
+  ignore (Cache.add c "k3" ~form:"f3" ~payload:(payload "3") ~solve_ms:1.0);
   let s = Cache.stats c in
   Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
   Alcotest.(check int) "still at capacity" 2 s.Cache.entries;
   Alcotest.(check bool) "LRU entry (k2) gone" true
     (Cache.find_quiet c "k2" = None);
+  Alcotest.(check bool) "and its form with it" true (Cache.find_form c "f2" = None);
   Alcotest.(check bool) "recently-used k1 kept" true
     (Cache.find_quiet c "k1" <> None);
   Alcotest.(check bool) "new k3 present" true (Cache.find_quiet c "k3" <> None);
   (* re-adding an existing key is a no-op, not an eviction *)
-  ignore (Cache.add c "k3" ~payload:(payload "3'") ~solve_ms:9.0);
+  ignore (Cache.add c "k3" ~form:"f3" ~payload:(payload "3'") ~solve_ms:9.0);
   Alcotest.(check int) "no extra eviction" 1 (Cache.stats c).Cache.evictions;
   (match Cache.find_quiet c "k3" with
   | Some e ->
     Alcotest.(check string) "original payload kept" {|{"tag": "3"}|}
       (Obs.Json.to_string e.Cache.payload)
   | None -> Alcotest.fail "k3 vanished");
-  match Cache.create ~capacity:0 with
+  (match Cache.create ~capacity:0 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "capacity 0 must be rejected"
+  | _ -> Alcotest.fail "capacity 0 must be rejected");
+  (* a capacity-1 server answering A, B, A: B evicts A with its form, so
+     the second A is solved again, under A's content key *)
+  let t =
+    Serve.Server.create
+      ~config:{ Serve.Server.default_config with cache_capacity = 1 }
+      ()
+  in
+  let answers =
+    List.mapi
+      (fun i kernel -> snd (respond t (request_line ~id:i kernel)))
+      [ "gemver"; "tce"; "gemver" ]
+  in
+  Alcotest.(check (list string)) "A, B, A" [ "miss"; "miss"; "miss" ]
+    (List.map (fun j -> str_field j "cache") answers);
+  Alcotest.(check string) "the second A is keyed by its content"
+    (Serve.Fingerprint.key ~model:Fusion.Model.Wisefuse
+       (Kernels.Gemver.program ~n:test_size ()))
+    (str_field (List.nth answers 2) "key")
 
 let test_cache_counting () =
   let c = Cache.create ~capacity:4 in
-  Alcotest.(check bool) "absent" true (Cache.find_quiet c "absent" = None);
+  Alcotest.(check bool) "absent" true (Cache.find c ~form:"f" "absent" = None);
+  Alcotest.(check bool) "absent form" true (Cache.find_form c "f" = None);
   Cache.count_miss c;
-  let stored = Cache.add c "k" ~payload:(payload "k") ~solve_ms:1.0 in
+  let stored = Cache.add c "k" ~form:"f" ~payload:(payload "k") ~solve_ms:1.0 in
   (* quiet: no tally; and the entry holds the very node the miss answers
      with, so a hit splices the bytes rendered once *)
   (match Cache.find_quiet c "k" with
@@ -273,10 +311,20 @@ let test_cache_counting () =
     Alcotest.(check bool) "entry holds the node add returned" true
       (e.Cache.payload == stored)
   | None -> Alcotest.fail "k vanished");
-  Cache.count_hit c;
-  Cache.count_hit c;
+  (* a hit by form and a hit by key each count once; the key hit
+     indexes its form to the entry *)
+  (match Cache.find_form c "f" with
+  | Some (key, _) -> Alcotest.(check string) "form f reaches k" "k" key
+  | None -> Alcotest.fail "form f not indexed");
+  Alcotest.(check bool) "key hit" true (Cache.find c ~form:"g" "k" <> None);
+  (match Cache.find_form c "g" with
+  | Some (key, e) ->
+    Alcotest.(check string) "form g reaches k" "k" key;
+    Alcotest.(check (list string)) "two forms, one entry" [ "f"; "g" ]
+      (List.sort compare e.Cache.forms)
+  | None -> Alcotest.fail "the key hit did not index form g");
   let s = Cache.stats c in
-  Alcotest.(check int) "hits" 2 s.Cache.hits;
+  Alcotest.(check int) "hits" 3 s.Cache.hits;
   Alcotest.(check int) "misses" 1 s.Cache.misses;
   Alcotest.(check int) "no evictions" 0 s.Cache.evictions
 
@@ -362,6 +410,26 @@ let test_engine_requests () =
   Alcotest.(check string) "explicit auto = default key"
     (str_field auto0 "key") (str_field auto1 "key");
   Alcotest.(check string) "explicit auto hits" "hit" (str_field auto1 "cache");
+  (* no size means the model size: both spellings reach one entry *)
+  let entries () = (Cache.stats (Serve.Server.cache t)).Cache.entries in
+  let before = entries () in
+  let _, nosize = respond t {|{"id": 8, "kernel": "gemver"}|} in
+  let model_size = (Kernels.Registry.find "gemver").Kernels.Registry.model_size in
+  let _, sized = respond t (request_line ~id:9 ~size:model_size "gemver") in
+  Alcotest.(check string) "no size solves" "miss" (str_field nosize "cache");
+  Alcotest.(check string) "explicit model size hits" "hit"
+    (str_field sized "cache");
+  Alcotest.(check string) "explicit model size = no-size key"
+    (str_field nosize "key") (str_field sized "key");
+  Alcotest.(check int) "one entry for both spellings" (before + 1) (entries ());
+  (* and one request form: the second was answered from the form index *)
+  List.iter
+    (fun j ->
+      match Cache.find_quiet (Serve.Server.cache t) (str_field j "key") with
+      | Some e ->
+        Alcotest.(check int) "one form per entry" 1 (List.length e.Cache.forms)
+      | None -> Alcotest.fail "entry vanished")
+    [ auto1; sized ];
   (* icc accepts (and ignores) the engine *)
   let _, icc =
     respond t
@@ -537,6 +605,13 @@ let test_deadline_degrades_uncached () =
       let _, clean = respond t (sched_line ~id:2 ~deadline:10_000 "gemver") in
       Alcotest.(check string) "clean re-solve is a miss" "miss"
         (str_field clean "cache");
+      (* same request form: the uncached answer indexed nothing, so this
+         one really solved *)
+      Alcotest.(check int) "no hit served yet" 0
+        (Cache.stats (Serve.Server.cache t)).Cache.hits;
+      (match Obs.Json.to_int_opt (field (field clean "serve") "lp_solves") with
+      | Some n when n > 0 -> ()
+      | _ -> Alcotest.fail "the clean re-solve reported no LP solves");
       Alcotest.(check bool) "clean result undegraded" true
         (Obs.Json.to_bool_opt (field (field clean "result") "degraded")
         = Some false);
@@ -779,7 +854,17 @@ let test_trace_sampling () =
   (* third (n = 2) samples again — now a cache hit with its own id *)
   let _, third = respond t (sched_line ~id:3 "gemver") in
   let tid3 = str_field third "trace_id" in
-  Alcotest.(check bool) "distinct trace ids" true (tid <> tid3)
+  Alcotest.(check bool) "distinct trace ids" true (tid <> tid3);
+  (* a sampled hit records the serve.request span around its
+     serve.cache-hit instant, and nothing else *)
+  Alcotest.(check string) "third is a hit" "hit" (str_field third "cache");
+  let trace = field third "trace" in
+  Alcotest.(check (option int)) "hit trace events" (Some 3)
+    (Obs.Json.to_int_opt (field trace "events"));
+  Alcotest.(check (list string)) "hit trace spans" [ "serve.request" ]
+    (List.map
+       (fun sp -> str_field sp "name")
+       (Option.value (Obs.Json.to_list_opt (field trace "spans")) ~default:[]))
 
 let test_access_log () =
   let path = Filename.temp_file "wisefuse_access" ".jsonl" in
