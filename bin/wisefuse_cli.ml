@@ -21,16 +21,29 @@
 
 open Cmdliner
 
-(* an integer flag that must be at least 1; anything else is a usage
-   error *)
-let positive_int =
+(* an integer flag that must be at least [floor]; anything else is a
+   usage error *)
+let int_at_least floor =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok n
-    | Some _ -> Error (`Msg (Printf.sprintf "%s is below 1" s))
+    | Some n when n >= floor -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is below %d" s floor))
     | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected an integer" s))
   in
   Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+let non_negative_int = int_at_least 0
+
+(* a number flag that must be above 0 *)
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 -> Ok x
+    | Some _ -> Error (`Msg (Printf.sprintf "%s is not above 0" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a number" s))
+  in
+  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
 
 let kernel_arg =
   let doc = "Benchmark name (see `wisefuse list')." in
@@ -508,30 +521,6 @@ let serve_cmd =
   let run socket stdio domains cache_cap max_pending deadline_ms
       max_deadline_ms max_line_bytes breaker_threshold breaker_ttl_s
       no_metrics trace_sample access_log =
-    let check name v floor =
-      if v < floor then begin
-        Printf.eprintf "serve: --%s must be >= %d\n" name floor;
-        exit usage_exit
-      end
-    in
-    check "domains" domains 1;
-    check "cache-cap" cache_cap 1;
-    check "max-pending" max_pending 1;
-    check "max-deadline-ms" max_deadline_ms 1;
-    check "max-line-bytes" max_line_bytes 1;
-    check "breaker-threshold" breaker_threshold 1;
-    if breaker_ttl_s <= 0.0 then begin
-      Printf.eprintf "serve: --breaker-ttl-s must be positive\n";
-      exit usage_exit
-    end;
-    if deadline_ms < 0 then begin
-      Printf.eprintf "serve: --deadline-ms must be >= 0 (0 = unlimited)\n";
-      exit usage_exit
-    end;
-    if trace_sample < 0 then begin
-      Printf.eprintf "serve: --trace-sample must be >= 0 (0 = never)\n";
-      exit usage_exit
-    end;
     let config =
       {
         Serve.Server.domains;
@@ -574,11 +563,11 @@ let serve_cmd =
       "Socket worker domains: connections served concurrently. Stdio \
        always answers on one domain, in request order."
     in
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "domains" ] ~docv:"N" ~doc)
   in
   let cache_cap_arg =
     let doc = "Capacity of the content-addressed response cache (entries)." in
-    Arg.(value & opt int 512 & info [ "cache-cap" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 512 & info [ "cache-cap" ] ~docv:"N" ~doc)
   in
   let dflt = Serve.Server.default_config in
   let max_pending_arg =
@@ -588,7 +577,7 @@ let serve_cmd =
        pending (in flight or queued)."
     in
     Arg.(value
-         & opt int dflt.Serve.Server.max_pending
+         & opt positive_int dflt.Serve.Server.max_pending
          & info [ "max-pending" ] ~docv:"N" ~doc)
   in
   let deadline_ms_arg =
@@ -599,7 +588,7 @@ let serve_cmd =
        typed degraded envelope."
     in
     Arg.(value
-         & opt int
+         & opt non_negative_int
              (match dflt.Serve.Server.default_deadline_ms with
              | Some d -> d
              | None -> 0)
@@ -608,7 +597,7 @@ let serve_cmd =
   let max_deadline_ms_arg =
     let doc = "Cap on client-requested deadlines, in milliseconds." in
     Arg.(value
-         & opt int dflt.Serve.Server.max_deadline_ms
+         & opt positive_int dflt.Serve.Server.max_deadline_ms
          & info [ "max-deadline-ms" ] ~docv:"MS" ~doc)
   in
   let max_line_bytes_arg =
@@ -617,7 +606,7 @@ let serve_cmd =
        \"oversized\" error and is never buffered in full."
     in
     Arg.(value
-         & opt int dflt.Serve.Server.max_line_bytes
+         & opt positive_int dflt.Serve.Server.max_line_bytes
          & info [ "max-line-bytes" ] ~docv:"BYTES" ~doc)
   in
   let breaker_threshold_arg =
@@ -626,14 +615,14 @@ let serve_cmd =
        breaker (further requests answer a typed \"breaker\" error)."
     in
     Arg.(value
-         & opt int dflt.Serve.Server.breaker_threshold
+         & opt positive_int dflt.Serve.Server.breaker_threshold
          & info [ "breaker-threshold" ] ~docv:"N" ~doc)
   in
   let breaker_ttl_arg =
     let doc = "Seconds an open circuit breaker keeps rejecting before a \
                half-open probe is allowed." in
     Arg.(value
-         & opt float dflt.Serve.Server.breaker_ttl_s
+         & opt positive_float dflt.Serve.Server.breaker_ttl_s
          & info [ "breaker-ttl-s" ] ~docv:"S" ~doc)
   in
   let no_metrics_arg =
@@ -645,11 +634,13 @@ let serve_cmd =
   in
   let trace_sample_arg =
     let doc =
-      "Capture a span trace for every $(docv)-th request (0 = never); \
+      "Record a span trace for every $(docv)-th request (0 = never); \
        sampled responses carry \"trace_id\" and a compact \"trace\" span \
        summary."
     in
-    Arg.(value & opt int 0 & info [ "trace-sample" ] ~docv:"N" ~doc)
+    Arg.(value
+         & opt non_negative_int 0
+         & info [ "trace-sample" ] ~docv:"N" ~doc)
   in
   let access_log_arg =
     let doc =

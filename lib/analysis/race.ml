@@ -130,7 +130,7 @@ let check ?(param_floor = 2) ?(facts = []) (prog : Scop.Program.t) deps sched
                     "loop t%d is marked %s but carries a %s \
                      dependence %s -> %s"
                     l.level
-                    (Codegen.Ast.parallelism_name l.par)
+                    (Pluto.Satisfy.loop_class_name l.par)
                     (Dep.kind_to_string d.kind)
                     prog.stmts.(d.src).Scop.Statement.name
                     prog.stmts.(d.dst).Scop.Statement.name))
@@ -189,14 +189,14 @@ let check ?(param_floor = 2) ?(facts = []) (prog : Scop.Program.t) deps sched
                  ~context:
                    [
                      ("row", string_of_int row_idx);
-                     ("mark", Codegen.Ast.parallelism_name l.par);
+                     ("mark", Pluto.Satisfy.loop_class_name l.par);
                      ("live dependences", string_of_int (List.length live));
                    ]
                  Finding.Lost_parallelism
                  (Printf.sprintf
                     "loop t%d is marked %s but is provably race-free"
                     l.level
-                    (Codegen.Ast.parallelism_name l.par)))
+                    (Pluto.Satisfy.loop_class_name l.par)))
           | (Codegen.Ast.Forward | Codegen.Ast.Sequential), _ :: _ -> ()))
       ast;
     List.rev !findings

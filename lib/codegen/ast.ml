@@ -1,6 +1,10 @@
 type bound = { num : int array; den : int }
 
-type parallelism = Parallel | Parallel_reduction | Forward | Sequential
+type parallelism = Pluto.Satisfy.loop_class =
+  | Parallel
+  | Parallel_reduction
+  | Forward
+  | Sequential
 
 type instance = {
   stmt_id : int;
@@ -25,26 +29,6 @@ and loop = {
   par : parallelism;
   body : node;
 }
-
-(* --- parallelism vocabulary ---------------------------------------------- *)
-
-(* [Pluto.Satisfy.loop_class] is the source of truth; [parallelism] is
-   its mirror on generated loops. The two conversions are total inverse
-   bijections (round-trip tested in test_analysis.ml). *)
-
-let of_loop_class = function
-  | Pluto.Satisfy.Parallel -> Parallel
-  | Pluto.Satisfy.Parallel_reduction -> Parallel_reduction
-  | Pluto.Satisfy.Forward -> Forward
-  | Pluto.Satisfy.Sequential -> Sequential
-
-let to_loop_class = function
-  | Parallel -> Pluto.Satisfy.Parallel
-  | Parallel_reduction -> Pluto.Satisfy.Parallel_reduction
-  | Forward -> Pluto.Satisfy.Forward
-  | Sequential -> Pluto.Satisfy.Sequential
-
-let parallelism_name p = Pluto.Satisfy.loop_class_name (to_loop_class p)
 
 (* --- walks ---------------------------------------------------------------- *)
 

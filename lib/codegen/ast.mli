@@ -17,7 +17,13 @@ type bound = {
   den : int;  (** positive divisor: lower bounds take ceil, upper floor *)
 }
 
-type parallelism = Parallel | Parallel_reduction | Forward | Sequential
+(** A generated loop's parallelism: {!Pluto.Satisfy.loop_class},
+    re-exported so its constructors can be named from here. *)
+type parallelism = Pluto.Satisfy.loop_class =
+  | Parallel
+  | Parallel_reduction
+  | Forward
+  | Sequential
 
 type instance = {
   stmt_id : int;
@@ -54,15 +60,6 @@ and loop = {
   par : parallelism;
   body : node;
 }
-
-(** {1 Parallelism vocabulary}
-
-    [parallelism] mirrors {!Pluto.Satisfy.loop_class} (the single
-    source of truth); the conversions are total inverse bijections. *)
-
-val of_loop_class : Pluto.Satisfy.loop_class -> parallelism
-val to_loop_class : parallelism -> Pluto.Satisfy.loop_class
-val parallelism_name : parallelism -> string
 
 (** {1 Walks}
 

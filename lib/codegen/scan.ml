@@ -197,16 +197,15 @@ let generate ~(prog : Scop.Program.t) ~(sched : Pluto.Sched.t) ~deps =
               (List.map (fun id -> bounds_at td.(id) ~np ~nloops level) stmts)
           in
           let par =
-            Ast.of_loop_class
-              (Pluto.Satisfy.row_class prog true_deps sched ~level:row_idx
-                 ~members:stmts)
+            Pluto.Satisfy.row_class prog true_deps sched ~level:row_idx
+              ~members:stmts
           in
           if Obs.Trace.on () then
             Obs.Trace.instant ~cat:"codegen" "codegen.loop"
               ~args:
                 [
                   ("level", Obs.Json.Int level);
-                  ("class", Obs.Json.Str (Ast.parallelism_name par));
+                  ("class", Obs.Json.Str (Pluto.Satisfy.loop_class_name par));
                   ("stmts", Obs.Json.Int (List.length stmts));
                 ];
           Ast.Loop

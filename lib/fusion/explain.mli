@@ -1,10 +1,9 @@
 (** Human-readable fusion-decision reports.
 
     A report pairs a model run with the decision events recorded
-    while it ran (under {!Obs.Trace.with_recording} or
-    {!Obs.Trace.capture}); the run's own Farkas memo
-    ({!Resilient.optimize}) makes those events a function of the
-    program alone. [pp] renders them as a justification chain in the
+    while it ran (under {!Obs.Trace.with_recording}); the run's own
+    Farkas memo ({!Resilient.optimize}) makes those events a function
+    of the program alone. [pp] renders them as a justification chain in the
     house diagnostics style: the pre-fusion clustering (which SCC
     seeded each cluster and why each joiner was pulled in), every cut
     with the strategy chosen and — for minimal / Algorithm 2 cuts —

@@ -122,9 +122,12 @@ let degrade_event rung (d : Pluto.Diagnostics.t) =
 
 (* [optimize] with dependences already computed (input dependences
    included if downstream wants them). No [Budget.of_env] default here:
-   the caller decides. *)
+   the caller decides. The ladder owns one Farkas memo, shared by every
+   rung, so the memo events in a trace and the memo counters are a
+   function of this run alone. *)
 let with_deps ?budget ?(engine = Pluto.Engine.Auto) ~config
     (prog : Scop.Program.t) all_deps =
+  let memo = Pluto.Farkas.memo () in
   (* One attempt = schedule search + code generation; a failure
      anywhere in the pair degrades to the next rung. *)
   let attempt rung cfg eng b =
@@ -134,7 +137,7 @@ let with_deps ?budget ?(engine = Pluto.Engine.Auto) ~config
         ("engine", Obs.Json.Str (Pluto.Engine.choice_name eng));
       ];
     match
-      Pluto.Scheduler.schedule_with_deps ?budget:b ~engine:eng cfg prog
+      Pluto.Scheduler.schedule_with_deps ?budget:b ~engine:eng ~memo cfg prog
         all_deps
     with
     | Error d -> Error d
@@ -195,12 +198,8 @@ let with_deps ?budget ?(engine = Pluto.Engine.Auto) ~config
     end
     else distributed [ d1 ]
 
-(* The run owns its Farkas memo: every rung of one ladder shares it,
-   and no run sees another's systems, so the memo events in a trace and
-   the memo counters are a function of the run alone. *)
 let optimize ?param_floor ?budget ?engine ?(config = Wisefuse.config)
     ?(reductions = false) prog =
-  Pluto.Farkas.scoped @@ fun () ->
   let budget =
     match budget with Some _ -> budget | None -> Linalg.Budget.of_env ()
   in

@@ -46,9 +46,9 @@ val degraded : outcome -> bool
     self-dependences retagged [Deps.Dep.Reduction] before scheduling,
     relaxing legality for proven accumulation chains; when [false] no
     dependence is ever tagged and schedules are byte-identical to the
-    untagged pipeline. The run memoizes its Farkas systems in a fresh
-    memo of its own ({!Pluto.Farkas.scoped}), shared by every rung and
-    dropped on return. On the happy path this is byte-identical to
+    untagged pipeline. The run memoizes its Farkas systems in a
+    {!Pluto.Farkas.memo} of its own, shared by every rung and dropped
+    on return. On the happy path this is byte-identical to
     [Pluto.Scheduler.run config prog] followed by
     [Codegen.Scan.of_result].
     @raise Pluto.Diagnostics.Error only if even the identity rung fails

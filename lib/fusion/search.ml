@@ -74,6 +74,9 @@ let best (prog : Scop.Program.t) =
   let ddg = Ddg.build prog deps in
   let scc_of = Ddg.scc_kosaraju ddg in
   let params = prog.default_params in
+  (* the candidates share their dependence polyhedra, so one memo
+     serves the whole search *)
+  let memo = Pluto.Farkas.memo () in
   let candidates = ref [] in
   let tried = ref 0 in
   (try
@@ -93,7 +96,7 @@ let best (prog : Scop.Program.t) =
                  outer_parallel = false;
                }
              in
-             match Pluto.Scheduler.schedule_with_deps cfg prog deps with
+             match Pluto.Scheduler.schedule_with_deps ~memo cfg prog deps with
              | Ok result ->
                let stats =
                  match

@@ -253,7 +253,7 @@ let run ?param_floor (prog : Scop.Program.t) =
         let members = stmts_of (Codegen.Ast.Loop l) in
         let par =
           if List.for_all (fun id -> parallel_of_stmt.(id)) members then l.par
-          else Codegen.Ast.of_loop_class Pluto.Satisfy.Sequential
+          else Codegen.Ast.Sequential
         in
         Codegen.Ast.Loop { l with par; body }
       end

@@ -11,12 +11,5 @@
 
 let now () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-(* Give the tracer monotone timestamps too. [Obs] sits below this
-   library and defaults to the wall clock; installing the monotonic
-   source at link time (any binary linking linalg initializes the
-   whole archive) means trace spans can never run backwards under an
-   NTP step either. *)
-let () = Obs.Trace.set_clock now
-
 let elapsed_ms ~since = (now () -. since) *. 1e3
 let elapsed_us ~since = (now () -. since) *. 1e6

@@ -114,7 +114,7 @@ let simulate ?(config = default) (prog : Scop.Program.t) ast ~params =
   in
   let vectorizable (l : Codegen.Ast.loop) =
     config.simd_width > 1
-    && Codegen.Ast.to_loop_class l.Codegen.Ast.par = Pluto.Satisfy.Parallel
+    && l.Codegen.Ast.par = Codegen.Ast.Parallel
     && List.length (List.sort_uniq compare l.Codegen.Ast.lb_groups) = 1
     && List.length (List.sort_uniq compare l.Codegen.Ast.ub_groups) = 1
     && guard_free l.Codegen.Ast.body
@@ -151,7 +151,7 @@ let simulate ?(config = default) (prog : Scop.Program.t) ast ~params =
       if total <= 0 then ()
       else if
         config.sequential || ncores = 1
-        || Codegen.Ast.to_loop_class l.par = Pluto.Satisfy.Sequential
+        || l.par = Codegen.Ast.Sequential
       then begin
         current := 0;
         let before = cores.(0).busy in
@@ -179,13 +179,13 @@ let simulate ?(config = default) (prog : Scop.Program.t) ast ~params =
           (fun i c -> elapsed := max !elapsed (c.busy - before.(i)))
           cores;
         let sync =
-          match Codegen.Ast.to_loop_class l.par with
-          | Pluto.Satisfy.Parallel -> config.barrier_cost
-          | Pluto.Satisfy.Parallel_reduction ->
+          match l.par with
+          | Codegen.Ast.Parallel -> config.barrier_cost
+          | Codegen.Ast.Parallel_reduction ->
             (* privatize-and-combine epilogue: each worker's partial
                accumulator is merged after the barrier *)
             config.barrier_cost + (ncores * config.combine_cost)
-          | Pluto.Satisfy.Forward | Pluto.Satisfy.Sequential ->
+          | Codegen.Ast.Forward | Codegen.Ast.Sequential ->
             (* pipelined wavefronts: one synchronization per outer
                iteration *)
             total * config.barrier_cost

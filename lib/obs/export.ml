@@ -48,7 +48,7 @@ let validate doc =
     | Some l -> Ok l
     | None -> Error "no \"traceEvents\" array at top level"
   in
-  let check_event i stack last_ts e =
+  let check_event i stack prev_ts e =
     let field name conv =
       match Option.bind (Json.member name e) conv with
       | Some v -> Ok v
@@ -58,11 +58,11 @@ let validate doc =
     let* ph = field "ph" Json.to_string_opt in
     let* ts = field "ts" Json.to_float_opt in
     let* () =
-      if ts +. 1e-9 >= last_ts then Ok ()
+      if ts +. 1e-9 >= prev_ts then Ok ()
       else
         Error
           (Printf.sprintf "event %d (%s): timestamp %.3f < previous %.3f" i
-             name ts last_ts)
+             name ts prev_ts)
     in
     let* stack =
       match ph with
@@ -79,7 +79,7 @@ let validate doc =
     in
     Ok (stack, ts)
   in
-  let rec go i stack last_ts = function
+  let rec go i stack prev_ts = function
     | [] ->
       if stack = [] then Ok (List.length events)
       else
@@ -87,7 +87,7 @@ let validate doc =
           (Printf.sprintf "unbalanced spans at end of trace: %s still open"
              (String.concat ", " stack))
     | e :: rest ->
-      let* stack, ts = check_event i stack last_ts e in
+      let* stack, ts = check_event i stack prev_ts e in
       go (i + 1) stack ts rest
   in
   go 0 [] neg_infinity events

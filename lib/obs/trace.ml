@@ -10,7 +10,7 @@ type event = {
 
 (* Per-domain sinks.  Each domain records into its own state (a
    mutable record held in domain-local storage), so emission never
-   takes a lock and two domains capturing concurrently cannot clobber
+   takes a lock and two domains recording concurrently cannot clobber
    or interleave each other's events — the failure mode of the old
    single global sink, whose [enabled]/[sink] refs were plain
    cross-domain-mutated cells.
@@ -25,12 +25,10 @@ type state = {
   mutable enabled : bool;
   mutable sink : event list; (* reversed; emission is allocation-only *)
   mutable t0 : float;
-  mutable last_ts : float;
 }
 
 let key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      { enabled = false; sink = []; t0 = 0.0; last_ts = 0.0 })
+  Domain.DLS.new_key (fun () -> { enabled = false; sink = []; t0 = 0.0 })
 
 let cur () = Domain.DLS.get key
 
@@ -39,48 +37,25 @@ let live = Atomic.make 0
 
 let on () = Atomic.get live > 0
 
-(* The timestamp source, swappable so [Linalg.Clock] can install the
-   monotonic clock without [obs] depending on it. *)
-let clock : (unit -> float) Atomic.t = Atomic.make Unix.gettimeofday
-let set_clock f = Atomic.set clock f
+(* CLOCK_MONOTONIC in seconds, from the C stub [Linalg.Clock] reads
+   too. It never steps, so the timestamps of one recording are
+   non-decreasing, as Chrome's viewer (and our own checker) requires. *)
+let clock () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
-(* Microseconds since [t0], clamped non-decreasing per domain:
-   Chrome's viewer (and our own checker) requires monotone timestamps,
-   and the default wall clock is allowed not to be. *)
-let now_us st =
-  let t = ((Atomic.get clock) () -. st.t0) *. 1e6 in
-  let t = if t < st.last_ts then st.last_ts else t in
-  st.last_ts <- t;
-  t
-
-let reset () =
-  let st = cur () in
-  st.sink <- [];
-  st.t0 <- (Atomic.get clock) ();
-  st.last_ts <- 0.0
-
-let enable () =
-  let st = cur () in
-  reset ();
-  if not st.enabled then begin
-    st.enabled <- true;
-    Atomic.incr live
+let set_enabled st on =
+  if st.enabled <> on then begin
+    st.enabled <- on;
+    if on then Atomic.incr live else Atomic.decr live
   end
 
-let disable () =
-  let st = cur () in
-  if st.enabled then begin
-    st.enabled <- false;
-    Atomic.decr live
-  end
-
-let events () = List.rev (cur ()).sink
+let disable () = set_enabled (cur ()) false
 
 let emit ph ?(args = []) ~cat name =
   if on () then begin
     let st = cur () in
     if st.enabled then begin
-      st.sink <- { ph; name; cat; ts = now_us st; args } :: st.sink
+      let ts = (clock () -. st.t0) *. 1e6 in
+      st.sink <- { ph; name; cat; ts; args } :: st.sink
     end
   end
 
@@ -95,40 +70,20 @@ let span ?args ~cat name f =
     Fun.protect ~finally:(fun () -> end_span name) f
   end
 
+(* The domain's sink is saved before [f] runs and put back after it,
+   so an enclosing recording neither sees [f]'s events nor loses its
+   own, and its clock origin is unchanged. *)
 let with_recording f =
-  enable ();
-  let v = f () in
-  let evs = events () in
-  disable ();
-  (v, evs)
-
-(* Unlike [with_recording], [capture] saves this domain's sink state
-   and puts it back, so a capture can run while an outer recording is
-   in progress (the serving daemon harvests per-request decision
-   events this way without clobbering a session-level trace).  The
-   saved state is domain-local, so concurrent captures on different
-   domains are fully independent.  The outer clock's monotonicity is
-   preserved by restoring [last_ts]. *)
-let capture f =
   let st = cur () in
-  let s_enabled = st.enabled
-  and s_sink = st.sink
-  and s_t0 = st.t0
-  and s_last = st.last_ts in
-  let restore () =
-    if st.enabled && not s_enabled then Atomic.decr live
-    else if (not st.enabled) && s_enabled then Atomic.incr live;
-    st.enabled <- s_enabled;
-    st.sink <- s_sink;
-    st.t0 <- s_t0;
-    st.last_ts <- s_last
-  in
-  enable ();
-  match f () with
-  | v ->
-    let evs = events () in
-    restore ();
-    (v, evs)
-  | exception e ->
-    restore ();
-    raise e
+  let enabled = st.enabled and sink = st.sink and t0 = st.t0 in
+  st.sink <- [];
+  st.t0 <- clock ();
+  set_enabled st true;
+  Fun.protect
+    ~finally:(fun () ->
+      set_enabled st enabled;
+      st.sink <- sink;
+      st.t0 <- t0)
+    (fun () ->
+      let v = f () in
+      (v, List.rev st.sink))

@@ -11,11 +11,11 @@
       rung fired) with structured {!Json.t} arguments.
 
     Every domain owns an independent sink in domain-local storage:
-    {!with_recording}, {!capture} etc. act on the calling domain's
-    sink only.  Emission is therefore lock-free — no mutex, no
-    cross-domain interleaving — and concurrent {!capture}s on
-    different domains (one per in-flight request in the serving
-    daemon) cannot lose or mix events.
+    {!with_recording} and {!disable} act on the calling domain's sink
+    only.  Emission is therefore lock-free — no mutex, no cross-domain
+    interleaving — and concurrent recordings on different domains (one
+    per in-flight request in the serving daemon) cannot lose or mix
+    events.
 
     The default sink is {e null}: {!on} is a single [Atomic.get] of
     the count of domains with an enabled sink, and every emit function
@@ -25,10 +25,9 @@
     allocation is skipped too.
 
     Timestamps are microseconds relative to the start of the calling
-    domain's current recording, clamped to be non-decreasing (Chrome's
-    trace viewer requires monotone timestamps).  The timestamp source
-    defaults to the wall clock; [Linalg.Clock] installs the monotonic
-    clock via {!set_clock} at link time. *)
+    domain's current recording, read from CLOCK_MONOTONIC (the same C
+    stub as [Linalg.Clock]), so they never decrease within a recording
+    (Chrome's trace viewer requires monotone timestamps). *)
 
 type phase = B | E | I
 
@@ -44,10 +43,6 @@ type event = {
     paths pay when tracing is off. *)
 val on : unit -> bool
 
-(** Replace the timestamp source (seconds, as a float). Installed once
-    at link time by [Linalg.Clock]; tests may swap in a fake clock. *)
-val set_clock : (unit -> float) -> unit
-
 (** Stop the calling domain's recording. *)
 val disable : unit -> unit
 
@@ -62,18 +57,13 @@ val span : ?args:(string * Json.t) list -> cat:string -> string -> (unit -> 'a) 
 
 val instant : ?args:(string * Json.t) list -> cat:string -> string -> unit
 
-(** [with_recording f] starts recording into a fresh sink {e on the
-    calling domain} (dropping that domain's prior events and
-    re-zeroing its clock), runs [f] and returns
-    its result with the recorded events; the previous sink state
-    (on/off and events) is NOT restored — callers own their domain's
-    tracer. *)
+(** [with_recording f] runs [f] with a fresh sink {e on the calling
+    domain}, whose clock starts at zero, and returns [f]'s result with
+    the events [f] recorded, in order. The domain's sink (on or off,
+    its events and its clock origin) is saved first and restored when
+    [f] returns or raises; after a raise the recorded events are lost.
+    Recordings therefore nest: an enclosing recording gets exactly its
+    own events, whatever inner recordings ran, and concurrent
+    recordings on different domains are independent. The serving
+    daemon records each cold solve and each sampled request this way. *)
 val with_recording : (unit -> 'a) -> 'a * event list
-
-(** [capture f] runs [f] under a fresh recording like {!with_recording}
-    but saves the calling domain's entire sink state first and
-    restores it afterwards (also on exceptions — the captured events
-    are then lost). Captures therefore nest, and concurrent captures
-    on different domains are independent. This is what the serving
-    daemon uses to harvest per-request decision events. *)
-val capture : (unit -> 'a) -> 'a * event list

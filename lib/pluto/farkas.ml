@@ -104,20 +104,15 @@ let space_for ~form ~nloc poly =
    identical polyhedra — uniform stencil accesses over the same domain
    differ only in which array they touch — so the (expensive)
    multiplier elimination is keyed on {!Polyhedron.structural_key} and
-   run once per equivalence class. The memo is domain-local, like
-   Linalg.Counters: solves on different domains share no table, and
-   [scoped] gives one pipeline run (Fusion.Resilient.optimize) a table
-   of its own. *)
+   run once per equivalence class. The memo is a value its schedule
+   search creates and passes down, so it ends with that search and no
+   two searches share a table. *)
 
-let memo_table : (string, Polyhedron.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+type memo = (string, Polyhedron.t) Hashtbl.t
 
-let reset_cache () = Hashtbl.reset (Domain.DLS.get memo_table)
+let memo () : memo = Hashtbl.create 64
 
-let scoped f =
-  let outer = Domain.DLS.get memo_table in
-  Domain.DLS.set memo_table (Hashtbl.create 64);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set memo_table outer) f
+let reset_cache () = ()
 
 let cache_event ~tag ~d1 ~d2 ~np ~hit =
   if Obs.Trace.on () then
@@ -131,13 +126,12 @@ let cache_event ~tag ~d1 ~d2 ~np ~hit =
           ("hit", Obs.Json.Bool hit);
         ]
 
-let memo ~tag ~d1 ~d2 ~np poly compute =
+let memoized (memo : memo) ~tag ~d1 ~d2 ~np poly compute =
   let key =
     Printf.sprintf "%s:%d:%d:%d:%s" tag d1 d2 np
       (Polyhedron.structural_key poly)
   in
-  let cache = Domain.DLS.get memo_table in
-  match Hashtbl.find_opt cache key with
+  match Hashtbl.find_opt memo key with
   | Some r ->
     Counters.(incr farkas_cache_hits);
     cache_event ~tag ~d1 ~d2 ~np ~hit:true;
@@ -146,17 +140,17 @@ let memo ~tag ~d1 ~d2 ~np poly compute =
     Counters.(incr farkas_cache_misses);
     cache_event ~tag ~d1 ~d2 ~np ~hit:false;
     let r = compute () in
-    Hashtbl.add cache key r;
+    Hashtbl.add memo key r;
     r
 
 (* legality: phi_dst(t) - phi_src(s) >= 0
    coefficient of s_i: -c_src_i; of t_j: +c_dst_j; of p: 0;
    constant: c_dst0 - c_src0 *)
-let legality_space ~d1 ~d2 ~np poly =
+let legality_space ~memo ~d1 ~d2 ~np poly =
   let nloc = local_dim ~d1 ~d2 ~np in
   let dz = d1 + d2 + np in
   if Polyhedron.dim poly <> dz then invalid_arg "Farkas.legality_space: dims";
-  memo ~tag:"L" ~d1 ~d2 ~np poly (fun () ->
+  memoized memo ~tag:"L" ~d1 ~d2 ~np poly (fun () ->
       let form k =
         if k < d1 then [ (src_coeff k, -1) ]
         else if k < d1 + d2 then [ (dst_coeff ~d1 (k - d1), 1) ]
@@ -166,11 +160,11 @@ let legality_space ~d1 ~d2 ~np poly =
       space_for ~form ~nloc poly)
 
 (* bounding: u.p + w - (phi_dst(t) - phi_src(s)) >= 0 *)
-let bounding_space ~d1 ~d2 ~np poly =
+let bounding_space ~memo ~d1 ~d2 ~np poly =
   let nloc = local_dim ~d1 ~d2 ~np in
   let dz = d1 + d2 + np in
   if Polyhedron.dim poly <> dz then invalid_arg "Farkas.bounding_space: dims";
-  memo ~tag:"B" ~d1 ~d2 ~np poly (fun () ->
+  memoized memo ~tag:"B" ~d1 ~d2 ~np poly (fun () ->
       let form k =
         if k < d1 then [ (src_coeff k, 1) ]
         else if k < d1 + d2 then [ (dst_coeff ~d1 (k - d1), -1) ]

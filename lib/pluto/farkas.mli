@@ -25,30 +25,34 @@
     d1+d2+2+np         w
     v} *)
 
-(** [legality_space ~d1 ~d2 ~np poly]: all local coefficient vectors
-    whose hyperplanes weakly preserve the dependence.
+(** Memoized Farkas spaces. One schedule search owns one memo and
+    passes it to every call, so the memo ends with the search: the
+    degradation ladder ([Fusion.Resilient]) shares one across its
+    rungs, [Fusion.Search.best] one across its candidates, and
+    {!Scheduler.run} makes a fresh one. *)
+type memo
 
-    Both this and {!bounding_space} are memoized on
+(** A fresh, empty memo. *)
+val memo : unit -> memo
+
+(** [legality_space ~memo ~d1 ~d2 ~np poly]: all local coefficient
+    vectors whose hyperplanes weakly preserve the dependence.
+
+    Both this and {!bounding_space} are memoized in [memo] on
     [(d1, d2, np, {!Poly.Polyhedron.structural_key} poly)]: dependence
     edges whose polyhedra are structurally identical (common for
     uniform stencil accesses) share one multiplier elimination. Cache
     traffic is counted in {!Linalg.Counters.farkas_cache_hits} /
     [farkas_cache_misses]. *)
 val legality_space :
-  d1:int -> d2:int -> np:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
+  memo:memo -> d1:int -> d2:int -> np:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
 
-(** [bounding_space ~d1 ~d2 ~np poly]: the cost-model constraint tying
-    the dependence distance to [u.p + w]. *)
+(** [bounding_space ~memo ~d1 ~d2 ~np poly]: the cost-model constraint
+    tying the dependence distance to [u.p + w]. *)
 val bounding_space :
-  d1:int -> d2:int -> np:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
+  memo:memo -> d1:int -> d2:int -> np:int -> Poly.Polyhedron.t -> Poly.Polyhedron.t
 
-(** Drop all memoized Farkas systems of the calling domain (the memo is
-    domain-local). Benchmarks call this between repetitions so each
-    measured run pays its own eliminations. *)
+(** Does nothing: no memo outlives the search that made it, so there
+    is nothing to reset. It stays only because
+    [wisebench/compile_wl.ml] still calls it before each job. *)
 val reset_cache : unit -> unit
-
-(** [scoped f] runs [f ()] with a fresh, empty memo for the calling
-    domain and restores the caller's memo when [f] returns or raises;
-    the systems [f] memoized are dropped. Every pipeline run
-    ([Fusion.Resilient.optimize]) runs in one. *)
-val scoped : (unit -> 'a) -> 'a

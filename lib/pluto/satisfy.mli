@@ -43,9 +43,8 @@ val check_legal : Scop.Program.t -> Deps.Dep.t list -> Sched.t -> (unit, Deps.De
 val check_complete : Scop.Program.t -> Sched.t -> (unit, Diagnostics.t) result
 
 (** The single source of truth for loop parallelism vocabulary.
-    [Codegen.Ast.parallelism] mirrors this type on generated loops;
-    total conversions in both directions live in [Codegen.Ast]
-    ({!Codegen.Ast.of_loop_class} / {!Codegen.Ast.to_loop_class}). *)
+    [Codegen.Ast.parallelism] re-exports this type for generated loops,
+    and {!loop_class_name} names it everywhere. *)
 type loop_class =
   | Parallel  (** communication-free: every live dependence has δ = 0 *)
   | Parallel_reduction

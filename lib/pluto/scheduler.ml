@@ -172,7 +172,7 @@ let upper_bound_cons ~np ~nv ~var_offset (prog : Scop.Program.t) =
     prog.stmts;
   !cons
 
-let make_state ?budget ~engine cfg (prog : Scop.Program.t) all_deps =
+let make_state ?budget ~engine ~memo cfg (prog : Scop.Program.t) all_deps =
   let np = Scop.Program.nparams prog in
   let n = Array.length prog.stmts in
   let ddg = Ddg.build prog all_deps in
@@ -205,7 +205,7 @@ let make_state ?budget ~engine cfg (prog : Scop.Program.t) all_deps =
       (fun (d : Dep.t) ->
         let d1 = stmt_depth prog d.src and d2 = stmt_depth prog d.dst in
         rename_local_to_global ~np ~var_offset ~nv d ~d1 ~d2
-          (Farkas.legality_space ~d1 ~d2 ~np d.poly))
+          (Farkas.legality_space ~memo ~d1 ~d2 ~np d.poly))
       true_deps
   in
   let bounding =
@@ -213,7 +213,7 @@ let make_state ?budget ~engine cfg (prog : Scop.Program.t) all_deps =
       (fun (d : Dep.t) ->
         let d1 = stmt_depth prog d.src and d2 = stmt_depth prog d.dst in
         rename_local_to_global ~np ~var_offset ~nv d ~d1 ~d2
-          (Farkas.bounding_space ~d1 ~d2 ~np d.poly))
+          (Farkas.bounding_space ~memo ~d1 ~d2 ~np d.poly))
       true_deps
   in
   ( {
@@ -979,7 +979,7 @@ let verify_result (res : result) =
              res.config_name d.src d.dst));
   res
 
-let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) cfg
+let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) ~memo cfg
     (prog : Scop.Program.t) all_deps =
   let nstmts = Array.length prog.stmts in
   let resolved = Engine.resolve engine ~nstmts in
@@ -1000,7 +1000,9 @@ let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) cfg
                   (if resolved = Engine.Lp_dfp then ">=" else "<")
                   Engine.auto_threshold) );
         ];
-  let st, ddg, scc_order = make_state ?budget ~engine:resolved cfg prog all_deps in
+  let st, ddg, scc_order =
+    make_state ?budget ~engine:resolved ~memo cfg prog all_deps
+  in
   (* initial cut *)
   (match cfg.initial_cut with
   | None -> ()
@@ -1084,12 +1086,13 @@ let run ?param_floor ?budget ?engine cfg prog =
     Counters.time "dep-analysis" (fun () -> Dep.analyze ?param_floor prog)
   in
   Counters.time "scheduling" (fun () ->
-      run_with_deps_budgeted ?budget ?engine cfg prog all_deps)
+      run_with_deps_budgeted ?budget ?engine ~memo:(Farkas.memo ()) cfg prog
+        all_deps)
 
-let schedule_with_deps ?budget ?engine cfg prog all_deps =
+let schedule_with_deps ?budget ?engine ~memo cfg prog all_deps =
   Diagnostics.protect (fun () ->
       Counters.time "scheduling" (fun () ->
-          run_with_deps_budgeted ?budget ?engine cfg prog all_deps))
+          run_with_deps_budgeted ?budget ?engine ~memo cfg prog all_deps))
 
 let partitions (result : result) =
   let n = Array.length result.prog.stmts in

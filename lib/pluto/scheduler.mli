@@ -79,7 +79,8 @@ val smartfuse : config
     capped; dependence analysis and verification stay unbudgeted. With
     [engine], the per-level solver is selected explicitly (default
     [Engine.Auto]: ILP below {!Engine.auto_threshold} statements,
-    lp-dfp at or above — see {!Engine}).
+    lp-dfp at or above — see {!Engine}). The run memoizes its Farkas
+    spaces in a fresh {!Farkas.memo} of its own.
     @raise Diagnostics.Error if no legal schedule can be found within
     budget — use {!schedule_with_deps} for the non-raising variant. *)
 val run :
@@ -94,11 +95,13 @@ val run :
     dependences if downstream wants them) and the failure path reified:
     a schedule that failed verification or a search that died (budget
     exhaustion included) comes back as [Error d] instead of raising.
-    This is the entry point the degradation ladder
-    ({!Fusion.Resilient}) builds on. *)
+    The Farkas spaces go into the caller's [memo], so the searches of
+    one ladder or one enumeration can share it. This is the entry point
+    the degradation ladder ({!Fusion.Resilient}) builds on. *)
 val schedule_with_deps :
   ?budget:Linalg.Budget.t ->
   ?engine:Engine.choice ->
+  memo:Farkas.memo ->
   config ->
   Scop.Program.t ->
   Deps.Dep.t list ->

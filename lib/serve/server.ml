@@ -3,7 +3,7 @@
    Requests stream in as line-delimited JSON (stdio or a Unix socket),
    are keyed by Fingerprint and answered from the content-addressed
    Cache when possible. A miss runs the full certified pipeline —
-   Fusion.Model.optimize under a nested trace capture (so the decision
+   Fusion.Model.optimize under a nested trace recording (so the decision
    events become the response's explain chain), then wisecheck — and
    stores the rendered payload for every later request with the same
    content.
@@ -28,9 +28,9 @@
    requests concurrently. Hits and protocol ops touch only the cache
    (which has its own lock) and atomics. A cold solve runs on the
    domain that received the request, inside a counter record of its own
-   (Linalg.Counters.scoped), and its pipeline run owns a Farkas memo
-   (Fusion.Resilient.optimize; both are domain-local, like the trace
-   sink), so solves of different keys run in parallel and each payload's
+   (Linalg.Counters.scoped, domain-local like the trace sink), and its
+   pipeline run owns a Farkas memo (Fusion.Resilient.optimize), so
+   solves of different keys run in parallel and each payload's
    counters — and the response's "serve" solver deltas — are exactly
    that solve's work: a hit provably performed zero LP pivots and zero
    B&B nodes, and a miss reports precisely its own. Requests for the
@@ -46,7 +46,7 @@
    indefinitely; degraded results are served ("uncached") but never
    stored, keeping the cache byte-pure. Any exception that escapes the
    solve path is firewalled at the request boundary: the faulted
-   solve's counters and Farkas memo are dropped with its scopes, its
+   solve's counter record and Farkas memo are dropped with it, its
    key is released, and the client gets a typed "internal" error.
    Repeated failures for one fingerprint trip a TTL'd circuit breaker
    (Breaker). Admission control sheds schedule requests with a typed
@@ -69,7 +69,7 @@ type config = {
   breaker_ttl_s : float;  (* how long an open breaker rejects *)
   metrics : bool;  (* mint live telemetry instruments (scrape via "metrics") *)
   trace_sample : int;
-      (* capture a span trace for every Nth request (0 = never); the
+      (* record a span trace for every Nth request (0 = never); the
          envelope gains "trace_id" and a compact "trace" summary *)
   access_log : string option;  (* JSONL access log path (None = off) *)
 }
@@ -219,7 +219,7 @@ let solve ?budget ~kernel ~model ~size ~engine ~reductions prog =
   Linalg.Counters.scoped @@ fun () ->
   let opt, events =
     Linalg.Chaos.with_fault budget (fun budget ->
-        Obs.Trace.capture (fun () ->
+        Obs.Trace.with_recording (fun () ->
             Fusion.Model.optimize ?budget ~engine ~reductions model prog))
   in
   let aprog, deps, sched = Fusion.Model.artifacts opt in
@@ -315,8 +315,8 @@ let note_failure t key =
 
 (* Recovery from an exception that escaped the solve path. The solve's
    half-bumped counters and partially filled Farkas memo need no repair:
-   they lived in its scopes, which dropped them on the way out, and the
-   trace sink was restored by [Obs.Trace.capture]. What remains is
+   they belonged to the solve and were dropped on the way out, and
+   [Obs.Trace.with_recording] restored the trace sink. What remains is
    accounting. *)
 let recover t ~key exn =
   Atomic.incr t.recovered;
@@ -513,7 +513,7 @@ let gen_trace_id t n =
           (Int64.bits_of_float t.started)
           (Int64.mul (Int64.of_int (n + 1)) 0x9E3779B97F4A7C15L)))
 
-(* Compact summary of a sampled request's captured events: completed
+(* Compact summary of a sampled request's recorded events: completed
    spans (begin/end pairs of any category) with their durations, plus
    the raw event count. *)
 let trace_json events =
@@ -626,10 +626,10 @@ let handle_line t line =
           in
           let response, trace =
             if sampled then begin
-              (* per-domain capture: concurrent sampled requests on
+              (* per-domain recording: concurrent sampled requests on
                  other domains record independently, and the nested
-                 capture inside [solve] still composes *)
-              let resp, events = Obs.Trace.capture compute in
+                 recording inside [solve] still composes *)
+              let resp, events = Obs.Trace.with_recording compute in
               (resp, Some (gen_trace_id t n, trace_json events))
             end
             else (compute (), None)

@@ -3,7 +3,7 @@
     Line-delimited JSON requests (stdio or a Unix socket) are keyed by
     {!Fingerprint} and answered from the content-addressed {!Cache}; a
     miss runs the full certified pipeline (optimize under a nested
-    trace capture + wisecheck) and stores the payload for every later
+    trace recording + wisecheck) and stores the payload for every later
     request with the same content. A repeated request (same kernel,
     resolved size, model, engine and reductions flag) is answered from
     the cache's request-form index without building its program or
@@ -29,8 +29,8 @@
     (client ["deadline_ms"], server default/cap) and degrades down the
     resilience ladder instead of holding its key indefinitely; degraded
     results are served (["uncached"]) but never stored. Exceptions
-    escaping a solve are firewalled — the solve's counters and memo
-    are dropped with its scopes, its key is released, and the client
+    escaping a solve are firewalled — the solve's counter record and
+    memo are dropped with it, its key is released, and the client
     gets a typed ["internal"] error; repeated failures per fingerprint
     trip a TTL'd circuit breaker ({!Breaker}). Admission control sheds
     schedule requests (["overloaded"]) past [config.max_pending];
@@ -68,7 +68,7 @@ type config = {
           ["metrics"] op; [false] mints no-op instruments (the
           measured zero-cost disabled path) *)
   trace_sample : int;
-      (** capture a span trace for every Nth answered line (0 =
+      (** record a span trace for every Nth answered line (0 =
           never); sampled envelopes gain ["trace_id"] and a compact
           ["trace"] summary *)
   access_log : string option;

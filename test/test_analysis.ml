@@ -1,8 +1,6 @@
 (* Tests for lib/analysis (wisecheck).
 
-   Three kinds of evidence:
-   - the parallelism vocabulary round-trips with its source of truth,
-     Pluto.Satisfy.loop_class;
+   Two kinds of evidence:
    - legitimate pipelines certify with zero error-severity findings;
    - seeded bugs — a flipped parallel mark, a widened / narrowed loop
      bound, a dropped guard row — are each reported with the exact
@@ -101,27 +99,6 @@ let find_kind kind (r : Analysis.Wisecheck.report) =
 
 let check_no_errors what (r : Analysis.Wisecheck.report) =
   Alcotest.(check int) (what ^ ": no error findings") 0 r.Analysis.Wisecheck.errors
-
-(* --- vocabulary round-trips ------------------------------------------------- *)
-
-let test_round_trip () =
-  List.iter
-    (fun c ->
-      Alcotest.(check bool)
-        "loop_class -> parallelism -> loop_class" true
-        (Ast.to_loop_class (Ast.of_loop_class c) = c))
-    [ Pluto.Satisfy.Parallel; Pluto.Satisfy.Parallel_reduction;
-      Pluto.Satisfy.Forward; Pluto.Satisfy.Sequential ];
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        "parallelism -> loop_class -> parallelism" true
-        (Ast.of_loop_class (Ast.to_loop_class p) = p);
-      Alcotest.(check string)
-        "one naming"
-        (Pluto.Satisfy.loop_class_name (Ast.to_loop_class p))
-        (Ast.parallelism_name p))
-    [ Ast.Parallel; Ast.Parallel_reduction; Ast.Forward; Ast.Sequential ]
 
 (* --- clean pipelines certify ------------------------------------------------ *)
 
@@ -538,8 +515,6 @@ let test_lost_parallelism () =
 let () =
   Alcotest.run "analysis"
     [
-      ( "vocabulary",
-        [ Alcotest.test_case "round trips" `Quick test_round_trip ] );
       ( "certification",
         [
           Alcotest.test_case "identity pipelines" `Quick test_clean_identity;

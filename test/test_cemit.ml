@@ -41,7 +41,10 @@ let check_kernel kname prog models =
     List.iter
       (fun (tag, cfg) ->
         let res =
-          match Pluto.Scheduler.schedule_with_deps cfg prog deps with
+          match
+            Pluto.Scheduler.schedule_with_deps ~memo:(Pluto.Farkas.memo ()) cfg
+              prog deps
+          with
           | Ok res -> res
           | Error d -> Alcotest.failf "%s/%s: %s" kname tag d.Pluto.Diagnostics.code
         in

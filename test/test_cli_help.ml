@@ -151,7 +151,10 @@ let test_stdio_in_order () =
           str [ "error"; "code" ] (List.nth replies 2) ])
 
 (* bad flags, bad flag values, unknown names and a missing KERNEL are
-   usage errors *)
+   usage errors. A serve flag the converter wrongly accepted would start
+   the daemon, so it reads an empty stdin and exits 0. cmdliner reads a
+   separate "-1" as an unknown option, so only the "=" spelling of a
+   negative value reaches the converter. *)
 let test_usage_exit () =
   let pipeline = [ "opt"; "emit"; "sim"; "analyze"; "trace"; "explain" ] in
   let with_all = [ "analyze"; "trace"; "explain" ] in
@@ -165,6 +168,13 @@ let test_usage_exit () =
        [ "sim"; "gemver"; "--tile"; "0" ];
        [ "list"; "--stats" ];
        [ "metrics"; "--socket"; "S"; "-v" ];
+       [ "serve"; "--domains"; "0"; "</dev/null" ];
+       [ "serve"; "--deadline-ms"; "-1"; "</dev/null" ];
+       [ "serve"; "--deadline-ms=-1"; "</dev/null" ];
+       [ "serve"; "--trace-sample"; "-1"; "</dev/null" ];
+       [ "serve"; "--trace-sample=-1"; "</dev/null" ];
+       [ "serve"; "--breaker-ttl-s"; "0"; "</dev/null" ];
+       [ "serve"; "--breaker-ttl-s"; "nan"; "</dev/null" ];
      ]
     @ List.concat_map
         (fun c ->

@@ -51,7 +51,10 @@ let test_engine_resolve () =
    change to that invariant fails loudly, and additionally require
    wisecheck's independent race certification of the generated AST. *)
 let schedule ~engine cfg prog deps =
-  match Pluto.Scheduler.schedule_with_deps ~engine cfg prog deps with
+  match
+    Pluto.Scheduler.schedule_with_deps ~engine ~memo:(Pluto.Farkas.memo ()) cfg
+      prog deps
+  with
   | Ok r -> r
   | Error d -> Alcotest.failf "%s: %s" prog.Scop.Program.name d.Pluto.Diagnostics.code
 

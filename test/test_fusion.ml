@@ -26,7 +26,9 @@ let test_prefusion_swim_first_cluster () =
   let ddg = Ddg.build prog deps in
   let scc_of = Ddg.scc_kosaraju ddg in
   (* the first cluster's SCCs, from the decision trace *)
-  let _, events = Obs.Trace.capture (fun () -> Prefusion.order prog ddg scc_of) in
+  let _, events =
+    Obs.Trace.with_recording (fun () -> Prefusion.order prog ddg scc_of)
+  in
   let first =
     List.filter_map
       (fun (e : Obs.Trace.event) ->

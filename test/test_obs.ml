@@ -222,7 +222,6 @@ let test_span_tree () =
             Obs.Trace.span ~cat:"stage" "inner" (fun () -> ());
             Obs.Trace.instant ~cat:"x" "mark"))
   in
-  Obs.Trace.disable ();
   Alcotest.(check int) "4 span events + 1 instant" 5 (List.length events);
   (* validate the export too *)
   (match Obs.Export.validate (Obs.Export.chrome_trace events) with
@@ -234,10 +233,34 @@ let test_span_tree () =
         try Obs.Trace.span ~cat:"stage" "boom" (fun () -> failwith "x")
         with Failure _ -> ())
   in
-  Obs.Trace.disable ();
-  match Obs.Export.validate (Obs.Export.chrome_trace events) with
+  (match Obs.Export.validate (Obs.Export.chrome_trace events) with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* a recording that raises puts the domain's sink back *)
+  (match Obs.Trace.with_recording (fun () -> failwith "x") with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "the recording swallowed the exception");
+  Alcotest.(check bool) "sink off after a raise" false (Obs.Trace.on ());
+  (* recordings nest: whether the inner one returns or raises, the
+     outer one returns exactly its own events, in order *)
+  List.iter
+    (fun inner ->
+      let (), outer =
+        Obs.Trace.with_recording (fun () ->
+            Obs.Trace.instant ~cat:"x" "outer-1";
+            (try ignore (Obs.Trace.with_recording inner) with Failure _ -> ());
+            Obs.Trace.instant ~cat:"x" "outer-2")
+      in
+      Alcotest.(check (list string))
+        "outer recording keeps its own events" [ "outer-1"; "outer-2" ]
+        (List.map (fun (e : Obs.Trace.event) -> e.name) outer);
+      let ts = List.map (fun (e : Obs.Trace.event) -> e.ts) outer in
+      Alcotest.(check bool) "timestamps non-decreasing" true
+        (ts = List.sort compare ts))
+    [ (fun () -> Obs.Trace.instant ~cat:"x" "inner");
+      (fun () ->
+        Obs.Trace.instant ~cat:"x" "inner";
+        failwith "inner") ]
 
 let test_validate_rejects () =
   let open Obs.Json in
@@ -293,10 +316,9 @@ let test_determinism () =
 let test_null_sink_no_effect () =
   (* tracing off: no events appear, no counters change, and the
      schedule is byte-identical to a traced run's *)
-  Obs.Trace.disable ();
   (* a fresh sink, switched off before the run: nothing may reach it *)
   let ((opt_off, wall, counters_off), stages), recorded =
-    Obs.Trace.capture (fun () ->
+    Obs.Trace.with_recording (fun () ->
         Obs.Trace.disable ();
         observed (fun () ->
             let t0 = Linalg.Clock.now () in
@@ -320,15 +342,15 @@ let test_null_sink_no_effect () =
     (counters_off = counters_on)
 
 let test_multi_domain_capture () =
-  (* Concurrent captures on separate domains must each harvest exactly
-     their own events — none lost, none leaked from a sibling.  Under
-     the old design (one global sink behind plain refs) concurrent
-     emitters raced the shared list head and dropped events; the
-     per-domain sinks make this deterministic. *)
+  (* Concurrent recordings on separate domains must each harvest
+     exactly their own events — none lost, none leaked from a sibling.
+     Under the old design (one global sink behind plain refs)
+     concurrent emitters raced the shared list head and dropped events;
+     the per-domain sinks make this deterministic. *)
   let domains = 4 and per = 200 in
   let worker d () =
     let (), events =
-      Obs.Trace.capture (fun () ->
+      Obs.Trace.with_recording (fun () ->
           for i = 1 to per do
             Obs.Trace.instant ~cat:"md" (Printf.sprintf "d%d-%d" d i)
           done)
@@ -336,7 +358,7 @@ let test_multi_domain_capture () =
     events
   in
   (* an outer recording on the test's own domain must survive the
-     concurrent captures untouched *)
+     concurrent recordings untouched *)
   let results, outer =
     Obs.Trace.with_recording (fun () ->
         Obs.Trace.instant ~cat:"md" "outer";

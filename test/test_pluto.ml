@@ -73,7 +73,9 @@ let test_farkas_legality () =
         d.src = 0 && d.dst = 1 && d.kind = Dep.Flow && d.src_access.Access.array = "A")
       deps
   in
-  let space = Farkas.legality_space ~d1:2 ~d2:2 ~np:1 d.poly in
+  let space =
+    Farkas.legality_space ~memo:(Farkas.memo ()) ~d1:2 ~d2:2 ~np:1 d.poly
+  in
   (* local layout: [cS1_i; cS1_j; cS1_0; cS2_i; cS2_j; cS2_0; u; w] *)
   let point l = Array.map Linalg.Q.of_int (Array.of_list l) in
   Alcotest.(check bool) "interchange legal" true
@@ -92,7 +94,9 @@ let test_farkas_bounding () =
         d.src = 0 && d.dst = 1 && d.kind = Dep.Flow && d.src_access.Access.array = "A")
       deps
   in
-  let space = Farkas.bounding_space ~d1:2 ~d2:2 ~np:1 d.poly in
+  let space =
+    Farkas.bounding_space ~memo:(Farkas.memo ()) ~d1:2 ~d2:2 ~np:1 d.poly
+  in
   let point l = Array.map Linalg.Q.of_int (Array.of_list l) in
   (* interchange pair has delta = 0 everywhere: u = w = 0 suffices *)
   Alcotest.(check bool) "zero communication bound" true
@@ -114,8 +118,14 @@ let iter_part_of_first_hyp (res : Scheduler.result) id =
   in
   find res.sched.(id)
 
+(* a run of [cfg] on gemver and the Farkas-memo misses it counted *)
+let gemver_misses cfg =
+  let m0 = Linalg.Counters.(get farkas_cache_misses) in
+  let res = Scheduler.run cfg (gemver ()) in
+  (res, Linalg.Counters.(get farkas_cache_misses) - m0)
+
 let test_gemver_smartfuse () =
-  let res = Scheduler.run Scheduler.smartfuse (gemver ()) in
+  let res, misses = gemver_misses Scheduler.smartfuse in
   (* legal *)
   (match Satisfy.check_legal res.prog res.true_deps res.sched with
   | Ok () -> ()
@@ -131,7 +141,12 @@ let test_gemver_smartfuse () =
   Alcotest.(check (array int)) "S1 interchanged" [| 0; 1 |]
     (iter_part_of_first_hyp res 0);
   Alcotest.(check (array int)) "S2 keeps i outer" [| 1; 0 |]
-    (iter_part_of_first_hyp res 1)
+    (iter_part_of_first_hyp res 1);
+  (* each run owns its Farkas memo, so a second run of the same kernel
+     derives every space again *)
+  Alcotest.(check bool) "the run derives Farkas spaces" true (misses > 0);
+  Alcotest.(check int) "a second run misses as often" misses
+    (snd (gemver_misses Scheduler.smartfuse))
 
 let test_gemver_nofuse () =
   let res = Scheduler.run Scheduler.nofuse (gemver ()) in
@@ -254,29 +269,35 @@ let test_warm_selfcheck () =
         [ gemver (); advect () ])
 
 (* Memoized Farkas systems must be indistinguishable from fresh ones:
-   a second pass served from the cache and a third pass recomputed
-   after [reset_cache] both yield equal polyhedra. *)
+   a second pass through the same memo is served from it and yields
+   equal polyhedra, and a fresh memo shares nothing with the first. *)
 let test_farkas_cache_identity () =
   let prog = gemver () in
   let deps = Dep.analyze prog in
-  let spaces () =
-    List.concat_map
-      (fun (d : Dep.t) ->
-        let d1 = Statement.depth prog.stmts.(d.src)
-        and d2 = Statement.depth prog.stmts.(d.dst) in
-        let np = Poly.Polyhedron.dim d.poly - d1 - d2 in
-        [ Farkas.legality_space ~d1 ~d2 ~np d.poly;
-          Farkas.bounding_space ~d1 ~d2 ~np d.poly ])
-      deps
+  let spaces memo =
+    let h0 = Linalg.Counters.(get farkas_cache_hits)
+    and m0 = Linalg.Counters.(get farkas_cache_misses) in
+    let spaces =
+      List.concat_map
+        (fun (d : Dep.t) ->
+          let d1 = Statement.depth prog.stmts.(d.src)
+          and d2 = Statement.depth prog.stmts.(d.dst) in
+          let np = Poly.Polyhedron.dim d.poly - d1 - d2 in
+          [ Farkas.legality_space ~memo ~d1 ~d2 ~np d.poly;
+            Farkas.bounding_space ~memo ~d1 ~d2 ~np d.poly ])
+        deps
+    in
+    ( spaces,
+      Linalg.Counters.(get farkas_cache_hits) - h0,
+      Linalg.Counters.(get farkas_cache_misses) - m0 )
   in
-  Farkas.reset_cache ();
-  let cold = spaces () in
-  let hits0 = Linalg.Counters.(get farkas_cache_hits) in
-  let cached = spaces () in
-  Alcotest.(check bool) "second pass hits the cache" true
-    (Linalg.Counters.(get farkas_cache_hits) > hits0);
-  Farkas.reset_cache ();
-  let fresh = spaces () in
+  let memo = Farkas.memo () in
+  let cold, _, cold_misses = spaces memo in
+  let cached, hits, misses = spaces memo in
+  Alcotest.(check int) "second pass is all hits" (List.length cached) hits;
+  Alcotest.(check int) "second pass misses nothing" 0 misses;
+  let fresh, _, fresh_misses = spaces (Farkas.memo ()) in
+  Alcotest.(check int) "a fresh memo shares nothing" cold_misses fresh_misses;
   List.iter2
     (fun a b ->
       Alcotest.(check bool) "cached = cold" true (Poly.Polyhedron.equal a b))
@@ -284,21 +305,7 @@ let test_farkas_cache_identity () =
   List.iter2
     (fun a b ->
       Alcotest.(check bool) "recomputed = cold" true (Poly.Polyhedron.equal a b))
-    cold fresh;
-  (* a scope starts from an empty memo and hands the caller's back, on
-     return and on exception *)
-  let misses f =
-    let m0 = Linalg.Counters.(get farkas_cache_misses) in
-    ignore (f ());
-    Linalg.Counters.(get farkas_cache_misses) - m0
-  in
-  Alcotest.(check bool) "a scope starts empty" true
-    (misses (fun () -> Farkas.scoped spaces) > 0);
-  Farkas.scoped ignore;
-  (match Farkas.scoped (fun () -> failwith "fault") with
-  | exception Failure _ -> ()
-  | () -> Alcotest.fail "the scope swallowed the exception");
-  Alcotest.(check int) "the caller's memo is back" 0 (misses spaces)
+    cold fresh
 
 (* --- pivot path ------------------------------------------------------------ *)
 
@@ -356,7 +363,7 @@ let test_pivot_path (label, model, build, expected) () =
    [Polyhedron.constraints] returns them (not [structural_key], which
    would hide an order change). *)
 let farkas_order_digest prog =
-  Farkas.reset_cache ();
+  let memo = Farkas.memo () in
   let buf = Buffer.create 4096 in
   let row_dump space =
     List.iter
@@ -372,8 +379,8 @@ let farkas_order_digest prog =
         let d1 = Statement.depth prog.Program.stmts.(d.src)
         and d2 = Statement.depth prog.Program.stmts.(d.dst) in
         let np = Program.nparams prog in
-        row_dump (Farkas.legality_space ~d1 ~d2 ~np d.poly);
-        row_dump (Farkas.bounding_space ~d1 ~d2 ~np d.poly)
+        row_dump (Farkas.legality_space ~memo ~d1 ~d2 ~np d.poly);
+        row_dump (Farkas.bounding_space ~memo ~d1 ~d2 ~np d.poly)
       end)
     (Dep.analyze prog);
   Digest.to_hex (Digest.string (Buffer.contents buf))

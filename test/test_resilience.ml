@@ -172,8 +172,8 @@ let test_schedule_result_matches_run () =
   let prog = advect () in
   let base = schedule_of prog in
   match
-    Pluto.Scheduler.schedule_with_deps Fusion.Wisefuse.config prog
-      (Deps.Dep.analyze prog)
+    Pluto.Scheduler.schedule_with_deps ~memo:(Pluto.Farkas.memo ())
+      Fusion.Wisefuse.config prog (Deps.Dep.analyze prog)
   with
   | Ok r ->
     Alcotest.(check bool) "schedule = run" true
@@ -311,8 +311,8 @@ let test_chaos_exhaust_scheduler_typed () =
   Chaos.arm ~exhaust:true (fun () ->
       let prog = producer_consumer () in
       match
-        Pluto.Scheduler.schedule_with_deps Fusion.Wisefuse.config prog
-          (Deps.Dep.analyze prog)
+        Pluto.Scheduler.schedule_with_deps ~memo:(Pluto.Farkas.memo ())
+          Fusion.Wisefuse.config prog (Deps.Dep.analyze prog)
       with
       | Ok _ -> Alcotest.fail "all-exhausted solves cannot schedule"
       | Error d ->
