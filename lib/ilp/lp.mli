@@ -1,12 +1,32 @@
 (** Exact rational linear programming (two-phase simplex over a
-    dictionary-form tableau, arbitrary-precision arithmetic).
+    dictionary-form tableau).
 
     Variables are unrestricted in sign; non-negativity must appear as
     explicit constraints in the polyhedron when wanted. The pivot rule
     is Dantzig's largest-coefficient rule with an automatic, permanent
     fallback to Bland's least-index rule when the objective stalls on a
-    degenerate vertex — so termination is still guaranteed. Exactness
-    comes from {!Linalg.Q}: there is no tolerance anywhere. *)
+    degenerate vertex — so termination is still guaranteed. There is no
+    tolerance anywhere.
+
+    A cold solve ({!minimize}, {!maximize}, {!minimize_warm}) pivots on
+    a fraction-free tableau of native ints: each row is an [int array]
+    of numerators plus one positive row denominator, kept in lowest
+    terms, and every numerator and denominator stays strictly inside
+    ±2{^⌊(Sys.int_size − 3)/2⌋} (2{^30} on 64-bit), so no inner-loop
+    product overflows. A solve whose numbers leave that range, or whose
+    constraints or objective are not integral, restarts from scratch on
+    a tableau of {!Linalg.Q} rationals, which has no range limit. Both tableaux decide every pivot on the same
+    rationals, so they take the same pivots, return the same result and
+    count the same solves and pivots in {!Linalg.Counters}: the restart
+    resets {!Linalg.Counters.lp_pivots} to its value at entry, bills a
+    budget only for pivots the native attempt did not bill, and bumps
+    no counter and emits no trace event of its own. The native tableau
+    does no {!Linalg.Bigint} arithmetic, so a solve that finishes on it
+    counts no {!Linalg.Counters.promotions}, where the rational one may
+    promote an intermediate product. The
+    {!Linalg.Chaos}[.hooks.big_path] test hook sends every cold solve
+    to the rational tableau. Warm re-solves ({!reoptimize}) run on the
+    rational tableau. *)
 
 type result =
   | Infeasible
@@ -71,7 +91,11 @@ val maximize :
 (** A resumable snapshot of an optimal solve. Immutable from the
     caller's point of view: [reoptimize] copies before pivoting, so one
     snapshot can seed many re-solves (e.g. both children of a
-    branch-and-bound node). *)
+    branch-and-bound node). A cold solve's snapshot holds its final
+    native tableau and converts it to the rational one when
+    {!reoptimize} first reads it, so a caller that drops the snapshot
+    converts nothing. The conversion is not synchronized: use a
+    snapshot only on the domain that made it. *)
 type warm
 
 (** Like {!minimize}, additionally returning a warm snapshot when the

@@ -12,7 +12,10 @@
    The generator also flips two test hooks ([Linalg.Chaos]: forced
    cold re-solves, forced bignum promotion) and varies the solver budget
    (unlimited / 1 pivot / 50 pivots), so solver-stress paths get the
-   same coverage as the happy path.
+   same coverage as the happy path. A case that does not force bignum
+   promotion runs a second time under it, which also sends every LP to
+   the rational simplex tableau instead of the native one: both runs
+   must reach the same schedule at the same counts.
 
    Case count defaults to 50; the CI fuzz smoke job raises it with
    FUZZ_SCOPS=200. *)
@@ -175,13 +178,42 @@ let arb_spec = QCheck.make ~print:print_spec gen_spec
 
 (* --- the property --------------------------------------------------------- *)
 
+(* The pipeline under the case's hooks, with [big_path] forced on when
+   [big], and every counter it moved (each run owns its counters and
+   its budget). *)
+let optimize spec ~big =
+  Linalg.Chaos.arm ~cold_reoptimize:spec.chaos_warm ~big_path:(big || spec.chaos_big)
+    (fun () ->
+      Linalg.Counters.scoped (fun () ->
+          let prog = build_program spec in
+          let config = Fusion.Model.scheduler_config (model_of spec.model) in
+          let budget = budget_of spec.budget_kind in
+          let o = Fusion.Resilient.optimize ~budget ~config prog in
+          (prog, o, Linalg.Counters.all_counters ())))
+
+(* the counters a run on the rational tableau must reproduce: all but
+   the bignum boundary crossings, which forced promotion moves by
+   design *)
+let solver_counts counters =
+  List.filter (fun (name, _) -> name <> "big_promotions" && name <> "big_demotions") counters
+
+let sched (o : Fusion.Resilient.outcome) = o.result.Pluto.Scheduler.sched
+
 let run_case spec =
+  let prog, o, counters = optimize spec ~big:false in
+  (if not spec.chaos_big then
+     let _, o', counters' = optimize spec ~big:true in
+     if sched o' <> sched o then
+       QCheck.Test.fail_report "the rational tableau reached another schedule"
+     else if solver_counts counters' <> solver_counts counters then
+       QCheck.Test.fail_reportf "the rational tableau moved the counters: %s"
+         (String.concat ", "
+            (List.filter_map
+               (fun ((name, v), (_, v')) ->
+                 if v = v' then None else Some (Printf.sprintf "%s %d -> %d" name v v'))
+               (List.combine (solver_counts counters) (solver_counts counters')))));
   Linalg.Chaos.arm ~cold_reoptimize:spec.chaos_warm ~big_path:spec.chaos_big
     (fun () ->
-      let prog = build_program spec in
-      let config = Fusion.Model.scheduler_config (model_of spec.model) in
-      let budget = budget_of spec.budget_kind in
-      let o = Fusion.Resilient.optimize ~budget ~config prog in
       let r = o.Fusion.Resilient.result in
       (match
          Pluto.Satisfy.check_complete r.Pluto.Scheduler.prog

@@ -379,6 +379,140 @@ let prop_warm_chain_matches_cold =
       | _, None -> true
       | _, Some _ -> false)
 
+(* --- native tableau vs rational tableau ------------------------------------ *)
+
+(* A cold solve pivots on native ints and restarts on the rational
+   tableau when its numbers leave the native range; the [big_path] hook
+   sends every solve to the rational tableau. Both must return the same
+   result at the same counts. *)
+
+let show = function
+  | Lp.Optimal (v, x) ->
+    Printf.sprintf "optimal %s at (%s)" (Q.to_string v)
+      (String.concat ", " (Array.to_list (Array.map Q.to_string x)))
+  | Lp.Infeasible -> "infeasible"
+  | Lp.Unbounded -> "unbounded"
+  | Lp.Exhausted -> "exhausted"
+
+(* [f ()] and how far it moved [counter] *)
+let counted counter f =
+  let before = Counters.get counter in
+  let r = f () in
+  (r, Counters.get counter - before)
+
+let big f = Chaos.arm ~big_path:true f
+
+(* max x + y + z + w over x, y, z, w >= 0 below four dense rows of
+   coprime coefficients: the native tableau's numbers leave the native
+   range on the fourth of its four pivots, so the default solve falls
+   back after billing four pivots *)
+let range_lp =
+  ( Polyhedron.make 4
+      (List.map Constr.ge
+         [ [ -29; -3; -5; -7; 31 ]; [ -11; -23; -13; -17; 37 ]; [ -19; -2; -31; -9; 41 ];
+           [ -1; -7; -2; -37; 43 ]; [ 1; 0; 0; 0; 0 ]; [ 0; 1; 0; 0; 0 ];
+           [ 0; 0; 1; 0; 0 ]; [ 0; 0; 0; 1; 0 ] ]),
+    vec [ -1; -1; -1; -1; 0 ] )
+
+(* An LP that leaves the native range, and one whose objective is not
+   integral (the native tableau does not take it), each against the
+   rational tableau. *)
+let test_fallback_same_answer () =
+  let q a b = Q.div (Q.of_int a) (Q.of_int b) in
+  let small =
+    Polyhedron.make 2
+      [ Constr.ge [ -1; -1; 4 ]; Constr.ge [ -1; 0; 2 ]; Constr.ge [ 1; 0; 0 ];
+        Constr.ge [ 0; 1; 0 ] ]
+  in
+  List.iter
+    (fun (name, (p, obj)) ->
+      let r, pivots = counted Counters.lp_pivots (fun () -> Lp.minimize p obj) in
+      let r', pivots' = counted Counters.lp_pivots (fun () -> big (fun () -> Lp.minimize p obj)) in
+      Alcotest.(check string) (name ^ ": result") (show r') (show r);
+      Alcotest.(check int) (name ^ ": lp_pivots") pivots' pivots)
+    [ ("range", range_lp);
+      ("fractional objective", (small, [| q (-1) 2; q (-2) 3; Q.zero |])) ]
+
+(* A fallback must not bill the budget twice for the pivots its native
+   attempt already billed: at the least pivot budget under which the
+   rational tableau answers, the default solve answers too. *)
+let test_fallback_budget () =
+  let p, obj = range_lp in
+  let solve pivots = Lp.minimize ~budget:(Budget.make ~pivots ()) p obj in
+  let rec least b =
+    if b > 50 then Alcotest.fail "no budget lets the rational tableau answer"
+    else match big (fun () -> solve b) with Lp.Optimal _ -> b | _ -> least (b + 1)
+  in
+  let b = least 0 in
+  Alcotest.(check string) "least budget" (show (big (fun () -> solve b))) (show (solve b));
+  Alcotest.(check string) "one pivot less" "exhausted" (show (solve (b - 1)))
+
+let test_fallback_no_events () =
+  let p, obj = range_lp in
+  let _, events = Obs.Trace.with_recording (fun () -> Lp.minimize p obj) in
+  let _, events' = Obs.Trace.with_recording (fun () -> big (fun () -> Lp.minimize p obj)) in
+  Alcotest.(check (list string)) "trace events"
+    (List.map (fun (e : Obs.Trace.event) -> e.name) events')
+    (List.map (fun (e : Obs.Trace.event) -> e.name) events)
+
+(* Polyhedra over two variables in a box, whose coefficients range up
+   to about 2^40, so that some solves leave the native range while
+   building their tableau and some after a few pivots. *)
+let arb_wide_poly2 =
+  let coeff =
+    QCheck.Gen.(
+      frequency [ (4, int_range 0 10); (1, int_range 11 40) ] >>= fun bits ->
+      int_range (-(1 lsl bits)) (1 lsl bits))
+  in
+  let gen_constr =
+    QCheck.Gen.map
+      (fun (a, b, k) -> Constr.ge [ a; b; k ])
+      (QCheck.Gen.triple coeff coeff coeff)
+  in
+  QCheck.make
+    QCheck.Gen.(
+      map
+        (fun cs ->
+          Polyhedron.make 2
+            (Constr.ge [ 1; 0; 0 ] :: Constr.ge [ 0; 1; 0 ]
+            :: Constr.ge [ -1; 0; 1 lsl 20 ] :: Constr.ge [ 0; -1; 1 lsl 20 ] :: cs))
+        (list_size (int_range 1 4) gen_constr))
+
+(* One cold solve and a re-solve of its snapshot with [c] added and the
+   objective negated: both results, with the pivots each took. *)
+let solve_and_resolve p obj c =
+  let pivots f =
+    let (r, dual), primal = counted Counters.lp_pivots (fun () -> counted Counters.dual_pivots f) in
+    (r, primal, dual)
+  in
+  let (r, w), primal, _ = pivots (fun () -> Lp.minimize_warm p obj) in
+  let warm =
+    Option.map
+      (fun w -> pivots (fun () -> fst (Lp.reoptimize w ~add:[ c ] ~obj:(Vec.neg obj))))
+      w
+  in
+  (r, primal, warm)
+
+let same_solves p obj c =
+  let r, primal, warm = solve_and_resolve p obj c in
+  let r', primal', warm' = big (fun () -> solve_and_resolve p obj c) in
+  let show_warm = Option.map (fun (r, primal, dual) -> (show r, primal, dual)) in
+  show r = show r' && primal = primal' && show_warm warm = show_warm warm'
+
+let native_rational_props ~bland =
+  let name kind =
+    Printf.sprintf "native and rational tableaux agree (%s%s)" kind
+      (if bland then ", Bland" else "")
+  in
+  let arm f = Chaos.arm ~bland f in
+  let obj2 = QCheck.pair (QCheck.int_range (-3) 3) (QCheck.int_range (-3) 3) in
+  [ QCheck.Test.make ~name:(name "small") ~count:100
+      (QCheck.triple arb_bounded_poly2 arb_constr2 obj2)
+      (fun (p, c, (c0, c1)) -> arm (fun () -> same_solves p (vec [ c0; c1; 0 ]) c));
+    QCheck.Test.make ~name:(name "wide") ~count:100
+      (QCheck.triple arb_wide_poly2 arb_constr2 obj2)
+      (fun (p, c, (c0, c1)) -> arm (fun () -> same_solves p (vec [ c0; c1; 0 ]) c)) ]
+
 let () =
   let qt = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "ilp"
@@ -413,4 +547,10 @@ let () =
       ( "warm-props",
         qt
           [ prop_warm_add_matches_cold; prop_warm_newobj_matches_cold;
-            prop_warm_chain_matches_cold ] ) ]
+            prop_warm_chain_matches_cold ] );
+      ( "native",
+        [ Alcotest.test_case "fallback: same answer and pivots" `Quick
+            test_fallback_same_answer;
+          Alcotest.test_case "fallback: budget billed once" `Quick test_fallback_budget;
+          Alcotest.test_case "fallback: no trace events" `Quick test_fallback_no_events ]
+        @ qt (native_rational_props ~bland:false @ native_rational_props ~bland:true) ) ]

@@ -327,9 +327,20 @@ let test_chaos_warm_fallback_equiv () =
       Alcotest.(check bool) "cold-only resolve, same schedule" true
         (got = base))
 
+(* The forced Big path also sends every LP to the rational simplex
+   tableau: the same schedule at the same solver counts, all but the
+   bignum boundary crossings it moves by design. *)
 let test_chaos_forced_big_equiv () =
   let prog = advect () in
-  let base = (schedule_of prog).Pluto.Scheduler.sched in
+  let counted_schedule () =
+    Counters.scoped (fun () ->
+        let sched = (schedule_of prog).Pluto.Scheduler.sched in
+        ( sched,
+          List.filter
+            (fun (name, _) -> name <> "big_promotions" && name <> "big_demotions")
+            (Counters.all_counters ()) ))
+  in
+  let base, base_counts = counted_schedule () in
   Chaos.arm ~big_path:true (fun () ->
       (* arithmetic stays canonical on the forced Big path *)
       let i x = Bigint.of_int x in
@@ -340,9 +351,11 @@ let test_chaos_forced_big_equiv () =
       (* a non-zero remainder rounds the ceiling up *)
       Alcotest.(check int) "cdiv" 4 (Bigint.to_int (Bigint.cdiv (i 17) (i 5)));
       (* and the whole pipeline is unchanged *)
-      let got = (schedule_of prog).Pluto.Scheduler.sched in
+      let got, counts = counted_schedule () in
       Alcotest.(check bool) "forced Big promotion, same schedule" true
-        (got = base))
+        (got = base);
+      Alcotest.(check (list (pair string int)))
+        "forced Big promotion, same counters" base_counts counts)
 
 (* Arming is scoped: after the callback returns, raises, or arms a
    second set inside the first, every hook reads as it did before. *)
