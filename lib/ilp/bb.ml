@@ -169,12 +169,14 @@ let answer_of st =
     else if st.gave_up then Gave_up
     else Infeasible
 
-(* [integer_point] deliberately searches cold: warm re-solves can land
-   on a different optimal vertex of a degenerate LP, which would change
-   the branching path and therefore *which* integer point is found
-   first. Keeping this search cold makes the returned point — the one
-   the scheduler embeds into schedules — independent of the warm-start
-   machinery. *)
+(* Both point searches run cold. Warm re-solves can land on a different
+   optimal vertex of a degenerate LP, which changes the branching path
+   and therefore *which* integer point is found first: a cold
+   [integer_point] keeps the point the scheduler embeds into schedules
+   independent of the warm-start machinery. A warm path can also wander:
+   on an unbounded polyhedron a warm depth-first [feasible] search spent
+   its whole node cap (and answered "feasible" only because it gave up)
+   where the cold search finds a point in 13 nodes. *)
 let integer_point ?nonneg ?budget p =
   let obj = Vec.zero (Polyhedron.dim p + 1) in
   let st =
@@ -186,7 +188,7 @@ let feasible ?budget p =
   if Polyhedron.is_empty p then false
   else begin
     let obj = Vec.zero (Polyhedron.dim p + 1) in
-    let st = run ~stop_at_first:true ?budget p obj in
+    let st = run ~stop_at_first:true ~use_warm:false ?budget p obj in
     match st.incumbent with
     | Some _ -> true
     | None ->

@@ -10,8 +10,8 @@
     simplex), and {!lexmin} chains each stage's root relaxation from
     the previous stage's. Only optimal {e values} — which warm and cold
     solves always agree on — feed decisions that affect results;
-    witness {e points} ({!integer_point}) are searched cold so they do
-    not depend on the warm-start machinery. *)
+    witness {e points} ({!integer_point}) and {!feasible}'s search for
+    one run cold, so they do not depend on the warm-start machinery. *)
 
 (** [integer_point p] finds any integer point, if one exists. [None]
     means "none exists" when the search completed, and "unknown" when

@@ -4,13 +4,10 @@ type kind = Eq | Ge
 
 type t = { kind : kind; coeffs : Vec.t }
 
-let normalize coeffs =
-  (* scale to primitive integer coefficients, orientation preserved *)
-  if Vec.is_zero coeffs then Vec.copy coeffs else Vec.normalize_int coeffs
-
 let make kind coeffs =
   if Vec.dim coeffs < 1 then invalid_arg "Constr.make: needs a constant";
-  { kind; coeffs = normalize coeffs }
+  (* primitive integer coefficients, orientation preserved, in a fresh array *)
+  { kind; coeffs = Vec.normalize_int coeffs }
 
 let unsafe_make kind coeffs = { kind; coeffs }
 

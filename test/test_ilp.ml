@@ -191,6 +191,30 @@ let test_ilp_empty_polyhedron () =
   Alcotest.(check bool) "canonical empty infeasible" false
     (Bb.feasible (Polyhedron.make 2 [ Constr.ge [ 0; 0; -1 ] ]))
 
+(* A dependence polyhedron of a random program, unbounded above in x4.
+   A warm depth-first search spent all 20,000 nodes of its cap on it and
+   answered "feasible" only because it gave up; the cold search finds
+   (1, 4, 5, 1, 7) in 13 nodes. Counting nodes, not time, keeps the
+   check from flaking. *)
+let test_ilp_feasible_cold () =
+  let p =
+    Polyhedron.make 5
+      (List.map Constr.ge
+         [ [ -8; -6; 8; 6; 0; -1 ]; [ 1; 0; 0; 0; 0; -1 ]; [ 0; 1; 0; 0; 0; -1 ];
+           [ 0; 0; 1; 0; 0; -1 ]; [ 0; 0; 0; 1; 0; -1 ]; [ 0; 0; 0; 0; 1; -2 ];
+           [ -1; 0; 0; 0; 1; -2 ]; [ 0; -1; 0; 0; 1; -2 ]; [ 0; 0; -1; 0; 1; -2 ];
+           [ 0; 0; 0; -1; 1; -2 ]; [ -1; 0; 1; 0; 0; -1 ] ]
+      @ [ Constr.eq [ -3; -4; 3; 4; 0; 0 ] ])
+  in
+  Alcotest.(check bool) "witness" true (Polyhedron.contains_int p [| 1; 4; 5; 1; 7 |]);
+  let feasible, nodes =
+    Counters.scoped (fun () ->
+        let r = Bb.feasible p in
+        (r, Counters.get Counters.bb_nodes))
+  in
+  Alcotest.(check bool) "feasible" true feasible;
+  if nodes > 100 then Alcotest.failf "%d branch-and-bound nodes, expected at most 100" nodes
+
 (* --- properties: ILP vs brute force ------------------------------------- *)
 
 let arb_bounded_poly2 =
@@ -536,6 +560,7 @@ let () =
           Alcotest.test_case "feasible" `Quick test_ilp_feasible;
           Alcotest.test_case "lexmin" `Quick test_ilp_lexmin;
           Alcotest.test_case "empty polyhedron" `Quick test_ilp_empty_polyhedron;
+          Alcotest.test_case "feasible: cold search" `Quick test_ilp_feasible_cold;
           Alcotest.test_case "remove_redundant" `Quick
             test_remove_redundant_drops_rows ] );
       ( "ilp-props",

@@ -184,6 +184,67 @@ let prop_intersect_conjunction =
       Polyhedron.integer_points ~lo ~hi inter
       = List.filter (Polyhedron.contains_int b) (Polyhedron.integer_points ~lo ~hi a))
 
+(* --- native row normalization --------------------------------------- *)
+
+(* Rows of native ints are normalized on native ints
+   ([Vec.normalize_int]); every other row, and every row under the
+   [big_path] hook, on Bigint. A case is a few rows over three variables
+   and the variables to project away. Half the cases draw small
+   coefficients; half draw them up to 2^bits, with bits from 20 to 40,
+   or take min_int, min_int + 1 or max_int. So projections normalize
+   rows of native ints, rows whose entries grew past the native range,
+   fractional rows (from equalities) and rows holding min_int, whose
+   absolute value overflows. *)
+let arb_row_case =
+  let open QCheck.Gen in
+  let rows =
+    bool >>= fun wide ->
+    (if wide then int_range 20 40 else return 3) >>= fun bits ->
+    let edge = if wide then [ (3, oneofl [ min_int; min_int + 1; max_int ]) ] else [] in
+    let coeff =
+      frequency
+        ([ (4, int_range (-3) 3); (12, int_range (-(1 lsl bits)) (1 lsl bits)) ] @ edge)
+    in
+    let kind = frequency [ (3, return Constr.Ge); (1, return Constr.Eq) ] in
+    list_size (int_range 2 6) (pair kind (list_repeat 4 coeff))
+  in
+  let vars = int_range 1 7 >|= fun mask -> List.filter (fun i -> mask land (1 lsl i) <> 0) [ 0; 1; 2 ] in
+  let print (rows, vars) =
+    let row (kind, cs) =
+      (if kind = Constr.Eq then "eq " else "ge ") ^ String.concat " " (List.map string_of_int cs)
+    in
+    String.concat "; " (List.map row rows)
+    ^ " | eliminate " ^ String.concat "," (List.map string_of_int vars)
+  in
+  QCheck.make ~print (pair rows vars)
+
+(* The rows as constraints, and their projections over the integers and
+   over the rationals: the same by default and on the generic path.
+   Building rows without min_int moves no bignum counter, and neither
+   does a one-variable projection of rows inside +-2^30, whose
+   combinations (products below 2^60) stay native. A longer projection
+   may combine rows the first step took past the native range, which
+   the generic path rightly promotes. *)
+let prop_row_normalization =
+  QCheck.Test.make ~name:"native row normalization matches the generic path" ~count:500
+    arb_row_case (fun (rows, vars) ->
+      let make () = List.map (fun (kind, cs) -> Constr.make kind (vec cs)) rows in
+      let project vars () =
+        let p = Polyhedron.make 3 (make ()) in
+        (Polyhedron.eliminate ~integer:true p vars, Polyhedron.eliminate ~integer:false p vars)
+      in
+      let bignum_moves f =
+        Counters.scoped (fun () ->
+            ignore (f ());
+            Counters.(get promotions + get demotions))
+      in
+      let within b = List.for_all (fun (_, cs) -> List.for_all (fun c -> -b < c && c < b) cs) rows in
+      let pi, pr = project vars () and pi', pr' = Chaos.arm ~big_path:true (project vars) in
+      List.equal Constr.equal (make ()) (Chaos.arm ~big_path:true make)
+      && Polyhedron.equal pi pi' && Polyhedron.equal pr pr'
+      && (List.exists (fun (_, cs) -> List.mem min_int cs) rows || bignum_moves make = 0)
+      && ((not (within (1 lsl 30))) || bignum_moves (project [ List.hd vars ]) = 0))
+
 (* Golden pin of the frozen structural_key v1 format (see the contract
    in polyhedron.mli). The serving layer content-addresses requests
    with these keys, so a rendering change silently invalidates every
@@ -564,4 +625,4 @@ let () =
       ( "poly-props",
         qt
           [ prop_projection_sound; prop_empty_implies_no_points;
-            prop_intersect_conjunction; prop_merge_matches_sort ] ) ]
+            prop_intersect_conjunction; prop_merge_matches_sort; prop_row_normalization ] ) ]
