@@ -120,6 +120,15 @@ let pp_search fmt events =
         Format.fprintf fmt "  level %d: LP relaxation %s (pivots %d)@,"
           (int_ e "level") (str e "outcome")
           (int_ e "pivots" + int_ e "dual-pivots")
+      | "sched.cut-bisect" ->
+        heading e;
+        Format.fprintf fmt
+          "  level %d: bisected the %d-cut fallback chain (probes %d) -> %s@,"
+          (int_ e "level") (int_ e "chain") (int_ e "probes")
+          (if abool e "feasible" = Some true then
+             Printf.sprintf "first feasible relaxation at cut %d"
+               (int_ e "landing")
+           else "no feasible relaxation on it")
       | "cluster.match" ->
         Format.fprintf fmt
           "  level %d: cluster {%s} scaled by %s -> %s@," (int_ e "level")

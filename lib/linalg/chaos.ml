@@ -40,12 +40,13 @@ type hooks = {
   mutable exhaust : bool;
   mutable cold_reoptimize : bool;
   mutable check_warm : bool;
+  mutable linear_cuts : bool;
   mutable faults : plan option;
 }
 
 let hooks =
   { big_path = false; bland = false; exhaust = false; cold_reoptimize = false;
-    check_warm = false; faults = None }
+    check_warm = false; linear_cuts = false; faults = None }
 
 let set h =
   hooks.big_path <- h.big_path;
@@ -53,13 +54,15 @@ let set h =
   hooks.exhaust <- h.exhaust;
   hooks.cold_reoptimize <- h.cold_reoptimize;
   hooks.check_warm <- h.check_warm;
+  hooks.linear_cuts <- h.linear_cuts;
   hooks.faults <- h.faults
 
 let arm ?(big_path = hooks.big_path) ?(bland = hooks.bland) ?(exhaust = hooks.exhaust)
-    ?(cold_reoptimize = hooks.cold_reoptimize) ?(check_warm = hooks.check_warm) ?faults f =
+    ?(cold_reoptimize = hooks.cold_reoptimize) ?(check_warm = hooks.check_warm)
+    ?(linear_cuts = hooks.linear_cuts) ?faults f =
   let saved = { hooks with faults = hooks.faults } (* a copy *) in
   let faults = if Option.is_some faults then faults else hooks.faults in
-  set { big_path; bland; exhaust; cold_reoptimize; check_warm; faults };
+  set { big_path; bland; exhaust; cold_reoptimize; check_warm; linear_cuts; faults };
   Fun.protect ~finally:(fun () -> set saved) f
 
 (* A recognizable value for [Raise] to add to [Counters.lp_solves]: a

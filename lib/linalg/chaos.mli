@@ -67,6 +67,11 @@ type hooks = private {
       (** branch-and-bound re-solves each warm node's LP cold and fails
           ([Failure _]) unless both agree on the status and the optimal
           value and the warm point is feasible *)
+  mutable linear_cuts : bool;
+      (** an lp-dfp level whose LP relaxation is infeasible takes one
+          fallback cut per solve ([Pluto.Scheduler]'s reference scan),
+          instead of bisecting the fallback-cut chain for its first
+          feasible state *)
   mutable faults : plan option;  (** the daemon's per-cold-solve faults *)
 }
 
@@ -82,6 +87,7 @@ val arm :
   ?exhaust:bool ->
   ?cold_reoptimize:bool ->
   ?check_warm:bool ->
+  ?linear_cuts:bool ->
   ?faults:plan ->
   (unit -> 'a) ->
   'a

@@ -95,7 +95,8 @@ val reductions_certified : counter
     the branch-and-bound counters above. *)
 
 (** Pure-LP lexicographic stages solved by the lp-dfp engine (one per
-    objective vector per hyperplane level; no branching). *)
+    objective vector per hyperplane level; no branching), plus one per
+    feasibility probe of a bisected fallback-cut chain. *)
 val lp_relax_solves : counter
 
 (** Cluster recovery rounds: one per dependence-connected statement

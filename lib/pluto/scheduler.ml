@@ -410,23 +410,28 @@ let stmt_cons st =
     st.prog.stmts;
   !cons
 
-(* Legality + bounding rows of the still-active dependences. Satisfied
-   flags only ever flip to [true], so the concatenation is keyed by how
-   many dependences are satisfied: levels and cut retries that satisfy
-   nothing new reuse the previous row list unchanged. *)
+(* Legality + bounding rows of the dependences [satisfied] leaves
+   active. *)
+let active_dep_rows st satisfied =
+  let cons = ref [] in
+  Array.iteri
+    (fun i _ ->
+      if not satisfied.(i) then cons := st.legality.(i) @ st.bounding.(i) @ !cons)
+    st.true_deps;
+  !cons
+
+(* The active rows of the current state. Satisfied flags only ever flip
+   to [true], so the concatenation is keyed by how many dependences are
+   satisfied: levels and cut retries that satisfy nothing new reuse the
+   previous row list unchanged. *)
 let dep_cons st =
   let nsat = Array.fold_left (fun n s -> if s then n + 1 else n) 0 st.satisfied in
   match st.dep_seg with
   | Some (k, cached) when k = nsat -> cached
   | _ ->
-    let cons = ref [] in
-    Array.iteri
-      (fun i _ ->
-        if not st.satisfied.(i) then
-          cons := st.legality.(i) @ st.bounding.(i) @ !cons)
-      st.true_deps;
-    st.dep_seg <- Some (nsat, !cons);
-    !cons
+    let cons = active_dep_rows st st.satisfied in
+    st.dep_seg <- Some (nsat, cons);
+    cons
 
 (* The per-level problem both engines share: the polyhedron over the
    global coefficient space and the lexicographic objective tower. *)
@@ -486,11 +491,21 @@ let level_problem st =
   in
   (p, [ sum_u; just_w; sum_c_iter; stride; iter_order; sum_c0 ])
 
+(* How a level's solve ended. *)
+type level_outcome =
+  | Hyperplane of int array
+  | Infeasible_relaxation
+      (* lp-dfp: the level's LP relaxation has no point, or its solve
+         ran out of budget *)
+  | Dead_end
+      (* no integral hyperplane: an ILP dead end, or a relaxed vertex
+         that neither clustering nor the ILP fallback could round *)
+
 (* The original engine: branch-and-bound integer lexmin. *)
 let solve_level_ilp st p objs =
   match Ilp.Bb.lexmin ~nonneg:true ?budget:st.budget p objs with
-  | None -> None
-  | Some (_, x) -> Some x
+  | None -> Dead_end
+  | Some (_, x) -> Hyperplane x
 
 let row_of_solution st x id =
   let d = stmt_depth st.prog id in
@@ -706,8 +721,8 @@ let solve_level_dfp st p objs =
   | None ->
     (* the relaxation found nothing, so the integer program is no
        better: let the cut machinery (or the budget diagnostics) take
-       over, same as an ILP dead end *)
-    None
+       over *)
+    Infeasible_relaxation
   | Some xq ->
     let xi = Array.make st.nv 0 in
     let scaled =
@@ -719,7 +734,7 @@ let solve_level_dfp st p objs =
           scale <> None)
         (active_clusters st)
     in
-    if scaled && certify_candidate st xi then Some xi
+    if scaled && certify_candidate st xi then Hyperplane xi
     else begin
       (* clustering could not certify this level: hand it to the exact
          engine *)
@@ -770,8 +785,8 @@ let solve_level st =
                 ( "outcome",
                   Obs.Json.Str
                     (match res with
-                    | Some _ -> "hyperplane"
-                    | None -> "infeasible") );
+                    | Hyperplane _ -> "hyperplane"
+                    | Infeasible_relaxation | Dead_end -> "infeasible") );
                 ("pivots", Obs.Json.Int (Counters.(get lp_pivots) - p0));
                 ("dual-pivots", Obs.Json.Int (Counters.(get dual_pivots) - dp0));
                 ("bb-nodes", Obs.Json.Int (Counters.(get bb_nodes) - n0));
@@ -858,14 +873,18 @@ let pick_violating st =
     st.true_deps;
   !best
 
-let try_cut st strategy =
+(* The fallback cut [try_cut] would take from the current state: the
+   strategy that refines, its justifying dependence and its beta row. *)
+let next_cut st strategy =
   let violating = pick_violating st in
   let attempt strat =
     match strat with
     | Cut_minimal when violating = None -> None
     | _ ->
       let beta = beta_of_cut st strat ~violating in
-      if is_refinement st beta then Some beta else None
+      if is_refinement st beta then
+        Some (strat, (if strat = Cut_minimal then violating else None), beta)
+      else None
   in
   (* ensure progress: escalate through strategies if the preferred one
      does not refine the current partitioning *)
@@ -876,20 +895,96 @@ let try_cut st strategy =
     | Cut_all_sccs -> [ Cut_all_sccs ]
     | Cut_groups _ as g -> [ g; Cut_minimal; Cut_between_dims; Cut_all_sccs ]
   in
-  let rec go = function
-    | [] -> false
-    | s :: rest -> (
-      match attempt s with
-      | Some beta ->
-        apply_beta st beta;
-        cut_event st ~name:"cut.fallback" ~strategy:(strategy_name s)
-          ~requested:(strategy_name strategy)
-          ?violating:(if s = Cut_minimal then violating else None)
-          ();
-        true
-      | None -> go rest)
+  List.find_map attempt chain
+
+let try_cut st strategy =
+  match next_cut st strategy with
+  | None -> false
+  | Some (s, violating, beta) ->
+    apply_beta st beta;
+    cut_event st ~name:"cut.fallback" ~strategy:(strategy_name s)
+      ~requested:(strategy_name strategy) ?violating ();
+    true
+
+(* --- lp-dfp dead ends: bisecting the fallback-cut chain -----------------
+
+   A cut only marks dependences satisfied, and [dep_cons] then drops
+   their legality and bounding rows; [bounds] and [stmt_cons] depend on
+   ranks alone, which a cut does not change. Along the chain of
+   fallback cuts, each state's LP relaxation is therefore the previous
+   one minus some rows, so feasibility switches at most once, from "no"
+   to "yes". When a level's relaxation is infeasible, the first
+   feasible state of the chain is found by bisection, in
+   ceil(log2(m+1)) probes for an m-cut chain, instead of one level
+   solve per cut. *)
+
+(* The satisfied sets after each cut of the chain [try_cut] would walk
+   from the current state, without committing a cut or emitting an
+   event: the chain stops where [try_cut] would find no cut or a cut
+   would run backward. The state is restored on return. *)
+let cut_chain st strategy =
+  let part = st.part and satisfied = Array.copy st.satisfied in
+  let rec go states =
+    match next_cut st strategy with
+    | None -> states
+    | Some (_, _, beta) -> (
+      match mark_beta_satisfaction st beta with
+      | () ->
+        st.part <- beta;
+        go (Array.copy st.satisfied :: states)
+      | exception Diagnostics.Error _ -> states)
   in
-  go chain
+  let states = Array.of_list (List.rev (go [])) in
+  st.part <- part;
+  Array.blit satisfied 0 st.satisfied 0 (Array.length satisfied);
+  states
+
+(* Is the level's LP relaxation feasible once [satisfied] holds? Phase
+   1 only (a zero objective); budgeted like the level solve, and an
+   exhausted probe counts as infeasible. The rows bypass [dep_cons], so
+   its cache, keyed by the current state's count, stays valid. *)
+let relaxation_feasible st satisfied =
+  Counters.(incr lp_relax_solves);
+  let p =
+    Poly.Polyhedron.make st.nv
+      (st.bounds @ stmt_cons st @ active_dep_rows st satisfied)
+  in
+  match Ilp.Lp.minimize ~nonneg:true ?budget:st.budget p (Vec.zero (st.nv + 1)) with
+  | Ilp.Lp.Optimal _ -> true
+  | Ilp.Lp.(Infeasible | Unbounded | Exhausted) -> false
+
+(* The number of fallback cuts up to the chain's first state with a
+   feasible relaxation. When no state has one, it is one more than the
+   chain's length: the last of them is the cut [try_cut] cannot take,
+   so committing them ends the search as the scan would. The current
+   state's relaxation is known to be infeasible. *)
+let bisect_cuts st =
+  let chain = cut_chain st st.cfg.fallback_cut in
+  let m = Array.length chain in
+  let probes = ref 0 in
+  (* the first feasible state in [lo, hi); state m + 1 stands for none *)
+  let rec search lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      incr probes;
+      if relaxation_feasible st chain.(mid - 1) then search lo mid
+      else search (mid + 1) hi
+    end
+  in
+  let landing = search 1 (m + 1) in
+  if m > 0 && Obs.Trace.on () then
+    Obs.Trace.instant ~cat:"sched" "sched.cut-bisect"
+      ~args:
+        [
+          ("config", Obs.Json.Str st.cfg.name);
+          ("level", Obs.Json.Int st.accepted_hyp_rows);
+          ("chain", Obs.Json.Int m);
+          ("probes", Obs.Json.Int !probes);
+          ("landing", Obs.Json.Int (min landing m));
+          ("feasible", Obs.Json.Bool (landing <= m));
+        ];
+  landing
 
 (* final textual ordering inside each partition *)
 let final_beta st =
@@ -1013,13 +1108,24 @@ let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) ~memo cfg
     cut_event st ~name:"cut.initial" ~strategy:(strategy_name strategy) ());
   let max_depth = Scop.Program.max_depth prog in
   let guard = ref 0 in
+  (* [n] fallback cuts after a failed solve, one guard step each, as if
+     every state they skip had been solved *)
+  let commit_cuts n =
+    for _ = 1 to n do
+      if not (try_cut st cfg.fallback_cut) then
+        fail_search st "sched.no-hyperplane"
+          (Printf.sprintf
+             "Scheduler(%s): no hyperplane and no further cut possible" cfg.name)
+    done;
+    guard := !guard + n - 1
+  in
   while Array.exists (fun id -> st.rank.(id) < stmt_depth prog id)
           (Array.init (Array.length prog.stmts) Fun.id)
         && !guard < 10 * (max_depth + Array.length prog.stmts)
   do
     incr guard;
     match solve_level st with
-    | Some x ->
+    | Hyperplane x ->
       let is_first = st.accepted_hyp_rows = 0 in
       let cut_done =
         if cfg.outer_parallel && is_first then begin
@@ -1042,11 +1148,12 @@ let run_with_deps_budgeted ?budget ?(engine = Engine.Auto) ~memo cfg
         else false
       in
       if not cut_done then accept_row st x
-    | None ->
-      if not (try_cut st cfg.fallback_cut) then
-        fail_search st "sched.no-hyperplane"
-          (Printf.sprintf
-             "Scheduler(%s): no hyperplane and no further cut possible" cfg.name)
+    | Dead_end ->
+      (* one cut: after a feasible lp-dfp relaxation every later state's
+         is feasible too, and the ILP engine keeps its one-cut scan *)
+      commit_cuts 1
+    | Infeasible_relaxation ->
+      commit_cuts (if Chaos.hooks.linear_cuts then 1 else bisect_cuts st)
   done;
   if Array.exists (fun id -> st.rank.(id) < stmt_depth prog id)
        (Array.init (Array.length prog.stmts) Fun.id)

@@ -166,6 +166,48 @@ let test_large_scops () =
       ignore r)
     Kernels.Scopgen.[ Chain; Stencil; Blocked ]
 
+(* --- lp-dfp dead ends -------------------------------------------------------- *)
+
+(* Stencils dead-end on infeasible LP relaxations and reach their next
+   feasible state through a chain of fallback cuts (every stencil of 10
+   or more statements has one). The lp-dfp engine bisects that chain;
+   these digests of the emitted C were recorded with the one-cut-per-
+   solve scan, so a bisection that lands on any other state shows
+   here. *)
+let stencil_c_pins =
+  [ (12, "1a98d9fba5d619d2fb97bbd221571a94");
+    (24, "ede191b00d143c9bdb02f152c8d5f464");
+    (60, "939947af0179eac7d2a6786c551baf5c") ]
+
+let test_stencil_c_pin (n, md5) () =
+  let prog = Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:n in
+  let cfg = Fusion.Model.scheduler_config Fusion.Model.Wisefuse in
+  let r =
+    schedule ~engine:(Pluto.Engine.Fixed Pluto.Engine.Lp_dfp) cfg prog
+      (Deps.Dep.analyze prog)
+  in
+  let c =
+    Codegen.Cprint.program ~name:(Printf.sprintf "stencil%d" n) prog
+      (Codegen.Scan.of_result r)
+  in
+  Alcotest.(check string)
+    (Printf.sprintf "stencil%d lp-dfp C digest" n)
+    md5
+    (Digest.to_hex (Digest.string c))
+
+(* stencil40 bisects a 39-cut chain to its first feasible state at cut
+   31, among others: the one-cut scan must agree on every level. *)
+let test_stencil_bisection () =
+  let prog = Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40 in
+  let cfg = Fusion.Model.scheduler_config Fusion.Model.Wisefuse in
+  let events, problem =
+    Cut_reference.compare ~engine:(Pluto.Engine.Fixed Pluto.Engine.Lp_dfp) cfg
+      prog (Deps.Dep.analyze prog)
+  in
+  Option.iter Alcotest.fail problem;
+  Alcotest.(check int) "longest bisected chain" 39
+    (Cut_reference.longest_chain events)
+
 (* --- the Lp_relaxed resilience rung --------------------------------------- *)
 
 (* A node budget of zero kills every branch-and-bound solve but charges
@@ -203,4 +245,12 @@ let () =
           Alcotest.test_case "generated large SCoPs" `Slow test_large_scops;
           Alcotest.test_case "lp-relaxed rung" `Quick test_lp_relaxed_rung;
         ] );
+      ( "dead ends",
+        List.map
+          (fun ((n, _) as pin) ->
+            Alcotest.test_case (Printf.sprintf "stencil%d C digest" n) `Slow
+              (test_stencil_c_pin pin))
+          stencil_c_pins
+        @ [ Alcotest.test_case "stencil40 bisection matches the scan" `Slow
+              test_stencil_bisection ] );
     ]

@@ -359,9 +359,17 @@ let fuzz_reductions =
 
 (* The same properties over Kernels.Scopgen's many-statement shapes,
    with the engine itself fuzzed (ilp / lp-dfp / auto). Statement
-   counts go up to FUZZ_STMTS (default 80); the CI scale smoke job
-   raises it. Far fewer cases than the random-SCoP property: each one
-   is a whole hundred-ish-statement pipeline run. *)
+   counts go up to FUZZ_STMTS (default 80); the CI robustness job's
+   "Fuzz large SCoPs (up to 160 statements)" step sets it to 160. Far
+   fewer cases than the random-SCoP property: each one is a whole
+   hundred-ish-statement pipeline run.
+
+   A case whose engine resolves to lp-dfp is scheduled twice more,
+   unbudgeted: once as is, where a level whose LP relaxation is
+   infeasible bisects its fallback-cut chain, and once under
+   [Chaos.hooks.linear_cuts], which takes one cut per solve. Both must
+   give the same schedule, outer partition and C, and emit the same
+   cut events, and each bisection must land on a feasible state. *)
 
 let fuzz_stmts =
   match Sys.getenv_opt "FUZZ_STMTS" with
@@ -393,6 +401,26 @@ let print_large spec =
        | 1 -> Pluto.Engine.Fixed Pluto.Engine.Lp_dfp
        | _ -> Pluto.Engine.Auto))
     (Fusion.Model.name (model_of spec.lmodel))
+
+(* lp-dfp cases drawn, and how many of them bisected a fallback-cut
+   chain of 2 or more cuts *)
+let dfp_cases = ref 0
+let chain_cases = ref 0
+
+let check_linear_cuts ~engine config prog =
+  let events, problem =
+    Cut_reference.compare ~engine config prog (Deps.Dep.analyze prog)
+  in
+  incr dfp_cases;
+  if Cut_reference.longest_chain events >= 2 then incr chain_cases;
+  Option.iter QCheck.Test.fail_report problem
+
+let () =
+  at_exit (fun () ->
+      if !dfp_cases > 0 then
+        Format.printf
+          "@.large: %d of %d lp-dfp cases bisected a fallback-cut chain of 2+ cuts@."
+          !chain_cases !dfp_cases)
 
 let run_large spec =
   let shape = List.nth shapes spec.shape in
@@ -433,6 +461,10 @@ let run_large spec =
   | Some f ->
     QCheck.Test.fail_reportf "racy parallel mark: %s" f.Analysis.Finding.message
   | None -> ());
+  if
+    Pluto.Engine.resolve engine ~nstmts:(Array.length prog.Scop.Program.stmts)
+    = Pluto.Engine.Lp_dfp
+  then check_linear_cuts ~engine config prog;
   true
 
 let fuzz_large =

@@ -340,7 +340,7 @@ let pivot_cases =
      [ 1636; 14517; 0; 71; 0; 97; 97; 0; 0 ]);
     ("stencil40 lp-dfp", Fusion.Model.Wisefuse,
      (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40),
-     [ 3010; 20066; 0; 153; 0; 237; 237; 1775; 0 ]);
+     [ 2986; 17964; 0; 153; 0; 237; 237; 507; 0 ]);
     ("chain40 lp-dfp", Fusion.Model.Wisefuse,
      (fun () -> Kernels.Scopgen.generate Kernels.Scopgen.Chain ~stmts:40),
      [ 518; 2738; 0; 83; 0; 39; 39; 0; 0 ]);

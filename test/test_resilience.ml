@@ -357,25 +357,74 @@ let test_chaos_forced_big_equiv () =
       Alcotest.(check (list (pair string int)))
         "forced Big promotion, same counters" base_counts counts)
 
+(* stencil40's lp-dfp levels dead-end on infeasible LP relaxations, and
+   the scheduler bisects each fallback-cut chain with feasibility probes
+   that bill the budget like any other LP. Against the one-cut scan
+   ([Chaos.hooks.linear_cuts]) under the same pivot budget, the ladder
+   may settle on an earlier rung, since bisection spends fewer pivots,
+   but never on a later one, and on the same rung it leaves the same
+   notes. With every LP forced to exhaustion, the search fails with the
+   scan's diagnostic (the ladder cannot be compared there: its identity
+   rung's verification solves LPs too, and fails on both sides). *)
+let test_chaos_dead_end_budgets () =
+  let prog = Kernels.Scopgen.generate Kernels.Scopgen.Stencil ~stmts:40 in
+  let settle ~pivots ~linear_cuts () =
+    let o =
+      Chaos.arm ~linear_cuts (fun () ->
+          Fusion.Resilient.optimize ~budget:(Budget.make ~pivots ()) prog)
+    in
+    ( o.rung,
+      List.map
+        (fun (d : Pluto.Diagnostics.t) -> (Pluto.Diagnostics.phase_name d.phase, d.code))
+        o.notes )
+  in
+  let notes = Alcotest.(list (pair string string)) in
+  List.iter
+    (fun pivots ->
+      let bisected, got = settle ~pivots ~linear_cuts:false () in
+      let scanned, want = settle ~pivots ~linear_cuts:true () in
+      (* [Resilient.rung]'s constructors are declared in ladder order *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%d pivots: no later rung than the scan" pivots)
+        true (bisected <= scanned);
+      if bisected = scanned then
+        Alcotest.check notes (Printf.sprintf "%d pivots: the scan's notes" pivots)
+          want got)
+    [ 1; 1000; 2500; 5000 ];
+  let deps = Deps.Dep.analyze prog in
+  let exhausted ~linear_cuts =
+    Chaos.arm ~exhaust:true ~linear_cuts (fun () ->
+        match
+          Pluto.Scheduler.schedule_with_deps ~memo:(Pluto.Farkas.memo ())
+            Fusion.Wisefuse.config prog deps
+        with
+        | Ok _ -> Alcotest.fail "all-exhausted solves cannot schedule"
+        | Error d -> [ (Pluto.Diagnostics.phase_name d.phase, d.code) ])
+  in
+  Alcotest.check notes "forced exhaustion: the scan's diagnostic"
+    (exhausted ~linear_cuts:true)
+    (exhausted ~linear_cuts:false)
+
 (* Arming is scoped: after the callback returns, raises, or arms a
    second set inside the first, every hook reads as it did before. *)
 let test_chaos_arming_scoped () =
   let check name flags plan =
     let h = Chaos.hooks in
     Alcotest.(check (list bool)) name flags
-      [ h.big_path; h.bland; h.exhaust; h.cold_reoptimize; h.check_warm ];
+      [ h.big_path; h.bland; h.exhaust; h.cold_reoptimize; h.check_warm;
+        h.linear_cuts ];
     Alcotest.(check bool) (name ^ ": fault plan") true (Option.equal ( == ) h.faults plan)
   in
-  let all_off = [ false; false; false; false; false ] in
+  let all_off = [ false; false; false; false; false; false ] in
   check "nothing armed" all_off None;
   let outer = Chaos.queue [ Chaos.Slow 0 ] in
   Chaos.arm ~big_path:true ~exhaust:true ~faults:outer (fun () ->
-      let armed = [ true; false; true; false; false ] in
+      let armed = [ true; false; true; false; false; false ] in
       check "outer set" armed (Some outer);
       let inner = Chaos.queue [] in
       Chaos.arm ~bland:true ~exhaust:false ~cold_reoptimize:true ~check_warm:true
-        ~faults:inner (fun () ->
-          check "inner set over the outer" [ true; true; false; true; true ]
+        ~linear_cuts:true ~faults:inner (fun () ->
+          check "inner set over the outer" [ true; true; false; true; true; true ]
             (Some inner));
       check "after a nested set returns" armed (Some outer);
       (try Chaos.arm ~big_path:false ~bland:true (fun () -> failwith "escape")
@@ -482,6 +531,8 @@ let () =
             test_chaos_warm_fallback_equiv;
           Alcotest.test_case "forced Big promotion equivalence" `Quick
             test_chaos_forced_big_equiv;
+          Alcotest.test_case "dead ends under budgets" `Quick
+            test_chaos_dead_end_budgets;
           Alcotest.test_case "arming is scoped" `Quick test_chaos_arming_scoped;
         ] );
       ( "bench",
