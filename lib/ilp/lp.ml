@@ -25,7 +25,7 @@
    by cross-multiplication instead of exact division. Everything is
    exact, so no tolerance anywhere.
 
-   Two tableaux. A cold solve first runs on the native tableau: row i
+   Two tableaux. Every solve first runs on the native tableau: row i
    is an [int array] of numerators n_ij over the slot layout, then one
    denominator d_i > 0, so entry j is n_ij / d_i; the objective row
    has the same form. A pivot is a native multiply-subtract over the
@@ -34,20 +34,21 @@
    numerator and denominator stays strictly inside +-[bound] (2^30 on
    64-bit), checked once when written, so the products and differences
    of the inner loops cannot overflow. A solve whose numbers leave that
-   range, or whose constraints or objective are not integral, restarts
-   from scratch on the rational tableau ([Q.t] entries, fused
-   [Q.sub_mul] updates), which also runs every warm re-solve.
+   range, or whose constraints or objective are not integral, runs
+   again on the rational tableau ([Q.t] entries, fused [Q.sub_mul]
+   updates): a cold solve from scratch, a re-solve from its snapshot.
    Both tableaux make each decision on the same rationals — the native
    one compares numerators over a shared denominator, or cross
    multiplies — so they take the same pivots and return the same point,
-   value and pivot counts; the restart resets [lp_pivots] and does not
-   bill the budget again for the pivots the native attempt already
-   billed. Only the bignum counters can differ: the native tableau
-   promotes nothing, where the rational one may promote an
-   intermediate product (on the benchmark programs no solve that
-   finishes natively promotes on the rational tableau either).
+   value and pivot counts; the rerun resets [lp_pivots] and
+   [dual_pivots] to their entry values and does not bill the budget
+   again for the pivots the native attempt already billed. Only the
+   bignum counters can differ: the native tableau promotes nothing,
+   where the rational one may promote an intermediate product (on the
+   benchmark programs no solve that finishes natively promotes on the
+   rational tableau either).
 
-   Incremental layer: an optimal solve can return a [warm] snapshot of
+   Incremental layer: an optimal solve returns a [warm] snapshot of
    its final tableau. [reoptimize] re-solves after (a) adding
    constraints — the snapshot basis is dual-feasible, so the added rows
    are priced into the basis and dual simplex runs back to primal
@@ -55,10 +56,14 @@
    primal-feasible, so the new reduced costs are priced out and primal
    phase 2 resumes. Both skip phase 1 entirely; a cold two-phase solve
    is the fallback on basis incompatibility or a dual cycling guard.
-   Added rows enter with their slacks basic, so the nonbasic columns
-   carry over and the copy is only the snapshot's own rows. A native
-   solve's snapshot converts to the rational tableau when [reoptimize]
-   first forces it, so a caller that drops it converts nothing. *)
+   One body ([resolve]) re-solves on either tableau, and a [kernel]
+   holds what differs: the row arithmetic and the comparisons. Added
+   rows enter with their slacks basic, so the nonbasic columns carry
+   over. A re-solve shares its snapshot's rows and copies one only when
+   a pivot first writes it ([own_row]), so no row that a snapshot can
+   reach is written again: one snapshot seeds any number of re-solves,
+   and a native snapshot converts to the rational tableau, when a
+   re-solve has to fall back, from the rows as it left them. *)
 
 open Linalg
 open Poly
@@ -116,25 +121,58 @@ type 'a tableau = {
   nz : int array; (* scratch: the pivot row's nonzero slots *)
   ncols : int; (* structural + slack + artificial columns, excluding rhs *)
   nstruct : int; (* structural (split) + slack columns *)
+  own : bool array; (* per row: false while the row is a snapshot's *)
 }
 
-(* A resumable snapshot of an optimal solve: the final tableau and
-   reduced-cost row, plus enough of the problem statement to rebuild a
-   cold solve on fallback. *)
+(* A final tableau with its reduced-cost row (by slot, rhs last). *)
+type 'a final = 'a tableau * 'a array
+
+(* A snapshot's tableaux: the native one, unless the solve ran on the
+   rational one, and the rational one, which a native snapshot converts
+   when a re-solve first forces it — on the domain that made it. *)
+type tableaux = { native : int final option; rational : Q.t final Lazy.t }
+
+(* A resumable snapshot of an optimal solve: the final tableaux, plus
+   enough of the problem statement to rebuild a cold solve on
+   fallback. *)
 type snapshot = {
-  w_t : Q.t tableau;
-  w_obj_row : Q.t array; (* reduced costs by slot, rhs last *)
+  w_tab : tableaux;
   w_allowed : bool array; (* length ncols: may the column enter phase 2 *)
   w_nonneg : bool;
   w_n : int; (* original variable count *)
-  w_obj_aff : Vec.t; (* the affine objective [w_obj_row] prices *)
+  w_obj_aff : Vec.t; (* the affine objective the reduced costs price *)
   w_poly : Polyhedron.t; (* the solved polyhedron (for cold fallback) *)
 }
 
-(* forced by [reoptimize] on the domain that made it *)
-type warm = snapshot Lazy.t
+type warm = snapshot
+
+(* What differs between the tableaux where one body drives both: the
+   row arithmetic, and the comparisons that make each decision on the
+   same rationals. *)
+type 'a kernel = {
+  sign : 'a -> int;
+  neg : 'a -> 'a;
+  cross : 'a -> 'a -> 'a -> 'a -> int; (* compares a * b with c * d *)
+  rhs_cmp : 'a array -> 'a array -> int; (* compares two rows' rhs values *)
+  step : 'a tableau -> 'a array -> int -> int -> unit;
+      (* an uncounted pivot on (row, slot), priced into the objective row *)
+  phase :
+    charge:(unit -> unit) -> 'a tableau -> 'a array -> bool array -> [ `Optimal | `Unbounded ];
+  row : nonneg:bool -> n:int -> 'a tableau -> Vec.t -> Q.t -> 'a array; (* [priced_row] *)
+  entry : 'a array -> int -> Q.t; (* slot j of a row, as a rational *)
+  keep : 'a tableau -> 'a array -> tableaux; (* a final tableau, as a snapshot's *)
+}
 
 let rhs_slot t = Array.length t.nonbasic
+
+(* Row [i] of [t], for writing: a row [t] shares with a snapshot is
+   copied first, so no row a snapshot can reach is written again. *)
+let own_row t i =
+  if not t.own.(i) then begin
+    t.a.(i) <- Array.copy t.a.(i);
+    t.own.(i) <- true
+  end;
+  t.a.(i)
 
 (* The column in slot [k] enters the basis at [row]; the leaving column
    takes slot [k]. *)
@@ -205,7 +243,8 @@ let layout ~nonneg p =
 
 let tableau (lay : layout) a =
   { a; basis = lay.basis; nonbasic = lay.nonbasic; slot = lay.slot;
-    nz = Array.make (lay.nnb + 1) 0; ncols = lay.ncols; nstruct = lay.nstruct }
+    nz = Array.make (lay.nnb + 1) 0; ncols = lay.ncols; nstruct = lay.nstruct;
+    own = Array.make (Array.length a) true }
 
 (* Drive the artificials still basic after phase 1 out of the basis,
    each by the least nonbasic structural column with a nonzero in its
@@ -229,18 +268,32 @@ let drive_out_artificials t ~is_zero ~pivot =
     end
   done
 
-(* The optimal point and value, from the value [y] of every column and
-   the objective row's rhs [z] (the value negated). *)
-let optimum ~nonneg ~n y z obj_aff =
+(* The optimal point and value of a final tableau whose slot [j] of a
+   row reads [entry row j]. Only the structural columns make the point,
+   so only their basic rows are read. *)
+let extract entry ~nonneg ~n t obj obj_aff =
+  let rhs = rhs_slot t and n_split = if nonneg then n else 2 * n in
+  let y = Array.make n_split Q.zero in
+  Array.iteri
+    (fun i row ->
+      let col = t.basis.(i) in
+      if col < n_split then y.(col) <- entry row rhs)
+    t.a;
   let x =
-    if nonneg then Array.init n (fun v -> y.(v))
-    else Array.init n (fun v -> Q.sub y.(2 * v) y.((2 * v) + 1))
+    if nonneg then y else Array.init n (fun v -> Q.sub y.(2 * v) y.((2 * v) + 1))
   in
-  Optimal (Q.add (Q.neg z) obj_aff.(n), x)
+  Optimal (Q.add (Q.neg (entry obj rhs)) obj_aff.(n), x)
 
-let snapshot ~nonneg ~n p obj_aff t obj_row =
-  { w_t = t; w_obj_row = obj_row; w_allowed = Array.init t.ncols (fun j -> j < t.nstruct);
-    w_nonneg = nonneg; w_n = n; w_obj_aff = obj_aff; w_poly = p }
+(* Phase 2 on [t] from the reduced costs [obj] of [obj_aff], over the
+   [allowed] columns; an optimum comes with its snapshot, of [p]. *)
+let finish k ~charge ~nonneg ~n p obj_aff t obj allowed =
+  match k.phase ~charge t obj allowed with
+  | `Unbounded -> (Unbounded, None)
+  | `Optimal ->
+    ( extract k.entry ~nonneg ~n t obj obj_aff,
+      Some
+        { w_tab = k.keep t obj; w_allowed = allowed; w_nonneg = nonneg; w_n = n;
+          w_obj_aff = obj_aff; w_poly = p } )
 
 exception Found_infeasible
 
@@ -265,7 +318,7 @@ let replay_zeroing f = if not (native f) then ignore (Q.sub f (Q.mul f Q.one))
    native [Q.sub_mul]. Counter-free so the warm path can charge its
    pivots to [Counters.dual_pivots]. *)
 let pivot_raw t row k =
-  let arow = t.a.(row) in
+  let arow = own_row t row in
   let p = arow.(k) in
   assert (not (Q.is_zero p));
   arow.(k) <- Q.one;
@@ -283,9 +336,9 @@ let pivot_raw t row k =
   let cnt = !cnt in
   for i = 0 to Array.length t.a - 1 do
     if i <> row then begin
-      let irow = t.a.(i) in
-      let f = irow.(k) in
+      let f = t.a.(i).(k) in
       if not (Q.is_zero f) then begin
+        let irow = own_row t i in
         replay_zeroing f;
         irow.(k) <- Q.zero;
         for q = 0 to cnt - 1 do
@@ -301,7 +354,8 @@ let pivot_raw t row k =
 (* Price the last pivot, on (row, slot k) with [cnt] nonzeros, into the
    objective row: the entering column's reduced cost [f] leaves slot [k]
    to the leaving column's, which is 0 while basic. *)
-let price_pivot t obj row k cnt f =
+let price_pivot t obj row k cnt =
+  let f = obj.(k) in
   if not (Q.is_zero f) then begin
     replay_zeroing f;
     obj.(k) <- Q.zero;
@@ -317,7 +371,7 @@ let pivot t row k =
   pivot_raw t row k
 
 (* One simplex phase: minimize obj (reduced costs by slot, with the
-   objective value negated in the rhs slot). [allowed col] filters
+   objective value negated in the rhs slot). [allowed.(col)] filters
    columns that may enter. Mutates [t], [obj]. *)
 let run_phase ~charge t obj allowed =
   let m = Array.length t.a in
@@ -350,7 +404,7 @@ let run_phase ~charge t obj allowed =
       try
         for j = 0 to t.ncols - 1 do
           let k = t.slot.(j) in
-          if k >= 0 && allowed j && Q.sign obj.(k) < 0 then begin
+          if k >= 0 && allowed.(j) && Q.sign obj.(k) < 0 then begin
             entering := k;
             raise Exit
           end
@@ -360,7 +414,7 @@ let run_phase ~charge t obj allowed =
       let best = ref Q.zero in
       for j = 0 to t.ncols - 1 do
         let k = t.slot.(j) in
-        if k >= 0 && allowed j && Q.sign obj.(k) < 0 && Q.compare obj.(k) !best < 0
+        if k >= 0 && allowed.(j) && Q.sign obj.(k) < 0 && Q.compare obj.(k) !best < 0
         then begin
           best := obj.(k);
           entering := k
@@ -401,39 +455,31 @@ let run_phase ~charge t obj allowed =
         continue_ := false
       end
       else begin
-        let row = !best in
-        let f = obj.(k) in
         charge ();
-        let cnt = pivot t row k in
-        price_pivot t obj row k cnt f
+        price_pivot t obj !best k (pivot t !best k)
       end
     end
   done;
   !status
 
-(* Read the optimal point and value out of a final tableau. *)
-let extract ~nonneg ~n t obj_row obj_aff =
-  let rhs = rhs_slot t in
-  let y = Array.make t.ncols Q.zero in
-  for i = 0 to Array.length t.a - 1 do
-    y.(t.basis.(i)) <- t.a.(i).(rhs)
-  done;
-  optimum ~nonneg ~n y obj_row.(rhs) obj_aff
-
-(* Build the phase-2 reduced-cost row for [obj_aff] against the current
-   basis of [t]: map the affine objective onto the structural columns,
-   then price out every basic column, row by row. *)
-let priced_obj_row ~nonneg ~n t obj_aff =
+(* The row of structural coefficients [c.(0 .. n-1)] and rhs [k]
+   against the current basis of [t]: map [c] onto the structural
+   columns, then price out every basic column, row by row. With [k] 0
+   it is the reduced-cost row of the objective [c]; with [c] = -a and
+   [k] the constant of a.x + k >= 0 it is that row added with its
+   slack basic. *)
+let priced_row ~nonneg ~n t c k =
   let cost = Array.make t.ncols Q.zero in
   for v = 0 to n - 1 do
-    if nonneg then cost.(v) <- obj_aff.(v)
+    if nonneg then cost.(v) <- c.(v)
     else begin
-      cost.(2 * v) <- obj_aff.(v);
-      cost.((2 * v) + 1) <- Q.neg obj_aff.(v)
+      cost.(2 * v) <- c.(v);
+      cost.((2 * v) + 1) <- Q.neg c.(v)
     end
   done;
   let obj = Array.make (rhs_slot t + 1) Q.zero in
   Array.iteri (fun k col -> obj.(k) <- cost.(col)) t.nonbasic;
+  obj.(rhs_slot t) <- k;
   Array.iteri
     (fun i arow ->
       let f = cost.(t.basis.(i)) in
@@ -464,6 +510,14 @@ let rational_rows lay =
       row)
     lay.cons
 
+let rational_kernel =
+  { sign = Q.sign; neg = Q.neg;
+    cross = (fun a b c d -> Q.compare (Q.mul a b) (Q.mul c d));
+    rhs_cmp = (fun a b -> Q.compare a.(Array.length a - 1) b.(Array.length b - 1));
+    step = (fun t obj row k -> price_pivot t obj row k (pivot_raw t row k));
+    phase = run_phase; row = priced_row; entry = Array.get;
+    keep = (fun t obj -> { native = None; rational = Lazy.from_val (t, obj) }) }
+
 let solve_rational ~nonneg ~charge p obj_aff =
   let lay = layout ~nonneg p in
   let t = tableau lay (rational_rows lay) in
@@ -481,19 +535,15 @@ let solve_rational ~nonneg ~charge p obj_aff =
           done
         end)
       t.a;
-    (match run_phase ~charge t obj1 (fun _ -> true) with
+    (match run_phase ~charge t obj1 (Array.make t.ncols true) with
     | `Unbounded -> assert false (* bounded below by 0 *)
     | `Optimal -> ());
     if Q.sign obj1.(nnb) <> 0 then raise Found_infeasible;
     drive_out_artificials t ~is_zero:Q.is_zero ~pivot
   end;
-  (* phase 2 *)
-  let obj2 = priced_obj_row ~nonneg ~n t obj_aff in
-  match run_phase ~charge t obj2 (fun j -> j < t.nstruct) with
-  | `Unbounded -> (Unbounded, None)
-  | `Optimal ->
-    ( extract ~nonneg ~n t obj2 obj_aff,
-      Some (Lazy.from_val (snapshot ~nonneg ~n p obj_aff t obj2)) )
+  finish rational_kernel ~charge ~nonneg ~n p obj_aff t
+    (priced_row ~nonneg ~n t obj_aff Q.zero)
+    (Array.init t.ncols (fun j -> j < t.nstruct))
 
 (* --- native tableau ------------------------------------------------------ *)
 
@@ -574,10 +624,9 @@ let combine (t : int tableau) (target : int array) f (src : int array) cnt =
    [k] and [n_rk] as its denominator (its sign moved into the
    numerators); every other row with a nonzero in slot [k] eliminates
    it against the new pivot row. Returns the pivot row's nonzero count,
-   listed in [t.nz]. *)
-let pivot_native (t : int tableau) row k =
-  Counters.(incr lp_pivots);
-  let prow = t.a.(row) in
+   listed in [t.nz]. Counter-free, as [pivot_raw]. *)
+let pivot_native_raw (t : int tableau) row k =
+  let prow = own_row t row in
   let last = Array.length prow - 1 in
   let a = prow.(k) in
   prow.(k) <- prow.(last);
@@ -590,9 +639,9 @@ let pivot_native (t : int tableau) row k =
   let cnt = list_nz t prow in
   for i = 0 to Array.length t.a - 1 do
     if i <> row then begin
-      let irow = t.a.(i) in
-      let f = irow.(k) in
+      let f = t.a.(i).(k) in
       if f <> 0 then begin
+        let irow = own_row t i in
         irow.(k) <- 0;
         ignore (combine t irow f prow cnt);
         reduce irow
@@ -602,6 +651,10 @@ let pivot_native (t : int tableau) row k =
   enter t row k;
   cnt
 
+let pivot_native t row k =
+  Counters.(incr lp_pivots);
+  pivot_native_raw t row k
+
 let price_native t (obj : int array) row k cnt =
   let f = obj.(k) in
   if f <> 0 then begin
@@ -610,12 +663,11 @@ let price_native t (obj : int array) row k cnt =
     reduce obj
   end
 
-(* [run_phase] on the native tableau, with the columns below [limit]
-   allowed to enter. The same decisions on the same rationals: the
-   reduced costs share the objective row's denominator, so they compare
-   as numerators, and the row denominators cancel from the ratio
-   rhs_i/a_ik = n_i,rhs/n_ik. *)
-let run_phase_native ~charge (t : int tableau) (obj : int array) limit =
+(* [run_phase] on the native tableau. The same decisions on the same
+   rationals: the reduced costs share the objective row's denominator,
+   so they compare as numerators, and the row denominators cancel from
+   the ratio rhs_i/a_ik = n_i,rhs/n_ik. *)
+let run_phase_native ~charge (t : int tableau) (obj : int array) allowed =
   let m = Array.length t.a in
   let rhs = rhs_slot t in
   let den = rhs + 1 in
@@ -639,9 +691,9 @@ let run_phase_native ~charge (t : int tableau) (obj : int array) limit =
     let entering = ref (-1) in
     if !use_bland then (
       try
-        for j = 0 to limit - 1 do
+        for j = 0 to t.ncols - 1 do
           let k = t.slot.(j) in
-          if k >= 0 && obj.(k) < 0 then begin
+          if k >= 0 && allowed.(j) && obj.(k) < 0 then begin
             entering := k;
             raise Exit
           end
@@ -649,9 +701,9 @@ let run_phase_native ~charge (t : int tableau) (obj : int array) limit =
       with Exit -> ())
     else begin
       let best = ref 0 in
-      for j = 0 to limit - 1 do
+      for j = 0 to t.ncols - 1 do
         let k = t.slot.(j) in
-        if k >= 0 && obj.(k) < !best then begin
+        if k >= 0 && allowed.(j) && obj.(k) < !best then begin
           best := obj.(k);
           entering := k
         end
@@ -688,8 +740,7 @@ let run_phase_native ~charge (t : int tableau) (obj : int array) limit =
       end
       else begin
         charge ();
-        let cnt = pivot_native t !best k in
-        price_native t obj !best k cnt
+        price_native t obj !best k (pivot_native t !best k)
       end
     end
   done;
@@ -700,30 +751,34 @@ let native_rows lay =
   Array.mapi
     (fun i c ->
       let s = if lay.negate.(i) then -1 else 1 in
+      let cv = Constr.coeffs c in
       let row = Array.make (lay.nnb + 2) 0 in
       for v = 0 to lay.n - 1 do
-        let x = s * int_of (Constr.coeff c v) in
-        if lay.nonneg then row.(v) <- x
-        else begin
-          row.(2 * v) <- x;
-          row.((2 * v) + 1) <- -x
+        if not (Q.is_zero cv.(v)) then begin
+          let x = s * int_of cv.(v) in
+          if lay.nonneg then row.(v) <- x
+          else begin
+            row.(2 * v) <- x;
+            row.((2 * v) + 1) <- -x
+          end
         end
       done;
       if lay.slack_slot.(i) >= 0 then row.(lay.slack_slot.(i)) <- -s;
-      row.(lay.nnb) <- -s * int_of (Constr.const c);
+      row.(lay.nnb) <- -s * int_of cv.(lay.n);
       row.(lay.nnb + 1) <- 1;
       row)
     lay.cons
 
 (* The reduced-cost row of the integer column costs [cost] against the
-   basis of [t]: the nonbasic costs, less each basic column's cost times
-   its row. [bcost] carries the basic costs over the row's current
-   denominator, so it scales with the row; the row is reduced once at
-   the end. *)
-let native_obj (t : int tableau) cost =
+   basis of [t], from rhs [k]: the nonbasic costs, less each basic
+   column's cost times its row. [bcost] carries the basic costs over
+   the row's current denominator, so it scales with the row; the row is
+   reduced once at the end. *)
+let native_obj ?(k = 0) (t : int tableau) cost =
   let nnb = rhs_slot t in
   let obj = Array.make (nnb + 2) 0 in
   Array.iteri (fun k col -> obj.(k) <- cost.(col)) t.nonbasic;
+  obj.(nnb) <- k;
   obj.(nnb + 1) <- 1;
   let bcost = Array.map (fun col -> cost.(col)) t.basis in
   let m = Array.length t.a in
@@ -741,6 +796,37 @@ let native_obj (t : int tableau) cost =
   reduce obj;
   obj
 
+(* [priced_row] on the native tableau *)
+let native_row ~nonneg ~n (t : int tableau) (c : Vec.t) k =
+  let cost = Array.make t.ncols 0 in
+  for v = 0 to n - 1 do
+    if not (Q.is_zero c.(v)) then begin
+      let x = int_of c.(v) in
+      if nonneg then cost.(v) <- x
+      else begin
+        cost.(2 * v) <- x;
+        cost.((2 * v) + 1) <- -x
+      end
+    end
+  done;
+  native_obj ~k:(int_of k) t cost
+
+let native_kernel =
+  { sign = (fun x -> Int.compare x 0); neg = Int.neg;
+    cross = (fun a b c d -> Int.compare (a * b) (c * d));
+    rhs_cmp =
+      (fun a b ->
+        let d = Array.length a - 1 in
+        Int.compare (a.(d - 1) * b.(d)) (b.(d - 1) * a.(d)));
+    step = (fun t obj row k -> price_native t obj row k (pivot_native_raw t row k));
+    phase = run_phase_native; row = native_row; entry;
+    keep =
+      (fun t obj ->
+        let q_row row = Array.init (Array.length row - 1) (entry row) in
+        { native = Some (t, obj);
+          rational = lazy ({ t with a = Array.map q_row t.a }, q_row obj) })
+  }
+
 let solve_native ~nonneg ~charge p obj_aff =
   let lay = layout ~nonneg p in
   let t = tableau lay (native_rows lay) in
@@ -748,68 +834,55 @@ let solve_native ~nonneg ~charge p obj_aff =
   (* phase 1: minimize the sum of artificials *)
   if lay.n_art > 0 then begin
     let obj1 = native_obj t (Array.init t.ncols (fun col -> Bool.to_int (col >= t.nstruct))) in
-    (match run_phase_native ~charge t obj1 t.ncols with
+    (match run_phase_native ~charge t obj1 (Array.make t.ncols true) with
     | `Unbounded -> assert false (* bounded below by 0 *)
     | `Optimal -> ());
     if obj1.(nnb) <> 0 then raise Found_infeasible;
     drive_out_artificials t ~is_zero:(fun x -> x = 0) ~pivot:pivot_native
   end;
-  (* phase 2 *)
-  let cost = Array.make t.ncols 0 in
-  for v = 0 to n - 1 do
-    let x = int_of obj_aff.(v) in
-    if nonneg then cost.(v) <- x
-    else begin
-      cost.(2 * v) <- x;
-      cost.((2 * v) + 1) <- -x
-    end
-  done;
-  let obj2 = native_obj t cost in
-  match run_phase_native ~charge t obj2 t.nstruct with
-  | `Unbounded -> (Unbounded, None)
-  | `Optimal ->
-    let rational () =
-      let q_row row = Array.init (Array.length row - 1) (entry row) in
-      snapshot ~nonneg ~n p obj_aff { t with a = Array.map q_row t.a } (q_row obj2)
-    in
-    let rhs = rhs_slot t in
-    let y = Array.make t.ncols Q.zero in
-    Array.iteri (fun i row -> y.(t.basis.(i)) <- entry row rhs) t.a;
-    (optimum ~nonneg ~n y (entry obj2 rhs) obj_aff, Some (Lazy.from_fun rational))
+  finish native_kernel ~charge ~nonneg ~n p obj_aff t (native_row ~nonneg ~n t obj_aff Q.zero)
+    (Array.init t.ncols (fun j -> j < t.nstruct))
 
 (* --- cold solve ---------------------------------------------------------- *)
 
-(* Native first; a native attempt that leaves the range is rerun from
-   scratch on the rational tableau, which takes the same pivots: it
-   restarts [lp_pivots] from its value at entry and does not bill the
-   budget for the pivots the attempt already billed. The [big_path]
-   test hook goes to the rational tableau directly. *)
+(* [native ~charge] and, if it leaves the range, [rational ~charge]
+   from the same entry state, which takes the same pivots: the pivot
+   counters restart from their values at entry, and the budget is not
+   billed again for the pivots the native attempt already billed. The
+   [big_path] test hook goes to [rational] directly. *)
+let native_first ~charge native rational =
+  if Chaos.hooks.big_path then rational ~charge
+  else begin
+    let pivots = Counters.get Counters.lp_pivots
+    and duals = Counters.get Counters.dual_pivots
+    and billed = ref 0 in
+    let charge_native () =
+      incr billed;
+      charge ()
+    in
+    try native ~charge:charge_native
+    with Out_of_range ->
+      Counters.set Counters.lp_pivots pivots;
+      Counters.set Counters.dual_pivots duals;
+      rational ~charge:(fun () -> if !billed > 0 then decr billed else charge ())
+  end
+
+(* A cold solve on the rational tableau reruns from scratch. *)
 let solve_cold ~nonneg ~charge p obj_aff =
   if Vec.dim obj_aff <> Polyhedron.dim p + 1 then invalid_arg "Lp.minimize: objective length";
-  try
-    if Chaos.hooks.big_path then solve_rational ~nonneg ~charge p obj_aff
-    else begin
-      let pivots = Counters.get Counters.lp_pivots and billed = ref 0 in
-      let charge_native () =
-        incr billed;
-        charge ()
-      in
-      try solve_native ~nonneg ~charge:charge_native p obj_aff
-      with Out_of_range ->
-        Counters.set Counters.lp_pivots pivots;
-        let charge () = if !billed > 0 then decr billed else charge () in
-        solve_rational ~nonneg ~charge p obj_aff
-    end
+  try native_first ~charge (solve_native ~nonneg p obj_aff) (solve_rational ~nonneg p obj_aff)
   with Found_infeasible -> (Infeasible, None)
 
 (* --- warm re-solve ----------------------------------------------------- *)
 
 (* Restore primal feasibility by dual simplex: the reduced costs in
    [obj] are non-negative on allowed columns (dual feasible); repeatedly
-   drive the most negative rhs out of the basis. The entering column is
-   chosen by the dual ratio test (min obj_j / -a_rj over a_rj < 0, by
-   cross multiplication). Bounded by [cap] pivots as a cycling guard. *)
-let dual_simplex ~charge t obj allowed cap =
+   drive the most negative rhs out of the basis, ties to the least basic
+   column. The entering column is chosen by the dual ratio test (min
+   obj_j / -a_rj over a_rj < 0, by cross multiplication; on the native
+   tableau the row's and the objective's denominators cancel). Bounded
+   by [cap] pivots as a cycling guard. *)
+let dual_simplex k ~charge t obj allowed cap =
   let m = Array.length t.a in
   let rhs = rhs_slot t in
   let iters = ref 0 in
@@ -822,15 +895,10 @@ let dual_simplex ~charge t obj allowed cap =
     end
     else begin
       let r = ref (-1) in
-      let worst = ref Q.zero in
       for i = 0 to m - 1 do
-        let ri = t.a.(i).(rhs) in
-        if Q.sign ri < 0 then begin
-          let c = if !r < 0 then -1 else Q.compare ri !worst in
-          if c < 0 || (c = 0 && t.basis.(i) < t.basis.(!r)) then begin
-            r := i;
-            worst := ri
-          end
+        if k.sign t.a.(i).(rhs) < 0 then begin
+          let c = if !r < 0 then -1 else k.rhs_cmp t.a.(i) t.a.(!r) in
+          if c < 0 || (c = 0 && t.basis.(i) < t.basis.(!r)) then r := i
         end
       done;
       if !r < 0 then continue_ := false (* primal feasible: optimal *)
@@ -838,24 +906,17 @@ let dual_simplex ~charge t obj allowed cap =
         let row = t.a.(!r) in
         (* entering: ties go to the least column index *)
         let e = ref (-1) in
-        let e_obj = ref Q.zero and e_coeff = ref Q.one in
+        (* read only once [e] holds a candidate *)
+        let e_obj = ref row.(rhs) and e_coeff = ref row.(rhs) in
         for j = 0 to t.ncols - 1 do
-          let k = t.slot.(j) in
-          if k >= 0 && allowed.(j) && Q.sign row.(k) < 0 then begin
-            let ok = obj.(k) and ck = Q.neg row.(k) in
-            if !e < 0 then begin
-              e := k;
-              e_obj := ok;
-              e_coeff := ck
-            end
-            else begin
-              (* ok/ck < e_obj/e_coeff iff ok*e_coeff < e_obj*ck *)
-              let c = Q.compare (Q.mul ok !e_coeff) (Q.mul !e_obj ck) in
-              if c < 0 then begin
-                e := k;
-                e_obj := ok;
-                e_coeff := ck
-              end
+          let s = t.slot.(j) in
+          if s >= 0 && allowed.(j) && k.sign row.(s) < 0 then begin
+            let os = obj.(s) and cs = k.neg row.(s) in
+            (* os/cs < e_obj/e_coeff iff os*e_coeff < e_obj*cs *)
+            if !e < 0 || k.cross os !e_coeff !e_obj cs < 0 then begin
+              e := s;
+              e_obj := os;
+              e_coeff := cs
             end
           end
         done;
@@ -869,25 +930,70 @@ let dual_simplex ~charge t obj allowed cap =
           charge ();
           Counters.(incr dual_pivots);
           incr iters;
-          let f = obj.(!e) in
-          let cnt = pivot_raw t !r !e in
-          price_pivot t obj !r !e cnt f
+          k.step t obj !r !e
         end
       end
     end
   done;
   !status
 
+(* Re-solve [w]'s final tableau [t0], with reduced costs [obj0], on
+   kernel [k]: append the constraints [add], run dual simplex back to
+   primal feasibility under the old objective (skipping phase 1), then
+   price out [obj_aff] and resume phase 2 — at once optimal when the
+   objective is the same. [`Fallback] when the dual iteration cap
+   trips. The new tableau shares [t0]'s rows until a pivot writes
+   them. *)
+let resolve k ~charge w (t0, obj0) add obj_aff =
+  let n = w.w_n and nonneg = w.w_nonneg in
+  (* every added constraint becomes one or two Ge rows
+     (an equality is its two opposite inequalities) *)
+  let rows =
+    List.concat_map
+      (fun c ->
+        match Constr.kind c with
+        | Constr.Ge -> [ Constr.coeffs c ]
+        | Constr.Eq -> [ Constr.coeffs c; Vec.neg (Constr.coeffs c) ])
+      add
+  in
+  let m = Array.length t0.a and extra = List.length rows in
+  let ncols = t0.ncols + extra in
+  (* the added rows' slacks enter basic, so the nonbasic columns and
+     their slots carry over *)
+  let slot = Array.make ncols (-1) in
+  Array.blit t0.slot 0 slot 0 t0.ncols;
+  let a = Array.make (m + extra) [||] in
+  Array.blit t0.a 0 a 0 m;
+  let t =
+    { a; basis = Array.append t0.basis (Array.init extra (fun i -> t0.ncols + i));
+      nonbasic = Array.copy t0.nonbasic; slot; nz = Array.make (rhs_slot t0 + 1) 0; ncols;
+      nstruct = ncols; own = Array.init (m + extra) (fun i -> i >= m) }
+  in
+  (* append each constraint a.x + c >= 0 as -a.x + s = c with its slack
+     basic, the current basis substituted out of the row so the tableau
+     stays in canonical form; a negative resulting rhs is exactly what
+     dual simplex repairs *)
+  List.iteri (fun i cv -> a.(m + i) <- k.row ~nonneg ~n t (Vec.neg cv) cv.(n)) rows;
+  let allowed = Array.append w.w_allowed (Array.make extra true) in
+  let obj = Array.copy obj0 in
+  match dual_simplex k ~charge t obj allowed (200 + (10 * (m + extra))) with
+  | `Fallback -> `Fallback
+  | `Infeasible -> `Solved (Infeasible, None)
+  | `Optimal ->
+    let obj =
+      if Vec.equal obj_aff w.w_obj_aff then obj else k.row ~nonneg ~n t obj_aff Q.zero
+    in
+    `Solved
+      (finish k ~charge ~nonneg ~n (Polyhedron.add_list w.w_poly add) obj_aff t obj allowed)
+
 (* [reoptimize w ~add ~obj] re-solves [w]'s program with the
    constraints [add] appended and objective [obj], starting from [w]'s
-   final basis. Two stages: dual simplex absorbs the added rows under
-   the old objective (skipping phase 1), then — if the objective
-   changed — the new reduced costs are priced out and primal phase 2
-   resumes from the feasible basis. Falls back to a cold solve when
-   the snapshot is incompatible or the dual iteration cap trips. *)
+   final basis: natively when [w] has a native tableau, on the rational
+   one otherwise or when the native attempt leaves the range. Falls
+   back to a cold solve when the snapshot is incompatible or the dual
+   iteration cap trips. *)
 let reoptimize_exn ?budget w ~add ~obj:obj_aff =
   Counters.(incr lp_solves);
-  let w = Lazy.force w in
   let charge = charger budget in
   let n = w.w_n in
   let cold () =
@@ -907,110 +1013,22 @@ let reoptimize_exn ?budget w ~add ~obj:obj_aff =
     Vec.dim obj_aff <> n + 1 || List.exists (fun c -> Constr.dim c <> n) add
   then cold ()
   else begin
-    (* every added constraint becomes one or two Ge rows
-       (an equality is its two opposite inequalities) *)
-    let rows_to_add =
-      List.concat_map
-        (fun c ->
-          match Constr.kind c with
-          | Constr.Ge -> [ Constr.coeffs c ]
-          | Constr.Eq -> [ Constr.coeffs c; Vec.neg (Constr.coeffs c) ])
-        add
+    let rational ~charge =
+      resolve rational_kernel ~charge w (Lazy.force w.w_tab.rational) add obj_aff
     in
-    let old = w.w_t in
-    let m = Array.length old.a in
-    let extra = List.length rows_to_add in
-    let ncols = old.ncols + extra in
-    let nnb = Array.length old.nonbasic in
-    (* the added rows' slacks enter basic, so the nonbasic columns and
-       their slots carry over; the rows are copied because the snapshot
-       may seed other re-solves *)
-    let slot = Array.make ncols (-1) in
-    Array.blit old.slot 0 slot 0 old.ncols;
-    let a = Array.make (m + extra) [||] in
-    for i = 0 to m - 1 do
-      a.(i) <- Array.copy old.a.(i)
-    done;
-    let obj_row = Array.copy w.w_obj_row in
-    let basis = Array.make (m + extra) (-1) in
-    Array.blit old.basis 0 basis 0 m;
-    let allowed = Array.make ncols false in
-    Array.blit w.w_allowed 0 allowed 0 old.ncols;
-    for j = old.ncols to ncols - 1 do
-      allowed.(j) <- true
-    done;
-    (* append each constraint a.x + k >= 0 as  -a.x + s = k  with its
-       slack basic, then substitute the current basis out of the row so
-       the tableau stays in canonical form; a negative resulting rhs is
-       exactly what dual simplex repairs *)
-    let n_split = if w.w_nonneg then n else 2 * n in
-    List.iteri
-      (fun idx cv ->
-        (* the row's coefficient on each structural column *)
-        let coeff = Array.make n_split Q.zero in
-        for v = 0 to n - 1 do
-          let av = cv.(v) in
-          if not (Q.is_zero av) then
-            if w.w_nonneg then coeff.(v) <- Q.neg av
-            else begin
-              coeff.(2 * v) <- Q.neg av;
-              coeff.((2 * v) + 1) <- av
-            end
-        done;
-        let coeff_of col = if col < n_split then coeff.(col) else Q.zero in
-        let r = Array.make (nnb + 1) Q.zero in
-        Array.iteri (fun k col -> r.(k) <- coeff_of col) old.nonbasic;
-        r.(nnb) <- cv.(n);
-        for i = 0 to m - 1 do
-          let f = coeff_of basis.(i) in
-          if not (Q.is_zero f) then begin
-            replay_zeroing f;
-            Array.iteri
-              (fun j aij -> if not (Q.is_zero aij) then r.(j) <- Q.sub_mul r.(j) f aij)
-              a.(i)
-          end
-        done;
-        a.(m + idx) <- r;
-        basis.(m + idx) <- old.ncols + idx)
-      rows_to_add;
-    let t =
-      { a; basis; nonbasic = Array.copy old.nonbasic; slot;
-        nz = Array.make (nnb + 1) 0; ncols; nstruct = ncols }
+    let solved =
+      match w.w_tab.native with
+      | None -> rational ~charge
+      | Some t ->
+        native_first ~charge
+          (fun ~charge -> resolve native_kernel ~charge w t add obj_aff)
+          rational
     in
-    let cap = 200 + (10 * (m + extra)) in
-    match dual_simplex ~charge t obj_row allowed cap with
+    match solved with
     | `Fallback -> cold ()
-    | `Infeasible ->
+    | `Solved r ->
       Counters.(incr warm_starts);
-      (Infeasible, None)
-    | `Optimal -> (
-      let same_obj = Vec.equal obj_aff w.w_obj_aff in
-      let obj_row =
-        if same_obj then obj_row
-        else priced_obj_row ~nonneg:w.w_nonneg ~n t obj_aff
-      in
-      let status =
-        if same_obj then `Optimal
-        else run_phase ~charge t obj_row (fun j -> allowed.(j))
-      in
-      match status with
-      | `Unbounded ->
-        Counters.(incr warm_starts);
-        (Unbounded, None)
-      | `Optimal ->
-        Counters.(incr warm_starts);
-        let res = extract ~nonneg:w.w_nonneg ~n t obj_row obj_aff in
-        let w' =
-          {
-            w with
-            w_t = t;
-            w_obj_row = obj_row;
-            w_allowed = allowed;
-            w_obj_aff = obj_aff;
-            w_poly = Polyhedron.add_list w.w_poly add;
-          }
-        in
-        (res, Some (Lazy.from_val w')))
+      r
   end
 
 let reoptimize ?budget w ~add ~obj =
@@ -1018,6 +1036,8 @@ let reoptimize ?budget w ~add ~obj =
   else
     try reoptimize_exn ?budget w ~add ~obj
     with Out_of_budget -> (Exhausted, None)
+
+let is_native w = Option.is_some w.w_tab.native
 
 (* --- public entry points ------------------------------------------------ *)
 

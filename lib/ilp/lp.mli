@@ -8,25 +8,28 @@
     degenerate vertex — so termination is still guaranteed. There is no
     tolerance anywhere.
 
-    A cold solve ({!minimize}, {!maximize}, {!minimize_warm}) pivots on
-    a fraction-free tableau of native ints: each row is an [int array]
-    of numerators plus one positive row denominator, kept in lowest
-    terms, and every numerator and denominator stays strictly inside
-    ±2{^⌊(Sys.int_size − 3)/2⌋} (2{^30} on 64-bit), so no inner-loop
-    product overflows. A solve whose numbers leave that range, or whose
-    constraints or objective are not integral, restarts from scratch on
-    a tableau of {!Linalg.Q} rationals, which has no range limit. Both tableaux decide every pivot on the same
+    Every solve — cold ({!minimize}, {!maximize}, {!minimize_warm}) or
+    warm ({!reoptimize}) — pivots on a fraction-free tableau of native
+    ints: each row is an [int array] of numerators plus one positive
+    row denominator, kept in lowest terms, and every numerator and
+    denominator stays strictly inside ±2{^⌊(Sys.int_size − 3)/2⌋}
+    (2{^30} on 64-bit), so no inner-loop product overflows. A solve
+    whose numbers leave that range, or whose constraints or objective
+    are not integral, runs again on a tableau of {!Linalg.Q}
+    rationals, which has no range limit: a cold solve from scratch, a
+    re-solve from its snapshot (never cold, so that the answer does not
+    depend on the range). Both tableaux decide every pivot on the same
     rationals, so they take the same pivots, return the same result and
-    count the same solves and pivots in {!Linalg.Counters}: the restart
-    resets {!Linalg.Counters.lp_pivots} to its value at entry, bills a
+    count the same solves and pivots in {!Linalg.Counters}: the rerun
+    resets {!Linalg.Counters.lp_pivots} and
+    {!Linalg.Counters.dual_pivots} to their values at entry, bills a
     budget only for pivots the native attempt did not bill, and bumps
     no counter and emits no trace event of its own. The native tableau
     does no {!Linalg.Bigint} arithmetic, so a solve that finishes on it
     counts no {!Linalg.Counters.promotions}, where the rational one may
     promote an intermediate product. The
-    {!Linalg.Chaos}[.hooks.big_path] test hook sends every cold solve
-    to the rational tableau. Warm re-solves ({!reoptimize}) run on the
-    rational tableau. *)
+    {!Linalg.Chaos}[.hooks.big_path] test hook sends every solve, cold
+    or warm, to the rational tableau. *)
 
 type result =
   | Infeasible
@@ -88,13 +91,13 @@ val maximize :
     {!Linalg.Counters.lp_pivots} (primal phase), so total simplex
     effort is the sum of the two pivot counters. *)
 
-(** A resumable snapshot of an optimal solve. Immutable from the
-    caller's point of view: [reoptimize] copies before pivoting, so one
-    snapshot can seed many re-solves (e.g. both children of a
-    branch-and-bound node). A cold solve's snapshot holds its final
-    native tableau and converts it to the rational one when
-    {!reoptimize} first reads it, so a caller that drops the snapshot
-    converts nothing. The conversion is not synchronized: use a
+(** A resumable snapshot of an optimal solve. Immutable: a re-solve
+    shares the snapshot's rows and copies each one before a pivot first
+    writes it, so one snapshot can seed many re-solves (e.g. both
+    children of a branch-and-bound node). A snapshot holds the final
+    tableau of the solve that made it, native or rational. A native one
+    is converted to the rational tableau only when a re-solve from it
+    has to run there, and that conversion is not synchronized: use a
     snapshot only on the domain that made it. *)
 type warm
 
@@ -116,3 +119,10 @@ val reoptimize :
   add:Poly.Constr.t list ->
   obj:Linalg.Vec.t ->
   result * warm option
+
+(** [is_native w] is [true] when [w] holds the native tableau of the
+    solve that made it, so that its re-solves start on the native
+    tableau, and [false] when that solve ran on the rational tableau:
+    it left the native range, or ran under the [big_path] hook. It
+    tells tests which path a solve took; no answer depends on it. *)
+val is_native : warm -> bool

@@ -50,11 +50,12 @@ val slows : plan -> int
 type hooks = private {
   mutable big_path : bool;
       (** {!Bigint} takes its boxed route on native operands too, and
-          {!Bigint.unbox} answers [min_int]; every cold LP solve
-          ([Ilp.Lp]) runs on the rational simplex tableau instead of
-          the native-int one, and {!Vec.normalize_int} normalizes every
-          row on the generic path. Values stay canonical, so only the
-          path and {!Counters.promotions} change. *)
+          {!Bigint.unbox} answers [min_int]; every LP solve
+          ([Ilp.Lp]), cold or warm re-solve, runs on the rational
+          simplex tableau instead of the native-int one, and
+          {!Vec.normalize_int} normalizes every row on the generic
+          path. Values stay canonical, so only the path and
+          {!Counters.promotions} change. *)
   mutable bland : bool;
       (** the simplex pivots by Bland's least-index rule from the first
           pivot, instead of by Dantzig's rule until the objective

@@ -199,19 +199,24 @@ let solver_counts counters =
 
 let sched (o : Fusion.Resilient.outcome) = o.result.Pluto.Scheduler.sched
 
+(* A run [(o, counters)] and its rerun under [big_path] reach the same
+   schedule at the same solver counts. *)
+let check_rational (o, counters) (o', counters') =
+  if sched o' <> sched o then
+    QCheck.Test.fail_report "the rational tableau reached another schedule"
+  else if solver_counts counters' <> solver_counts counters then
+    QCheck.Test.fail_reportf "the rational tableau moved the counters: %s"
+      (String.concat ", "
+         (List.filter_map
+            (fun ((name, v), (_, v')) ->
+              if v = v' then None else Some (Printf.sprintf "%s %d -> %d" name v v'))
+            (List.combine (solver_counts counters) (solver_counts counters'))))
+
 let run_case spec =
   let prog, o, counters = optimize spec ~big:false in
   (if not spec.chaos_big then
      let _, o', counters' = optimize spec ~big:true in
-     if sched o' <> sched o then
-       QCheck.Test.fail_report "the rational tableau reached another schedule"
-     else if solver_counts counters' <> solver_counts counters then
-       QCheck.Test.fail_reportf "the rational tableau moved the counters: %s"
-         (String.concat ", "
-            (List.filter_map
-               (fun ((name, v), (_, v')) ->
-                 if v = v' then None else Some (Printf.sprintf "%s %d -> %d" name v v'))
-               (List.combine (solver_counts counters) (solver_counts counters')))));
+     check_rational (o, counters) (o', counters'));
   Linalg.Chaos.arm ~cold_reoptimize:spec.chaos_warm ~big_path:spec.chaos_big
     (fun () ->
       let r = o.Fusion.Resilient.result in
@@ -364,12 +369,22 @@ let fuzz_reductions =
    fewer cases than the random-SCoP property: each one is a whole
    hundred-ish-statement pipeline run.
 
-   A case whose engine resolves to lp-dfp is scheduled twice more,
-   unbudgeted: once as is, where a level whose LP relaxation is
+   A case whose engine resolves to lp-dfp is scheduled three times
+   more, unbudgeted (four under WISEFUSE_BUDGET_MS, which the first run
+   obeys): once as is, where a level whose LP relaxation is
    infeasible bisects its fallback-cut chain, and once under
    [Chaos.hooks.linear_cuts], which takes one cut per solve. Both must
    give the same schedule, outer partition and C, and emit the same
-   cut events, and each bisection must land on a feasible state. *)
+   cut events, and each bisection must land on a feasible state. And
+   once under [big_path], where every LP solve and warm re-solve runs
+   on the rational tableau: it must reach the same schedule at the
+   same solver counts. The lp-dfp towers' warm re-solves run on
+   tableaux of thousands of cells, which the pipeline property's small
+   programs never build.
+
+   Every run also schedules one fixed stencil of 12 statements under
+   lp-dfp, which bisects a chain of 2 or more cuts, and the group fails
+   when no case did. *)
 
 let fuzz_stmts =
   match Sys.getenv_opt "FUZZ_STMTS" with
@@ -432,7 +447,12 @@ let run_large spec =
   in
   let prog = Kernels.Scopgen.generate shape ~stmts:spec.lstmts in
   let config = Fusion.Model.scheduler_config (model_of spec.lmodel) in
-  let o = Fusion.Resilient.optimize ~engine ~config prog in
+  let optimize ?budget () =
+    Linalg.Counters.scoped (fun () ->
+        let o = Fusion.Resilient.optimize ?budget ~engine ~config prog in
+        (o, Linalg.Counters.all_counters ()))
+  in
+  let o, counters = optimize () in
   let r = o.Fusion.Resilient.result in
   (match
      Pluto.Satisfy.check_complete r.Pluto.Scheduler.prog r.Pluto.Scheduler.sched
@@ -464,7 +484,16 @@ let run_large spec =
   if
     Pluto.Engine.resolve engine ~nstmts:(Array.length prog.Scop.Program.stmts)
     = Pluto.Engine.Lp_dfp
-  then check_linear_cuts ~engine config prog;
+  then begin
+    check_linear_cuts ~engine config prog;
+    (* unbudgeted, as the scan: a wall-clock budget (WISEFUSE_BUDGET_MS)
+       would trip at different points on the two tableaux *)
+    let unbudgeted () = optimize ~budget:(Linalg.Budget.make ()) () in
+    let native =
+      if Option.is_none (Linalg.Budget.of_env ()) then (o, counters) else unbudgeted ()
+    in
+    check_rational native (Linalg.Chaos.arm ~big_path:true unbudgeted)
+  end;
   true
 
 let fuzz_large =
@@ -473,10 +502,18 @@ let fuzz_large =
     (QCheck.make ~print:print_large gen_large)
     run_large
 
+(* a failed check raises QCheck's failure, which Alcotest reports *)
+let test_fixed_chain () =
+  ignore (run_large { shape = 1; lstmts = 12; engine = 1; lmodel = 3 });
+  if !chain_cases = 0 then
+    Alcotest.fail "no lp-dfp case bisected a fallback-cut chain of 2+ cuts"
+
 let () =
   Alcotest.run "fuzz"
     [
       ("pipeline", [ QCheck_alcotest.to_alcotest fuzz_pipeline ]);
       ("reductions", [ QCheck_alcotest.to_alcotest fuzz_reductions ]);
-      ("large", [ QCheck_alcotest.to_alcotest fuzz_large ]);
+      ( "large",
+        [ QCheck_alcotest.to_alcotest fuzz_large;
+          Alcotest.test_case "fixed stencil12 lp-dfp" `Quick test_fixed_chain ] );
     ]
